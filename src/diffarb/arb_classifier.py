@@ -491,7 +491,10 @@ def classify(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) -> Verdict:
 
     # ordering: holds can only weaken along NUPBR -> NSA -> NIP
     order = {HOLDS: 2, INCONCLUSIVE: 1, FAILS: 0}
-    assert order[nupbr] <= order[nsa] <= order[nip], (nip, nsa, nupbr)
+    if not order[nupbr] <= order[nsa] <= order[nip]:
+        raise RuntimeError(
+            f"internal inconsistency: NUPBR {nupbr}, NSA {nsa}, NIP {nip} break NUPBR => NSA => NIP"
+        )
 
     us = _gamma_probe_points(view)
     impr = {

@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,13 +35,16 @@ from .measure_kit import DEFAULT_QUAD, MeasureKitError, QuadConfig
 from .mc_engine import (
     build_chain,
     estimate_tradeoff,
+    evaluate_strategy,
     martingale_diagnostic,
-    run_strategy,
+    plan_strategy,
     sample_paths,
 )
 from .model_catalog import CATALOG, build_model, catalog_names
 
 __all__ = ["RunConfig", "main", "cmd_classify", "cmd_simulate", "cmd_catalog", "cmd_report"]
+
+_LABEL = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 @dataclass
@@ -157,6 +161,15 @@ def _load_spec(cfg: RunConfig) -> DiffusionSpec:
     raise SpecValidationError("no model given: use --model <path> or --catalog <name>")
 
 
+def _label(cfg: RunConfig, spec: DiffusionSpec) -> str:
+    """Report label: ``--id`` or the model id; it names output files, so it
+    is restricted to ``[A-Za-z0-9_.-]+``."""
+    label = cfg.run_id or spec.model_id
+    if not _LABEL.fullmatch(label):
+        raise SpecValidationError(f"report label {label!r} must match [A-Za-z0-9_.-]+")
+    return label
+
+
 def _write_json(path: Path, obj: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
@@ -180,11 +193,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def cmd_classify(cfg: RunConfig) -> int:
     try:
         spec = _load_spec(cfg)
+        label = _label(cfg, spec)
         verdict = classify(spec, cfg.quad())
     except (SpecValidationError, MeasureKitError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    label = cfg.run_id or spec.model_id
     report = verdict_to_json(spec, verdict)
     report["model_id"] = label
     report["seed"] = cfg.seed
@@ -205,7 +218,12 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     try:
+        if cfg.n_paths < 1:
+            raise SpecValidationError("--paths must be at least 1")
+        if cfg.levels < 3:
+            raise SpecValidationError("--levels must be at least 3 (the refinement ladder)")
         spec = _load_spec(cfg)
+        label = _label(cfg, spec)
         if spec.horizon <= 0:
             raise SpecValidationError("horizon must be positive")
         view = derive_natural_scale(spec, cfg.quad())
@@ -215,23 +233,30 @@ def cmd_simulate(cfg: RunConfig) -> int:
         return 1
 
     T = spec.horizon
-    batch = sample_paths(chain, cfg.n_paths, cfg.seed, T)
+    reflecting = [s for s, b in view.boundaries if b.kind == "reflecting"]
+    accessible = [s for s, b in view.boundaries if b.accessible]
+    plans = []
+    if accessible:
+        plans.append(plan_strategy(view, chain, "post_hitting_hold"))
+    if reflecting:
+        plans.append(plan_strategy(view, chain, "boundary_sit"))
+    # one stream-7 batch feeds the strategies, the payoff histogram, the
+    # discarded count and the path dump
+    batch = sample_paths(
+        chain,
+        cfg.n_paths,
+        cfg.seed,
+        T,
+        hit_levels=[p.hit_level for p in plans if p.hit_level is not None],
+        position_table=next((p.table for p in plans if p.table is not None), None),
+        stream=7,
+    )
+    evaluated = [evaluate_strategy(batch, p) for p in plans]
+    strategies = [res for res, _ in evaluated]
     tr = estimate_tradeoff(
         view, spec, n_paths=max(1000, cfg.n_paths // 4), seed=cfg.seed,
         base_grid=max(64, cfg.grid // 4), levels=cfg.levels,
     )
-
-    strategies = []
-    reflecting = [s for s, b in view.boundaries if b.kind == "reflecting"]
-    accessible = [s for s, b in view.boundaries if b.accessible]
-    if accessible:
-        strategies.append(
-            run_strategy(view, spec, "post_hitting_hold", chain=chain, n_paths=cfg.n_paths, seed=cfg.seed)
-        )
-    if reflecting:
-        strategies.append(
-            run_strategy(view, spec, "boundary_sit", chain=chain, n_paths=cfg.n_paths, seed=cfg.seed)
-        )
 
     diagnostics = []
     if reflecting:
@@ -244,7 +269,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         )
     )
 
-    label = cfg.run_id or spec.model_id
     report = {
         "model_id": label,
         "r": spec.r,
@@ -297,7 +321,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     )
 
     if strategies:
-        pay = _strategy_histogram(view, spec, chain, cfg)
+        pay = _payoff_histogram(evaluated[0][1]) if accessible else []
         _write_csv(out_dir / f"payoffs_{label}.csv", ["bin_left", "bin_right", "count"], pay)
 
     if cfg.dump_paths:
@@ -331,28 +355,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _strategy_histogram(view, spec, chain, cfg: RunConfig) -> list[list]:
-    """Payoff histogram of the post-hitting-hold strategy, re-streamed
-    deterministically from the recorded seed."""
-    accessible = [s for s, b in view.boundaries if b.accessible]
-    if not accessible:
-        return []
-    level = view.boundary_image(accessible[0])
-    lv_idx = chain.state_of(level)
-    batch = sample_paths(chain, cfg.n_paths, cfg.seed, spec.horizon, hit_levels=[lv_idx], stream=7)
-    keep = batch.kept
-    ht = batch.hit_time[lv_idx][keep]
-    if chain.start_index == lv_idx:
-        ht = np.zeros_like(ht)
-    term = batch.terminal_state[keep]
-    hit = np.isfinite(ht)
-    pay = np.zeros(term.size)
-    if chain.r != 0.0:
-        pay[hit] = np.exp(-chain.r * spec.horizon) * chain.q_grid[term[hit]] - np.exp(
-            -chain.r * ht[hit]
-        ) * chain.q_grid[lv_idx]
-    else:
-        pay[hit] = chain.q_grid[term[hit]] - chain.q_grid[lv_idx]
+def _payoff_histogram(pay: np.ndarray) -> list[list]:
+    """40-bin histogram rows over the payoff range."""
     lo, hi = float(pay.min()), float(pay.max())
     if hi <= lo:
         hi = lo + 1.0

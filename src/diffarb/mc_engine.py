@@ -16,9 +16,10 @@ speed exactly at cell resolution:
   boundaries are padded and exiting paths are discarded and counted.
 
 Sampling is vectorized over paths with a counter-based generator (Philox),
-so runs are bit-reproducible for a fixed seed and chunk layout, and path
-batches can be re-streamed deterministically by any estimator that needs
-per-event access.
+so runs are bit-reproducible for a fixed seed, stream and chunk layout. The
+accumulators never change which numbers are drawn, so one pass that carries
+several of them samples the same paths as separate passes would: estimators
+that share a stream read one batch instead of re-streaming it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ __all__ = [
     "sample_paths",
     "estimate_local_time_field",
     "estimate_tradeoff",
+    "StrategyPlan",
+    "plan_strategy",
+    "evaluate_strategy",
     "run_strategy",
     "martingale_diagnostic",
     "gamma_drift_rates",
@@ -475,8 +479,9 @@ class PathBatch:
     """Summaries of a sampled batch plus the handle to re-stream it.
 
     Re-running ``sample_paths`` with the recorded seed reproduces the paths
-    bit-exactly (counter-based generator, fixed chunk layout), so heavier
-    estimators re-stream instead of storing full event logs.
+    bit-exactly (counter-based generator, fixed chunk layout), so estimators
+    on one stream share a batch through its accumulators instead of storing
+    full event logs.
     """
 
     chain: ChainModel
@@ -502,6 +507,17 @@ class PathBatch:
     @property
     def n_kept(self) -> int:
         return int(np.sum(self.kept))
+
+
+def _entering(s_next: np.ndarray, states: Sequence[int], live: np.ndarray) -> Optional[np.ndarray]:
+    """Mask of live paths jumping into one of ``states``; None when there are none."""
+    if not states:
+        return None
+    hit = s_next == states[0]
+    for s in states[1:]:
+        hit |= s_next == s
+    hit &= live
+    return hit
 
 
 def sample_paths(
@@ -559,10 +575,13 @@ def sample_paths(
     else:
         mesh_state = mesh_occ = None
 
-    pad_left = chain.left_rule == "pad"
-    pad_right = chain.right_rule == "pad"
-    absorb_left = chain.left_rule == "absorb"
-    absorb_right = chain.right_rule == "absorb"
+    edges = ((0, chain.left_rule), (n_states - 1, chain.right_rule))
+    pad_states = [i for i, rule in edges if rule == "pad"]
+    absorb_states = [i for i, rule in edges if rule == "absorb"]
+    want_price = want_payoff or want_resid
+    discount = want_price and r != 0.0
+    # the next mesh time of each path, +inf once all are recorded
+    mesh_ext = None if mesh is None else np.append(mesh, np.inf)
 
     # the loop carries compacted per-path arrays (survivors only); scalar
     # accumulators ride along compacted and are scattered back on death
@@ -573,6 +592,7 @@ def sample_paths(
         ids = np.arange(c0, c1, dtype=np.int64)
         st = np.full(m, chain.start_index, dtype=np.int64)
         tt = np.zeros(m)
+        disc_old = np.ones(m) if discount else None  # exp(-r tt)
         acc_marked = {ms: np.zeros(m) for ms in marked}
         acc_hit = {lv: np.full(m, np.inf) for lv in hits}
         acc_pay = np.zeros(m) if want_payoff else None
@@ -598,22 +618,19 @@ def sample_paths(
             t_new = tt + dwell_raw
             expire = t_new >= T
             dwell = np.where(expire, T - tt, dwell_raw)
-            t_next = np.where(expire, T, t_new)
+            t_next = np.minimum(t_new, T)
 
             occupation += np.bincount(st, weights=dwell, minlength=n_states)
             for ms, acc in acc_marked.items():
                 acc += np.where(st == ms, dwell, 0.0)
 
-            if mesh is not None:
+            if mesh is not None and np.any(mesh_ext[mesh_next] <= t_next):
                 # record snapshots at every mesh time inside this sojourn;
                 # marked occupancy was advanced by the whole dwell already,
                 # so roll it back to the snapshot time
                 while True:
-                    pending = mesh_next < mesh.size
-                    if not np.any(pending):
-                        break
-                    mt = np.where(pending, mesh[np.minimum(mesh_next, mesh.size - 1)], np.inf)
-                    inside = pending & (mt <= t_next) & (mt >= tt)
+                    mt = mesh_ext[mesh_next]
+                    inside = (mt <= t_next) & (mt >= tt)
                     if not np.any(inside):
                         break
                     rows = ids[inside]
@@ -626,13 +643,15 @@ def sample_paths(
                         mesh_occ[rows, mesh_next[inside], j] = base - rollback
                     mesh_next[inside] += 1
 
-            up = uu < up_prob[st]
-            s_next = st + np.where(up, 1, -1)
+            s_next = (uu < up_prob[st]).astype(np.int64)
+            s_next *= 2
+            s_next -= 1
+            s_next += st
+            live = ~expire
 
-            if want_payoff or want_resid:
+            if want_price:
                 s_eff = np.where(expire, st, s_next)
-                if r != 0.0:
-                    disc_old = np.exp(-r * tt)
+                if discount:
                     disc_new = np.exp(-r * t_next)
                     dS = disc_new * q_grid[s_eff] - disc_old * q_grid[st]
                 else:
@@ -640,44 +659,42 @@ def sample_paths(
                 if want_payoff:
                     acc_pay += position_table[st] * dS
                 if want_resid:
-                    disc_int = (disc_old - disc_new) / r if r != 0.0 else dwell
+                    disc_int = (disc_old - disc_new) / r if discount else dwell
                     acc_res += w_resid[st] * (dS - residual_rates[st] * disc_int)
 
             for lv, acc in acc_hit.items():
-                arrived = (~expire) & (s_next == lv) & np.isinf(acc)
+                arrived = live & (s_next == lv) & np.isinf(acc)
                 if np.any(arrived):
                     acc[arrived] = t_next[arrived]
 
             # deaths: horizon, pad exit (discard), absorbing entry (the
             # clock stops; occupation counts time up to absorption only)
-            dead_pad = (~expire) & (
-                (pad_left & (s_next == 0)) | (pad_right & (s_next == n_states - 1))
-            )
-            absorbed = (~expire) & (
-                (absorb_left & (s_next == 0)) | (absorb_right & (s_next == n_states - 1))
-            )
-            if np.any(absorbed) and (want_payoff or want_resid) and r != 0.0:
-                # the price keeps discounting while parked at the absorbing
-                # value; settle that increment analytically
-                tail = np.where(
-                    absorbed,
-                    (math.exp(-r * T) - np.exp(-r * t_next)) * q_grid[s_next],
-                    0.0,
-                )
-                if want_payoff:
-                    acc_pay += position_table[s_next] * tail
-                if want_resid:
-                    acc_res += w_resid[s_next] * tail
-            dead = expire | dead_pad | absorbed
+            dead = expire
+            dead_pad = _entering(s_next, pad_states, live)
+            if dead_pad is not None:
+                dead = dead | dead_pad
+            absorbed = _entering(s_next, absorb_states, live)
+            if absorbed is not None:
+                dead = dead | absorbed
+                if discount and np.any(absorbed):
+                    # the price keeps discounting while parked at the absorbing
+                    # value; settle that increment analytically
+                    tail = np.where(absorbed, (math.exp(-r * T) - disc_new) * q_grid[s_next], 0.0)
+                    if want_payoff:
+                        acc_pay += position_table[s_next] * tail
+                    if want_resid:
+                        acc_res += w_resid[s_next] * tail
             if np.any(dead):
                 terminal[ids[dead]] = np.where(expire, st, s_next)[dead]
-                if np.any(dead_pad):
+                if dead_pad is not None and np.any(dead_pad):
                     discarded[ids[dead_pad]] = True
                 _flush(dead)
                 keep = ~dead
                 ids = ids[keep]
                 st = s_next[keep]
                 tt = t_next[keep]
+                if discount:
+                    disc_old = disc_new[keep]
                 for ms in acc_marked:
                     acc_marked[ms] = acc_marked[ms][keep]
                 for lv in acc_hit:
@@ -691,6 +708,8 @@ def sample_paths(
             else:
                 st = s_next
                 tt = t_next
+                if discount:
+                    disc_old = disc_new
 
     return PathBatch(
         chain=chain,
@@ -824,6 +843,87 @@ class StrategyResult:
         return self.wilson_low > 0.0
 
 
+@dataclass(frozen=True)
+class StrategyPlan:
+    """A strategy resolved on a chain: the post-hitting hold reads the first
+    hitting time of ``hit_level``, the others integrate ``table``."""
+
+    name: str
+    hit_level: Optional[int] = None
+    table: Optional[np.ndarray] = None
+
+
+def plan_strategy(
+    view: NaturalScaleView,
+    chain: ChainModel,
+    strategy: str | np.ndarray,
+    level: Optional[float] = None,
+) -> StrategyPlan:
+    """Resolve a strategy name (or a custom per-state table) on a chain."""
+    if isinstance(strategy, str) and strategy == "post_hitting_hold":
+        if level is None:
+            acc = [s for s, b in view.boundaries if b.accessible]
+            if not acc:
+                raise ValueError("post_hitting_hold needs a level or an accessible boundary")
+            level = view.boundary_image(acc[0])
+        return StrategyPlan(f"post_hitting_hold@{float(level):g}", hit_level=chain.state_of(float(level)))
+    if isinstance(strategy, str) and strategy == "boundary_sit":
+        refl = [s for s, b in view.boundaries if b.kind == "reflecting"]
+        if not refl:
+            raise ValueError("boundary_sit requires a reflecting boundary")
+        table = np.zeros(chain.n_states)
+        table[chain.state_of(view.boundary_image(refl[0]))] = 1.0
+        return StrategyPlan("boundary_sit", table=table)
+    table = np.asarray(strategy, float)
+    if table.shape != (chain.n_states,):
+        raise ValueError("custom strategy table must have one position per state")
+    return StrategyPlan("custom_table", table=table)
+
+
+def evaluate_strategy(batch: PathBatch, plan: StrategyPlan) -> tuple[StrategyResult, np.ndarray]:
+    """Payoffs of the kept paths of a batch and their statistics.
+
+    The post-hitting hold telescopes to the discounted S_T minus the
+    discounted S at the first hit (zero on paths that never hit); a table
+    strategy reads the batch's payoff accumulator.
+    """
+    chain = batch.chain
+    keep = batch.kept
+    if plan.hit_level is None:
+        pay = batch.payoff[keep]
+    else:
+        lv_idx = plan.hit_level
+        ht = batch.hit_time[lv_idx][keep]
+        term = batch.terminal_state[keep]
+        if chain.start_index == lv_idx:
+            ht = np.zeros_like(ht)  # the start state counts as hit at time 0
+        hit = np.isfinite(ht)
+        pay = np.zeros(term.size)
+        if chain.r != 0.0:
+            pay[hit] = np.exp(-chain.r * batch.T) * chain.q_grid[term[hit]] - np.exp(
+                -chain.r * ht[hit]
+            ) * chain.q_grid[lv_idx]
+        else:
+            pay[hit] = chain.q_grid[term[hit]] - chain.q_grid[lv_idx]
+
+    n_used = pay.size
+    k_pos = int(np.sum(pay > 0))
+    lo, hi = wilson_interval(k_pos, n_used)
+    result = StrategyResult(
+        name=plan.name,
+        n_paths=batch.n_paths,
+        n_used=n_used,
+        mean=float(np.mean(pay)) if n_used else 0.0,
+        se=float(np.std(pay, ddof=1) / math.sqrt(n_used)) if n_used > 1 else math.inf,
+        min_payoff=float(np.min(pay)) if n_used else 0.0,
+        frac_positive=k_pos / n_used if n_used else 0.0,
+        wilson_low=lo,
+        wilson_high=hi,
+        grid_step=float(np.max(np.diff(chain.grid))),
+    )
+    return result, pay
+
+
 def run_strategy(
     view: NaturalScaleView,
     spec: DiffusionSpec,
@@ -846,61 +946,17 @@ def run_strategy(
     T = spec.horizon if horizon is None else float(horizon)
     if chain is None:
         chain = build_chain(view, spec, N=N, horizon=T)
-    step = float(np.max(np.diff(chain.grid)))
-
-    if isinstance(strategy, str) and strategy == "post_hitting_hold":
-        if level is None:
-            acc = [s for s, b in view.boundaries if b.accessible]
-            if not acc:
-                raise ValueError("post_hitting_hold needs a level or an accessible boundary")
-            level = view.boundary_image(acc[0])
-        lv_idx = chain.state_of(float(level))
-        batch = sample_paths(chain, n_paths, seed, T, hit_levels=[lv_idx], stream=7)
-        keep = batch.kept
-        ht = batch.hit_time[lv_idx][keep]
-        term = batch.terminal_state[keep]
-        if chain.start_index == lv_idx:
-            ht = np.zeros_like(ht)  # the start state counts as hit at time 0
-        hit = np.isfinite(ht)
-        pay = np.zeros(term.size)
-        if chain.r != 0.0:
-            pay[hit] = np.exp(-chain.r * T) * chain.q_grid[term[hit]] - np.exp(
-                -chain.r * ht[hit]
-            ) * chain.q_grid[lv_idx]
-        else:
-            pay[hit] = chain.q_grid[term[hit]] - chain.q_grid[lv_idx]
-        name = f"post_hitting_hold@{float(level):g}"
-    else:
-        if isinstance(strategy, str) and strategy == "boundary_sit":
-            refl = [s for s, b in view.boundaries if b.kind == "reflecting"]
-            if not refl:
-                raise ValueError("boundary_sit requires a reflecting boundary")
-            table = np.zeros(chain.n_states)
-            table[chain.state_of(view.boundary_image(refl[0]))] = 1.0
-            name = "boundary_sit"
-        else:
-            table = np.asarray(strategy, float)
-            if table.shape != (chain.n_states,):
-                raise ValueError("custom strategy table must have one position per state")
-            name = "custom_table"
-        batch = sample_paths(chain, n_paths, seed, T, position_table=table, stream=7)
-        pay = batch.payoff[batch.kept]
-
-    n_used = pay.size
-    k_pos = int(np.sum(pay > 0))
-    lo, hi = wilson_interval(k_pos, n_used)
-    return StrategyResult(
-        name=name,
-        n_paths=n_paths,
-        n_used=n_used,
-        mean=float(np.mean(pay)) if n_used else 0.0,
-        se=float(np.std(pay, ddof=1) / math.sqrt(n_used)) if n_used > 1 else math.inf,
-        min_payoff=float(np.min(pay)) if n_used else 0.0,
-        frac_positive=k_pos / n_used if n_used else 0.0,
-        wilson_low=lo,
-        wilson_high=hi,
-        grid_step=step,
+    plan = plan_strategy(view, chain, strategy, level)
+    batch = sample_paths(
+        chain,
+        n_paths,
+        seed,
+        T,
+        hit_levels=() if plan.hit_level is None else [plan.hit_level],
+        position_table=plan.table,
+        stream=7,
     )
+    return evaluate_strategy(batch, plan)[0]
 
 
 # ---------------------------------------------------------------------------

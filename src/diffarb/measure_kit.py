@@ -51,7 +51,6 @@ __all__ = [
     "SmoothPiece1D",
     "ScComponent",
     "DecomposedMeasure",
-    "measure_to_json",
     "measure_from_json",
     "adaptive_quad",
     "gl_fixed",
@@ -1007,18 +1006,6 @@ class DecomposedMeasure:
                 total += m
         total += self.sc_mass(a, b)
         return total
-
-
-def measure_to_json(m: DecomposedMeasure, ac_expr: Optional[Expr] = None) -> dict:
-    """Serialize; the ac part must be grammar-backed to be serializable."""
-    if m.ac_density is not None and ac_expr is None:
-        raise MeasureKitError("serializing a measure requires its ac density as an expression")
-    atoms = [[p, ("inf" if math.isinf(mass) else mass)] for p, mass in m.atoms]
-    return {
-        "ac": None if ac_expr is None else expr_to_json(ac_expr),
-        "atoms": atoms,
-        "sc": None,  # sc components are declaration objects, not serialized here
-    }
 
 
 def measure_from_json(obj: dict, support: tuple[float, float]) -> DecomposedMeasure:

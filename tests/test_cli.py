@@ -2,7 +2,12 @@
 
 import json
 
+import numpy as np
+
 from diffarb.cli_app import main
+from diffarb.diffusion_model import derive_natural_scale
+from diffarb.mc_engine import build_chain, evaluate_strategy, plan_strategy, run_strategy, sample_paths
+from diffarb.model_catalog import build_model
 
 
 def run(args):
@@ -218,3 +223,80 @@ def test_env_variable_overrides(tmp_path, monkeypatch):
     assert run(["classify", "--catalog", "brownian_motion"]) == 0
     rep = json.loads((tmp_path / "classify_brownian_motion.json").read_text())
     assert rep["seed"] == 123
+
+
+def test_simulate_one_batch_matches_run_strategy(tmp_path):
+    params = {"r": 0.5, "rho": 1.0}
+    code = run(
+        [
+            "simulate", "--catalog", "sticky_reflected_bm", "--params", "r=0.5,rho=1",
+            "--paths", "1200", "--grid", "64", "--seed", "8", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    sim = json.loads((tmp_path / "simulate_sticky_reflected_bm.json").read_text())
+    spec = build_model("sticky_reflected_bm", params)
+    view = derive_natural_scale(spec)
+    strategies = [
+        run_strategy(view, spec, name, n_paths=1200, seed=8, N=64)
+        for name in ("post_hitting_hold", "boundary_sit")
+    ]
+    assert len(sim["strategies"]) == 2
+    for got, want in zip(sim["strategies"], strategies):
+        assert got == {
+            "name": want.name,
+            "n_used": want.n_used,
+            "mean": want.mean,
+            "se": want.se,
+            "min_payoff": want.min_payoff,
+            "frac_positive": want.frac_positive,
+            "wilson95": [want.wilson_low, want.wilson_high],
+            "grid_step": want.grid_step,
+        }
+
+    chain = build_chain(view, spec, N=64)
+    plan = plan_strategy(view, chain, "post_hitting_hold")
+    batch = sample_paths(chain, 1200, 8, spec.horizon, hit_levels=[plan.hit_level], stream=7)
+    _, pay = evaluate_strategy(batch, plan)
+    assert sim["discarded_paths"] == int(batch.discarded.sum())
+    counts, edges = np.histogram(pay, bins=40, range=(pay.min(), pay.max()))
+    rows = [ln.split(",") for ln in (tmp_path / "payoffs_sticky_reflected_bm.csv").read_text().splitlines()]
+    assert rows[0] == ["bin_left", "bin_right", "count"]
+    assert [[float(a), float(b), int(c)] for a, b, c in rows[1:]] == [
+        [edges[i], edges[i + 1], counts[i]] for i in range(40)
+    ]
+
+
+def test_simulate_rejects_bad_paths_and_levels(tmp_path, capsys):
+    base = ["simulate", "--catalog", "brownian_motion", "--grid", "64", "--out", str(tmp_path)]
+    for flag, value, word in (("--paths", "0", "--paths"), ("--levels", "2", "--levels")):
+        assert run(base + [flag, value]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+def test_report_label_restricted(tmp_path, capsys):
+    out = tmp_path / "out"
+    for command in ("classify", "simulate"):
+        args = [command, "--catalog", "brownian_motion", "--paths", "100", "--grid", "64"]
+        assert run(args + ["--out", str(out), "--id", "../../../escaped"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "label" in err[0]
+    doc = {
+        "model_id": "../evil",
+        "state_interval": {"alpha": "-inf", "beta": "inf"},
+        "scale": {"node": "affine", "a": 1.0, "b": 0.0},
+        "speed": {"ac": {"node": "const", "c": 1.0}, "atoms": [], "sc": None},
+        "x0": 0.0,
+        "r": 0.0,
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["classify", "--model", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "label" in err[0]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["model.json"]
+    # a conforming --id overrides a bad model_id
+    assert run(["classify", "--model", str(path), "--out", str(out), "--id", "ok_label-1.0"]) == 0
+    assert (out / "classify_ok_label-1.0.json").exists()

@@ -187,6 +187,47 @@ def test_sampler_determinism(bm):
     assert not np.array_equal(b1.terminal_state, b3.terminal_state)
 
 
+@pytest.mark.parametrize(
+    "name, params, build_kw",
+    [
+        ("sticky_reflected_bm", {"r": 0.5, "rho": 1.0}, {}),
+        ("gen_squared_bessel", {"r": 0.5, "x0": 0.3}, {}),
+        ("brownian_motion", {"r": 0.3}, {"exit_prob_bound": 0.3}),
+    ],
+    ids=["reflecting", "absorbing", "padded"],
+)
+def test_accumulators_do_not_perturb_paths(name, params, build_kw):
+    spec = build_model(name, params)
+    view = derive_natural_scale(spec)
+    chain = build_chain(view, spec, N=64, **build_kw)
+    T = spec.horizon
+    n = chain.n_states
+    table = np.zeros(n)
+    table[1] = 1.0
+    table[n // 2] = -0.5
+    extras = {
+        "hit_levels": [chain.start_index // 2, 0],
+        "position_table": table,
+        "residual_rates": gamma_drift_rates(chain, view),
+        "mesh_times": np.linspace(0.0, T, 9)[1:],
+    }
+    fused = sample_paths(chain, 1500, 31, T, stream=7, **extras)
+    if chain.left_rule == "absorb":
+        assert np.any(fused.terminal_state == 0)  # absorptions happen
+    if build_kw:
+        assert np.any(fused.discarded)  # pad exits happen
+    for key, value in extras.items():
+        alone = sample_paths(chain, 1500, 31, T, stream=7, **{key: value})
+        assert np.array_equal(fused.terminal_state, alone.terminal_state), key
+        assert np.array_equal(fused.discarded, alone.discarded), key
+        assert np.array_equal(fused.occupation, alone.occupation), key
+        for lv, times in alone.hit_time.items():
+            assert np.array_equal(fused.hit_time[lv], times), key
+        for field in ("payoff", "residual", "mesh_state"):
+            if getattr(alone, field) is not None:
+                assert np.array_equal(getattr(fused, field), getattr(alone, field)), key
+
+
 def test_cell_exit_statistics_match_chain(bm):
     _, _, chain = bm
     i = chain.start_index
