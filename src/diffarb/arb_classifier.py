@@ -128,9 +128,8 @@ def check_nip(
             )
         else:
             atom = view.mU.atom_mass_at(u_b, cfg.atom_loc)
-            d = view.q.d_plus if side == "left" else view.q.d_minus
             lhs = r * b * atom
-            rhs = 0.5 * float(d(np.asarray(u_b)))
+            rhs = 0.5 * view.boundary_slope(side)
             ok = close_rel(lhs, rhs, cfg.eq_rel)
             reports.append(
                 ConditionReport(
@@ -278,9 +277,7 @@ def check_nip_zero_rate(
     for side, beh in view.boundaries:
         if beh.kind != "reflecting":
             continue
-        u_b = view.boundary_image(side)
-        d = view.q.d_plus if side == "left" else view.q.d_minus
-        val = float(d(np.asarray(u_b)))
+        val = view.boundary_slope(side)
         ok = abs(val) <= cfg.eq_rel
         reports.append(
             ConditionReport(
@@ -322,12 +319,6 @@ def _boundary_behaviors(view: NaturalScaleView, spec: DiffusionSpec, u_b: float)
     return [b for b in spec.phi_behaviors if abs(b.point - u_b) <= 1e-12 * (1 + abs(u_b))]
 
 
-def _collar_length(view: NaturalScaleView) -> float:
-    lo_u, hi_u = view.sJ
-    span = hi_u - lo_u
-    return min(1.0, span / 4.0) if math.isfinite(span) else 1.0
-
-
 def _phi_l2_interior(
     view: NaturalScaleView, spec: DiffusionSpec, cfg: QuadConfig
 ) -> ConditionReport:
@@ -353,9 +344,9 @@ def _phi_l2_interior(
             break
 
     if "divergent" not in statuses:
-        margin = 0.5 * _collar_length(view)
-        lo_c = lo_u + margin if math.isfinite(lo_u) else view.s_x0 - 8.0
-        hi_c = hi_u - margin if math.isfinite(hi_u) else view.s_x0 + 8.0
+        # stop half a boundary collar short of each finite boundary image
+        lo_c = view.collar("left", 0.5)[1] if math.isfinite(lo_u) else view.s_x0 - 8.0
+        hi_c = view.collar("right", 0.5)[0] if math.isfinite(hi_u) else view.s_x0 + 8.0
         lo_c, hi_c = min(lo_c, view.s_x0 - 0.5), max(hi_c, view.s_x0 + 0.5)
         edges = np.linspace(lo_c, hi_c, _GENERIC_WINDOWS + 1)
         pts = [b.point for b in behaviors]
@@ -381,14 +372,12 @@ def _phi_reflecting_collars(
     view: NaturalScaleView, spec: DiffusionSpec, cfg: QuadConfig
 ) -> list[ConditionReport]:
     reports = []
-    ell = _collar_length(view)
     for side, beh in view.boundaries:
         if beh.kind != "reflecting":
             continue
         u_b = view.boundary_image(side)
-        window = (u_b, u_b + ell) if side == "left" else (u_b - ell, u_b)
         bb = _boundary_behaviors(view, spec, u_b)
-        v = decide_L2_local(view.phi, window, behaviors=bb, suspicious=[u_b], cfg=cfg)
+        v = decide_L2_local(view.phi, view.collar(side), behaviors=bb, suspicious=[u_b], cfg=cfg)
         status = {"finite": "pass", "divergent": "fail", "inconclusive": "inconclusive"}[v.status]
         reports.append(
             ConditionReport(
@@ -425,16 +414,14 @@ def check_nupbr(
     if nsa_status is None:
         nsa_status, _ = check_nsa(view, spec, cfg)
     reports: list[ConditionReport] = []
-    ell = _collar_length(view)
     has_absorbing = False
     for side, beh in view.boundaries:
         if beh.kind != "absorbing":
             continue
         has_absorbing = True
         u_b = view.boundary_image(side)
-        window = (u_b, u_b + ell) if side == "left" else (u_b - ell, u_b)
         bb = _boundary_behaviors(view, spec, u_b)
-        v = decide_weighted_L2_boundary(view.phi, u_b, window, behaviors=bb, cfg=cfg)
+        v = decide_weighted_L2_boundary(view.phi, u_b, view.collar(side), behaviors=bb, cfg=cfg)
         status = {"finite": "pass", "divergent": "fail", "inconclusive": "inconclusive"}[v.status]
         reports.append(
             ConditionReport(

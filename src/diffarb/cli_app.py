@@ -218,8 +218,8 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     try:
-        if cfg.n_paths < 1:
-            raise SpecValidationError("--paths must be at least 1")
+        if cfg.n_paths < 2:
+            raise SpecValidationError("--paths must be at least 2 (standard errors need two samples)")
         if cfg.levels < 3:
             raise SpecValidationError("--levels must be at least 3 (the refinement ladder)")
         spec = _load_spec(cfg)

@@ -161,11 +161,37 @@ class NaturalScaleView:
     q: SmoothPiece1D
     qpp: DecomposedMeasure
     mU: DecomposedMeasure
-    phi: Callable[[np.ndarray], np.ndarray]
-    gamma: Callable[[np.ndarray], np.ndarray]
     boundaries: tuple[tuple[str, BoundaryBehavior], ...]
     r: float
     s_x0: float
+
+    def drift_density(self, u) -> np.ndarray:
+        """Lebesgue density of the drift measure, q''(u)/2 - r q(u) mU_ac(u)."""
+        u = np.asarray(u, float)
+        out = 0.5 * np.asarray(self.q.d2_ac(u), float)
+        mU_ac = self.mU.ac_density
+        if self.r != 0.0 and mU_ac is not None:
+            out = out - self.r * np.asarray(self.q.value(u), float) * np.asarray(mU_ac(u), float)
+        return out
+
+    def drift_over_slope(self, u, power: int) -> np.ndarray:
+        """drift_density(u) / q'(u)**power on {q' != 0, finite}, 0 elsewhere."""
+        u = np.asarray(u, float)
+        d = np.asarray(self.q.d_plus(u), float)
+        out = self.drift_density(u)
+        if power:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = out / (d if power == 1 else d * d)
+        return np.where((d != 0.0) & np.isfinite(d), out, 0.0)
+
+    def phi(self, u) -> np.ndarray:
+        """phi = (q''/2 - r q mU_ac) / q' on {q' != 0}, 0 elsewhere."""
+        return self.drift_over_slope(u, 1)
+
+    def gamma(self, u) -> np.ndarray:
+        """gamma = (q''/2 - r q mU_ac) / q'^2 on {q' != 0}, 0 elsewhere; any
+        value is admissible at boundary images, so none is forced there."""
+        return self.drift_over_slope(u, 2)
 
     def boundary(self, side: str) -> BoundaryBehavior:
         for s, b in self.boundaries:
@@ -175,6 +201,19 @@ class NaturalScaleView:
 
     def boundary_image(self, side: str) -> float:
         return self.sJ[0] if side == "left" else self.sJ[1]
+
+    def boundary_slope(self, side: str) -> float:
+        """One-sided q' at a boundary image, taken from the interior side."""
+        d = self.q.d_plus if side == "left" else self.q.d_minus
+        return float(d(np.asarray(self.boundary_image(side))))
+
+    def collar(self, side: str, fraction: float = 1.0) -> tuple[float, float]:
+        """Window of length fraction * min(1, |s(J)|/4) at a boundary image."""
+        lo_u, hi_u = self.sJ
+        span = hi_u - lo_u
+        ell = fraction * (min(1.0, span / 4.0) if math.isfinite(span) else 1.0)
+        u_b = self.boundary_image(side)
+        return (u_b, u_b + ell) if side == "left" else (u_b - ell, u_b)
 
     def boundary_value(self, spec: DiffusionSpec, side: str) -> float:
         return spec.J.alpha if side == "left" else spec.J.beta
@@ -352,12 +391,7 @@ def _zero_slope_points(scale: SmoothPiece1D) -> tuple[float, ...]:
 
 
 def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) -> NaturalScaleView:
-    """Populate the natural-scale cache for a validated model.
-
-    phi(x) = (q''(x)/2 - r q(x) mU_ac(x)) / q'(x) on {q' != 0}, 0 elsewhere;
-    gamma(x) = same numerator / q'(x)^2, set to 0 at boundary images (any
-    value is admissible there).
-    """
+    """Populate the natural-scale cache for a validated model."""
     lo, hi = spec.J.alpha, spec.J.beta
     s_lo = _scale_limit(spec.scale, lo, "left")
     s_hi = _scale_limit(spec.scale, hi, "right")
@@ -401,39 +435,11 @@ def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) ->
         if spec.speed_sc_natural is not None:
             mU = replace(mU, sc=spec.speed_sc_natural)
 
-    mU_ac = mU.ac_density
-    q_val = q.value
-    qp = q.d_plus
-    qpp_ac = q.d2_ac
-    r = spec.r
-
-    def numerator(u: np.ndarray) -> np.ndarray:
-        out = 0.5 * np.asarray(qpp_ac(u), float)
-        if r != 0.0 and mU_ac is not None:
-            out = out - r * np.asarray(q_val(u), float) * np.asarray(mU_ac(u), float)
-        return out
-
-    def phi(u):
-        u = np.asarray(u, float)
-        d = np.asarray(qp(u), float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = numerator(u) / d
-        return np.where((d != 0.0) & np.isfinite(d), out, 0.0)
-
-    def gamma(u):
-        u = np.asarray(u, float)
-        d = np.asarray(qp(u), float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = numerator(u) / (d * d)
-        return np.where((d != 0.0) & np.isfinite(d), out, 0.0)
-
     return NaturalScaleView(
         sJ=sJ,
         q=q,
         qpp=qpp,
         mU=mU,
-        phi=phi,
-        gamma=gamma,
         boundaries=boundaries,
         r=spec.r,
         s_x0=float(spec.scale.value(np.asarray(spec.x0))),
@@ -559,10 +565,6 @@ def check_semimartingale_assumption(
         if not beh.accessible:
             continue
         u_b = view.boundary_image(side)
-        s_lo, s_hi = view.sJ
-        span = s_hi - s_lo if math.isfinite(s_hi - s_lo) else math.inf
-        reach = min(1.0, span / 4 if math.isfinite(span) else 1.0)
-        window = (u_b, u_b + reach) if side == "left" else (u_b - reach, u_b)
         exps = [
             (b.point, b.exponent)
             for b in spec.qpp_behaviors
@@ -570,7 +572,7 @@ def check_semimartingale_assumption(
         ]
         weight = u_b if beh.kind == "absorbing" else None
         verdict = decide_abs_integral(
-            view.q.d2_ac, window, point_exponents=exps, weight_point=weight, cfg=cfg
+            view.q.d2_ac, view.collar(side), point_exponents=exps, weight_point=weight, cfg=cfg
         )
         label = f"qpp-integrable-{side}-{beh.kind}"
         if verdict.status == "finite":
@@ -623,20 +625,11 @@ def semimartingale_decomposition_fields(
 ) -> DecompositionFields:
     qp = view.q.d_plus
     q_val = view.q.value
-    mU_ac = view.mU.ac_density
-    qpp_ac = view.q.d2_ac
     r = view.r
 
     def qv(u):
         d = np.asarray(qp(np.atleast_1d(np.asarray(u, float))), float)
         return d * d
-
-    def drift_density(u):
-        u = np.atleast_1d(np.asarray(u, float))
-        out = 0.5 * np.asarray(qpp_ac(u), float)
-        if r != 0.0 and mU_ac is not None:
-            out = out - r * np.asarray(q_val(u), float) * np.asarray(mU_ac(u), float)
-        return out
 
     lo_u, hi_u = view.sJ
     atoms: dict[float, float] = {}
@@ -647,7 +640,7 @@ def semimartingale_decomposition_fields(
             atoms[p] = atoms.get(p, 0.0) - r * float(q_val(np.asarray(p))) * m
     drift = DecomposedMeasure(
         support=view.sJ,
-        ac_density=drift_density,
+        ac_density=view.drift_density,
         atoms=tuple(sorted((p, m) for p, m in atoms.items() if m != 0.0)),
         ac_breakpoints=view.qpp.ac_breakpoints,
     )
@@ -656,12 +649,9 @@ def semimartingale_decomposition_fields(
     for side, beh in view.boundaries:
         if beh.kind != "reflecting":
             continue
-        u_b = view.boundary_image(side)
         b = view.boundary_value(spec, side)
-        d = view.q.d_plus if side == "left" else view.q.d_minus
-        coeff = 0.5 * float(d(np.asarray(u_b)))
-        atom = view.mU.atom_mass_at(u_b)
-        terms.append(BoundaryTerm(side, coeff, view.r * b * atom))
+        atom = view.mU.atom_mass_at(view.boundary_image(side))
+        terms.append(BoundaryTerm(side, 0.5 * view.boundary_slope(side), view.r * b * atom))
     return DecompositionFields(qv_factor=qv, drift_measure=drift, boundary_terms=tuple(terms))
 
 
@@ -727,6 +717,18 @@ def _endpoint(v) -> float:
     return float(v)
 
 
+def _finite_field(obj: dict, key: str, default=None) -> float:
+    """A scalar field of the model document that must be a finite number."""
+    value = obj.get(key, default)
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise SpecValidationError(f"field {key!r} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise SpecValidationError(f"field {key!r} must be finite, got {value!r}")
+    return out
+
+
 def _behaviors(items) -> tuple[LocalBehavior, ...]:
     out = []
     for it in items:
@@ -788,9 +790,9 @@ def load_model_spec(obj: dict) -> DiffusionSpec:
         J=J,
         scale=scale,
         speed=speed,
-        x0=float(obj["x0"]),
-        r=float(obj["r"]),
-        horizon=float(obj.get("horizon", 1.0)),
+        x0=_finite_field(obj, "x0"),
+        r=_finite_field(obj, "r"),
+        horizon=_finite_field(obj, "horizon", 1.0),
         model_id=str(obj.get("model_id", "model")),
         qprime_zero_set=tuple(zero_set),
         phi_behaviors=_behaviors(obj.get("phi_behaviors", [])),

@@ -15,6 +15,12 @@ speed exactly at cell resolution:
   atom; an absorbing boundary is an absorbing state; truncated inaccessible
   boundaries are padded and exiting paths are discarded and counted.
 
+One quadrature computes these Green integrals: a 12-point Gauss-Legendre
+rule per half-cell, two-sided on interior cells and one-sided on a
+reflecting boundary cell. It integrates the speed density for the holding
+times (one pass over the speed measure also yields the cell masses) and the
+drift density for the per-state drift rates of the price diagnostic.
+
 Sampling is vectorized over paths with a counter-based generator (Philox),
 so runs are bit-reproducible for a fixed seed, stream and chunk layout. The
 accumulators never change which numbers are drawn, so one pass that carries
@@ -57,7 +63,9 @@ __all__ = [
 ]
 
 _CHUNK = 32768
-_GL_NODES = 12
+# 12-point Gauss-Legendre nodes and weights on (0, 1) for the cell quadrature
+_GL_T, _GL_W = _leggauss(12)
+_GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
 
 
 def subseed(seed: int, stream: int) -> tuple[int, int]:
@@ -94,6 +102,14 @@ def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) ->
     upper = np.max(np.arange(1, n + 1) / n - F)
     lower = np.max(F - np.arange(0, n) / n)
     return float(max(upper, lower))
+
+
+def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and standard error; the error is inf below two samples."""
+    mean = float(np.mean(x)) if x.size else 0.0
+    if x.size < 2:
+        return mean, math.inf
+    return mean, float(np.std(x, ddof=1) / math.sqrt(x.size))
 
 
 def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -136,13 +152,7 @@ class ChainModel:
         return int(np.argmin(np.abs(self.grid - u)))
 
     def cell_widths(self) -> np.ndarray:
-        g = self.grid
-        mids = 0.5 * (g[:-1] + g[1:])
-        w = np.empty_like(g)
-        w[1:-1] = mids[1:] - mids[:-1]
-        w[0] = mids[0] - g[0]
-        w[-1] = g[-1] - mids[-1]
-        return w
+        return np.diff(_cell_edges(self.grid))
 
 
 def _gauss_bound_padding(exit_prob: float) -> float:
@@ -151,56 +161,86 @@ def _gauss_bound_padding(exit_prob: float) -> float:
     return normal_quantile(target)
 
 
-def _measure_green_holds(mU: DecomposedMeasure, grid: np.ndarray) -> np.ndarray:
-    """mean_hold via 2 * integral of the two-sided Green function.
+def _cell_edges(grid: np.ndarray) -> np.ndarray:
+    """Cell boundaries: the grid ends and the midpoints between neighbours."""
+    return np.concatenate([[grid[0]], 0.5 * (grid[:-1] + grid[1:]), [grid[-1]]])
 
-    Vectorized fixed-order Gauss-Legendre per half-cell; atoms are assumed
-    to sit on grid points (the grid is built that way), entering through
-    G_i(u_i, atom) exactly.
+
+def _green_integrals(
+    f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray, reflect: tuple[bool, bool]
+) -> np.ndarray:
+    """2 * integral of G_i(u_i, y) f(y) dy for every state i.
+
+    Interior states integrate the two-sided Green function over the
+    neighbour span, one Gauss-Legendre rule per half-cell; a reflecting
+    boundary state (flags ``reflect`` = (left, right)) integrates the
+    one-sided G = distance to the first interior node over the boundary
+    cell; terminal boundary states get 0.
+    """
+    out = np.zeros(grid.size)
+    lo, mid, hi = grid[:-2], grid[1:-1], grid[2:]
+    den = hi - lo
+    # left half: y in (lo, mid): G = (y - lo)(hi - mid)/den
+    y_l = lo[:, None] + (mid - lo)[:, None] * _GL_T[None, :]
+    f_l = np.asarray(f(y_l.ravel()), float).reshape(y_l.shape)
+    g_l = (y_l - lo[:, None]) * (hi - mid)[:, None] / den[:, None]
+    # right half: y in (mid, hi): G = (mid - lo)(hi - y)/den
+    y_r = mid[:, None] + (hi - mid)[:, None] * _GL_T[None, :]
+    f_r = np.asarray(f(y_r.ravel()), float).reshape(y_r.shape)
+    g_r = (mid - lo)[:, None] * (hi[:, None] - y_r) / den[:, None]
+    out[1:-1] = 2.0 * ((mid - lo) * np.dot(f_l * g_l, _GL_W) + (hi - mid) * np.dot(f_r * g_r, _GL_W))
+    for i, u0, u1 in ((0, grid[0], grid[1]), (-1, grid[-2], grid[-1])):
+        if reflect[i]:
+            y = u0 + (u1 - u0) * _GL_T
+            dist = (u1 - y) if i == 0 else (y - u0)
+            out[i] = 2.0 * ((u1 - u0) * float(np.dot(np.asarray(f(y), float) * dist, _GL_W)))
+    return out
+
+
+def _speed_pass(
+    mU: DecomposedMeasure, grid: np.ndarray, reflect: tuple[bool, bool]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean holding times and cell masses of the speed measure.
+
+    mean_hold[i] = 2 * integral of G_i(u_i, y) mU(dy) (see
+    ``_green_integrals``; 0 at terminal boundary states) and cell_mass[i] =
+    mU of the cell between the neighbouring midpoints. Atoms are assumed to
+    sit on grid points (the grid is built that way), entering through
+    G_i(u_i, atom) exactly; the singular-continuous part is binned on a
+    4097-point grid and does not enter the boundary holds.
     """
     n = grid.size
+    edges = _cell_edges(grid)
     hold = np.zeros(n)
-    t, w = _leggauss(_GL_NODES)
-    t = 0.5 * (t + 1.0)  # nodes on (0,1)
-    w = 0.5 * w
-
-    lo = grid[:-2]  # u_{i-1} for i = 1..n-2
-    mid = grid[1:-1]
-    hi = grid[2:]
-    den = hi - lo
-
+    mass = np.zeros(n)
     if mU.ac_density is not None:
-        # left half: y in (lo, mid): G = (y - lo)(hi - mid)/den
-        y_l = lo[:, None] + (mid - lo)[:, None] * t[None, :]
-        rho_l = np.asarray(mU.ac_density(y_l.ravel()), float).reshape(y_l.shape)
-        g_l = (y_l - lo[:, None]) * (hi - mid)[:, None] / den[:, None]
-        int_l = (mid - lo) * np.dot(rho_l * g_l, w)
-        # right half: y in (mid, hi): G = (mid - lo)(hi - y)/den
-        y_r = mid[:, None] + (hi - mid)[:, None] * t[None, :]
-        rho_r = np.asarray(mU.ac_density(y_r.ravel()), float).reshape(y_r.shape)
-        g_r = (mid - lo)[:, None] * (hi[:, None] - y_r) / den[:, None]
-        int_r = (hi - mid) * np.dot(rho_r * g_r, w)
-        hold[1:-1] = 2.0 * (int_l + int_r)
+        hold = _green_integrals(mU.ac_density, grid, reflect)
+        lo, hi = edges[:-1], edges[1:]
+        y = lo[:, None] + (hi - lo)[:, None] * _GL_T[None, :]
+        rho = np.asarray(mU.ac_density(y.ravel()), float).reshape(y.shape)
+        mass = (hi - lo) * np.dot(rho, _GL_W)
 
     for p, m in mU.atoms:
-        if math.isinf(m):
-            continue
-        inside = (p > grid[0]) & (p < grid[-1])
-        if not inside:
-            continue
+        if math.isinf(m) or not grid[0] <= p <= grid[-1]:
+            continue  # an infinite atom makes an absorbing state, whose hold is infinite anyway
         i = int(np.argmin(np.abs(grid - p)))
+        mass[i] += m
         if 1 <= i <= n - 2:
             g_at = (min(p, grid[i]) - grid[i - 1]) * (grid[i + 1] - max(p, grid[i])) / (
                 grid[i + 1] - grid[i - 1]
             )
             hold[i] += 2.0 * m * g_at
+        if reflect[0] and p < grid[1]:
+            hold[0] += 2.0 * m * (grid[1] - p)
+        if reflect[1] and p > grid[-2]:
+            hold[-1] += 2.0 * m * (p - grid[-2])
 
     if mU.sc is not None:
         us = np.linspace(grid[0], grid[-1], 4097)
         cdf = np.asarray(mU.sc.base_cdf(us), float)
         mids = 0.5 * (us[:-1] + us[1:])
-        mult = np.asarray(mU.sc.multiplier(mids), float)
-        dm = mult * np.diff(cdf)
+        dm = np.asarray(mU.sc.multiplier(mids), float) * np.diff(cdf)
+        np.add.at(mass, np.clip(np.searchsorted(edges, mids) - 1, 0, n - 1), dm)
         for i in range(1, n - 1):
             sel = (mids > grid[i - 1]) & (mids < grid[i + 1])
             if np.any(sel):
@@ -211,62 +251,7 @@ def _measure_green_holds(mU: DecomposedMeasure, grid: np.ndarray) -> np.ndarray:
                     (grid[i] - grid[i - 1]) * (grid[i + 1] - y),
                 ) / (grid[i + 1] - grid[i - 1])
                 hold[i] += 2.0 * float(np.dot(g, dm[sel]))
-    return hold
-
-
-def _boundary_hold(mU: DecomposedMeasure, u0: float, u1: float, left: bool) -> float:
-    """2 * integral over the boundary cell of the distance to the first
-    interior node, including the boundary atom (stickiness)."""
-    t, w = _leggauss(_GL_NODES)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    total = 0.0
-    if mU.ac_density is not None:
-        y = u0 + (u1 - u0) * t
-        rho = np.asarray(mU.ac_density(y), float)
-        dist = (u1 - y) if left else (y - u0)
-        total += (u1 - u0) * float(np.dot(rho * dist, w))
-    for p, m in mU.atoms:
-        if math.isinf(m):
-            continue
-        if left and u0 <= p < u1:
-            total += m * (u1 - p)
-        elif not left and u0 < p <= u1:
-            total += m * (p - u0)
-    return 2.0 * total
-
-
-def _cell_masses(mU: DecomposedMeasure, grid: np.ndarray) -> np.ndarray:
-    n = grid.size
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    edges = np.concatenate([[grid[0]], mids, [grid[-1]]])
-    t, w = _leggauss(_GL_NODES)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    mass = np.zeros(n)
-    if mU.ac_density is not None:
-        lo = edges[:-1]
-        hi = edges[1:]
-        y = lo[:, None] + (hi - lo)[:, None] * t[None, :]
-        rho = np.asarray(mU.ac_density(y.ravel()), float).reshape(y.shape)
-        mass = (hi - lo) * np.dot(rho, w)
-    for p, m in mU.atoms:
-        if p < grid[0] or p > grid[-1]:
-            continue
-        i = int(np.argmin(np.abs(grid - p)))
-        if math.isinf(m):
-            continue  # absorbing-boundary atom: holding time is infinite anyway
-        mass[i] += m
-    if mU.sc is not None:
-        us = np.linspace(grid[0], grid[-1], 4097)
-        cdf = np.asarray(mU.sc.base_cdf(us), float)
-        centers = 0.5 * (us[:-1] + us[1:])
-        mult = np.asarray(mU.sc.multiplier(centers), float)
-        contrib = mult * np.diff(cdf)
-        idx = np.searchsorted(edges, centers) - 1
-        idx = np.clip(idx, 0, n - 1)
-        np.add.at(mass, idx, contrib)
-    return mass
+    return hold, mass
 
 
 def build_chain(
@@ -374,31 +359,17 @@ def build_chain(
     n = grid.size
     up = np.zeros(n)
     up[1:-1] = (grid[1:-1] - grid[:-2]) / (grid[2:] - grid[:-2])
-    hold = _measure_green_holds(view.mU, grid)
+    hold, mass = _speed_pass(view.mU, grid, (left_rule == "reflect", right_rule == "reflect"))
     if np.any(~np.isfinite(hold[1:-1])) or np.any(hold[1:-1] <= 0):
         bad = int(np.argmin(hold[1:-1])) + 1
         raise ValueError(f"non-positive or infinite expected holding time at interior cell {bad}")
 
-    mass = _cell_masses(view.mU, grid)
-
-    # boundary cells
-    if left_rule == "reflect":
-        up[0] = 1.0
-        hold[0] = _boundary_hold(view.mU, grid[0], grid[1], left=True)
-    elif left_rule == "absorb":
-        up[0] = 0.0
+    # boundary cells: a reflecting state moves inward; absorbing and pad
+    # states are terminal (paths entering a pad state are discarded)
+    up[0] = 0.0 if left_rule == "absorb" else 1.0
+    if left_rule != "reflect":
         hold[0] = math.inf
-    else:
-        up[0] = 1.0
-        hold[0] = math.inf  # pad states are terminal; paths there are discarded
-    if right_rule == "reflect":
-        up[-1] = 0.0
-        hold[-1] = _boundary_hold(view.mU, grid[-2], grid[-1], left=False)
-    elif right_rule == "absorb":
-        up[-1] = 0.0
-        hold[-1] = math.inf
-    else:
-        up[-1] = 0.0
+    if right_rule != "reflect":
         hold[-1] = math.inf
 
     q_grid = np.asarray(view.q.value(grid), float)
@@ -426,44 +397,8 @@ def gamma_drift_rates(chain: ChainModel, view: NaturalScaleView) -> np.ndarray:
     reflecting boundary cell the one-sided Green function (u_1 - y) is used.
     Absorbing and pad states get rate 0.
     """
-    g = chain.grid
-    n = g.size
-    t, w = _leggauss(_GL_NODES)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-
-    qp = view.q.d_plus
-    d2 = view.q.d2_ac
-    q_val = view.q.value
-    mU_ac = view.mU.ac_density
-    r = view.r
-
-    def dens(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        out = 0.5 * np.asarray(d2(x), float)
-        if r != 0.0 and mU_ac is not None:
-            out = out - r * np.asarray(q_val(x), float) * np.asarray(mU_ac(x), float)
-        d = np.asarray(qp(x), float)
-        return np.where((d != 0.0) & np.isfinite(d), out, 0.0)
-
-    num = np.zeros(n)
-    lo, mid, hi = g[:-2], g[1:-1], g[2:]
-    den = hi - lo
-    y_l = lo[:, None] + (mid - lo)[:, None] * t[None, :]
-    f_l = dens(y_l.ravel()).reshape(y_l.shape)
-    g_l = (y_l - lo[:, None]) * (hi - mid)[:, None] / den[:, None]
-    y_r = mid[:, None] + (hi - mid)[:, None] * t[None, :]
-    f_r = dens(y_r.ravel()).reshape(y_r.shape)
-    g_r = (mid - lo)[:, None] * (hi[:, None] - y_r) / den[:, None]
-    num[1:-1] = 2.0 * ((mid - lo) * np.dot(f_l * g_l, w) + (hi - mid) * np.dot(f_r * g_r, w))
-
-    if chain.left_rule == "reflect":
-        y = g[0] + (g[1] - g[0]) * t
-        num[0] = 2.0 * (g[1] - g[0]) * float(np.dot(dens(y) * (g[1] - y), w))
-    if chain.right_rule == "reflect":
-        y = g[-1] - (g[-1] - g[-2]) * t
-        num[-1] = 2.0 * (g[-1] - g[-2]) * float(np.dot(dens(y) * (y - g[-2]), w))
-
+    reflect = (chain.left_rule == "reflect", chain.right_rule == "reflect")
+    num = _green_integrals(lambda x: view.drift_over_slope(x, 0), chain.grid, reflect)
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = num / chain.mean_hold
     return np.where(np.isfinite(rates), rates, 0.0)
@@ -909,12 +844,13 @@ def evaluate_strategy(batch: PathBatch, plan: StrategyPlan) -> tuple[StrategyRes
     n_used = pay.size
     k_pos = int(np.sum(pay > 0))
     lo, hi = wilson_interval(k_pos, n_used)
+    mean, se = _mean_se(pay)
     result = StrategyResult(
         name=plan.name,
         n_paths=batch.n_paths,
         n_used=n_used,
-        mean=float(np.mean(pay)) if n_used else 0.0,
-        se=float(np.std(pay, ddof=1) / math.sqrt(n_used)) if n_used > 1 else math.inf,
+        mean=mean,
+        se=se,
         min_payoff=float(np.min(pay)) if n_used else 0.0,
         frac_positive=k_pos / n_used if n_used else 0.0,
         wilson_low=lo,
@@ -974,7 +910,8 @@ class DiagnosticResult:
     note: str = ""
 
     def passes(self, threshold: float = 3.0) -> bool:
-        return abs(self.t_stat) < threshold
+        """|t| below the threshold, on at least two samples."""
+        return self.n_samples >= 2 and abs(self.t_stat) < threshold
 
 
 def martingale_diagnostic(
@@ -1039,8 +976,7 @@ def martingale_diagnostic(
             occ_full = np.concatenate([np.zeros((occ.shape[0], 1)), occ], axis=1)
             incr = incr - sign * np.diff(occ_full, axis=1) / (2.0 * cm)
         flat = incr.ravel()
-        mean = float(np.mean(flat))
-        se = float(np.std(flat, ddof=1) / math.sqrt(flat.size))
+        mean, se = _mean_se(flat)
         return DiagnosticResult(
             target="U_minus_half_L",
             t_stat=mean / se if se > 0 else 0.0,
@@ -1069,8 +1005,7 @@ def martingale_diagnostic(
             stream=13,
         )
         res = batch.residual[batch.kept]
-        mean = float(np.mean(res))
-        se = float(np.std(res, ddof=1) / math.sqrt(res.size))
+        mean, se = _mean_se(res)
         return DiagnosticResult(
             target="discounted_price_drift",
             t_stat=mean / se if se > 0 else 0.0,
@@ -1099,9 +1034,10 @@ def cell_exit_statistics(
     rng = _rng(seed, 999)
     holds = rng.standard_exponential(n) * chain.mean_hold[index]
     ups = rng.random(n) < chain.up_prob[index]
+    mean_hold, se_hold = _mean_se(holds)
     return {
-        "mean_hold": float(np.mean(holds)),
-        "se_hold": float(np.std(holds, ddof=1) / math.sqrt(n)),
+        "mean_hold": mean_hold,
+        "se_hold": se_hold,
         "up_frac": float(np.mean(ups)),
         "se_up": float(math.sqrt(chain.up_prob[index] * (1 - chain.up_prob[index]) / n)),
     }

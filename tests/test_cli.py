@@ -93,6 +93,21 @@ def test_classify_malformed_spec_names_field(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run(["classify", "--model", str(path), "--out", str(tmp_path)]) == 1
     assert "speed" in capsys.readouterr().err
+    # scalar fields must be finite numbers
+    good = {
+        "state_interval": {"alpha": "-inf", "beta": "inf"},
+        "scale": {"node": "affine", "a": 1.0, "b": 0.0},
+        "speed": {"ac": {"node": "const", "c": 1.0}, "atoms": [], "sc": None},
+        "x0": 0.0,
+        "r": 0.0,
+        "horizon": 1.0,
+    }
+    for field, value in (("x0", None), ("horizon", None), ("r", "nan")):
+        path.write_text(json.dumps({**good, field: value}))
+        assert run(["classify", "--model", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and repr(field) in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_classify_no_model_given(tmp_path, capsys):
@@ -269,7 +284,11 @@ def test_simulate_one_batch_matches_run_strategy(tmp_path):
 
 def test_simulate_rejects_bad_paths_and_levels(tmp_path, capsys):
     base = ["simulate", "--catalog", "brownian_motion", "--grid", "64", "--out", str(tmp_path)]
-    for flag, value, word in (("--paths", "0", "--paths"), ("--levels", "2", "--levels")):
+    for flag, value, word in (
+        ("--paths", "0", "--paths"),
+        ("--paths", "1", "--paths"),
+        ("--levels", "2", "--levels"),
+    ):
         assert run(base + [flag, value]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and word in err[0]

@@ -4,12 +4,14 @@ Statistical assertions use 3-standard-error tolerances (CLT) with fixed
 seeds; construction identities are exact and asserted tightly.
 """
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from diffarb.diffusion_model import derive_natural_scale
+from diffarb.diffusion_model import DiffusionSpec, StateInterval, derive_natural_scale
 from diffarb.mc_engine import (
     build_chain,
     cell_exit_statistics,
@@ -24,6 +26,7 @@ from diffarb.mc_engine import (
     sample_paths,
     wilson_interval,
 )
+from diffarb.measure_kit import Affine, DecomposedMeasure, ScComponent, SmoothPiece1D
 from diffarb.model_catalog import build_model
 
 INF = math.inf
@@ -127,6 +130,80 @@ def test_chain_requires_min_size(bm):
     spec, view, _ = bm
     with pytest.raises(ValueError):
         build_chain(view, spec, N=8)
+
+
+def _mirrored_sticky_reflected_bm(r: float, rho: float) -> DiffusionSpec:
+    """sticky_reflected_bm reflected through the origin: J = (-inf, -1]."""
+    one = lambda x: np.ones_like(np.asarray(x, float))
+    atoms = ((-1.0, rho),)
+    return DiffusionSpec(
+        J=StateInterval(-INF, -1.0, beta_closed=True),
+        scale=SmoothPiece1D.from_expr(Affine(1.0, 0.0), (-INF, -1.0)),
+        speed=DecomposedMeasure(support=(-INF, -1.0), ac_density=one, atoms=atoms),
+        x0=-1.5,
+        r=r,
+        q_expr=Affine(1.0, 0.0),
+        speed_natural=DecomposedMeasure(support=(-INF, -1.0), ac_density=one, atoms=atoms),
+        declared_boundaries=(("right", "reflecting"),),
+    )
+
+
+def test_right_reflecting_chain_mirrors_left():
+    left_spec = build_model("sticky_reflected_bm", {"r": 0.5, "rho": 0.8})
+    right_spec = _mirrored_sticky_reflected_bm(0.5, 0.8)
+    left_view, right_view = derive_natural_scale(left_spec), derive_natural_scale(right_spec)
+    left = build_chain(left_view, left_spec, N=128, horizon=1.0)
+    right = build_chain(right_view, right_spec, N=128, horizon=1.0)
+    assert (left.left_rule, left.right_rule) == ("reflect", "pad")
+    assert (right.left_rule, right.right_rule) == ("pad", "reflect")
+    assert np.allclose(right.grid, -left.grid[::-1], rtol=1e-12, atol=0)
+    # reversing the grid swaps up- and down-moves
+    assert np.allclose(right.up_prob, 1.0 - left.up_prob[::-1], rtol=1e-12, atol=0)
+    finite = np.isfinite(left.mean_hold[::-1])
+    assert np.array_equal(np.isfinite(right.mean_hold), finite)
+    assert np.allclose(right.mean_hold[finite], left.mean_hold[::-1][finite], rtol=1e-12, atol=0)
+    assert np.allclose(right.cell_mass, left.cell_mass[::-1], rtol=1e-12, atol=0)
+    # gamma = -r u flips sign with u
+    assert np.allclose(
+        -gamma_drift_rates(right, right_view), gamma_drift_rates(left, left_view)[::-1], rtol=1e-12, atol=0
+    )
+
+
+def _cantor_cdf(x):
+    """Cantor staircase on [0, 1] from the ternary digits of x."""
+    z = np.clip(np.asarray(x, float), 0.0, 1.0)
+    val = np.zeros_like(z)
+    done = np.zeros(z.shape, dtype=bool)
+    step = 0.5
+    for _ in range(40):
+        z = 3.0 * z
+        digit = np.minimum(np.floor(z), 2.0)
+        z = z - digit
+        val = np.where(~done & (digit >= 1), val + step, val)
+        done |= digit == 1
+        step *= 0.5
+    return val
+
+
+def test_sc_speed_part_enters_masses_and_holds():
+    spec = build_model("brownian_motion", {"r": 0.4, "x0": 0.5})
+    sc = ScComponent("cantor", _cantor_cdf, lambda u: 1.0 + np.asarray(u, float) ** 2, (0.0, 1.0))
+    sc_spec = dataclasses.replace(spec, speed_sc_natural=sc)
+    sc_view = derive_natural_scale(sc_spec)
+    plain = build_chain(derive_natural_scale(spec), spec, N=128, horizon=1.0)
+    chain = build_chain(sc_view, sc_spec, N=128, horizon=1.0)
+    assert np.array_equal(chain.grid, plain.grid)
+    window = sc_view.mU.mass(chain.grid[0], chain.grid[-1])
+    # Lebesgue mass of the window plus the integral of 1 + u^2 against the
+    # Cantor measure, 1 + 3/8
+    assert abs(window - (chain.grid[-1] - chain.grid[0] + 1.375)) < 1e-3
+    assert abs(chain.cell_mass.sum() - window) < 1e-3
+    # interior cells whose neighbour span carries Cantor mass hold strictly
+    # longer; the others (the gaps of the Cantor set, the outer cells) do not move
+    gains = _cantor_cdf(chain.grid[2:]) > _cantor_cdf(chain.grid[:-2])
+    assert 0 < gains.sum() < gains.size
+    assert np.all(chain.mean_hold[1:-1][gains] > plain.mean_hold[1:-1][gains])
+    assert np.array_equal(chain.mean_hold[1:-1][~gains], plain.mean_hold[1:-1][~gains])
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +487,17 @@ def test_drift_residual_sticky_skew_violation_detected():
         target_states=[idx], horizon=0.5,
     )
     assert not d.passes(3.0)
+
+
+def test_one_sample_statistics_never_pass(bm):
+    spec, view, chain = bm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ddof >= n standard deviation
+        d = martingale_diagnostic(view, spec, "discounted_price_drift", chain=chain, n_paths=1)
+        res = run_strategy(view, spec, np.zeros(chain.n_states), chain=chain, n_paths=1)
+    assert d.n_samples == 1 and d.se == math.inf
+    assert not d.passes()
+    assert res.n_used == 1 and res.se == math.inf
 
 
 def test_gamma_drift_rates_vanish_for_driftless_bm(bm):
