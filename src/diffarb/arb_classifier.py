@@ -319,9 +319,7 @@ def _boundary_behaviors(view: NaturalScaleView, spec: DiffusionSpec, u_b: float)
     return [b for b in spec.phi_behaviors if abs(b.point - u_b) <= 1e-12 * (1 + abs(u_b))]
 
 
-def _phi_l2_interior(
-    view: NaturalScaleView, spec: DiffusionSpec, cfg: QuadConfig
-) -> ConditionReport:
+def _phi_l2_interior(view: NaturalScaleView, spec: DiffusionSpec) -> ConditionReport:
     """phi in L2_loc of the open image interval.
 
     Windows around every annotated interior singular point (decided by the
@@ -337,7 +335,7 @@ def _phi_l2_interior(
         gap = min(1.0, 0.5 * min(beh.point - lo_u, hi_u - beh.point))
         window = (beh.point - gap, beh.point + gap)
         window = (max(window[0], lo_u + 1e-12), min(window[1], hi_u - 1e-12))
-        v = decide_L2_local(view.phi, window, behaviors=[beh], cfg=cfg, auto_detect=False)
+        v = decide_L2_local(view.phi, window, behaviors=[beh], auto_detect=False)
         statuses.append(v.status)
         if v.status != "finite":
             worst_note = f"phi**2 {v.status} near interior point {beh.point}"
@@ -352,7 +350,7 @@ def _phi_l2_interior(
         pts = [b.point for b in behaviors]
         for a, b in zip(edges[:-1], edges[1:]):
             local = [bb for bb in behaviors if a <= bb.point <= b]
-            v = decide_L2_local(view.phi, (float(a), float(b)), behaviors=local, cfg=cfg)
+            v = decide_L2_local(view.phi, (float(a), float(b)), behaviors=local)
             statuses.append(v.status)
             if v.status == "divergent":
                 worst_note = f"phi**2 divergent on generic window [{a:.4g}, {b:.4g}]"
@@ -368,16 +366,14 @@ def _phi_l2_interior(
     return ConditionReport("NSA.iv.loc", status, note=worst_note or "local square integrability of phi")
 
 
-def _phi_reflecting_collars(
-    view: NaturalScaleView, spec: DiffusionSpec, cfg: QuadConfig
-) -> list[ConditionReport]:
+def _phi_reflecting_collars(view: NaturalScaleView, spec: DiffusionSpec) -> list[ConditionReport]:
     reports = []
     for side, beh in view.boundaries:
         if beh.kind != "reflecting":
             continue
         u_b = view.boundary_image(side)
         bb = _boundary_behaviors(view, spec, u_b)
-        v = decide_L2_local(view.phi, view.collar(side), behaviors=bb, suspicious=[u_b], cfg=cfg)
+        v = decide_L2_local(view.phi, view.collar(side), behaviors=bb, suspicious=[u_b])
         status = {"finite": "pass", "divergent": "fail", "inconclusive": "inconclusive"}[v.status]
         reports.append(
             ConditionReport(
@@ -397,8 +393,8 @@ def check_nsa(
 ) -> tuple[str, list[ConditionReport]]:
     if nip_status is None:
         nip_status, _ = check_nip(view, spec, cfg)
-    reports = [_phi_l2_interior(view, spec, cfg)]
-    reports.extend(_phi_reflecting_collars(view, spec, cfg))
+    reports = [_phi_l2_interior(view, spec)]
+    reports.extend(_phi_reflecting_collars(view, spec))
     status = nip_status
     for c in reports:
         status = _and_then(status, c.status)
@@ -421,7 +417,7 @@ def check_nupbr(
         has_absorbing = True
         u_b = view.boundary_image(side)
         bb = _boundary_behaviors(view, spec, u_b)
-        v = decide_weighted_L2_boundary(view.phi, u_b, view.collar(side), behaviors=bb, cfg=cfg)
+        v = decide_weighted_L2_boundary(view.phi, u_b, view.collar(side), behaviors=bb)
         status = {"finite": "pass", "divergent": "fail", "inconclusive": "inconclusive"}[v.status]
         reports.append(
             ConditionReport(
@@ -458,7 +454,7 @@ def check_rp(view: NaturalScaleView, spec: DiffusionSpec) -> tuple[str, Conditio
 def classify(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) -> Verdict:
     """Derive, validate, and produce the full tri-state verdict."""
     view = derive_natural_scale(spec, cfg)
-    assumption = check_semimartingale_assumption(view, spec, cfg)
+    assumption = check_semimartingale_assumption(view, spec)
     if not assumption.passed:
         raise SpecValidationError(
             "the price process fails the semimartingale prerequisites: "

@@ -103,6 +103,14 @@ def _env(name: str, fallback):
     return os.environ.get(f"DIFFARB_{name}", fallback)
 
 
+def _env_int(name: str, fallback: int) -> int:
+    raw = _env(name, fallback)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"DIFFARB_{name} must be an integer, got {raw!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="diffarb", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
@@ -112,10 +120,10 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--model", default=_env("MODEL", None), help="path to a model-spec JSON document")
             sp.add_argument("--catalog", default=_env("CATALOG", None), help="catalog model name")
             sp.add_argument("--params", default=_env("PARAMS", ""), help="catalog parameters k=v,...")
-        sp.add_argument("--seed", type=int, default=int(_env("SEED", 42)))
-        sp.add_argument("--grid", type=int, default=int(_env("GRID", 512)))
-        sp.add_argument("--paths", type=int, default=int(_env("PATHS", 10_000)))
-        sp.add_argument("--levels", type=int, default=int(_env("LEVELS", 3)))
+        sp.add_argument("--seed", type=int, default=_env_int("SEED", 42))
+        sp.add_argument("--grid", type=int, default=_env_int("GRID", 512))
+        sp.add_argument("--paths", type=int, default=_env_int("PATHS", 10_000))
+        sp.add_argument("--levels", type=int, default=_env_int("LEVELS", 3))
         sp.add_argument("--out", default=_env("OUT", "out"))
         sp.add_argument("--tol", default=_env("TOL", ""), help="tolerance overrides key=val,...")
         sp.add_argument("--id", dest="run_id", default=_env("ID", None), help="report label (default: the model id)")
@@ -444,7 +452,12 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        parser = _build_parser()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    args = parser.parse_args(argv)
     if args.command == "catalog":
         return cmd_catalog(args.action, args.name)
     cfg = _config_from_args(args)

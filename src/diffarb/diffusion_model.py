@@ -54,7 +54,7 @@ __all__ = [
     "check_semimartingale_assumption",
     "semimartingale_decomposition_fields",
     "load_model_spec",
-    "flat_spot_second_derivative_ok",
+    "inverse_piece",
 ]
 
 
@@ -242,9 +242,7 @@ def _scale_limit(scale: SmoothPiece1D, b: float, side: str) -> float:
     return sign * math.inf
 
 
-def classify_boundary(
-    spec: DiffusionSpec, side: str, cfg: QuadConfig = DEFAULT_QUAD
-) -> BoundaryBehavior:
+def classify_boundary(spec: DiffusionSpec, side: str) -> BoundaryBehavior:
     """Feller-type accessibility test plus the speed-atom dichotomy.
 
     Accessible iff |s(b)| < infinity and the integral of |s(b) - s(y)| m(dy)
@@ -286,7 +284,7 @@ def classify_boundary(
                 np.asarray(spec.speed.ac_density(y), float)
             )
 
-        verdict = decide_abs_integral(g, (lo, hi), suspicious=[b], cfg=cfg)
+        verdict = decide_abs_integral(g, (lo, hi), suspicious=[b])
         status = verdict.status
     for p, m in spec.speed.interior_atoms(spec.J.alpha, spec.J.beta):
         if lo <= p <= hi and math.isinf(m):
@@ -328,23 +326,26 @@ def classify_boundary(
 # ---------------------------------------------------------------------------
 
 
-def _numeric_inverse(scale: SmoothPiece1D, sJ: tuple[float, float], cfg: QuadConfig) -> SmoothPiece1D:
-    """Inverse of the scale as function handles via root finding.
+def inverse_piece(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1D:
+    """Inverse q = s^{-1} of the increasing piece s = ``scale`` on its image
+    ``sJ``, as function handles via root finding.
 
-    q' = 1/s'(q) one-sided, q'' = -s''(q) / s'(q)^3 a.e.
+    q' = 1/s'(q) one-sided, q'' = -s''(q) / s'(q)^3 a.e.; kinks of s map to
+    kinks of q and flat points of s to infinite-slope points of q. Models
+    built from q take their scale as ``inverse_piece(q, J)``.
     """
 
     def q_val(u):
-        return invert_monotone_vec(scale, u, cfg)
+        return invert_monotone_vec(scale, u)
 
     def d_side(u, side):
-        x = invert_monotone_vec(scale, u, cfg)
+        x = invert_monotone_vec(scale, u)
         d = np.asarray(scale.d_plus(x) if side > 0 else scale.d_minus(x), float)
         with np.errstate(divide="ignore"):
             return np.where(d > 0, 1.0 / d, np.inf)
 
     def d2(u):
-        x = invert_monotone_vec(scale, u, cfg)
+        x = invert_monotone_vec(scale, u)
         d = np.asarray(scale.d_plus(x), float)
         dd = np.asarray(scale.d2_ac(x), float)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -398,8 +399,8 @@ def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) ->
     sJ = (s_lo, s_hi)
 
     boundaries = (
-        ("left", classify_boundary(spec, "left", cfg)),
-        ("right", classify_boundary(spec, "right", cfg)),
+        ("left", classify_boundary(spec, "left")),
+        ("right", classify_boundary(spec, "right")),
     )
     for side, beh in boundaries:
         b = lo if side == "left" else hi
@@ -418,7 +419,7 @@ def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) ->
     elif spec.q_expr is not None:
         q = SmoothPiece1D.from_expr(spec.q_expr, sJ)
     else:
-        q = _numeric_inverse(spec.scale, sJ, cfg)
+        q = inverse_piece(spec.scale, sJ)
 
     qpp = second_derivative_decomposition(q, q.kinks, sc=spec.qpp_sc, validate_bv=False)
 
@@ -430,7 +431,7 @@ def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) ->
         _validate_speed_hint(spec, mU, zero_ivals, cfg)
     else:
         mU = pushforward(
-            spec.speed, spec.scale, qprime_zero_intervals=zero_ivals, annotated=False, cfg=cfg
+            spec.speed, spec.scale, qprime_zero_intervals=zero_ivals, annotated=False
         )
         if spec.speed_sc_natural is not None:
             mU = replace(mU, sc=spec.speed_sc_natural)
@@ -512,9 +513,7 @@ class AssumptionReport:
         return [c.note or c.name for c in self.checks if not c.ok]
 
 
-def check_semimartingale_assumption(
-    view: NaturalScaleView, spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD
-) -> AssumptionReport:
+def check_semimartingale_assumption(view: NaturalScaleView, spec: DiffusionSpec) -> AssumptionReport:
     """Is the price process a semimartingale?
 
     (a) q'_+ must have locally finite variation (difference of two convex
@@ -572,7 +571,7 @@ def check_semimartingale_assumption(
         ]
         weight = u_b if beh.kind == "absorbing" else None
         verdict = decide_abs_integral(
-            view.q.d2_ac, view.collar(side), point_exponents=exps, weight_point=weight, cfg=cfg
+            view.q.d2_ac, view.collar(side), point_exponents=exps, weight_point=weight
         )
         label = f"qpp-integrable-{side}-{beh.kind}"
         if verdict.status == "finite":
@@ -653,28 +652,6 @@ def semimartingale_decomposition_fields(
         atom = view.mU.atom_mass_at(view.boundary_image(side))
         terms.append(BoundaryTerm(side, 0.5 * view.boundary_slope(side), view.r * b * atom))
     return DecompositionFields(qv_factor=qv, drift_measure=drift, boundary_terms=tuple(terms))
-
-
-def flat_spot_second_derivative_ok(
-    view: NaturalScaleView,
-    spec: DiffusionSpec,
-    samples_per_interval: int = 10_000,
-    tol: float = 1e-9,
-) -> bool:
-    """On the declared zero set of q', the AC density of q'' must vanish a.e.
-
-    Sampled check used as an internal consistency guard for models whose q''
-    is absolutely continuous and whose q' is finite.
-    """
-    for a, b in spec.qprime_zero_set:
-        if b <= a:
-            continue
-        xs = np.linspace(a, b, samples_per_interval + 2)[1:-1]
-        vals = np.asarray(view.q.d2_ac(xs), float)
-        scale = 1.0 + float(np.max(np.abs(vals)))
-        if np.any(np.abs(vals) > tol * scale):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

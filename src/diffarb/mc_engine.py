@@ -683,9 +683,10 @@ def estimate_local_time_field(batch: PathBatch, chain: ChainModel) -> np.ndarray
 
 
 def local_time_at(batch: PathBatch, chain: ChainModel, index: int) -> float:
+    """One entry of ``estimate_local_time_field``; a zero-mass state raises."""
     if chain.cell_mass[index] <= 0:
         raise ValueError(f"cell {index} has zero speed mass; local time undefined there")
-    return float(batch.occupation[index] / (max(batch.n_kept, 1) * chain.cell_mass[index]))
+    return float(estimate_local_time_field(batch, chain)[index])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ accept and return numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "MeasureKitError",
     "DomainError",
-    "RangeError",
     "QuadratureError",
     "KinkMismatchError",
     "QuadConfig",
@@ -54,7 +53,6 @@ __all__ = [
     "measure_from_json",
     "adaptive_quad",
     "gl_fixed",
-    "invert_monotone",
     "invert_monotone_vec",
     "pushforward",
     "second_derivative_decomposition",
@@ -75,10 +73,6 @@ class DomainError(MeasureKitError):
     """Argument outside the domain of a function handle."""
 
 
-class RangeError(MeasureKitError):
-    """Target value outside the range of a monotone function."""
-
-
 class QuadratureError(MeasureKitError):
     """Adaptive quadrature failed to reach the requested tolerance.
 
@@ -96,22 +90,20 @@ class QuadConfig:
 
     rel/abs are the adaptive quadrature targets; eq_rel is the relative
     tolerance for algebraic identities; atom_loc the absolute tolerance for
-    matching atom locations; invert the monotone-inversion tolerance.
+    matching atom locations.
     """
 
     rel: float = 1e-8
     abs: float = 1e-12
     eq_rel: float = 1e-9
     atom_loc: float = 1e-12
-    invert: float = 1e-12
 
     def override(self, **kw: float) -> "QuadConfig":
-        vals = {k: getattr(self, k) for k in ("rel", "abs", "eq_rel", "atom_loc", "invert")}
-        for k, v in kw.items():
-            if k not in vals:
+        names = {f.name for f in fields(self)}
+        for k in kw:
+            if k not in names:
                 raise MeasureKitError(f"unknown tolerance key {k!r}")
-            vals[k] = float(v)
-        return QuadConfig(**vals)
+        return replace(self, **{k: float(v) for k, v in kw.items()})
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -825,61 +817,12 @@ class SmoothPiece1D:
 # ---------------------------------------------------------------------------
 
 
-def _bracket(f: SmoothPiece1D, y: float) -> tuple[float, float]:
-    lo, hi = f.domain
-    a = lo if math.isfinite(lo) else -1.0
-    b = hi if math.isfinite(hi) else 1.0
-    if not math.isfinite(lo):
-        while float(f.value(np.asarray(a))) > y:
-            a = a * 2 if a < 0 else -1.0
-            if abs(a) > 1e300:
-                raise RangeError(f"target {y} below the range")
-    if not math.isfinite(hi):
-        while float(f.value(np.asarray(b))) < y:
-            b = b * 2 if b > 0 else 1.0
-            if abs(b) > 1e300:
-                raise RangeError(f"target {y} above the range")
-    fa = float(f.value(np.asarray(a)))
-    fb = float(f.value(np.asarray(b)))
-    if y < fa - 1e-12 * (1 + abs(fa)) or y > fb + 1e-12 * (1 + abs(fb)):
-        raise RangeError(f"target {y} outside range [{fa}, {fb}]")
-    return a, b
+def invert_monotone_vec(f: SmoothPiece1D, ys: np.ndarray) -> np.ndarray:
+    """Solve f(x) = y for strictly increasing f, elementwise: bisection to
+    float resolution plus Newton polish.
 
-
-def invert_monotone(f: SmoothPiece1D, y: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
-    """Solve f(x) = y for strictly increasing f.
-
-    Bracketing bisection, refined by Newton whenever the local derivative is
-    finite and >= 1e-6 on the bracket; pure bisection otherwise. The result
-    satisfies |f(x) - y| <= cfg.invert * (1 + |y|).
+    A target beyond a finite end of the domain maps to that end.
     """
-    y = float(y)
-    a, b = _bracket(f, y)
-    tol = cfg.invert * (1.0 + abs(y))
-    x = 0.5 * (a + b)
-    for _ in range(200):
-        fx = float(f.value(np.asarray(x)))
-        if abs(fx - y) <= tol:
-            return x
-        if fx < y:
-            a = x
-        else:
-            b = x
-        d = float(f.d_plus(np.asarray(x)))
-        use_newton = math.isfinite(d) and d >= 1e-6
-        if use_newton:
-            xn = x - (fx - y) / d
-            if a < xn < b:
-                x = xn
-                continue
-        x = 0.5 * (a + b)
-        if b - a <= 4 * np.finfo(float).eps * max(1.0, abs(a), abs(b)):
-            return x
-    return x
-
-
-def invert_monotone_vec(f: SmoothPiece1D, ys: np.ndarray, cfg: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
-    """Vectorized inverse: bisection to float resolution plus Newton polish."""
     ys_in = ys
     ys = np.atleast_1d(_arr(ys))
     lo, hi = f.domain
@@ -1044,7 +987,6 @@ def pushforward(
     s: SmoothPiece1D,
     qprime_zero_intervals: Sequence[tuple[float, float]] = (),
     annotated: bool = False,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> DecomposedMeasure:
     """Image measure of ``m`` under the strictly increasing map ``s``.
 
@@ -1073,7 +1015,7 @@ def pushforward(
 
         def pushed(u: np.ndarray) -> np.ndarray:
             u = np.atleast_1d(_arr(u))
-            x = invert_monotone_vec(s, u, cfg)
+            x = invert_monotone_vec(s, u)
             dp = _arr(s.d_plus(x))
             with np.errstate(divide="ignore"):
                 qp = np.where(dp > 0, 1.0 / dp, np.inf)
@@ -1087,11 +1029,11 @@ def pushforward(
 
         def cdf_u(u: np.ndarray) -> np.ndarray:
             u = np.atleast_1d(_arr(u))
-            return _arr(base.base_cdf(invert_monotone_vec(s, u, cfg)))
+            return _arr(base.base_cdf(invert_monotone_vec(s, u)))
 
         def mult_u(u: np.ndarray) -> np.ndarray:
             u = np.atleast_1d(_arr(u))
-            return _arr(base.multiplier(invert_monotone_vec(s, u, cfg)))
+            return _arr(base.multiplier(invert_monotone_vec(s, u)))
 
         sc_lo = float(s.value(np.asarray(base.support[0])))
         sc_hi = float(s.value(np.asarray(base.support[1])))
@@ -1116,7 +1058,6 @@ def second_derivative_decomposition(
     kinks: Sequence[tuple[float, float]],
     sc: Optional[ScComponent] = None,
     validate_bv: bool = True,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> DecomposedMeasure:
     """Second-derivative measure of a convex-difference function.
 
@@ -1168,7 +1109,7 @@ def sampled_total_variation(
     """Total variation of a derivative handle on refining grids.
 
     Returns the TV estimates and a stability flag: stable means the last
-    refinements grew by less than ``growth_tol`` and stayed finite. Grids are
+    refinement grew by less than ``growth_tol`` and stayed finite. Grids are
     offset slightly so isolated non-differentiability points are not hit
     exactly.
     """
@@ -1183,10 +1124,7 @@ def sampled_total_variation(
         tvs.append(float(np.sum(np.abs(np.diff(vals)))))
     if tvs[-1] == 0.0:
         return tvs, True
-    ok = all(
-        tvs[i + 1] <= growth_tol * tvs[i] + 1e-12 for i in range(len(tvs) - 2, len(tvs) - 1)
-    ) and tvs[-1] <= growth_tol * tvs[-2] + 1e-12
-    return tvs, ok
+    return tvs, tvs[-1] <= growth_tol * tvs[-2] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1292,7 +1230,6 @@ def _decide_g_integral(
     g: Callable[[np.ndarray], np.ndarray],
     window: tuple[float, float],
     specials: Sequence[tuple[float, Optional[float]]],
-    cfg: QuadConfig,
 ) -> IntegrabilityVerdict:
     """Decide finiteness of the integral of g >= 0 over a window.
 
@@ -1361,7 +1298,6 @@ def decide_L2_local(
     window: tuple[float, float],
     behaviors: Sequence[LocalBehavior] = (),
     suspicious: Sequence[float] = (),
-    cfg: QuadConfig = DEFAULT_QUAD,
     auto_detect: bool = True,
 ) -> IntegrabilityVerdict:
     """Is the integral of f^2 over the window finite?
@@ -1389,7 +1325,7 @@ def decide_L2_local(
     if auto_detect:
         for p in _detect_suspicious(g, a, b, known):
             specials.append((p, None))
-    return _decide_g_integral(g, window, specials, cfg)
+    return _decide_g_integral(g, window, specials)
 
 
 def decide_weighted_L2_boundary(
@@ -1397,7 +1333,6 @@ def decide_weighted_L2_boundary(
     b_image: float,
     window: tuple[float, float],
     behaviors: Sequence[LocalBehavior] = (),
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> IntegrabilityVerdict:
     """Is the integral of |x - b_image| f(x)^2 over a boundary collar finite?
 
@@ -1421,7 +1356,7 @@ def decide_weighted_L2_boundary(
             specials.append((beh.point, 2.0 * beh.exponent))
     if all(abs(p - b_image) > 1e-9 * (1 + abs(b_image)) for p, _ in specials):
         specials.append((b_image, None))
-    return _decide_g_integral(g, window, specials, cfg)
+    return _decide_g_integral(g, window, specials)
 
 
 def decide_abs_integral(
@@ -1430,7 +1365,6 @@ def decide_abs_integral(
     point_exponents: Sequence[tuple[float, float]] = (),
     weight_point: Optional[float] = None,
     suspicious: Sequence[float] = (),
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> IntegrabilityVerdict:
     """Finiteness of the integral of |f| (optionally weighted by |x - w|).
 
@@ -1454,4 +1388,4 @@ def decide_abs_integral(
         specials.append((float(p), None))
     if weight_point is not None and all(abs(p - weight_point) > 1e-12 * (1 + abs(weight_point)) for p, _ in specials):
         specials.append((float(weight_point), None))
-    return _decide_g_integral(g, window, specials, cfg)
+    return _decide_g_integral(g, window, specials)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diffusion_model import DiffusionSpec, StateInterval
+from .diffusion_model import DiffusionSpec, StateInterval, inverse_piece
 from .measure_kit import (
     Affine,
     DecomposedMeasure,
@@ -25,7 +25,6 @@ from .measure_kit import (
     Piecewise,
     PowerSigned,
     SmoothPiece1D,
-    invert_monotone_vec,
 )
 
 __all__ = ["CatalogEntry", "CATALOG", "build_model", "expected_verdict", "ExpectedVerdict", "catalog_names"]
@@ -443,25 +442,9 @@ def _build_fat_cantor(r: float = 0.0, generations: int = 8, u0: float = 0.55) ->
         d2_ac=lambda x: core.q_deriv2(x, 1),
         kinks=(),
     )
-
-    def s_value(y):
-        return invert_monotone_vec(q, y)
-
-    def s_deriv(y):
-        return 1.0 / core.q_deriv(s_value(y))
-
-    def s_d2(y):
-        x = s_value(y)
-        d = core.q_deriv(x)
-        return -core.q_deriv2(x) / d**3
-
     J = StateInterval(-_R_INF, _R_INF)
-    scale = SmoothPiece1D(
-        domain=(J.alpha, J.beta), value=s_value, d_plus=s_deriv, d_minus=s_deriv, d2_ac=s_d2
-    )
-    speed = DecomposedMeasure(
-        support=(J.alpha, J.beta), ac_density=lambda y: 1.0 / core.q_deriv(s_value(y))
-    )
+    scale = inverse_piece(q, (J.alpha, J.beta))
+    speed = DecomposedMeasure(support=(J.alpha, J.beta), ac_density=scale.d_plus)
     behaviors = []
     for a, b in comps:
         behaviors.append(LocalBehavior(a, "left", -1.0, -0.5))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from diffarb.diffusion_model import DiffusionSpec, StateInterval
+from diffarb.diffusion_model import DiffusionSpec, StateInterval, inverse_piece
 from diffarb.measure_kit import (
     Affine,
     Const,
@@ -25,7 +25,6 @@ from diffarb.measure_kit import (
     Product,
     SmoothPiece1D,
     Sum,
-    invert_monotone_vec,
 )
 
 INF = math.inf
@@ -155,46 +154,16 @@ def random_spec(seed: int) -> DiffusionSpec:
         atoms=tuple(all_atoms),
     )
 
-    q_piece = SmoothPiece1D.from_expr(q_expr, (u_lo, u_hi))
-
-    def s_value(x):
-        return invert_monotone_vec(q_piece, x)
-
-    def s_dplus(x):
-        u = invert_monotone_vec(q_piece, x)
-        return 1.0 / np.asarray(q_piece.d_plus(u), float)
-
-    def s_dminus(x):
-        u = invert_monotone_vec(q_piece, x)
-        return 1.0 / np.asarray(q_piece.d_minus(u), float)
-
-    def s_d2(x):
-        u = invert_monotone_vec(q_piece, x)
-        d = np.asarray(q_piece.d_plus(u), float)
-        return -np.asarray(q_piece.d2_ac(u), float) / d**3
-
     J_alpha = lo_val
     J = StateInterval(
         J_alpha,
         INF,
         alpha_closed=math.isfinite(J_alpha) and shape == "halfline",
     )
-    scale_kinks = tuple(
-        (float(q_expr.value(np.asarray(p))), 0.0) for p, _ in kinks
-    )  # jump values of s' are not used downstream; locations matter for splits
-    scale = SmoothPiece1D(
-        domain=(J.alpha, J.beta),
-        value=s_value,
-        d_plus=s_dplus,
-        d_minus=s_dminus,
-        d2_ac=s_d2,
-        kinks=scale_kinks,
-    )
+    scale = inverse_piece(SmoothPiece1D.from_expr(q_expr, (u_lo, u_hi)), (J.alpha, J.beta))
 
     def m_density(x):
-        u = invert_monotone_vec(q_piece, x)
-        d = np.asarray(q_piece.d_plus(u), float)
-        return dens0 / d
+        return dens0 * np.asarray(scale.d_plus(x), float)
 
     x_atoms = tuple(
         (float(q_expr.value(np.asarray(p))), m) for p, m in all_atoms

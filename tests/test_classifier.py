@@ -21,6 +21,7 @@ from diffarb.diffusion_model import SpecValidationError, derive_natural_scale
 from diffarb.measure_kit import ScComponent, SmoothPiece1D
 from diffarb.model_catalog import build_model
 
+from cantor_staircase import cantor_cdf
 from fuzz_models import random_spec
 
 INF = math.inf
@@ -153,25 +154,12 @@ def test_classify_rejects_non_semimartingale():
 # ---------------------------------------------------------------------------
 
 
-def _cantor_cdf(x):
-    x = np.asarray(x, float)
-    out = np.zeros_like(x)
-    lo = np.zeros_like(x)
-    hi = np.ones_like(x)
-    val = np.zeros_like(x)
-    step = 0.5
-    z = np.clip(x, 0.0, 1.0)
-    for _ in range(40):
-        third = (hi - lo) / 3.0
-        in_mid = (z >= lo + third) & (z < lo + 2 * third)
-        upper = z >= lo + 2 * third
-        val = np.where(in_mid | upper, val + step, val)
-        lo2 = np.where(upper, lo + 2 * third, lo)
-        hi2 = np.where(upper, hi, np.where(in_mid, z, lo + third))
-        lo, hi = np.where(in_mid, z, lo2), hi2
-        step *= 0.5
-    out = np.where(x <= 0, 0.0, np.where(x >= 1, 1.0, val))
-    return out
+def test_cantor_cdf_is_a_staircase():
+    xs = np.linspace(0.0, 1.0, 4097)
+    vals = cantor_cdf(xs)
+    assert np.all(np.diff(vals) >= 0.0)
+    assert vals[0] == 0.0 and abs(vals[-1] - 1.0) < 1e-9
+    assert np.all(cantor_cdf(np.linspace(0.34, 0.66, 9)) == 0.5)
 
 
 def _sc_spec(base_id_m: str, base_id_q: str, r: float = 1.0):
@@ -186,8 +174,8 @@ def _sc_spec(base_id_m: str, base_id_q: str, r: float = 1.0):
     mult_m = lambda u: 1.0 + np.asarray(u, float) ** 2
     # choose the q'' multiplier to satisfy the identity with q(u) = u
     mult_q = lambda u: 2.0 * r * np.asarray(u, float) * (1.0 + np.asarray(u, float) ** 2)
-    sc_m = ScComponent(base_id_m, _cantor_cdf, mult_m, (0.0, 1.0))
-    sc_q = ScComponent(base_id_q, _cantor_cdf, mult_q, (0.0, 1.0))
+    sc_m = ScComponent(base_id_m, cantor_cdf, mult_m, (0.0, 1.0))
+    sc_q = ScComponent(base_id_q, cantor_cdf, mult_q, (0.0, 1.0))
     return dataclasses.replace(spec, speed_sc_natural=sc_m, qpp_sc=sc_q)
 
 
@@ -200,7 +188,7 @@ def test_sc_matching_base_passes():
 
 def test_sc_mismatched_multiplier_fails():
     spec = _sc_spec("cantor_A", "cantor_A")
-    bad_q = ScComponent("cantor_A", _cantor_cdf, lambda u: np.full_like(np.asarray(u, float), 0.17), (0.0, 1.0))
+    bad_q = ScComponent("cantor_A", cantor_cdf, lambda u: np.full_like(np.asarray(u, float), 0.17), (0.0, 1.0))
     spec = dataclasses.replace(spec, qpp_sc=bad_q)
     view = derive_natural_scale(spec)
     status, _ = check_nip(view, spec)

@@ -219,8 +219,10 @@ def test_tolerance_overrides_parse_and_apply(tmp_path, capsys):
         ]
     )
     assert code == 0
-    assert run(["classify", "--catalog", "brownian_motion", "--tol", "bogus_key=1", "--out", str(tmp_path)]) == 1
-    assert "bogus_key" in capsys.readouterr().err
+    for key in ("bogus_key", "invert"):
+        argv = ["classify", "--catalog", "brownian_motion", "--tol", f"{key}=1e-6", "--out", str(tmp_path)]
+        assert run(argv) == 1
+        assert f"unknown tolerance key '{key}'" in capsys.readouterr().err
 
 
 def test_model_file_with_catalog_reference(tmp_path):
@@ -232,12 +234,20 @@ def test_model_file_with_catalog_reference(tmp_path):
     assert rep["r"] == 0.1
 
 
-def test_env_variable_overrides(tmp_path, monkeypatch):
+def test_env_variable_overrides(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DIFFARB_SEED", "123")
     monkeypatch.setenv("DIFFARB_OUT", str(tmp_path))
     assert run(["classify", "--catalog", "brownian_motion"]) == 0
     rep = json.loads((tmp_path / "classify_brownian_motion.json").read_text())
     assert rep["seed"] == 123
+    # an integer variable that does not parse is one error line, exit 1
+    capsys.readouterr()
+    for name in ("SEED", "GRID", "PATHS", "LEVELS"):
+        with monkeypatch.context() as m:
+            m.setenv(f"DIFFARB_{name}", "abc")
+            assert run(["catalog", "list"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f"DIFFARB_{name}" in err[0]
 
 
 def test_simulate_one_batch_matches_run_strategy(tmp_path):

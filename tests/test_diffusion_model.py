@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from diffarb.arb_classifier import check_nip
 from diffarb.diffusion_model import (
     DiffusionSpec,
     SpecValidationError,
@@ -12,7 +13,6 @@ from diffarb.diffusion_model import (
     check_semimartingale_assumption,
     classify_boundary,
     derive_natural_scale,
-    flat_spot_second_derivative_ok,
     load_model_spec,
     semimartingale_decomposition_fields,
 )
@@ -187,9 +187,13 @@ def test_smooth_drift_matches_half_q2():
 
 
 def test_flat_spot_consistency_guard():
+    # on each flat interval of fat_cantor q'' vanishes and r = 0, so NIP.iii
+    # holds exactly
     spec = build_model("fat_cantor")
-    view = derive_natural_scale(spec)
-    assert flat_spot_second_derivative_ok(view, spec)
+    _, reports = check_nip(derive_natural_scale(spec), spec)
+    flat = [c for c in reports if c.id == "NIP.iii"]
+    assert len(flat) == 7
+    assert all(c.status == "pass" and c.residual == 0.0 for c in flat)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from diffarb.mc_engine import (
 from diffarb.measure_kit import Affine, DecomposedMeasure, ScComponent, SmoothPiece1D
 from diffarb.model_catalog import build_model
 
+from cantor_staircase import cantor_cdf
+
 INF = math.inf
 
 
@@ -169,25 +171,9 @@ def test_right_reflecting_chain_mirrors_left():
     )
 
 
-def _cantor_cdf(x):
-    """Cantor staircase on [0, 1] from the ternary digits of x."""
-    z = np.clip(np.asarray(x, float), 0.0, 1.0)
-    val = np.zeros_like(z)
-    done = np.zeros(z.shape, dtype=bool)
-    step = 0.5
-    for _ in range(40):
-        z = 3.0 * z
-        digit = np.minimum(np.floor(z), 2.0)
-        z = z - digit
-        val = np.where(~done & (digit >= 1), val + step, val)
-        done |= digit == 1
-        step *= 0.5
-    return val
-
-
 def test_sc_speed_part_enters_masses_and_holds():
     spec = build_model("brownian_motion", {"r": 0.4, "x0": 0.5})
-    sc = ScComponent("cantor", _cantor_cdf, lambda u: 1.0 + np.asarray(u, float) ** 2, (0.0, 1.0))
+    sc = ScComponent("cantor", cantor_cdf, lambda u: 1.0 + np.asarray(u, float) ** 2, (0.0, 1.0))
     sc_spec = dataclasses.replace(spec, speed_sc_natural=sc)
     sc_view = derive_natural_scale(sc_spec)
     plain = build_chain(derive_natural_scale(spec), spec, N=128, horizon=1.0)
@@ -200,7 +186,7 @@ def test_sc_speed_part_enters_masses_and_holds():
     assert abs(chain.cell_mass.sum() - window) < 1e-3
     # interior cells whose neighbour span carries Cantor mass hold strictly
     # longer; the others (the gaps of the Cantor set, the outer cells) do not move
-    gains = _cantor_cdf(chain.grid[2:]) > _cantor_cdf(chain.grid[:-2])
+    gains = cantor_cdf(chain.grid[2:]) > cantor_cdf(chain.grid[:-2])
     assert 0 < gains.sum() < gains.size
     assert np.all(chain.mean_hold[1:-1][gains] > plain.mean_hold[1:-1][gains])
     assert np.array_equal(chain.mean_hold[1:-1][~gains], plain.mean_hold[1:-1][~gains])
