@@ -11,19 +11,17 @@ catalog   -- list or show the named model builders.
 report    -- merge prior classify/simulate outputs into one table.
 
 Exit codes: 0 on a definitive run, 2 when any notion is inconclusive,
-1 on validation errors. Flags mirror the DIFFARB_* environment variables.
+1 on validation and usage errors. Flags mirror the DIFFARB_* environment
+variables.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -31,7 +29,7 @@ import numpy as np
 
 from .arb_classifier import INCONCLUSIVE, classify, verdict_to_json
 from .diffusion_model import DiffusionSpec, SpecValidationError, derive_natural_scale, load_model_spec
-from .measure_kit import DEFAULT_QUAD, MeasureKitError, QuadConfig
+from .measure_kit import DEFAULT_QUAD, MeasureKitError, QuadConfig, json_object
 from .mc_engine import (
     build_chain,
     estimate_tradeoff,
@@ -42,60 +40,20 @@ from .mc_engine import (
 )
 from .model_catalog import CATALOG, build_model, catalog_names
 
-__all__ = ["RunConfig", "main", "cmd_classify", "cmd_simulate", "cmd_catalog", "cmd_report"]
+__all__ = ["main", "cmd_classify", "cmd_simulate", "cmd_catalog", "cmd_report"]
 
 _LABEL = re.compile(r"[A-Za-z0-9_.-]+")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    model_path: Optional[str] = None
-    catalog_name: Optional[str] = None
-    params: Optional[dict] = None
-    seed: int = 42
-    grid: int = 512
-    n_paths: int = 10_000
-    levels: int = 3
-    out: str = "out"
-    tol: Optional[dict] = None
-    run_id: Optional[str] = None
-    dump_paths: bool = False
-
-    def quad(self) -> QuadConfig:
-        return DEFAULT_QUAD.override(**(self.tol or {}))
-
-
-def _parse_value(text: str):
-    t = text.strip()
-    if t in ("inf", "+inf"):
-        return math.inf
-    if t == "-inf":
-        return -math.inf
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        pass
-    if "/" in t:
-        return float(Fraction(t))
-    return t
-
-
 def _parse_kv(text: str) -> dict:
+    """``k=v,...`` as a dict of strings; the reader of each value (the
+    catalog entry, the tolerance record) parses it."""
     out = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        if not item:
-            continue
+    for item in filter(None, (text or "").split(",")):
         if "=" not in item:
             raise ValueError(f"expected key=value, got {item!r}")
         k, v = item.split("=", 1)
-        out[k.strip()] = _parse_value(v)
+        out[k.strip()] = v.strip()
     return out
 
 
@@ -111,68 +69,64 @@ def _env_int(name: str, fallback: int) -> int:
         raise ValueError(f"DIFFARB_{name} must be an integer, got {raw!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a validation error: exit 1, one line
+        raise SpecValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="diffarb", description=__doc__.splitlines()[0])
+    p = _Parser(prog="diffarb", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_model=True):
-        if with_model:
-            sp.add_argument("--model", default=_env("MODEL", None), help="path to a model-spec JSON document")
-            sp.add_argument("--catalog", default=_env("CATALOG", None), help="catalog model name")
-            sp.add_argument("--params", default=_env("PARAMS", ""), help="catalog parameters k=v,...")
+    def model_command(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        sp.add_argument("--model", default=_env("MODEL", None), help="path to a model-spec JSON document")
+        sp.add_argument("--catalog", default=_env("CATALOG", None), help="catalog model name")
+        sp.add_argument("--params", default=_env("PARAMS", ""), help="catalog parameters k=v,...")
         sp.add_argument("--seed", type=int, default=_env_int("SEED", 42))
-        sp.add_argument("--grid", type=int, default=_env_int("GRID", 512))
-        sp.add_argument("--paths", type=int, default=_env_int("PATHS", 10_000))
-        sp.add_argument("--levels", type=int, default=_env_int("LEVELS", 3))
         sp.add_argument("--out", default=_env("OUT", "out"))
         sp.add_argument("--tol", default=_env("TOL", ""), help="tolerance overrides key=val,...")
         sp.add_argument("--id", dest="run_id", default=_env("ID", None), help="report label (default: the model id)")
+        return sp
 
-    add_common(sub.add_parser("classify", help="deterministic verdicts"))
-    sim = sub.add_parser("simulate", help="Monte Carlo cross-validation")
-    add_common(sim)
+    model_command("classify", cmd_classify, "deterministic verdicts")
+    sim = model_command("simulate", cmd_simulate, "Monte Carlo cross-validation")
+    sim.add_argument("--grid", type=int, default=_env_int("GRID", 512))
+    sim.add_argument("--paths", type=int, default=_env_int("PATHS", 10_000))
+    sim.add_argument("--levels", type=int, default=_env_int("LEVELS", 3))
     sim.add_argument("--dump-paths", action="store_true", help="also write a per-path CSV")
     cat = sub.add_parser("catalog", help="list or show catalog entries")
+    cat.set_defaults(run=cmd_catalog)
     cat.add_argument("action", choices=["list", "show"])
     cat.add_argument("name", nargs="?", default=None)
     rep = sub.add_parser("report", help="merge prior outputs into one table")
-    add_common(rep, with_model=False)
+    rep.set_defaults(run=cmd_report)
+    rep.add_argument("--out", default=_env("OUT", "out"))
     return p
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        model_path=getattr(args, "model", None),
-        catalog_name=getattr(args, "catalog", None),
-        params=_parse_kv(getattr(args, "params", "") or ""),
-        seed=args.seed,
-        grid=args.grid,
-        n_paths=args.paths,
-        levels=args.levels,
-        out=args.out,
-        tol=_parse_kv(getattr(args, "tol", "") or ""),
-        run_id=getattr(args, "run_id", None),
-        dump_paths=bool(getattr(args, "dump_paths", False)),
-    )
-
-
-def _load_spec(cfg: RunConfig) -> DiffusionSpec:
-    if cfg.model_path:
-        with open(cfg.model_path) as fh:
+def _load_spec(args) -> DiffusionSpec:
+    if args.model:
+        with open(args.model) as fh:
             doc = json.load(fh)
-        if "catalog" in doc:
-            return build_model(doc["catalog"], doc.get("params", {}))
+        if isinstance(doc, dict) and "catalog" in doc:
+            json_object(doc, "catalog reference", ("catalog", "params"), error=SpecValidationError)
+            return build_model(doc["catalog"], doc.get("params"))
         return load_model_spec(doc)
-    if cfg.catalog_name:
-        return build_model(cfg.catalog_name, cfg.params or {})
+    if args.catalog:
+        return build_model(args.catalog, _parse_kv(args.params))
     raise SpecValidationError("no model given: use --model <path> or --catalog <name>")
 
 
-def _label(cfg: RunConfig, spec: DiffusionSpec) -> str:
+def _quad(args) -> QuadConfig:
+    return DEFAULT_QUAD.override(**_parse_kv(args.tol))
+
+
+def _label(args, spec: DiffusionSpec) -> str:
     """Report label: ``--id`` or the model id; it names output files, so it
     is restricted to ``[A-Za-z0-9_.-]+``."""
-    label = cfg.run_id or spec.model_id
+    label = args.run_id or spec.model_id
     if not _LABEL.fullmatch(label):
         raise SpecValidationError(f"report label {label!r} must match [A-Za-z0-9_.-]+")
     return label
@@ -198,18 +152,18 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(args) -> int:
     try:
-        spec = _load_spec(cfg)
-        label = _label(cfg, spec)
-        verdict = classify(spec, cfg.quad())
+        spec = _load_spec(args)
+        label = _label(args, spec)
+        verdict = classify(spec, _quad(args))
     except (SpecValidationError, MeasureKitError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = verdict_to_json(spec, verdict)
     report["model_id"] = label
-    report["seed"] = cfg.seed
-    out = Path(cfg.out) / f"classify_{label}.json"
+    report["seed"] = args.seed
+    out = Path(args.out) / f"classify_{label}.json"
     _write_json(out, report)
     line = f"{label}: NIP {verdict.nip}, NSA {verdict.nsa}, NUPBR {verdict.nupbr}, RP {verdict.rp}"
     print(line)
@@ -224,18 +178,16 @@ def cmd_classify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(args) -> int:
     try:
-        if cfg.n_paths < 2:
+        if args.paths < 2:
             raise SpecValidationError("--paths must be at least 2 (standard errors need two samples)")
-        if cfg.levels < 3:
+        if args.levels < 3:
             raise SpecValidationError("--levels must be at least 3 (the refinement ladder)")
-        spec = _load_spec(cfg)
-        label = _label(cfg, spec)
-        if spec.horizon <= 0:
-            raise SpecValidationError("horizon must be positive")
-        view = derive_natural_scale(spec, cfg.quad())
-        chain = build_chain(view, spec, N=cfg.grid)
+        spec = _load_spec(args)
+        label = _label(args, spec)
+        view = derive_natural_scale(spec, _quad(args))
+        chain = build_chain(view, spec, N=args.grid)
     except (SpecValidationError, MeasureKitError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -252,8 +204,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     # discarded count and the path dump
     batch = sample_paths(
         chain,
-        cfg.n_paths,
-        cfg.seed,
+        args.paths,
+        args.seed,
         T,
         hit_levels=[p.hit_level for p in plans if p.hit_level is not None],
         position_table=next((p.table for p in plans if p.table is not None), None),
@@ -262,18 +214,18 @@ def cmd_simulate(cfg: RunConfig) -> int:
     evaluated = [evaluate_strategy(batch, p) for p in plans]
     strategies = [res for res, _ in evaluated]
     tr = estimate_tradeoff(
-        view, spec, n_paths=max(1000, cfg.n_paths // 4), seed=cfg.seed,
-        base_grid=max(64, cfg.grid // 4), levels=cfg.levels,
+        view, spec, n_paths=max(1000, args.paths // 4), seed=args.seed,
+        base_grid=max(64, args.grid // 4), levels=args.levels,
     )
 
     diagnostics = []
     if reflecting:
         diagnostics.append(
-            martingale_diagnostic(view, spec, "U_minus_half_L", chain=chain, n_paths=min(cfg.n_paths, 5000), seed=cfg.seed)
+            martingale_diagnostic(view, spec, "U_minus_half_L", chain=chain, n_paths=min(args.paths, 5000), seed=args.seed)
         )
     diagnostics.append(
         martingale_diagnostic(
-            view, spec, "discounted_price_drift", chain=chain, n_paths=min(cfg.n_paths, 5000), seed=cfg.seed
+            view, spec, "discounted_price_drift", chain=chain, n_paths=min(args.paths, 5000), seed=args.seed
         )
     )
 
@@ -281,9 +233,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "model_id": label,
         "r": spec.r,
         "horizon": T,
-        "seed": cfg.seed,
-        "grid": cfg.grid,
-        "n_paths": cfg.n_paths,
+        "seed": args.seed,
+        "grid": args.grid,
+        "n_paths": args.paths,
         "discarded_paths": int(batch.discarded.sum()),
         "tradeoff": {
             "grid_sizes": list(tr.grid_sizes),
@@ -316,7 +268,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             for d in diagnostics
         ],
     }
-    out_dir = Path(cfg.out)
+    out_dir = Path(args.out)
     _write_json(out_dir / f"simulate_{label}.json", report)
 
     _write_csv(
@@ -332,7 +284,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         pay = _payoff_histogram(evaluated[0][1]) if accessible else []
         _write_csv(out_dir / f"payoffs_{label}.csv", ["bin_left", "bin_right", "count"], pay)
 
-    if cfg.dump_paths:
+    if args.dump_paths:
         rows = [
             [
                 i,
@@ -377,7 +329,8 @@ def _payoff_histogram(pay: np.ndarray) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_catalog(action: str, name: Optional[str]) -> int:
+def cmd_catalog(args) -> int:
+    action, name = args.action, args.name
     if action == "list":
         for n in catalog_names():
             entry = CATALOG[n]
@@ -396,8 +349,8 @@ def cmd_catalog(action: str, name: Optional[str]) -> int:
     return 0
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    out_dir = Path(cfg.out)
+def cmd_report(args) -> int:
+    out_dir = Path(args.out)
     rows = []
     classified = sorted(out_dir.glob("classify_*.json"))
     simulated = {p.name.replace("simulate_", ""): p for p in out_dir.glob("simulate_*.json")}
@@ -453,21 +406,11 @@ def cmd_report(cfg: RunConfig) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        parser = _build_parser()
-    except ValueError as exc:
+        args = _build_parser().parse_args(argv)
+    except (SpecValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    args = parser.parse_args(argv)
-    if args.command == "catalog":
-        return cmd_catalog(args.action, args.name)
-    cfg = _config_from_args(args)
-    if args.command == "classify":
-        return cmd_classify(cfg)
-    if args.command == "simulate":
-        return cmd_simulate(cfg)
-    if args.command == "report":
-        return cmd_report(cfg)
-    raise AssertionError("unreachable")
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -33,9 +33,14 @@ from .measure_kit import (
     decide_abs_integral,
     expr_from_json,
     invert_monotone_vec,
+    json_list,
+    json_number,
+    json_object,
+    json_pair,
     measure_from_json,
     pushforward,
     sampled_total_variation,
+    sc_from_json,
     second_derivative_decomposition,
 )
 
@@ -137,6 +142,10 @@ class DiffusionSpec:
     speed_sc_natural: Optional[ScComponent] = None
 
     def __post_init__(self):
+        for name in ("x0", "r", "horizon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise SpecValidationError(f"field {name!r} must be finite, got {value!r}")
         if not self.horizon > 0:
             raise SpecValidationError("horizon must be positive")
         lo, hi = self.J.alpha, self.J.beta
@@ -658,7 +667,7 @@ def semimartingale_decomposition_fields(
 # Model-spec files
 # ---------------------------------------------------------------------------
 
-_ALLOWED_FIELDS = {
+_MODEL_KEYS = (
     "model_id",
     "state_interval",
     "scale",
@@ -673,109 +682,74 @@ _ALLOWED_FIELDS = {
     "inverse_scale",
     "speed_natural",
     "qpp_sc",
-}
+)
+_BEHAVIOR_KEYS = ("point", "side", "exponent", "coeff")
 
 
-def _sc_from_json(obj: dict) -> ScComponent:
-    unknown = set(obj) - {"base_id", "base_cdf", "multiplier", "support"}
-    if unknown:
-        raise SpecValidationError(f"unknown sc fields: {sorted(unknown)}")
-    base = expr_from_json(obj["base_cdf"])
-    mult = expr_from_json(obj["multiplier"])
-    sup = obj.get("support", [0.0, 1.0])
-    return ScComponent(str(obj["base_id"]), base.value, mult.value, (float(sup[0]), float(sup[1])))
+def _number(value, what: str) -> float:
+    return json_number(value, what, error=SpecValidationError)
 
 
-def _endpoint(v) -> float:
-    if v == "inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    return float(v)
+def _list(obj: dict, key: str) -> list:
+    return json_list(obj.get(key, []), key, error=SpecValidationError)
 
 
-def _finite_field(obj: dict, key: str, default=None) -> float:
-    """A scalar field of the model document that must be a finite number."""
-    value = obj.get(key, default)
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise SpecValidationError(f"field {key!r} must be a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise SpecValidationError(f"field {key!r} must be finite, got {value!r}")
-    return out
+def _flag(obj: dict, key: str) -> bool:
+    value = obj.get(key, False)
+    if not isinstance(value, bool):
+        raise SpecValidationError(f"field {key!r} must be true or false, got {value!r}")
+    return value
 
 
-def _behaviors(items) -> tuple[LocalBehavior, ...]:
-    out = []
-    for it in items:
-        unknown = set(it) - {"point", "side", "exponent", "coeff"}
-        if unknown:
-            raise SpecValidationError(f"unknown behavior fields: {sorted(unknown)}")
-        out.append(
-            LocalBehavior(float(it["point"]), str(it["side"]), float(it["exponent"]), float(it["coeff"]))
-        )
-    return tuple(out)
+def _behavior(obj) -> LocalBehavior:
+    json_object(obj, "behavior", _BEHAVIOR_KEYS, _BEHAVIOR_KEYS, error=SpecValidationError)
+    return LocalBehavior(**{k: obj[k] if k == "side" else _number(obj[k], f"behavior field {k!r}") for k in obj})
+
+
+def _zero_set_item(item) -> tuple[float, float]:
+    """An interval [a, b], or a point, of the zero set of q'."""
+    if isinstance(item, list):
+        return json_pair(item, "qprime_zero_set interval", error=SpecValidationError)
+    return (_number(item, "qprime_zero_set point"),) * 2
 
 
 def load_model_spec(obj: dict) -> DiffusionSpec:
-    """Parse the structured model document; unknown fields are rejected."""
-    if not isinstance(obj, dict):
-        raise SpecValidationError("model spec must be an object")
-    unknown = set(obj) - _ALLOWED_FIELDS
-    if unknown:
-        raise SpecValidationError(f"unknown model fields: {sorted(unknown)}")
-    for req in ("state_interval", "scale", "speed", "x0", "r"):
-        if req not in obj:
-            raise SpecValidationError(f"missing required field {req!r}")
-    si = obj["state_interval"]
-    unknown = set(si) - {"alpha", "beta", "alpha_closed", "beta_closed"}
-    if unknown:
-        raise SpecValidationError(f"unknown state_interval fields: {sorted(unknown)}")
-    J = StateInterval(
-        _endpoint(si["alpha"]),
-        _endpoint(si["beta"]),
-        bool(si.get("alpha_closed", False)),
-        bool(si.get("beta_closed", False)),
+    """Parse the structured model document; unknown keys are rejected at
+    every level."""
+    json_object(obj, "model", _MODEL_KEYS, ("state_interval", "scale", "speed", "x0", "r"), error=SpecValidationError)
+    si = json_object(
+        obj["state_interval"], "state_interval", ("alpha", "beta", "alpha_closed", "beta_closed"), ("alpha", "beta"),
+        error=SpecValidationError,
     )
-    scale_expr = expr_from_json(obj["scale"])
-    scale = SmoothPiece1D.from_expr(scale_expr, (J.alpha, J.beta))
+    J = StateInterval(
+        _number(si["alpha"], "field 'alpha'"),
+        _number(si["beta"], "field 'beta'"),
+        _flag(si, "alpha_closed"),
+        _flag(si, "beta_closed"),
+    )
+    scale = SmoothPiece1D.from_expr(expr_from_json(obj["scale"]), (J.alpha, J.beta))
     scale.check_increasing()
     speed = measure_from_json(obj["speed"], support=(J.alpha, J.beta))
-    zero_set = []
-    for item in obj.get("qprime_zero_set", []):
-        if isinstance(item, (list, tuple)):
-            zero_set.append((float(item[0]), float(item[1])))
-        else:
-            zero_set.append((float(item), float(item)))
-    q_expr = None
-    if obj.get("inverse_scale") is not None:
-        q_expr = expr_from_json(obj["inverse_scale"])
     speed_nat = None
     if obj.get("speed_natural") is not None:
         lo_u = float(scale.value(np.asarray(J.alpha))) if math.isfinite(J.alpha) else -math.inf
         hi_u = float(scale.value(np.asarray(J.beta))) if math.isfinite(J.beta) else math.inf
         speed_nat = measure_from_json(obj["speed_natural"], support=(lo_u, hi_u))
-    decls = tuple((side, str(kind)) for side, kind in obj.get("boundaries", {}).items())
-    for side, kind in decls:
-        if side not in ("left", "right"):
-            raise SpecValidationError(f"unknown boundary side {side!r}")
-    qpp_sc = None
-    if obj.get("qpp_sc") is not None:
-        qpp_sc = _sc_from_json(obj["qpp_sc"])
+    decls = json_object(obj.get("boundaries", {}), "boundaries", ("left", "right"), error=SpecValidationError)
+    q_expr, qpp_sc = obj.get("inverse_scale"), obj.get("qpp_sc")
     return DiffusionSpec(
         J=J,
         scale=scale,
         speed=speed,
-        x0=_finite_field(obj, "x0"),
-        r=_finite_field(obj, "r"),
-        horizon=_finite_field(obj, "horizon", 1.0),
+        x0=_number(obj["x0"], "field 'x0'"),
+        r=_number(obj["r"], "field 'r'"),
+        horizon=_number(obj.get("horizon", 1.0), "field 'horizon'"),
         model_id=str(obj.get("model_id", "model")),
-        qprime_zero_set=tuple(zero_set),
-        phi_behaviors=_behaviors(obj.get("phi_behaviors", [])),
-        qpp_behaviors=_behaviors(obj.get("qpp_behaviors", [])),
-        q_expr=q_expr,
+        qprime_zero_set=tuple(map(_zero_set_item, _list(obj, "qprime_zero_set"))),
+        phi_behaviors=tuple(map(_behavior, _list(obj, "phi_behaviors"))),
+        qpp_behaviors=tuple(map(_behavior, _list(obj, "qpp_behaviors"))),
+        q_expr=None if q_expr is None else expr_from_json(q_expr),
         speed_natural=speed_nat,
-        declared_boundaries=decls,
-        qpp_sc=qpp_sc,
+        declared_boundaries=tuple((side, str(kind)) for side, kind in decls.items()),
+        qpp_sc=None if qpp_sc is None else sc_from_json(qpp_sc, (0.0, 1.0)),
     )

@@ -23,6 +23,7 @@ accept and return numpy arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -51,6 +52,11 @@ __all__ = [
     "ScComponent",
     "DecomposedMeasure",
     "measure_from_json",
+    "sc_from_json",
+    "json_object",
+    "json_number",
+    "json_list",
+    "json_pair",
     "adaptive_quad",
     "gl_fixed",
     "invert_monotone_vec",
@@ -99,10 +105,7 @@ class QuadConfig:
     atom_loc: float = 1e-12
 
     def override(self, **kw: float) -> "QuadConfig":
-        names = {f.name for f in fields(self)}
-        for k in kw:
-            if k not in names:
-                raise MeasureKitError(f"unknown tolerance key {k!r}")
+        json_object(kw, "tolerance", {f.name for f in fields(self)})
         return replace(self, **{k: float(v) for k, v in kw.items()})
 
 
@@ -231,16 +234,29 @@ class Expr:
         """A.e. second derivative (density of the AC part of f'')."""
         raise NotImplementedError
 
+    def children(self) -> tuple["Expr", ...]:
+        """Sub-expressions whose breakpoints, infinite-slope points and
+        jumps this node inherits."""
+        return ()
+
     def breakpoints(self) -> tuple[float, ...]:
         """Candidate points where the function may fail to be C^2."""
-        return ()
+        return _union(c.breakpoints() for c in self.children())
 
     def infinite_slope_points(self) -> tuple[float, ...]:
         """Points where the first derivative diverges to +inf."""
-        return ()
+        return _union(c.infinite_slope_points() for c in self.children())
+
+    def is_continuous(self, tol: float = 1e-9) -> bool:
+        """No jump anywhere; only ``Piecewise`` can introduce one."""
+        return all(c.is_continuous(tol) for c in self.children())
 
     def __call__(self, x):
         return self.value(_arr(x))
+
+
+def _union(point_sets) -> tuple[float, ...]:
+    return tuple(sorted(set().union(*point_sets)))
 
 
 @dataclass(frozen=True)
@@ -371,6 +387,8 @@ class ExpIntegral(Expr):
         return self.mu.value(_arr(x)) * self.deriv(x, side)
 
     def breakpoints(self):
+        # mu is not a child: the integral is continuous with a finite slope
+        # whatever mu is, and inherits only mu's breakpoints
         return self.mu.breakpoints()
 
 
@@ -402,17 +420,8 @@ class Sum(Expr):
             out = out + t.deriv2(x, side)
         return out
 
-    def breakpoints(self):
-        pts: list[float] = []
-        for t in self.terms:
-            pts.extend(t.breakpoints())
-        return tuple(sorted(set(pts)))
-
-    def infinite_slope_points(self):
-        pts: list[float] = []
-        for t in self.terms:
-            pts.extend(t.infinite_slope_points())
-        return tuple(sorted(set(pts)))
+    def children(self):
+        return self.terms
 
 
 @dataclass(frozen=True)
@@ -466,17 +475,8 @@ class Product(Expr):
                 out = out + part
         return out
 
-    def breakpoints(self):
-        pts: list[float] = []
-        for t in self.factors:
-            pts.extend(t.breakpoints())
-        return tuple(sorted(set(pts)))
-
-    def infinite_slope_points(self):
-        pts: list[float] = []
-        for t in self.factors:
-            pts.extend(t.infinite_slope_points())
-        return tuple(sorted(set(pts)))
+    def children(self):
+        return self.factors
 
 
 @dataclass(frozen=True)
@@ -504,6 +504,9 @@ class Compose(Expr):
         u = self.inner.value(x)
         di = self.inner.deriv(x, side)
         return self.outer.deriv2(u, side) * di * di + self.outer.deriv(u, side) * self.inner.deriv2(x, side)
+
+    def children(self):
+        return (self.outer, self.inner)
 
     def _pull_back(self, pts: tuple[float, ...]) -> tuple[float, ...]:
         # exact preimages are available when the inner map is affine;
@@ -545,13 +548,16 @@ class Piecewise(Expr):
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "pieces", pieces)
 
+    def children(self):
+        return self.pieces
+
     def is_continuous(self, tol: float = 1e-9) -> bool:
         for i, p in enumerate(self.points):
             left = float(self.pieces[i].value(np.asarray(p)))
             right = float(self.pieces[i + 1].value(np.asarray(p)))
             if not close_rel(left, right, tol, floor=1e-12):
                 return False
-        return True
+        return super().is_continuous(tol)
 
     def _index(self, x: np.ndarray, side: int) -> np.ndarray:
         pts = np.asarray(self.points)
@@ -579,16 +585,7 @@ class Piecewise(Expr):
         return self._apply(x, "deriv2", side)
 
     def breakpoints(self):
-        pts = set(self.points)
-        for p in self.pieces:
-            pts.update(p.breakpoints())
-        return tuple(sorted(pts))
-
-    def infinite_slope_points(self):
-        pts: set[float] = set()
-        for p in self.pieces:
-            pts.update(p.infinite_slope_points())
-        return tuple(sorted(pts))
+        return _union((self.points, super().breakpoints()))
 
 
 @dataclass(frozen=True)
@@ -644,17 +641,46 @@ class Tabulated(Expr):
         return tuple(self.xs[1:-1])
 
 
-_NODE_TAGS = {
-    "const": Const,
-    "affine": Affine,
-    "power_signed": PowerSigned,
-    "exp_integral": ExpIntegral,
-    "sum": Sum,
-    "product": Product,
-    "compose": Compose,
-    "piecewise": Piecewise,
-    "tabulated": Tabulated,
-}
+# ---------------------------------------------------------------------------
+# JSON readers: each value of a document is checked once, where it is read
+# ---------------------------------------------------------------------------
+
+
+def json_object(obj, what: str, keys, required=(), error=MeasureKitError) -> dict:
+    """``obj``, checked to be a JSON object whose keys lie in ``keys`` and
+    include ``required``."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be an object, got {type(obj).__name__}")
+    for k in obj:
+        if k not in keys:
+            raise error(f"unknown {what} key {k!r}")
+    for k in required:
+        if k not in obj:
+            raise error(f"missing required {what} field {k!r}")
+    return obj
+
+
+def json_number(value, what: str, error=MeasureKitError) -> float:
+    """A real number (not NaN), or ``"inf"`` / ``"-inf"``, as a float."""
+    if isinstance(value, str) and value in ("inf", "-inf"):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or math.isnan(value):
+        raise error(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_list(value, what: str, error=MeasureKitError) -> list:
+    """``value``, checked to be a JSON list."""
+    if not isinstance(value, list):
+        raise error(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def json_pair(value, what: str, error=MeasureKitError) -> tuple[float, float]:
+    """A list of two numbers, read by ``json_number``."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise error(f"{what} must be a pair of numbers, got {value!r}")
+    return json_number(value[0], what, error), json_number(value[1], what, error)
 
 
 def expr_to_json(e: Expr) -> dict:
@@ -690,55 +716,54 @@ def expr_to_json(e: Expr) -> dict:
 
 
 def expr_from_json(obj: dict) -> Expr:
+    """Parse an expression node; an unknown tag or key is an error."""
     if not isinstance(obj, dict) or "node" not in obj:
         raise MeasureKitError("expression object must be a dict with a 'node' tag")
     tag = obj["node"]
-    if tag not in _NODE_TAGS:
-        raise MeasureKitError(f"unknown expression node tag {tag!r}")
+
+    def get(*keys, optional=()):
+        json_object(obj, f"{tag} node", ("node", *keys, *optional), required=keys)
+        return [obj[k] for k in keys]
+
+    def nums(*keys):
+        return [json_number(v, f"{tag} field {k!r}") for k, v in zip(keys, get(*keys))]
+
+    def exprs(items):
+        return [expr_from_json(t) for t in json_list(items, f"{tag} items")]
+
     if tag == "const":
-        return Const(float(obj["c"]))
+        return Const(*nums("c"))
     if tag == "affine":
-        return Affine(float(obj["a"]), float(obj["b"]))
+        return Affine(*nums("a", "b"))
     if tag == "power_signed":
-        return PowerSigned(float(obj["center"]), float(obj["p"]))
+        return PowerSigned(*nums("center", "p"))
     if tag == "exp_integral":
-        inner = obj.get("inner_anchor")
+        (mu,) = get("mu", optional=("anchor", "inner_anchor"))
+        anchor, inner = obj.get("anchor", 0.0), obj.get("inner_anchor")
         return ExpIntegral(
-            expr_from_json(obj["mu"]),
-            float(obj.get("anchor", 0.0)),
-            None if inner is None else float(inner),
+            expr_from_json(mu),
+            json_number(anchor, "exp_integral field 'anchor'"),
+            None if inner is None else json_number(inner, "exp_integral field 'inner_anchor'"),
         )
     if tag == "sum":
-        return Sum([expr_from_json(t) for t in obj["terms"]])
+        return Sum(exprs(*get("terms")))
     if tag == "product":
-        return Product([expr_from_json(t) for t in obj["factors"]])
+        return Product(exprs(*get("factors")))
     if tag == "compose":
-        return Compose(expr_from_json(obj["outer"]), expr_from_json(obj["inner"]))
+        return Compose(*map(expr_from_json, get("outer", "inner")))
     if tag == "piecewise":
-        return Piecewise([float(p) for p in obj["breakpoints"]], [expr_from_json(p) for p in obj["pieces"]])
+        points, pieces = get("breakpoints", "pieces")
+        points = [json_number(x, "piecewise breakpoint") for x in json_list(points, "breakpoints")]
+        return Piecewise(points, exprs(pieces))
     if tag == "tabulated":
-        samples = obj["samples"]
-        return Tabulated([s[0] for s in samples], [s[1] for s in samples])
-    raise AssertionError("unreachable")
+        pairs = [json_pair(xy, "tabulated sample") for xy in json_list(*get("samples"), "samples")]
+        return Tabulated([x for x, _ in pairs], [y for _, y in pairs])
+    raise MeasureKitError(f"unknown expression node tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------
 # SmoothPiece1D
 # ---------------------------------------------------------------------------
-
-
-def _expr_continuous(e: Expr) -> bool:
-    if isinstance(e, Piecewise):
-        return e.is_continuous() and all(_expr_continuous(p) for p in e.pieces)
-    if isinstance(e, Sum):
-        return all(_expr_continuous(t) for t in e.terms)
-    if isinstance(e, Product):
-        return all(_expr_continuous(t) for t in e.factors)
-    if isinstance(e, Compose):
-        return _expr_continuous(e.outer) and _expr_continuous(e.inner)
-    if isinstance(e, ExpIntegral):
-        return True  # an integral is continuous regardless of mu
-    return True
 
 
 @dataclass(frozen=True)
@@ -767,7 +792,7 @@ class SmoothPiece1D:
         the constructor used for scale functions and their inverses).
         """
         lo, hi = domain
-        if not _expr_continuous(e):
+        if not e.is_continuous():
             raise MeasureKitError("expression has a jump at a breakpoint; not usable as a function piece")
         kinks = []
         for c in e.breakpoints():
@@ -951,30 +976,30 @@ class DecomposedMeasure:
         return total
 
 
+def sc_from_json(obj: dict, support: tuple[float, float]) -> ScComponent:
+    """Parse a singular-continuous part; ``support`` is used when the object
+    declares none."""
+    json_object(obj, "sc", ("base_id", "base_cdf", "multiplier", "support"), ("base_id", "base_cdf", "multiplier"))
+    return ScComponent(
+        str(obj["base_id"]),
+        expr_from_json(obj["base_cdf"]).value,
+        expr_from_json(obj["multiplier"]).value,
+        json_pair(obj.get("support", support), "sc support"),
+    )
+
+
 def measure_from_json(obj: dict, support: tuple[float, float]) -> DecomposedMeasure:
-    if not isinstance(obj, dict):
-        raise MeasureKitError("measure object must be a dict")
-    unknown = set(obj) - {"ac", "atoms", "sc"}
-    if unknown:
-        raise MeasureKitError(f"unknown measure fields: {sorted(unknown)}")
-    ac = obj.get("ac")
-    density = None
-    if ac is not None:
-        e = expr_from_json(ac)
-        density = e.value
-    atoms = []
-    for pair in obj.get("atoms", []):
-        x, mass = pair
-        atoms.append((float(x), math.inf if mass == "inf" else float(mass)))
-    atoms.sort(key=lambda t: t[0])
-    sc_obj = obj.get("sc")
-    sc = None
-    if sc_obj is not None:
-        base = expr_from_json(sc_obj["base_cdf"])
-        mult = expr_from_json(sc_obj["multiplier"])
-        sup = tuple(sc_obj.get("support", (support[0], support[1])))
-        sc = ScComponent(str(sc_obj["base_id"]), base.value, mult.value, (float(sup[0]), float(sup[1])))
-    return DecomposedMeasure(support=support, ac_density=density, atoms=tuple(atoms), sc=sc)
+    """Parse a measure: ``ac`` density, ``atoms`` as [point, mass] pairs
+    (mass ``"inf"`` for absorption) and an ``sc`` part on ``support``."""
+    json_object(obj, "measure", ("ac", "atoms", "sc"))
+    ac, sc = obj.get("ac"), obj.get("sc")
+    atoms = [json_pair(pair, "atom") for pair in json_list(obj.get("atoms", []), "atoms")]
+    return DecomposedMeasure(
+        support=support,
+        ac_density=None if ac is None else expr_from_json(ac).value,
+        atoms=tuple(sorted(atoms, key=lambda t: t[0])),
+        sc=None if sc is None else sc_from_json(sc, support),
+    )
 
 
 # ---------------------------------------------------------------------------

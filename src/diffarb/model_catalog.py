@@ -25,6 +25,8 @@ from .measure_kit import (
     Piecewise,
     PowerSigned,
     SmoothPiece1D,
+    json_number,
+    json_object,
 )
 
 __all__ = ["CatalogEntry", "CATALOG", "build_model", "expected_verdict", "ExpectedVerdict", "catalog_names"]
@@ -51,28 +53,31 @@ class CatalogEntry:
     expected: Callable[..., ExpectedVerdict]
     rationale: str
 
-    def check_params(self, kw: dict) -> dict:
-        unknown = set(kw) - set(self.params)
-        if unknown:
-            raise ValueError(f"unknown parameters for {self.name!r}: {sorted(unknown)}")
+    def check_params(self, kw: Optional[dict]) -> dict:
+        """The defaults overridden by ``kw``, an object whose values are
+        numbers, ``"inf"``, rationals such as ``"4/3"``, or None where the
+        default is None."""
+        kw = json_object({} if kw is None else kw, f"{self.name} parameter", self.params, error=ValueError)
         full = {k: v[0] for k, v in self.params.items()}
-        full.update(kw)
+        for k, v in kw.items():
+            if isinstance(v, str) and v not in ("inf", "-inf"):
+                v = _rational(v)
+            full[k] = v if v is None and full[k] is None else json_number(v, f"parameter {k!r}", error=ValueError)
         return full
 
 
-def _frac(x) -> Fraction:
-    """Exact rational value of a parameter.
+def _rational(text: str) -> float:
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{text!r} is not a number") from None
 
-    Fractions, ints and strings like "4/3" stay exact; a float is snapped to
-    the nearest rational with a small denominator, recovering the intended
-    value of inputs such as 4/3 that are not exactly representable.
+
+def _frac(x) -> Fraction:
+    """Exact rational value of a parameter: the float is snapped to the
+    nearest rational with a small denominator, recovering the intended value
+    of inputs such as 4/3 that are not exactly representable.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(float(x)).limit_denominator(10**9)
 
 
@@ -553,17 +558,17 @@ def catalog_names() -> list[str]:
     return sorted(CATALOG)
 
 
-def build_model(name: str, params: Optional[dict] = None) -> DiffusionSpec:
-    if name not in CATALOG:
+def _entry(name: str) -> CatalogEntry:
+    if not isinstance(name, str) or name not in CATALOG:
         raise KeyError(f"unknown catalog model {name!r}; known: {catalog_names()}")
-    entry = CATALOG[name]
-    kw = entry.check_params(dict(params or {}))
-    return entry.builder(**kw)
+    return CATALOG[name]
+
+
+def build_model(name: str, params: Optional[dict] = None) -> DiffusionSpec:
+    entry = _entry(name)
+    return entry.builder(**entry.check_params(params))
 
 
 def expected_verdict(name: str, params: Optional[dict] = None) -> ExpectedVerdict:
-    if name not in CATALOG:
-        raise KeyError(f"unknown catalog model {name!r}; known: {catalog_names()}")
-    entry = CATALOG[name]
-    kw = entry.check_params(dict(params or {}))
-    return entry.expected(**kw)
+    entry = _entry(name)
+    return entry.expected(**entry.check_params(params))

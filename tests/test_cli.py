@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from diffarb.cli_app import main
 from diffarb.diffusion_model import derive_natural_scale
@@ -307,8 +308,10 @@ def test_simulate_rejects_bad_paths_and_levels(tmp_path, capsys):
 
 def test_report_label_restricted(tmp_path, capsys):
     out = tmp_path / "out"
-    for command in ("classify", "simulate"):
-        args = [command, "--catalog", "brownian_motion", "--paths", "100", "--grid", "64"]
+    for args in (
+        ["classify", "--catalog", "brownian_motion"],
+        ["simulate", "--catalog", "brownian_motion", "--paths", "100", "--grid", "64"],
+    ):
         assert run(args + ["--out", str(out), "--id", "../../../escaped"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "label" in err[0]
@@ -329,3 +332,73 @@ def test_report_label_restricted(tmp_path, capsys):
     # a conforming --id overrides a bad model_id
     assert run(["classify", "--model", str(path), "--out", str(out), "--id", "ok_label-1.0"]) == 0
     assert (out / "classify_ok_label-1.0.json").exists()
+
+
+_ONE = {"node": "const", "c": 1.0}
+_BM_DOC = {
+    "state_interval": {"alpha": "-inf", "beta": "inf"},
+    "scale": {"node": "affine", "a": 1.0, "b": 0.0},
+    "speed": {"ac": _ONE, "atoms": [], "sc": None},
+    "x0": 0.0,
+    "r": 0.0,
+}
+_CLOSED_AS_STRING = {
+    **_BM_DOC,
+    "state_interval": {"alpha": 1.0, "beta": "inf", "alpha_closed": "false"},
+    "speed": {"ac": _ONE, "atoms": [[1.0, 1.0]], "sc": None},
+    "x0": 1.5,
+    "r": 0.5,
+    "boundaries": {"left": "reflecting"},
+}
+MALFORMED_DOCS = {
+    "list_for_a_number": {**_BM_DOC, "scale": {"node": "affine", "a": [1], "b": 0}},
+    "number_for_a_list": {**_BM_DOC, "scale": {"node": "sum", "terms": 3}},
+    "sample_not_a_pair": {**_BM_DOC, "scale": {"node": "tabulated", "samples": [1, 2]}},
+    "atom_not_a_pair": {**_BM_DOC, "speed": {"ac": _ONE, "atoms": [[0.0]], "sc": None}},
+    "boundaries_not_an_object": {**_BM_DOC, "boundaries": ["left"]},
+    "state_interval_not_an_object": {**_BM_DOC, "state_interval": [0, 1]},
+    "zero_set_item_of_one": {**_BM_DOC, "qprime_zero_set": [[0.5]]},
+    "closed_flag_a_string": _CLOSED_AS_STRING,
+    "extra_node_key": {**_BM_DOC, "scale": {"node": "affine", "a": 1, "b": 0, "c": 5}},
+    "catalog_params_a_list": {"catalog": "brownian_motion", "params": [1]},
+    "catalog_param_a_list": {"catalog": "brownian_motion", "params": {"r": [1]}},
+    "catalog_name_a_list": {"catalog": ["brownian_motion"]},
+    "catalog_extra_key": {"catalog": "brownian_motion", "seed": 1},
+    "document_not_an_object": 5,
+}
+_BM = ["classify", "--catalog", "brownian_motion"]
+MALFORMED_ARGS = {
+    "params_without_value": _BM + ["--params", "foo"],
+    "params_zero_denominator": _BM + ["--params", "x0=1/0"],
+    "params_nan_rate": _BM + ["--params", "r=nan"],
+    "params_infinite_rate": _BM + ["--params", "r=inf"],
+    "tol_without_value": _BM + ["--tol", "rel"],
+    "unknown_flag": _BM + ["--bogus", "1"],
+    "classify_grid": _BM + ["--grid", "64"],
+    "report_grid": ["report", "--grid", "64"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [pytest.param(["classify"], doc, id=name) for name, doc in MALFORMED_DOCS.items()]
+    + [pytest.param(argv, None, id=name) for name, argv in MALFORMED_ARGS.items()],
+)
+def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + ["--model", str(path)]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["classify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+    assert "--tol" in capsys.readouterr().out
