@@ -90,6 +90,12 @@ def _combine(statuses: Sequence[str]) -> str:
     return HOLDS
 
 
+def _within(residual: float, scale: float, cfg: QuadConfig) -> bool:
+    """The NIP.ii equality test: |lhs - rhs| within eq_rel of the size of
+    the two sides, floored at 1e-15."""
+    return abs(residual) <= cfg.eq_rel * max(scale, 1e-15)
+
+
 def _and_then(prev: str, cond: str) -> str:
     """Conjunction of a verdict with an extra condition status."""
     if prev == FAILS or cond == "fail":
@@ -179,8 +185,7 @@ def _check_singular_parts(
         q_at = float(q_val(np.asarray(p)))
         lhs = r * q_at * mm
         rhs = 0.5 * qm
-        scale = abs(r) * abs(q_at) * abs(mm) + 0.5 * abs(qm)
-        ok = abs(lhs - rhs) <= cfg.eq_rel * max(scale, 1e-15)
+        ok = _within(lhs - rhs, abs(r) * abs(q_at) * abs(mm) + 0.5 * abs(qm), cfg)
         reports.append(
             ConditionReport(
                 "NIP.ii",
@@ -213,9 +218,8 @@ def _check_singular_parts(
             np.asarray(m_sc.multiplier(us), float) if m_sc is not None else 0.0
         )
         rhs = 0.5 * (np.asarray(q_sc.multiplier(us), float) if q_sc is not None else 0.0)
-        scale = float(np.max(np.abs(lhs)) + np.max(np.abs(rhs)))
         worst = float(np.max(np.abs(lhs - rhs)))
-        ok = worst <= cfg.eq_rel * max(scale, 1e-15)
+        ok = _within(worst, float(np.max(np.abs(lhs)) + np.max(np.abs(rhs))), cfg)
         reports.append(
             ConditionReport(
                 "NIP.ii",
@@ -270,7 +274,8 @@ def check_nip_zero_rate(
     view: NaturalScaleView, spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD
 ) -> tuple[str, list[ConditionReport]]:
     """Zero-rate fast path: reflecting boundaries need a flat inverse scale
-    at the boundary image, and q'' must have no singular part."""
+    at the boundary image, and q'' must have no singular part. Each zero is
+    tested as the general path tests it at r = 0."""
     if spec.r != 0.0:
         raise SpecValidationError("zero-rate NIP check called with r != 0")
     reports: list[ConditionReport] = []
@@ -278,7 +283,7 @@ def check_nip_zero_rate(
         if beh.kind != "reflecting":
             continue
         val = view.boundary_slope(side)
-        ok = abs(val) <= cfg.eq_rel
+        ok = close_rel(0.0, 0.5 * val, cfg.eq_rel)
         reports.append(
             ConditionReport(
                 "NIP.i.b",
@@ -288,8 +293,15 @@ def check_nip_zero_rate(
             )
         )
     lo_u, hi_u = view.sJ
-    si_atoms = view.qpp.interior_atoms(lo_u, hi_u)
-    si_clean = not si_atoms and view.qpp.sc is None
+    si_atoms = [(p, m) for p, m in view.qpp.interior_atoms(lo_u, hi_u) if not _within(0.5 * m, 0.5 * abs(m), cfg)]
+    q_sc = view.qpp.sc
+    sc_zero = q_sc is None
+    if q_sc is not None:
+        base = view.mU.sc or q_sc
+        us = np.linspace(base.support[0], base.support[1], 514)[1:-1]
+        half = float(np.max(np.abs(0.5 * np.asarray(q_sc.multiplier(us), float))))
+        sc_zero = _within(half, half, cfg)
+    si_clean = not si_atoms and sc_zero
     reports.append(
         ConditionReport(
             "NIP.ii",
@@ -386,13 +398,9 @@ def _phi_reflecting_collars(view: NaturalScaleView, spec: DiffusionSpec) -> list
 
 
 def check_nsa(
-    view: NaturalScaleView,
-    spec: DiffusionSpec,
-    cfg: QuadConfig = DEFAULT_QUAD,
-    nip_status: Optional[str] = None,
+    view: NaturalScaleView, spec: DiffusionSpec, nip_status: str
 ) -> tuple[str, list[ConditionReport]]:
-    if nip_status is None:
-        nip_status, _ = check_nip(view, spec, cfg)
+    """NIP (its verdict ``nip_status``) and the square-integrability of phi."""
     reports = [_phi_l2_interior(view, spec)]
     reports.extend(_phi_reflecting_collars(view, spec))
     status = nip_status
@@ -402,13 +410,10 @@ def check_nsa(
 
 
 def check_nupbr(
-    view: NaturalScaleView,
-    spec: DiffusionSpec,
-    cfg: QuadConfig = DEFAULT_QUAD,
-    nsa_status: Optional[str] = None,
+    view: NaturalScaleView, spec: DiffusionSpec, nsa_status: str
 ) -> tuple[str, list[ConditionReport]]:
-    if nsa_status is None:
-        nsa_status, _ = check_nsa(view, spec, cfg)
+    """NSA (its verdict ``nsa_status``) and the weighted collar condition at
+    every absorbing boundary."""
     reports: list[ConditionReport] = []
     has_absorbing = False
     for side, beh in view.boundaries:
@@ -468,8 +473,8 @@ def classify(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) -> Verdict:
             raise RuntimeError(
                 f"internal inconsistency: zero-rate fast path says {zr}, general path {nip}"
             )
-    nsa, nsa_reports = check_nsa(view, spec, cfg, nip_status=nip)
-    nupbr, nupbr_reports = check_nupbr(view, spec, cfg, nsa_status=nsa)
+    nsa, nsa_reports = check_nsa(view, spec, nip)
+    nupbr, nupbr_reports = check_nupbr(view, spec, nsa)
     rp, rp_report = check_rp(view, spec)
 
     # ordering: holds can only weaken along NUPBR -> NSA -> NIP

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -52,12 +52,9 @@ __all__ = [
     "NaturalScaleView",
     "AssumptionCheck",
     "AssumptionReport",
-    "DecompositionFields",
-    "BoundaryTerm",
     "classify_boundary",
     "derive_natural_scale",
     "check_semimartingale_assumption",
-    "semimartingale_decomposition_fields",
     "load_model_spec",
     "inverse_piece",
 ]
@@ -83,9 +80,6 @@ class StateInterval:
             raise SpecValidationError("a closed endpoint must be finite")
         if self.beta_closed and not math.isfinite(self.beta):
             raise SpecValidationError("a closed endpoint must be finite")
-
-    def interior(self) -> tuple[float, float]:
-        return (self.alpha, self.beta)
 
     def contains_interior(self, x: float) -> bool:
         return self.alpha < x < self.beta
@@ -139,7 +133,6 @@ class DiffusionSpec:
     speed_natural: Optional[DecomposedMeasure] = None
     declared_boundaries: tuple[tuple[str, str], ...] = ()  # (side, kind)
     qpp_sc: Optional[ScComponent] = None
-    speed_sc_natural: Optional[ScComponent] = None
 
     def __post_init__(self):
         for name in ("x0", "r", "horizon"):
@@ -430,20 +423,14 @@ def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) ->
     else:
         q = inverse_piece(spec.scale, sJ)
 
-    qpp = second_derivative_decomposition(q, q.kinks, sc=spec.qpp_sc, validate_bv=False)
+    qpp = second_derivative_decomposition(q, q.kinks, sc=spec.qpp_sc)
 
     zero_ivals = tuple((a, b) for a, b in spec.qprime_zero_set if b > a)
     if spec.speed_natural is not None:
         mU = spec.speed_natural
-        if spec.speed_sc_natural is not None and mU.sc is None:
-            mU = replace(mU, sc=spec.speed_sc_natural)
         _validate_speed_hint(spec, mU, zero_ivals, cfg)
     else:
-        mU = pushforward(
-            spec.speed, spec.scale, qprime_zero_intervals=zero_ivals, annotated=False
-        )
-        if spec.speed_sc_natural is not None:
-            mU = replace(mU, sc=spec.speed_sc_natural)
+        mU = pushforward(spec.speed, spec.scale, qprime_zero_intervals=zero_ivals)
 
     return NaturalScaleView(
         sJ=sJ,
@@ -596,71 +583,6 @@ def check_semimartingale_assumption(view: NaturalScaleView, spec: DiffusionSpec)
             )
 
     return AssumptionReport(passed=all(c.ok for c in checks), checks=tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# Concrete semimartingale decomposition fields
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundaryTerm:
-    side: str
-    lt_coefficient: float  # q'_+(s(b))/2 on the left, q'_-(s(b))/2 on the right
-    atom_drift: float  # r * b * mU({s(b)})
-
-    @property
-    def net(self) -> float:
-        return self.lt_coefficient - self.atom_drift
-
-
-@dataclass(frozen=True)
-class DecompositionFields:
-    """Pieces of the discounted-price decomposition at natural scale.
-
-    qv_factor(u) = [q'_+(u)]^2 multiplies d<U,U>; the interior drift measure
-    is q''(dx)/2 - r q(x) mU(dx); each reflecting boundary contributes its
-    local-time coefficient net of the sticky-atom drift.
-    """
-
-    qv_factor: Callable[[np.ndarray], np.ndarray]
-    drift_measure: DecomposedMeasure
-    boundary_terms: tuple[BoundaryTerm, ...]
-
-
-def semimartingale_decomposition_fields(
-    view: NaturalScaleView, spec: DiffusionSpec
-) -> DecompositionFields:
-    qp = view.q.d_plus
-    q_val = view.q.value
-    r = view.r
-
-    def qv(u):
-        d = np.asarray(qp(np.atleast_1d(np.asarray(u, float))), float)
-        return d * d
-
-    lo_u, hi_u = view.sJ
-    atoms: dict[float, float] = {}
-    for p, m in view.qpp.interior_atoms(lo_u, hi_u):
-        atoms[p] = atoms.get(p, 0.0) + 0.5 * m
-    if r != 0.0:
-        for p, m in view.mU.interior_atoms(lo_u, hi_u):
-            atoms[p] = atoms.get(p, 0.0) - r * float(q_val(np.asarray(p))) * m
-    drift = DecomposedMeasure(
-        support=view.sJ,
-        ac_density=view.drift_density,
-        atoms=tuple(sorted((p, m) for p, m in atoms.items() if m != 0.0)),
-        ac_breakpoints=view.qpp.ac_breakpoints,
-    )
-
-    terms = []
-    for side, beh in view.boundaries:
-        if beh.kind != "reflecting":
-            continue
-        b = view.boundary_value(spec, side)
-        atom = view.mU.atom_mass_at(view.boundary_image(side))
-        terms.append(BoundaryTerm(side, 0.5 * view.boundary_slope(side), view.r * b * atom))
-    return DecompositionFields(qv_factor=qv, drift_measure=drift, boundary_terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------

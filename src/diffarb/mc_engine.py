@@ -112,10 +112,11 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(x, ddof=1) / math.sqrt(x.size))
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """Wilson 95% confidence interval for a binomial proportion."""
     if n == 0:
         return (0.0, 1.0)
+    z = 1.959963984540054
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -411,29 +412,25 @@ def gamma_drift_rates(chain: ChainModel, view: NaturalScaleView) -> np.ndarray:
 
 @dataclass
 class PathBatch:
-    """Summaries of a sampled batch plus the handle to re-stream it.
+    """Summaries of a sampled batch.
 
-    Re-running ``sample_paths`` with the recorded seed reproduces the paths
-    bit-exactly (counter-based generator, fixed chunk layout), so estimators
-    on one stream share a batch through its accumulators instead of storing
-    full event logs.
+    Re-running ``sample_paths`` with the same seed and stream reproduces the
+    paths bit-exactly (counter-based generator, fixed chunk layout), so
+    estimators on one stream share a batch through its accumulators instead
+    of storing full event logs.
     """
 
     chain: ChainModel
-    seed: int
     n_paths: int
     T: float
     terminal_state: np.ndarray
     discarded: np.ndarray
     occupation: np.ndarray  # summed over paths, per state
-    marked_occupation: dict[int, np.ndarray]
     hit_time: dict[int, np.ndarray]
     payoff: Optional[np.ndarray] = None
     residual: Optional[np.ndarray] = None
-    mesh_times: Optional[np.ndarray] = None
     mesh_state: Optional[np.ndarray] = None
-    mesh_marked_occ: Optional[np.ndarray] = None  # (paths, mesh, marked states)
-    mesh_marked_states: tuple[int, ...] = ()
+    mesh_occupation: Optional[np.ndarray] = None  # (paths, mesh, mesh states)
 
     @property
     def kept(self) -> np.ndarray:
@@ -460,13 +457,12 @@ def sample_paths(
     n_paths: int,
     seed: int,
     T: float,
-    marked_states: Sequence[int] = (),
     hit_levels: Sequence[int] = (),
     position_table: Optional[np.ndarray] = None,
     residual_rates: Optional[np.ndarray] = None,
     residual_weight: Optional[np.ndarray] = None,
     mesh_times: Optional[Sequence[float]] = None,
-    mesh_marked_states: Sequence[int] = (),
+    mesh_states: Sequence[int] = (),
     stream: int = 0,
 ) -> PathBatch:
     """Sample CTMC paths to the horizon with occupation bookkeeping.
@@ -477,7 +473,7 @@ def sample_paths(
     against the discounted price; residual_rates subtracts a per-state
     predicted drift rate from the price increments (weighted per state by
     residual_weight); mesh_times records the state and the occupation of
-    the ``mesh_marked_states`` at fixed times.
+    the ``mesh_states`` at fixed times.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -490,7 +486,6 @@ def sample_paths(
     terminal = np.full(n_paths, -1, dtype=np.int64)
     discarded = np.zeros(n_paths, dtype=bool)
     occupation = np.zeros(n_states)
-    marked = {int(s): np.zeros(n_paths) for s in marked_states}
     hits = {int(s): np.full(n_paths, np.inf) for s in hit_levels}
     want_payoff = position_table is not None
     payoff = np.zeros(n_paths) if want_payoff else None
@@ -500,13 +495,10 @@ def sample_paths(
         np.ones(n_states) if want_resid else None
     )
     mesh = None if mesh_times is None else np.asarray(list(mesh_times), float)
-    mesh_marks = tuple(int(s) for s in mesh_marked_states)
+    mesh_ids = tuple(int(s) for s in mesh_states)
     if mesh is not None:
         mesh_state = np.full((n_paths, mesh.size), -1, dtype=np.int64)
-        mesh_occ = np.zeros((n_paths, mesh.size, len(mesh_marks)))
-        for ms in mesh_marks:
-            if ms not in marked:
-                marked[ms] = np.zeros(n_paths)
+        mesh_occ = np.zeros((n_paths, mesh.size, len(mesh_ids)))
     else:
         mesh_state = mesh_occ = None
 
@@ -528,7 +520,8 @@ def sample_paths(
         st = np.full(m, chain.start_index, dtype=np.int64)
         tt = np.zeros(m)
         disc_old = np.ones(m) if discount else None  # exp(-r tt)
-        acc_marked = {ms: np.zeros(m) for ms in marked}
+        # per-path occupation of the mesh states, for the snapshots
+        acc_occ = {ms: np.zeros(m) for ms in mesh_ids}
         acc_hit = {lv: np.full(m, np.inf) for lv in hits}
         acc_pay = np.zeros(m) if want_payoff else None
         acc_res = np.zeros(m) if want_resid else None
@@ -536,8 +529,6 @@ def sample_paths(
 
         def _flush(sel_local: np.ndarray) -> None:
             rows = ids[sel_local]
-            for ms, acc in acc_marked.items():
-                marked[ms][rows] = acc[sel_local]
             for lv, acc in acc_hit.items():
                 hits[lv][rows] = acc[sel_local]
             if want_payoff:
@@ -556,12 +547,12 @@ def sample_paths(
             t_next = np.minimum(t_new, T)
 
             occupation += np.bincount(st, weights=dwell, minlength=n_states)
-            for ms, acc in acc_marked.items():
+            for ms, acc in acc_occ.items():
                 acc += np.where(st == ms, dwell, 0.0)
 
             if mesh is not None and np.any(mesh_ext[mesh_next] <= t_next):
                 # record snapshots at every mesh time inside this sojourn;
-                # marked occupancy was advanced by the whole dwell already,
+                # the occupation was advanced by the whole dwell already,
                 # so roll it back to the snapshot time
                 while True:
                     mt = mesh_ext[mesh_next]
@@ -570,8 +561,8 @@ def sample_paths(
                         break
                     rows = ids[inside]
                     mesh_state[rows, mesh_next[inside]] = st[inside]
-                    for j, ms in enumerate(mesh_marks):
-                        base = acc_marked[ms][inside]
+                    for j, ms in enumerate(mesh_ids):
+                        base = acc_occ[ms][inside]
                         rollback = np.where(
                             st[inside] == ms, t_next[inside] - mt[inside], 0.0
                         )
@@ -630,8 +621,8 @@ def sample_paths(
                 tt = t_next[keep]
                 if discount:
                     disc_old = disc_new[keep]
-                for ms in acc_marked:
-                    acc_marked[ms] = acc_marked[ms][keep]
+                for ms in acc_occ:
+                    acc_occ[ms] = acc_occ[ms][keep]
                 for lv in acc_hit:
                     acc_hit[lv] = acc_hit[lv][keep]
                 if want_payoff:
@@ -648,20 +639,16 @@ def sample_paths(
 
     return PathBatch(
         chain=chain,
-        seed=seed,
         n_paths=n_paths,
         T=T,
         terminal_state=terminal,
         discarded=discarded,
         occupation=occupation,
-        marked_occupation=marked,
         hit_time=hits,
         payoff=payoff,
         residual=resid,
-        mesh_times=mesh,
         mesh_state=mesh_state,
-        mesh_marked_occ=mesh_occ,
-        mesh_marked_states=mesh_marks,
+        mesh_occupation=mesh_occ,
     )
 
 
@@ -674,19 +661,12 @@ def estimate_local_time_field(batch: PathBatch, chain: ChainModel) -> np.ndarray
     """Mean local-time field: occupation / (paths * cell mass) per state.
 
     Inverts the occupation identity at chain resolution. States with zero
-    cell mass get NaN; requesting them explicitly is an error.
+    cell mass get NaN.
     """
     n = max(batch.n_kept, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         lt = batch.occupation / (n * chain.cell_mass)
     return np.where(chain.cell_mass > 0, lt, np.nan)
-
-
-def local_time_at(batch: PathBatch, chain: ChainModel, index: int) -> float:
-    """One entry of ``estimate_local_time_field``; a zero-mass state raises."""
-    if chain.cell_mass[index] <= 0:
-        raise ValueError(f"cell {index} has zero speed mass; local time undefined there")
-    return float(estimate_local_time_field(batch, chain)[index])
 
 
 @dataclass(frozen=True)
@@ -697,10 +677,6 @@ class TradeoffEstimate:
     estimates: tuple[float, ...]
     ratios: tuple[float, ...]
     divergence: bool
-    seed: int
-
-    def last(self) -> float:
-        return self.estimates[-1]
 
 
 def _tradeoff_single(view: NaturalScaleView, chain: ChainModel, batch: PathBatch) -> float:
@@ -721,15 +697,12 @@ def estimate_tradeoff(
     seed: int = 42,
     base_grid: int = 256,
     levels: int = 3,
-    divergence_ratio: float = 1.5,
-    grid_in: str = "natural",
-    horizon: Optional[float] = None,
 ) -> TradeoffEstimate:
     """Estimate K_T across a grid-refinement ladder and flag divergence.
 
-    The flag is raised when the last two level-to-level ratios both exceed
-    ``divergence_ratio``: a 1/x-type pole of phi doubles the estimate per
-    refinement, while an integrable phi keeps the ladder flat.
+    The flag is raised when the last two level-to-level ratios both reach
+    1.5: a 1/x-type pole of phi doubles the estimate per refinement, while
+    an integrable phi keeps the ladder flat.
     """
     if levels < 3:
         raise ValueError("the refinement ladder needs at least 3 levels")
@@ -737,23 +710,20 @@ def estimate_tradeoff(
     ests = []
     for lv in range(levels):
         N = base_grid * 2**lv
-        chain = build_chain(view, spec, N=N, grid_in=grid_in, horizon=horizon)
-        batch = sample_paths(
-            chain, n_paths, seed, T=(spec.horizon if horizon is None else horizon), stream=100 + lv
-        )
+        chain = build_chain(view, spec, N=N)
+        batch = sample_paths(chain, n_paths, seed, T=spec.horizon, stream=100 + lv)
         grids.append(N)
         ests.append(_tradeoff_single(view, chain, batch))
     ratios = tuple(
         (ests[i + 1] / ests[i]) if ests[i] > 0 else math.inf if ests[i + 1] > 0 else 1.0
         for i in range(len(ests) - 1)
     )
-    divergence = len(ratios) >= 2 and all(rho >= divergence_ratio for rho in ratios[-2:])
+    divergence = len(ratios) >= 2 and all(rho >= 1.5 for rho in ratios[-2:])
     return TradeoffEstimate(
         grid_sizes=tuple(grids),
         estimates=tuple(ests),
         ratios=ratios,
         divergence=divergence,
-        seed=seed,
     )
 
 
@@ -923,7 +893,6 @@ def martingale_diagnostic(
     n_paths: int = 5000,
     seed: int = 42,
     N: int = 512,
-    mesh_points: int = 8,
     target_states: Optional[Sequence[int]] = None,
     grid_in: str = "natural",
     horizon: Optional[float] = None,
@@ -931,7 +900,7 @@ def martingale_diagnostic(
     """Empirical martingale tests on the chain.
 
     'U_minus_half_L': with a reflecting left boundary, increments of
-    U - L/2 over a time mesh must be centered (L estimated as boundary
+    U - L/2 over a mesh of 8 times must be centered (L estimated as boundary
     occupation over the boundary cell mass).
 
     'discounted_price_drift': price increments minus the drift predicted by
@@ -955,14 +924,14 @@ def martingale_diagnostic(
             b_idx = 0 if side == "left" else chain.n_states - 1
             sign = 1.0 if side == "left" else -1.0
             comps.append((b_idx, sign, chain.cell_mass[b_idx]))
-        mesh = np.linspace(0.0, T, mesh_points + 1)[1:]
+        mesh = np.linspace(0.0, T, 9)[1:]
         batch = sample_paths(
             chain,
             n_paths,
             seed,
             T,
             mesh_times=mesh,
-            mesh_marked_states=[idx for idx, _, _ in comps],
+            mesh_states=[idx for idx, _, _ in comps],
             stream=11,
         )
         keep = batch.kept
@@ -973,7 +942,7 @@ def martingale_diagnostic(
         )
         incr = np.diff(u_full, axis=1)
         for j, (idx, sign, cm) in enumerate(comps):
-            occ = batch.mesh_marked_occ[keep][:, :, j]
+            occ = batch.mesh_occupation[keep][:, :, j]
             occ_full = np.concatenate([np.zeros((occ.shape[0], 1)), occ], axis=1)
             incr = incr - sign * np.diff(occ_full, axis=1) / (2.0 * cm)
         flat = incr.ravel()
@@ -984,7 +953,7 @@ def martingale_diagnostic(
             mean=mean,
             se=se,
             n_samples=flat.size,
-            note=f"{mesh_points} mesh increments per path, "
+            note=f"{mesh.size} mesh increments per path, "
             f"{len(comps)} reflecting compensator(s)",
         )
 

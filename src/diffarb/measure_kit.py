@@ -32,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "MeasureKitError",
-    "DomainError",
     "QuadratureError",
     "KinkMismatchError",
     "QuadConfig",
@@ -73,10 +72,6 @@ __all__ = [
 
 class MeasureKitError(Exception):
     """Base error for this module."""
-
-
-class DomainError(MeasureKitError):
-    """Argument outside the domain of a function handle."""
 
 
 class QuadratureError(MeasureKitError):
@@ -247,9 +242,9 @@ class Expr:
         """Points where the first derivative diverges to +inf."""
         return _union(c.infinite_slope_points() for c in self.children())
 
-    def is_continuous(self, tol: float = 1e-9) -> bool:
+    def is_continuous(self) -> bool:
         """No jump anywhere; only ``Piecewise`` can introduce one."""
-        return all(c.is_continuous(tol) for c in self.children())
+        return all(c.is_continuous() for c in self.children())
 
     def __call__(self, x):
         return self.value(_arr(x))
@@ -343,19 +338,18 @@ class ExpIntegral(Expr):
 
     The canonical representation of a scale function with mu in L2_loc;
     both anchors are fixed at construction. Evaluation uses nested adaptive
-    quadrature at relative tolerance 1e-10 (the ``rtol`` field).
+    quadrature at relative tolerance 1e-10.
     """
 
     mu: Expr
     anchor: float = 0.0
     inner_anchor: Optional[float] = None
-    rtol: float = 1e-10
 
     def _a_inner(self) -> float:
         return self.anchor if self.inner_anchor is None else self.inner_anchor
 
     def _inner(self, y: float) -> float:
-        return adaptive_quad(self.mu.value, self._a_inner(), y, rtol=self.rtol, atol=1e-14)
+        return adaptive_quad(self.mu.value, self._a_inner(), y, rtol=1e-10, atol=1e-14)
 
     def _growth(self, y):
         ys = _arr(y)
@@ -372,7 +366,7 @@ class ExpIntegral(Expr):
         prev = self.anchor
         for idx in order:
             xi = float(flat[idx])
-            acc += adaptive_quad(lambda y: self._growth(y), prev, xi, rtol=self.rtol, atol=1e-14)
+            acc += adaptive_quad(lambda y: self._growth(y), prev, xi, rtol=1e-10, atol=1e-14)
             vals[idx] = acc
             prev = xi
         return vals.reshape(np.shape(xs)) if np.shape(xs) else vals[0]
@@ -551,13 +545,13 @@ class Piecewise(Expr):
     def children(self):
         return self.pieces
 
-    def is_continuous(self, tol: float = 1e-9) -> bool:
+    def is_continuous(self) -> bool:
         for i, p in enumerate(self.points):
             left = float(self.pieces[i].value(np.asarray(p)))
             right = float(self.pieces[i + 1].value(np.asarray(p)))
-            if not close_rel(left, right, tol, floor=1e-12):
+            if not close_rel(left, right, 1e-9, floor=1e-12):
                 return False
-        return super().is_continuous(tol)
+        return super().is_continuous()
 
     def _index(self, x: np.ndarray, side: int) -> np.ndarray:
         pts = np.asarray(self.points)
@@ -814,23 +808,11 @@ class SmoothPiece1D:
             expr=e,
         )
 
-    def contains(self, x: float) -> bool:
-        lo, hi = self.domain
-        return lo <= x <= hi
-
-    def eval(self, x) -> np.ndarray:
-        """Domain-checked evaluation; arguments outside raise DomainError."""
-        arr = _arr(x)
-        lo, hi = self.domain
-        if np.any(arr < lo) or np.any(arr > hi):
-            raise DomainError(f"argument outside the domain [{lo}, {hi}]")
-        return self.value(arr)
-
-    def check_increasing(self, n: int = 512) -> None:
+    def check_increasing(self) -> None:
         lo, hi = self.domain
         a = lo if math.isfinite(lo) else -1e6
         b = hi if math.isfinite(hi) else 1e6
-        xs = np.linspace(a, b, n)
+        xs = np.linspace(a, b, 512)
         vals = _arr(self.value(xs))
         if np.any(np.diff(vals) <= 0):
             bad = int(np.argmax(np.diff(vals) <= 0))
@@ -939,14 +921,14 @@ class DecomposedMeasure:
         hi_cut = hi - eps * (1 + abs(hi)) if math.isfinite(hi) else hi
         return tuple((p, m) for p, m in self.atoms if lo_cut < p < hi_cut)
 
-    def sc_mass(self, a: float, b: float, n: int = 1024) -> float:
+    def sc_mass(self, a: float, b: float) -> float:
         if self.sc is None:
             return 0.0
         lo = max(a, self.sc.support[0])
         hi = min(b, self.sc.support[1])
         if hi <= lo:
             return 0.0
-        grid = np.linspace(lo, hi, n + 1)
+        grid = np.linspace(lo, hi, 1025)
         cdf = _arr(self.sc.base_cdf(grid))
         mids = 0.5 * (grid[:-1] + grid[1:])
         mult = _arr(self.sc.multiplier(mids))
@@ -1011,7 +993,6 @@ def pushforward(
     m: DecomposedMeasure,
     s: SmoothPiece1D,
     qprime_zero_intervals: Sequence[tuple[float, float]] = (),
-    annotated: bool = False,
 ) -> DecomposedMeasure:
     """Image measure of ``m`` under the strictly increasing map ``s``.
 
@@ -1019,9 +1000,9 @@ def pushforward(
     m_ac(q(u)) * q'(u), q = s^{-1}. An sc part keeps its base_id and gets its
     cdf composed with q. If the inverse has a zero-derivative set of positive
     measure (``qprime_zero_intervals`` nonempty) the ac part cannot be pushed
-    as a density unless the caller annotated the situation explicitly.
+    as a density, and the call is an error.
     """
-    if qprime_zero_intervals and not annotated:
+    if qprime_zero_intervals:
         raise MeasureKitError(
             "pushforward through a map whose inverse has q' = 0 on a set of "
             "positive measure requires an explicit annotation"
@@ -1082,13 +1063,13 @@ def second_derivative_decomposition(
     q: SmoothPiece1D,
     kinks: Sequence[tuple[float, float]],
     sc: Optional[ScComponent] = None,
-    validate_bv: bool = True,
 ) -> DecomposedMeasure:
     """Second-derivative measure of a convex-difference function.
 
     ``kinks`` is the declared list of (point, jump of q'_+). Each declared
     jump is validated against the one-sided derivative handles; the AC
     density is taken from ``q.d2_ac`` and the sc part from the declaration.
+    Local finite variation of q' is tested by the semimartingale check.
     """
     atoms = []
     for c, jump in sorted(kinks, key=lambda t: t[0]):
@@ -1101,16 +1082,6 @@ def second_derivative_decomposition(
             )
         if abs(jump) > 0:
             atoms.append((c, jump))
-    if validate_bv:
-        lo, hi = q.domain
-        a = lo if math.isfinite(lo) else -4.0
-        b = hi if math.isfinite(hi) else 4.0
-        tv, stable = sampled_total_variation(q.d_plus, (a, b))
-        if not stable:
-            raise MeasureKitError(
-                "q'_+ does not have locally finite variation (sampled TV unstable); "
-                "q is not the difference of two convex functions"
-            )
     lo, hi = q.domain
     breaks: set[float] = {c for c, _ in q.kinks}
     breaks.update(q.infinite_slope)
@@ -1128,19 +1099,16 @@ def second_derivative_decomposition(
 def sampled_total_variation(
     dfun: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
-    levels: Sequence[int] = (9, 10, 11, 12),
-    growth_tol: float = 1.10,
 ) -> tuple[list[float], bool]:
-    """Total variation of a derivative handle on refining grids.
+    """Total variation of a derivative handle on grids of 2^9 to 2^12 cells.
 
     Returns the TV estimates and a stability flag: stable means the last
-    refinement grew by less than ``growth_tol`` and stayed finite. Grids are
-    offset slightly so isolated non-differentiability points are not hit
-    exactly.
+    refinement grew by less than 10 % and stayed finite. Grids are offset
+    slightly so isolated non-differentiability points are not hit exactly.
     """
     a, b = interval
     tvs: list[float] = []
-    for k in levels:
+    for k in (9, 10, 11, 12):
         n = 2**k
         xs = np.linspace(a, b, n + 1) + (b - a) * 0.5 / (n * 7919.0)
         vals = _arr(dfun(xs))
@@ -1149,7 +1117,7 @@ def sampled_total_variation(
         tvs.append(float(np.sum(np.abs(np.diff(vals)))))
     if tvs[-1] == 0.0:
         return tvs, True
-    return tvs, tvs[-1] <= growth_tol * tvs[-2] + 1e-12
+    return tvs, tvs[-1] <= 1.10 * tvs[-2] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -1171,9 +1139,6 @@ class LocalBehavior:
             raise MeasureKitError("side must be 'left', 'right' or 'both'")
         if self.coeff == 0:
             raise MeasureKitError("LocalBehavior requires a nonzero coefficient")
-
-    def covers(self, direction: int) -> bool:
-        return self.side == "both" or (self.side == "right") == (direction > 0)
 
 
 @dataclass(frozen=True)

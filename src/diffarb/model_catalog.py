@@ -55,14 +55,19 @@ class CatalogEntry:
 
     def check_params(self, kw: Optional[dict]) -> dict:
         """The defaults overridden by ``kw``, an object whose values are
-        numbers, ``"inf"``, rationals such as ``"4/3"``, or None where the
-        default is None."""
+        numbers, rationals such as ``"4/3"``, ``"inf"`` or ``"-inf"`` where
+        the default is infinite, or None where the default is None."""
         kw = json_object({} if kw is None else kw, f"{self.name} parameter", self.params, error=ValueError)
         full = {k: v[0] for k, v in self.params.items()}
         for k, v in kw.items():
+            if v is None and full[k] is None:
+                continue
             if isinstance(v, str) and v not in ("inf", "-inf"):
                 v = _rational(v)
-            full[k] = v if v is None and full[k] is None else json_number(v, f"parameter {k!r}", error=ValueError)
+            v = json_number(v, f"parameter {k!r}", error=ValueError)
+            if math.isinf(v) and not (full[k] is not None and math.isinf(full[k])):
+                raise ValueError(f"parameter {k!r} must be finite, got {v}")
+            full[k] = v
         return full
 
 
@@ -93,7 +98,7 @@ def _lebesgue(support) -> DecomposedMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _build_brownian_motion(r: float = 0.0, x0: float = 0.0) -> DiffusionSpec:
+def _build_brownian_motion(r: float, x0: float) -> DiffusionSpec:
     J = StateInterval(-_R_INF, _R_INF)
     scale = SmoothPiece1D.from_expr(Affine(1.0, 0.0), (J.alpha, J.beta))
     return DiffusionSpec(
@@ -108,7 +113,7 @@ def _build_brownian_motion(r: float = 0.0, x0: float = 0.0) -> DiffusionSpec:
     )
 
 
-def _expected_brownian_motion(r=0.0, x0=0.0) -> ExpectedVerdict:
+def _expected_brownian_motion(r, x0) -> ExpectedVerdict:
     return ExpectedVerdict.of(True, True, True, True)
 
 
@@ -117,7 +122,7 @@ def _expected_brownian_motion(r=0.0, x0=0.0) -> ExpectedVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _build_sticky_reflected_bm(r: float = 0.5, rho: float = 1.0, x0: float = 1.5) -> DiffusionSpec:
+def _build_sticky_reflected_bm(r: float, rho: float, x0: float) -> DiffusionSpec:
     if rho < 0:
         raise ValueError("stickiness rho must be >= 0")
     J = StateInterval(1.0, _R_INF, alpha_closed=True)
@@ -143,7 +148,7 @@ def _build_sticky_reflected_bm(r: float = 0.5, rho: float = 1.0, x0: float = 1.5
     )
 
 
-def _expected_sticky_reflected_bm(r=0.5, rho=1.0, x0=1.5) -> ExpectedVerdict:
+def _expected_sticky_reflected_bm(r, rho, x0) -> ExpectedVerdict:
     ok = 2 * _frac(r) * _frac(rho) == 1
     return ExpectedVerdict.of(ok, ok, ok, True)
 
@@ -207,20 +212,18 @@ def _bessel_family(delta: float, r: float, x0: float, m0: float) -> DiffusionSpe
     )
 
 
-def _build_squared_bessel(delta: float = 1.0, r: float = 0.0, x0: float = 1.0) -> DiffusionSpec:
+def _build_squared_bessel(delta: float, r: float, x0: float) -> DiffusionSpec:
     return _bessel_family(delta, r, x0, m0=0.0)
 
 
-def _expected_squared_bessel(delta=1.0, r=0.0, x0=1.0) -> ExpectedVerdict:
+def _expected_squared_bessel(delta, r, x0) -> ExpectedVerdict:
     # reflecting origin: the boundary identity r*0*m = q'(0)/2 = 0 always
     # holds, so NIP holds; phi ~ c/u fails the reflecting-collar square
     # integrability, so NSA (hence NUPBR) fails
     return ExpectedVerdict.of(True, False, False, True)
 
 
-def _build_gen_squared_bessel(
-    nu: float = -0.5, r: float = 0.0, m0: float = _R_INF, x0: float = 1.0
-) -> DiffusionSpec:
+def _build_gen_squared_bessel(nu: float, r: float, m0: float, x0: float) -> DiffusionSpec:
     if not -1.0 < nu < 0.0:
         raise ValueError("nu must lie in (-1, 0)")
     delta = 2.0 * (1.0 + nu)
@@ -228,7 +231,7 @@ def _build_gen_squared_bessel(
     return dataclasses.replace(spec, model_id="gen_squared_bessel")
 
 
-def _expected_gen_squared_bessel(nu=-0.5, r=0.0, m0=_R_INF, x0=1.0) -> ExpectedVerdict:
+def _expected_gen_squared_bessel(nu, r, m0, x0) -> ExpectedVerdict:
     absorbing = math.isinf(m0)
     # absorbing at a zero boundary value satisfies the NIP boundary clause
     # for every rate; the weighted collar integral of phi^2 always diverges
@@ -240,7 +243,7 @@ def _expected_gen_squared_bessel(nu=-0.5, r=0.0, m0=_R_INF, x0=1.0) -> ExpectedV
 # ---------------------------------------------------------------------------
 
 
-def _build_cubed_bm(r: float = 0.0, x0: float = 1.0) -> DiffusionSpec:
+def _build_cubed_bm(r: float, x0: float) -> DiffusionSpec:
     if x0 == 0:
         raise ValueError("x0 must be nonzero (the start must avoid the degenerate point)")
     J = StateInterval(-_R_INF, _R_INF)
@@ -265,7 +268,7 @@ def _build_cubed_bm(r: float = 0.0, x0: float = 1.0) -> DiffusionSpec:
     )
 
 
-def _expected_cubed_bm(r=0.0, x0=1.0) -> ExpectedVerdict:
+def _expected_cubed_bm(r, x0) -> ExpectedVerdict:
     # q = u^3 is C^1 with absolutely continuous derivative and there are no
     # boundaries, so NIP holds; phi = 1/u + O(u) is not square integrable
     # near 0, so NSA fails; the zero set {0} is a Lebesgue-null point
@@ -277,9 +280,7 @@ def _expected_cubed_bm(r=0.0, x0=1.0) -> ExpectedVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _build_sticky_skew(
-    kappa: float = 0.75, c: float = 1.0, xi: float = 4.0 / 3.0, r: float = 1.0, x0: Optional[float] = None
-) -> DiffusionSpec:
+def _build_sticky_skew(kappa: float, c: float, xi: float, r: float, x0: Optional[float]) -> DiffusionSpec:
     if not 0 < kappa < 1:
         raise ValueError("kappa must lie in (0, 1)")
     if c <= 0:
@@ -322,7 +323,7 @@ def _build_sticky_skew(
     )
 
 
-def _expected_sticky_skew(kappa=0.75, c=1.0, xi=4.0 / 3.0, r=1.0, x0=None) -> ExpectedVerdict:
+def _expected_sticky_skew(kappa, c, xi, r, x0) -> ExpectedVerdict:
     k = _frac(kappa)
     ok = _frac(r) * _frac(xi) * _frac(c) == (2 * k - 1) / (2 * k * (1 - k))
     return ExpectedVerdict.of(ok, ok, ok, True)
@@ -348,7 +349,7 @@ def _rationals_lexicographic(count: int) -> list[Fraction]:
     return out
 
 
-def fat_complement_components(generations: int = 8) -> list[tuple[float, float]]:
+def fat_complement_components(generations: int) -> list[tuple[float, float]]:
     """Closed components of F = [0,1] minus neighbourhoods of the first
     ``generations`` rationals (radius 2^-(n+3) around the n-th)."""
     removed = []
@@ -434,9 +435,12 @@ class _FlatSpotInverseScale:
         return self.slope[self._segment(x, side)]
 
 
-def _build_fat_cantor(r: float = 0.0, generations: int = 8, u0: float = 0.55) -> DiffusionSpec:
+def _build_fat_cantor(r: float, generations: float, u0: float) -> DiffusionSpec:
     if r != 0.0:
         raise ValueError("this entry is defined for zero interest rate")
+    # beyond 50 generations the removed radius 2^-(n+3) is below 1e-16
+    if not (1 <= generations <= 50 and generations == int(generations)):
+        raise ValueError(f"generations must be an integer in [1, 50], got {generations:g}")
     comps = fat_complement_components(int(generations))
     core = _FlatSpotInverseScale(comps)
     q = SmoothPiece1D(
@@ -469,7 +473,7 @@ def _build_fat_cantor(r: float = 0.0, generations: int = 8, u0: float = 0.55) ->
     )
 
 
-def _expected_fat_cantor(r=0.0, generations=8, u0=0.55) -> ExpectedVerdict:
+def _expected_fat_cantor(r, generations, u0) -> ExpectedVerdict:
     # q is C^1 with Lipschitz derivative and no boundaries: NIP holds; phi
     # has simple poles at the flat-set edges: NSA fails; the flat set has
     # positive Lebesgue measure: the representation property fails
@@ -544,7 +548,7 @@ CATALOG: dict[str, CatalogEntry] = {
         ),
         CatalogEntry(
             "fat_cantor",
-            {"r": (0.0, "zero"), "generations": (8, ">= 1"), "u0": (0.55, "natural-scale start")},
+            {"r": (0.0, "zero"), "generations": (8, "integer in [1, 50]"), "u0": (0.55, "natural-scale start")},
             _build_fat_cantor,
             _expected_fat_cantor,
             "C^1 inverse scale whose derivative vanishes on a closed set of "

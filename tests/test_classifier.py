@@ -87,7 +87,7 @@ def test_zero_rate_fast_path_requires_zero_rate():
 def test_nsa_cubed_bm_fails_interior_pole():
     spec = build_model("cubed_bm")
     view = derive_natural_scale(spec)
-    status, reports = check_nsa(view, spec)
+    status, reports = check_nsa(view, spec, check_nip(view, spec)[0])
     assert status == FAILS
     assert any(c.id == "NSA.iv.loc" and c.status == "fail" for c in reports)
 
@@ -96,20 +96,21 @@ def test_nsa_gen_bessel_absorbing_holds_for_any_rate():
     for r in (0.0, 0.1, -0.3):
         spec = build_model("gen_squared_bessel", {"m0": INF, "r": r})
         view = derive_natural_scale(spec)
-        status, _ = check_nsa(view, spec)
+        status, _ = check_nsa(view, spec, check_nip(view, spec)[0])
         assert status == HOLDS, r
 
 
 def test_nsa_bm_trivial():
     spec = build_model("brownian_motion", {"r": 0.0})
     view = derive_natural_scale(spec)
-    assert check_nsa(view, spec)[0] == HOLDS
+    assert check_nsa(view, spec, check_nip(view, spec)[0])[0] == HOLDS
 
 
 def test_nupbr_weighted_collar_fails_absorbing_bessel():
     spec = build_model("gen_squared_bessel", {"m0": INF})
     view = derive_natural_scale(spec)
-    status, reports = check_nupbr(view, spec)
+    nsa, _ = check_nsa(view, spec, check_nip(view, spec)[0])
+    status, reports = check_nupbr(view, spec, nsa)
     assert status == FAILS
     assert any(c.id == "NUPBR.v" and c.status == "fail" for c in reports)
 
@@ -117,8 +118,8 @@ def test_nupbr_weighted_collar_fails_absorbing_bessel():
 def test_nupbr_equals_nsa_without_absorbing_boundary():
     spec = build_model("sticky_reflected_bm", {"r": 0.5, "rho": 1.0})
     view = derive_natural_scale(spec)
-    nsa, _ = check_nsa(view, spec)
-    nupbr, reports = check_nupbr(view, spec)
+    nsa, _ = check_nsa(view, spec, check_nip(view, spec)[0])
+    nupbr, reports = check_nupbr(view, spec, nsa)
     assert nupbr == nsa == HOLDS
     assert reports == []  # the condition is empty without absorbing points
 
@@ -176,7 +177,7 @@ def _sc_spec(base_id_m: str, base_id_q: str, r: float = 1.0):
     mult_q = lambda u: 2.0 * r * np.asarray(u, float) * (1.0 + np.asarray(u, float) ** 2)
     sc_m = ScComponent(base_id_m, cantor_cdf, mult_m, (0.0, 1.0))
     sc_q = ScComponent(base_id_q, cantor_cdf, mult_q, (0.0, 1.0))
-    return dataclasses.replace(spec, speed_sc_natural=sc_m, qpp_sc=sc_q)
+    return dataclasses.replace(spec, speed_natural=dataclasses.replace(spec.speed_natural, sc=sc_m), qpp_sc=sc_q)
 
 
 def test_sc_matching_base_passes():

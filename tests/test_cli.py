@@ -372,6 +372,11 @@ MALFORMED_ARGS = {
     "params_zero_denominator": _BM + ["--params", "x0=1/0"],
     "params_nan_rate": _BM + ["--params", "r=nan"],
     "params_infinite_rate": _BM + ["--params", "r=inf"],
+    "generations_infinite": ["classify", "--catalog", "fat_cantor", "--params", "generations=inf"],
+    "generations_fractional": ["classify", "--catalog", "fat_cantor", "--params", "generations=2.5"],
+    "generations_above_50": ["classify", "--catalog", "fat_cantor", "--params", "generations=51"],
+    "fat_cantor_infinite_start": ["classify", "--catalog", "fat_cantor", "--params", "u0=inf"],
+    "sticky_skew_infinite_point": ["classify", "--catalog", "sticky_skew", "--params", "xi=inf"],
     "tol_without_value": _BM + ["--tol", "rel"],
     "unknown_flag": _BM + ["--bogus", "1"],
     "classify_grid": _BM + ["--grid", "64"],
@@ -384,7 +389,7 @@ MALFORMED_ARGS = {
     [pytest.param(["classify"], doc, id=name) for name, doc in MALFORMED_DOCS.items()]
     + [pytest.param(argv, None, id=name) for name, argv in MALFORMED_ARGS.items()],
 )
-def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, doc):
+def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, argv, doc):
     if doc is not None:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
@@ -393,7 +398,49 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, argv, doc):
     assert run(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+    # pytest records warnings instead of printing them: a warning would be
+    # one more stderr line outside the test
+    assert not recwarn.list, [str(w.message) for w in recwarn]
     assert not out.exists()
+
+
+# zero-rate documents on which the reference path must test each zero as the
+# general path does: a reflecting boundary with a tiny slope q' = 1e-12, and
+# a singular-continuous part of q'' with a zero multiplier
+ZERO_RATE_DOCS = {
+    "tiny_reflecting_slope": (
+        {
+            "state_interval": {"alpha": 0, "beta": "inf", "alpha_closed": True},
+            "scale": {"node": "affine", "a": 1e12, "b": 0},
+            "speed": {"ac": {"node": "const", "c": 1}},
+            "x0": 1,
+            "r": 0,
+            "boundaries": {"left": "reflecting"},
+        },
+        "fails",
+    ),
+    "zero_sc_part": (
+        {
+            **_BM_DOC,
+            "qpp_sc": {
+                "base_id": "stair",
+                "base_cdf": {"node": "tabulated", "samples": [[0, 0], [1, 1]]},
+                "multiplier": {"node": "const", "c": 0},
+            },
+        },
+        "holds",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc,want", [pytest.param(*v, id=k) for k, v in ZERO_RATE_DOCS.items()])
+def test_zero_rate_reference_agrees_with_general_path(tmp_path, capsys, doc, want):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["classify", "--model", str(path), "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "classify_model.json").read_text())
+    assert (rep["nip"], rep["nsa"], rep["nupbr"]) == (want,) * 3
+    assert capsys.readouterr().err == ""
 
 
 def test_help_still_exits_0(capsys):

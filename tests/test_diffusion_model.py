@@ -14,7 +14,6 @@ from diffarb.diffusion_model import (
     classify_boundary,
     derive_natural_scale,
     load_model_spec,
-    semimartingale_decomposition_fields,
 )
 from diffarb.measure_kit import DecomposedMeasure, PowerSigned, SmoothPiece1D
 from diffarb.model_catalog import build_model
@@ -142,48 +141,37 @@ def test_affine_passes_assumption():
 
 
 # ---------------------------------------------------------------------------
-# decomposition fields
+# drift of the discounted price: boundary term, atoms, density
 # ---------------------------------------------------------------------------
-
-
-def test_decomposition_bm():
-    spec = build_model("brownian_motion", {"r": 0.0})
-    view = derive_natural_scale(spec)
-    f = semimartingale_decomposition_fields(view, spec)
-    u = np.linspace(-2, 2, 9)
-    assert np.allclose(f.qv_factor(u), 1.0)
-    assert np.allclose(f.drift_measure.ac_density(u), 0.0)
-    assert f.drift_measure.atoms == ()
-    assert f.boundary_terms == ()
 
 
 @pytest.mark.parametrize("r,rho,expect_zero", [(0.5, 1.0, True), (0.5, 0.9, False), (0.0, 1.0, False)])
 def test_decomposition_sticky_boundary_term(r, rho, expect_zero):
+    # the NIP.i.b residual is the sticky-atom drift r b mU({s(b)}) net of
+    # the local-time coefficient q'_+(s(b))/2
     spec = build_model("sticky_reflected_bm", {"r": r, "rho": rho})
     view = derive_natural_scale(spec)
-    f = semimartingale_decomposition_fields(view, spec)
-    (term,) = f.boundary_terms
-    assert term.lt_coefficient == 0.5
-    assert (abs(term.net) < 1e-12) == expect_zero
+    _, reports = check_nip(view, spec)
+    (term,) = [c for c in reports if c.id == "NIP.i.b"]
+    assert 0.5 * view.boundary_slope("left") == 0.5
+    assert (abs(term.residual) < 1e-12) == expect_zero
 
 
 def test_decomposition_skew_atom():
-    # pure skew at zero rate: the drift measure is the half kink jump
+    # pure skew at zero rate: the drift atom, the NIP.ii residual up to its
+    # sign, is the half kink jump
     spec = build_model("sticky_skew", {"r": 0.0, "kappa": 0.75, "c": 1.0, "xi": 0.0})
-    view = derive_natural_scale(spec)
-    f = semimartingale_decomposition_fields(view, spec)
-    atoms = dict(f.drift_measure.atoms)
+    _, reports = check_nip(derive_natural_scale(spec), spec)
+    (atom,) = [c for c in reports if c.id == "NIP.ii"]
     kappa = 0.75
-    assert abs(atoms[0.0] - 0.5 * (2 * kappa - 1) / ((1 - kappa) * kappa)) < 1e-12
+    assert abs(-atom.residual - 0.5 * (2 * kappa - 1) / ((1 - kappa) * kappa)) < 1e-12
 
 
 def test_smooth_drift_matches_half_q2():
     # r = 0 and polynomial q: classical relation drift density = q''(x)/2
-    spec = build_model("cubed_bm", {"r": 0.0})
-    view = derive_natural_scale(spec)
-    f = semimartingale_decomposition_fields(view, spec)
+    view = derive_natural_scale(build_model("cubed_bm", {"r": 0.0}))
     u = np.linspace(-1.5, 1.5, 11)
-    assert np.allclose(f.drift_measure.ac_density(u), 0.5 * 6.0 * u, rtol=1e-12)
+    assert np.allclose(view.drift_density(u), 0.5 * 6.0 * u, rtol=1e-12)
 
 
 def test_flat_spot_consistency_guard():

@@ -57,15 +57,6 @@ def test_eval_power_signed_odd():
     assert float(PowerSigned(1, 2)(-1.0)) == -4.0
 
 
-def test_eval_checks_domain():
-    f = piece(PowerSigned(0, 0.5), domain=(0.0, 4.0))
-    assert float(f.eval(2.25)) == 1.5
-    from diffarb.measure_kit import DomainError
-
-    with pytest.raises(DomainError):
-        f.eval(-1.0)
-
-
 def test_eval_exp_integral_zero_mu_is_identity():
     e = ExpIntegral(Const(0.0), anchor=0.0)
     for x in (-2.0, -0.5, 0.0, 1.0, 3.0):
