@@ -354,10 +354,12 @@ def _phi_l2_interior(view: NaturalScaleView, spec: DiffusionSpec) -> ConditionRe
             break
 
     if "divergent" not in statuses:
-        # stop half a boundary collar short of each finite boundary image
+        # stop half a boundary collar short of each finite boundary image;
+        # reach 0.5 past the start image, but at most halfway to a boundary
         lo_c = view.collar("left", 0.5)[1] if math.isfinite(lo_u) else view.s_x0 - 8.0
         hi_c = view.collar("right", 0.5)[0] if math.isfinite(hi_u) else view.s_x0 + 8.0
-        lo_c, hi_c = min(lo_c, view.s_x0 - 0.5), max(hi_c, view.s_x0 + 0.5)
+        lo_c = min(lo_c, max(view.s_x0 - 0.5, 0.5 * (lo_u + view.s_x0)))
+        hi_c = max(hi_c, min(view.s_x0 + 0.5, 0.5 * (hi_u + view.s_x0)))
         edges = np.linspace(lo_c, hi_c, _GENERIC_WINDOWS + 1)
         pts = [b.point for b in behaviors]
         for a, b in zip(edges[:-1], edges[1:]):

@@ -410,7 +410,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (SpecValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return args.run(args)
+    try:
+        rc = args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left (``| head``): drop what is still buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return rc
 
 
 if __name__ == "__main__":

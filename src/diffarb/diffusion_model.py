@@ -330,24 +330,33 @@ def classify_boundary(spec: DiffusionSpec, side: str) -> BoundaryBehavior:
 
 def inverse_piece(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1D:
     """Inverse q = s^{-1} of the increasing piece s = ``scale`` on its image
-    ``sJ``, as function handles via root finding.
+    ``sJ``, as function handles via root finding. The last array inverted
+    is kept: q, q', q'' and the pushed speed density share its inversion.
 
     q' = 1/s'(q) one-sided, q'' = -s''(q) / s'(q)^3 a.e.; kinks of s map to
     kinks of q and flat points of s to infinite-slope points of q. Models
     built from q take their scale as ``inverse_piece(q, J)``.
     """
+    last = [None, None]  # (shape, bytes) of the last array, and its inverse
+
+    def x_of(u):
+        u = np.asarray(u, float)
+        key = (u.shape, u.tobytes())
+        if key != last[0]:
+            last[:] = key, invert_monotone_vec(scale, u)
+        return last[1]
 
     def q_val(u):
-        return invert_monotone_vec(scale, u)
+        return x_of(u).copy()
 
     def d_side(u, side):
-        x = invert_monotone_vec(scale, u)
+        x = x_of(u)
         d = np.asarray(scale.d_plus(x) if side > 0 else scale.d_minus(x), float)
         with np.errstate(divide="ignore"):
             return np.where(d > 0, 1.0 / d, np.inf)
 
     def d2(u):
-        x = invert_monotone_vec(scale, u)
+        x = x_of(u)
         d = np.asarray(scale.d_plus(x), float)
         dd = np.asarray(scale.d2_ac(x), float)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -430,7 +439,7 @@ def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) ->
         mU = spec.speed_natural
         _validate_speed_hint(spec, mU, zero_ivals, cfg)
     else:
-        mU = pushforward(spec.speed, spec.scale, qprime_zero_intervals=zero_ivals)
+        mU = pushforward(spec.speed, spec.scale, q, qprime_zero_intervals=zero_ivals)
 
     return NaturalScaleView(
         sJ=sJ,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -109,13 +109,6 @@ DEFAULT_QUAD = QuadConfig()
 
 def _arr(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
-
-
-def match_shape(out, like):
-    """Reshape a flat result to the shape of the input it was computed from."""
-    out = np.asarray(out, dtype=float)
-    shp = np.shape(like)
-    return out.reshape(shp)
 
 
 def close_rel(a: float, b: float, tol: float, floor: float = 1e-15) -> bool:
@@ -354,7 +347,8 @@ class ExpIntegral(Expr):
     def _growth(self, y):
         ys = _arr(y)
         flat = np.atleast_1d(ys).ravel()
-        out = np.array([math.exp(self._inner(float(v))) for v in flat])
+        with np.errstate(over="ignore"):  # overflow is inf: the scale diverges
+            out = np.exp([self._inner(float(v)) for v in flat])
         return out.reshape(np.shape(ys)) if np.shape(ys) else out[0]
 
     def value(self, x):
@@ -818,6 +812,27 @@ class SmoothPiece1D:
             bad = int(np.argmax(np.diff(vals) <= 0))
             raise MeasureKitError(f"function is not strictly increasing near x = {xs[bad]}")
 
+    @cached_property
+    def node_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes x, images f(x) and inverse slopes 1/f'(x) for inversion: 1,025
+        on a core (the domain, cut to 8 wide on an infinite side), the
+        breakpoints, kinks and infinite-slope points, and the core ends -+ 2^k
+        out to the float range (every k < 64, then every 16th), cut to a
+        strictly increasing run of finite images."""
+        lo, hi = self.domain
+        a = lo if math.isfinite(lo) else min(-4.0, hi - 8.0)
+        b = hi if math.isfinite(hi) else max(4.0, a + 8.0)
+        extra = [c for c, _ in self.kinks] + list(self.infinite_slope)
+        extra += self.expr.breakpoints() if self.expr is not None else ()
+        tails = 2.0 ** np.r_[0:64, 64:1024:16]
+        xs = np.unique(np.concatenate([np.linspace(a, b, 1025), extra, a - tails, b + tails]))
+        xs = xs[(xs >= lo) & (xs <= hi)]
+        with np.errstate(all="ignore"):  # far tails may overflow: those nodes drop out
+            us = _arr(self.value(xs))
+            xs, us = xs[np.isfinite(us)], us[np.isfinite(us)]
+            keep = np.concatenate(([True], us[1:] > np.maximum.accumulate(us)[:-1]))
+            return xs[keep], us[keep], 1.0 / _arr(self.d_plus(xs[keep]))
+
 
 # ---------------------------------------------------------------------------
 # Monotone inversion
@@ -825,42 +840,66 @@ class SmoothPiece1D:
 
 
 def invert_monotone_vec(f: SmoothPiece1D, ys: np.ndarray) -> np.ndarray:
-    """Solve f(x) = y for strictly increasing f, elementwise: bisection to
-    float resolution plus Newton polish.
-
-    A target beyond a finite end of the domain maps to that end.
-    """
-    ys_in = ys
-    ys = np.atleast_1d(_arr(ys))
+    """Solve f(x) = y for strictly increasing f, elementwise: the left edge of
+    {f >= y} to float resolution, a node exactly. Each target runs
+    safeguarded Newton from a cubic Hermite guess in its cell of
+    ``f.node_table``, f(a) < y <= f(b); if f(x -+ 8 ulp) does not bracket y
+    at the Newton point (a float-noise band near a zero of f'), it bisects
+    and polishes the midpoint by three guarded Newton steps. A target
+    beyond the table maps to its end."""
+    y = np.atleast_1d(_arr(ys)).ravel()
     lo, hi = f.domain
-    a = np.full_like(ys, lo if math.isfinite(lo) else -1.0)
-    b = np.full_like(ys, hi if math.isfinite(hi) else 1.0)
-    if not math.isfinite(lo):
-        for _ in range(600):
-            bad = _arr(f.value(a)) > ys
-            if not np.any(bad):
-                break
-            a[bad] = np.where(a[bad] < 0, a[bad] * 2, -1.0)
-    if not math.isfinite(hi):
-        for _ in range(600):
-            bad = _arr(f.value(b)) < ys
-            if not np.any(bad):
-                break
-            b[bad] = np.where(b[bad] > 0, b[bad] * 2, 1.0)
-    for _ in range(90):
-        mid = 0.5 * (a + b)
-        below = _arr(f.value(mid)) < ys
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-        if np.all((b - a) <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(b))):
+    nx, nu, nm = f.node_table
+    k = np.searchsorted(nu, y, "left")
+    ex = np.concatenate(([lo if math.isfinite(lo) else nx[0]], nx, [hi if math.isfinite(hi) else nx[-1]]))
+    eu = np.concatenate(([-np.inf], nu, [np.inf]))
+    em = np.concatenate(([np.nan], nm, [np.nan]))
+    a, b = ex[k], ex[k + 1]
+    with np.errstate(invalid="ignore"):  # cubic Hermite in y, slopes from the table
+        h, dx, t = eu[k + 1] - eu[k], b - a, (y - eu[k]) / (eu[k + 1] - eu[k])
+        x = a + t * dx + t * (1 - t) * ((1 - t) * (h * em[k] - dx) - t * (h * em[k + 1] - dx))
+    x = np.clip(np.where(np.isfinite(x), x, 0.5 * (a + b)), a, b)
+    hit = np.flatnonzero(y == eu[k + 1])
+    if hit.size:
+        a[hit] = np.where(_arr(f.value(np.nextafter(b[hit], -np.inf))) < y[hit], b[hit], a[hit])
+    newton = np.ones(y.shape, bool)
+    act = a < b
+    every = np.arange(y.size)
+    for _ in range(100):
+        live = every[act]
+        if not live.size:
             break
-    x = 0.5 * (a + b)
-    for _ in range(3):
-        d = _arr(f.d_plus(x))
+        # a few live points step alone; more step with all, so that temporaries keep one size
+        idx = live if live.size < 64 else every
+        on, xl, yl, nl = act[idx], x[idx], y[idx], newton[idx]
+        g = _arr(f.value(xl)) - yl
+        al = np.where(on & (g < 0), xl, a[idx])
+        bl = np.where(on & ~(g < 0), xl, b[idx])
+        a[idx], b[idx] = al, bl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = np.where(g == 0, xl, xl - g / np.where(nl, _arr(f.d_plus(xl)), np.nan))
+        ok = (xn > al) & (xn < bl)
+        w = 8 * np.spacing(np.maximum(np.abs(xl), 0.5))  # 8 ulp, and no finer than at 1/2
+        pinned = on & nl & (np.abs(xn - xl) <= w)
+        xl = np.where(on, np.where(pinned | ok, xn, 0.5 * (al + bl)), xl)
+        x[idx] = xl
+        done = on & (bl - al <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(bl)))
+        if pinned.any():
+            fv = _arr(f.value(np.concatenate((xl - w, xl + w))))
+            good = pinned & (fv[: xl.size] < yl) & (fv[xl.size :] >= yl)
+            a[idx], b[idx] = np.where(good, xl - w, al), np.where(good, xl + w, bl)
+            newton[idx] = nl & ~(pinned & ~good)
+            done = np.where(pinned, good, done)
+        act[idx] &= ~done
+    # a Newton point stands; a bisected point is its bracket's midpoint, polished
+    x = np.where(newton & (a < b), x, 0.5 * (a + b))
+    bis = np.flatnonzero(~newton)
+    for _ in range(3 if bis.size else 0):
+        d = _arr(f.d_plus(x[bis]))
         ok = np.isfinite(d) & (d >= 1e-6)
-        step = np.where(ok, (_arr(f.value(x)) - ys) / np.where(ok, d, 1.0), 0.0)
-        x = np.clip(x - step, a, b)
-    return match_shape(x, ys_in)
+        step = np.where(ok, (_arr(f.value(x[bis])) - y[bis]) / np.where(ok, d, 1.0), 0.0)
+        x[bis] = np.clip(x[bis] - step, a[bis], b[bis])
+    return x.reshape(np.shape(ys))
 
 
 # ---------------------------------------------------------------------------
@@ -992,12 +1031,14 @@ def measure_from_json(obj: dict, support: tuple[float, float]) -> DecomposedMeas
 def pushforward(
     m: DecomposedMeasure,
     s: SmoothPiece1D,
+    q: SmoothPiece1D,
     qprime_zero_intervals: Sequence[tuple[float, float]] = (),
 ) -> DecomposedMeasure:
-    """Image measure of ``m`` under the strictly increasing map ``s``.
+    """Image measure of ``m`` under the strictly increasing map ``s``, whose
+    inverse is ``q``.
 
     Atoms move to (s(point), mass). The ac density transforms pointwise as
-    m_ac(q(u)) * q'(u), q = s^{-1}. An sc part keeps its base_id and gets its
+    m_ac(q(u)) * q'(u). An sc part keeps its base_id and gets its
     cdf composed with q. If the inverse has a zero-derivative set of positive
     measure (``qprime_zero_intervals`` nonempty) the ac part cannot be pushed
     as a density, and the call is an error.
@@ -1015,13 +1056,15 @@ def pushforward(
         (float(s.value(np.asarray(p))) if math.isfinite(p) else p, mass) for p, mass in m.atoms
     )
 
+    def inverse(u: np.ndarray) -> np.ndarray:
+        return _arr(q.value(np.atleast_1d(_arr(u))))
+
     density = None
     if m.ac_density is not None:
         src = m.ac_density
 
         def pushed(u: np.ndarray) -> np.ndarray:
-            u = np.atleast_1d(_arr(u))
-            x = invert_monotone_vec(s, u)
+            x = inverse(u)
             dp = _arr(s.d_plus(x))
             with np.errstate(divide="ignore"):
                 qp = np.where(dp > 0, 1.0 / dp, np.inf)
@@ -1034,12 +1077,10 @@ def pushforward(
         base = m.sc
 
         def cdf_u(u: np.ndarray) -> np.ndarray:
-            u = np.atleast_1d(_arr(u))
-            return _arr(base.base_cdf(invert_monotone_vec(s, u)))
+            return _arr(base.base_cdf(inverse(u)))
 
         def mult_u(u: np.ndarray) -> np.ndarray:
-            u = np.atleast_1d(_arr(u))
-            return _arr(base.multiplier(invert_monotone_vec(s, u)))
+            return _arr(base.multiplier(inverse(u)))
 
         sc_lo = float(s.value(np.asarray(base.support[0])))
         sc_hi = float(s.value(np.asarray(base.support[1])))

@@ -394,14 +394,16 @@ class _FlatSpotInverseScale:
             knots.append(0.5 * (b1 + a2))
         lo = components[0][0]
         hi = components[-1][1]
-        knots.extend((lo - 2e6, hi + 2e6))
+        # far knots on a doubling ladder keep each segment's value exact
+        knots.extend([0.0, *(lo - 2.0 ** np.arange(22)), *(hi + 2.0 ** np.arange(22))])
         self.t = np.array(sorted(set(knots)))
         self.d_at = self._dist(self.t)
         slopes = np.diff(self.d_at) / np.diff(self.t)
         self.slope = np.round(slopes).astype(float)  # exactly -1, 0, +1
         seg = self.d_at[:-1] * np.diff(self.t) + 0.5 * self.slope * np.diff(self.t) ** 2
-        self.Q = np.concatenate([[0.0], np.cumsum(seg)])
-        self.Q -= self._q_raw(np.asarray([0.0]))[0]
+        # q(0) = 0; summing outward from it, no far segment absorbs a near one
+        i0 = int(np.searchsorted(self.t, 0.0))
+        self.Q = np.concatenate([-np.cumsum(seg[:i0][::-1])[::-1], [0.0], np.cumsum(seg[i0:])])
 
     def _dist(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, float)

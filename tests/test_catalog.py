@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from diffarb.arb_classifier import classify
@@ -120,3 +121,20 @@ def test_expected_verdict_exact_arithmetic():
     assert e.nip == "holds"
     e = expected_verdict("sticky_skew", {"kappa": 0.75, "c": 1.0, "xi": "4/3", "r": 1.0})
     assert e.nip == "holds"
+
+
+def test_fat_cantor_inverse_scale_is_monotone_and_matches_its_slope():
+    # q sums its segments outward from 0: summed from the far knot, the
+    # small segments near [0, 1] fell below one ulp of the running sum
+    spec = build_model("fat_cantor", {"generations": 7, "u0": 0.75})
+    q = spec.q_piece
+    u = np.linspace(0.3, 0.8, 200_001)
+    assert np.all(np.diff(q.value(u)) > 0)
+    # central differences: |q''| <= 1, so a corner of q' costs at most h/2
+    h = 1e-6
+    uu = np.linspace(-8.0, 8.0, 16_001)
+    numeric = (q.value(uu + h) - q.value(uu - h)) / (2 * h)
+    assert np.max(np.abs(numeric - q.d_plus(uu))) < h
+    # the integral of dist(., F) over [0, 3/4] plus the tilt, in exact arithmetic
+    assert spec.x0 == pytest.approx(0.0022778518547, rel=1e-10)
+    assert float(spec.scale.value(np.asarray(spec.x0))) == 0.75

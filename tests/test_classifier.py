@@ -17,9 +17,9 @@ from diffarb.arb_classifier import (
     check_rp,
     classify,
 )
-from diffarb.diffusion_model import SpecValidationError, derive_natural_scale
+from diffarb.diffusion_model import SpecValidationError, derive_natural_scale, load_model_spec
 from diffarb.measure_kit import ScComponent, SmoothPiece1D
-from diffarb.model_catalog import build_model
+from diffarb.model_catalog import build_model, expected_verdict
 
 from cantor_staircase import cantor_cdf
 from fuzz_models import random_spec
@@ -370,3 +370,31 @@ def test_verdict_report_ids_cover_required_set():
     ids = {c.id for c in v.reports}
     assert "NIP.i.a" in ids and "NUPBR.v" in ids and "RP" in ids
     assert v.impr is not None and len(v.impr["samples"]) == 9
+
+
+# A start image within 0.5 of a finite boundary image: the generic NSA
+# windows stay halfway off the boundary, where phi is bounded.
+def _absorbed_bachelier(x0: float, r: float, dens: float) -> dict:
+    return {
+        "state_interval": {"alpha": 0.0, "beta": "inf", "alpha_closed": True},
+        "scale": {"node": "affine", "a": 0.5, "b": 0.0},
+        "speed": {"ac": {"node": "const", "c": dens}, "atoms": [[0.0, "inf"]]},
+        "x0": x0,
+        "r": r,
+        "boundaries": {"left": "absorbing"},
+    }
+
+
+@pytest.mark.parametrize("x0,r,dens", [(0.5, 0.2, 2.4), (2 / 3, 1.0, 2.5)])
+def test_nsa_windows_stay_off_an_absorbing_boundary_image(x0, r, dens):
+    # absorption at price 0: every notion holds
+    v = classify(load_model_spec(_absorbed_bachelier(x0, r, dens)))
+    assert (*v.triple(), v.rp) == (HOLDS,) * 4
+
+
+def test_nsa_holds_for_absorbed_bessel_started_near_the_origin():
+    params = {"nu": -0.75, "r": -2 / 3, "m0": INF, "x0": 0.125}
+    v = classify(build_model("gen_squared_bessel", params))
+    want = expected_verdict("gen_squared_bessel", params)
+    assert v.nsa == want.nsa == HOLDS
+    assert (*v.triple(), v.rp) == (want.nip, want.nsa, want.nupbr, want.rp)

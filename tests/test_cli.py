@@ -1,6 +1,10 @@
 """CLI integration tests: exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,3 +453,34 @@ def test_help_still_exits_0(capsys):
             run(argv)
         assert exc.value.code == 0
     assert "--tol" in capsys.readouterr().out
+
+
+def test_overflowing_exp_integral_scale_is_one_error_line(tmp_path, capsys):
+    # the growth exp(-y/2) overflows far to the left: one error line, not
+    # an OverflowError traceback
+    doc = {
+        "state_interval": {"alpha": "-inf", "beta": "inf"},
+        "scale": {"node": "exp_integral", "mu": {"node": "const", "c": -0.5}},
+        "speed": {"ac": {"node": "const", "c": 1}},
+        "x0": 0,
+        "r": 0.5,
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    rc = run(["classify", "--model", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1 and len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_closed_stdout_pipe_is_not_a_traceback(tmp_path):
+    # ``diffarb classify ... | head -1``: the reader may close the pipe
+    # before the command prints
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "diffarb.cli_app", "classify", "--catalog", "brownian_motion", "--out", str(tmp_path)]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffarb.arb_classifier import classify
+from diffarb.diffusion_model import inverse_piece, load_model_spec
 from diffarb.measure_kit import (
     Affine,
     Compose,
@@ -34,6 +36,9 @@ from diffarb.measure_kit import (
     sampled_total_variation,
     second_derivative_decomposition,
 )
+from diffarb.model_catalog import build_model
+
+from fuzz_models import random_spec
 
 RT = np.inf
 
@@ -119,6 +124,85 @@ def test_invert_out_of_range():
     assert float(invert_monotone_vec(f, 2.0)) == 1.0
 
 
+# the scales of the four document families, with their state intervals
+FAMILY_SCALES = {
+    "sticky": (Affine(1.5, 0.0), (0.75, RT)),
+    "absorbing": (Affine(0.5, 0.0), (0.0, RT)),
+    "skew": (Piecewise([4 / 3, 2.5], [Affine(0.75, 0.0), Affine(0.25, 2 / 3), Affine(2.0, 2 / 3 - 4.375)]), (-RT, RT)),
+    "cubic": (Sum([Affine(1.0, 0.0), Product([Const(1.5), PowerSigned(1.875, 3.0)])]), (-RT, RT)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SCALES))
+def test_invert_round_trip_within_4_ulp(family):
+    expr, (lo, hi) = FAMILY_SCALES[family]
+    f = piece(expr, (lo, hi))
+    rng = np.random.default_rng(5)
+    # 5k points near the origin and 5k spread over magnitudes 1e-8 .. 1e6
+    base = lo if math.isfinite(lo) else 0.0
+    sign = np.ones(5000) if math.isfinite(lo) else rng.choice([-1.0, 1.0], 5000)
+    xs = np.concatenate([rng.uniform(base, 10.0, 5000), base + sign * 10.0 ** rng.uniform(-8, 6, 5000)])
+    ys = f.value(xs)
+    back = invert_monotone_vec(f, ys)
+    assert np.all(np.abs(back - xs) <= 4 * np.spacing(np.maximum(np.abs(xs), 1.0)))
+    order = np.argsort(ys, kind="stable")
+    assert np.all(np.diff(back[order]) >= 0)
+
+
+def test_invert_returns_a_kink_exactly():
+    # the image of a kink inverts to the kink itself, so that the one-sided
+    # slopes of the inverse differ there
+    expr, dom = FAMILY_SCALES["skew"]
+    f = piece(expr, dom)
+    for c in (4 / 3, 2.5):
+        assert float(invert_monotone_vec(f, f.value(np.asarray(c)))) == c
+
+
+def test_inverse_slope_stays_finite_at_a_flat_point():
+    # fuzz seed 7: q is a cubic with q' = 0 at v. Its image is float-flat
+    # around q(v), and the inverse takes the left edge of that band, where
+    # s' = 1/q' is large but finite
+    spec = random_spec(7)
+    v = spec.qprime_zero_set[0][0]
+    x_flat = spec.q_expr.value(np.asarray(v))
+    u = float(spec.scale.value(np.asarray(x_flat)))
+    slope = float(spec.scale.d_plus(np.asarray(x_flat)))
+    assert u <= v and abs(u - v) < 1e-4
+    assert math.isfinite(slope) and slope > 1e6
+
+
+def test_inverse_piece_memo_is_keyed_on_content_and_returns_copies():
+    q = inverse_piece(piece(PowerSigned(0.0, 3.0)), (-RT, RT))
+    u = np.linspace(-2.0, 2.0, 9)
+    first = q.value(u)
+    first[:] = 99.0  # a caller may mutate the result
+    again = q.value(u.copy())
+    assert np.allclose(again, np.cbrt(u), rtol=1e-14, atol=1e-15)
+    assert np.array_equal(again, q.value(u))
+    assert not np.shares_memory(again, q.value(u))
+    # the slope reads the same inversion
+    assert np.allclose(q.d_plus(u[u != 0]), 1.0 / (3.0 * np.cbrt(u[u != 0]) ** 2), rtol=1e-12)
+
+
+def test_kink_inverse_document_matches_sticky_skew():
+    # a skew document without inverse_scale: kink at 4/3, slopes 3/4 -> 1/4,
+    # atom 1, r = 1. The numeric inverse must land on the kink.
+    doc = {
+        "state_interval": {"alpha": "-inf", "beta": "inf"},
+        "scale": {
+            "node": "piecewise",
+            "breakpoints": [4 / 3],
+            "pieces": [{"node": "affine", "a": 0.75, "b": 0.0}, {"node": "affine", "a": 0.25, "b": 2 / 3}],
+        },
+        "speed": {"ac": {"node": "const", "c": 1.0}, "atoms": [[4 / 3, 1.0]]},
+        "x0": 2 / 3,
+        "r": 1.0,
+    }
+    got = classify(load_model_spec(doc))
+    want = classify(build_model("sticky_skew", {"kappa": 0.75, "c": 1.0, "xi": 4 / 3, "r": 1.0}))
+    assert (*got.triple(), got.rp) == (*want.triple(), want.rp) == ("holds",) * 4
+
+
 # ---------------------------------------------------------------------------
 # pushforward
 # ---------------------------------------------------------------------------
@@ -133,7 +217,7 @@ def skew_scale(kappa, xi):
 def test_pushforward_identity_lebesgue():
     m = DecomposedMeasure(support=(-RT, RT), ac_density=lambda x: np.ones_like(x))
     s = piece(Affine(1, 0))
-    mu = pushforward(m, s)
+    mu = pushforward(m, s, inverse_piece(s, (-RT, RT)))
     assert abs(mu.mass(-1.3, 2.2) - 3.5) < 1e-8
 
 
@@ -143,7 +227,7 @@ def test_pushforward_atom_moves_with_map():
         support=(1.0, RT), ac_density=lambda x: np.ones_like(x), atoms=((1.0, rho),)
     )
     s = piece(Affine(1, 0), domain=(1.0, RT))
-    mu = pushforward(m, s)
+    mu = pushforward(m, s, inverse_piece(s, (1.0, RT)))
     assert mu.atoms == ((1.0, rho),)
     assert abs(mu.mass(1.0, 2.0) - (1.0 + rho)) < 1e-8
 
@@ -155,7 +239,7 @@ def test_pushforward_sticky_skew():
         support=(-RT, RT), ac_density=lambda x: 1.0 / vk(np.asarray(x)), atoms=((xi, c),)
     )
     s = piece(skew_scale(kappa, xi))
-    mu = pushforward(m, s)
+    mu = pushforward(m, s, inverse_piece(s, (-RT, RT)))
     # expected: density 1/a_kappa with a = (1-kappa)^2 above 0 and kappa^2 below
     assert abs(mu.atoms[0][0]) < 1e-12 and mu.atoms[0][1] == c
     up = mu.ac_density(np.asarray([0.5, 1.0]))
@@ -174,7 +258,7 @@ def test_pushforward_mass_conservation_random_intervals():
         atoms=((xi, c),),
     )
     s = piece(skew_scale(kappa, xi))
-    mu = pushforward(m, s)
+    mu = pushforward(m, s, inverse_piece(s, (-RT, RT)))
     for _ in range(200):
         a, b = np.sort(rng.uniform(-3, 3, size=2))
         if b - a < 1e-3:
@@ -188,7 +272,7 @@ def test_pushforward_zero_derivative_set_requires_annotation():
     m = DecomposedMeasure(support=(-RT, RT), ac_density=lambda x: np.ones_like(x))
     s = piece(Affine(1, 0))
     with pytest.raises(MeasureKitError):
-        pushforward(m, s, qprime_zero_intervals=[(0.0, 1.0)])
+        pushforward(m, s, inverse_piece(s, (-RT, RT)), qprime_zero_intervals=[(0.0, 1.0)])
 
 
 # ---------------------------------------------------------------------------
