@@ -4,9 +4,11 @@ Commands
 --------
 classify  -- deterministic NIP/NSA/NUPBR/RP verdicts, written as a JSON
              report with stable key order (byte-identical across reruns).
-simulate  -- chain Monte Carlo: tradeoff refinement ladder, default
-             arbitrage strategies, martingale diagnostics; emits the report
-             plus plot-ready CSV files (no plotting dependency).
+simulate  -- chain Monte Carlo: the default arbitrage strategies and the
+             martingale diagnostics read one sampled batch (substream 7 of
+             --seed); the tradeoff refinement ladder is exact on each
+             chain (a resolvent contour solve, no sampling); emits the report plus
+             plot-ready CSV files (no plotting dependency).
 catalog   -- list or show the named model builders.
 report    -- merge prior classify/simulate outputs into one table.
 
@@ -33,8 +35,9 @@ from .measure_kit import DEFAULT_QUAD, MeasureKitError, QuadConfig, json_object
 from .mc_engine import (
     build_chain,
     estimate_tradeoff,
+    evaluate_diagnostic,
     evaluate_strategy,
-    martingale_diagnostic,
+    plan_diagnostic,
     plan_strategy,
     sample_paths,
 )
@@ -200,34 +203,17 @@ def cmd_simulate(args) -> int:
         plans.append(plan_strategy(view, chain, "post_hitting_hold"))
     if reflecting:
         plans.append(plan_strategy(view, chain, "boundary_sit"))
-    # one stream-7 batch feeds the strategies, the payoff histogram, the
-    # discarded count and the path dump
-    batch = sample_paths(
-        chain,
-        args.paths,
-        args.seed,
-        T,
-        hit_levels=[p.hit_level for p in plans if p.hit_level is not None],
-        position_table=next((p.table for p in plans if p.table is not None), None),
-        stream=7,
-    )
+    diag_plans = [plan_diagnostic(view, chain, "U_minus_half_L", T)] if reflecting else []
+    diag_plans.append(plan_diagnostic(view, chain, "discounted_price_drift", T))
+    # one stream-7 batch feeds the strategies, the diagnostics, the payoff
+    # histogram, the discarded count and the path dump; each plan reads its
+    # own accumulators (hit level, position table, mesh, residual)
+    accumulators = {k: v for p in plans + diag_plans for k, v in p.accumulators.items()}
+    batch = sample_paths(chain, args.paths, args.seed, T, stream=7, **accumulators)
     evaluated = [evaluate_strategy(batch, p) for p in plans]
     strategies = [res for res, _ in evaluated]
-    tr = estimate_tradeoff(
-        view, spec, n_paths=max(1000, args.paths // 4), seed=args.seed,
-        base_grid=max(64, args.grid // 4), levels=args.levels,
-    )
-
-    diagnostics = []
-    if reflecting:
-        diagnostics.append(
-            martingale_diagnostic(view, spec, "U_minus_half_L", chain=chain, n_paths=min(args.paths, 5000), seed=args.seed)
-        )
-    diagnostics.append(
-        martingale_diagnostic(
-            view, spec, "discounted_price_drift", chain=chain, n_paths=min(args.paths, 5000), seed=args.seed
-        )
-    )
+    diagnostics = [evaluate_diagnostic(batch, p) for p in diag_plans]
+    tr = estimate_tradeoff(view, spec, base_grid=max(64, args.grid // 4), levels=args.levels)
 
     report = {
         "model_id": label,

@@ -24,8 +24,14 @@ drift density for the per-state drift rates of the price diagnostic.
 Sampling is vectorized over paths with a counter-based generator (Philox),
 so runs are bit-reproducible for a fixed seed, stream and chunk layout. The
 accumulators never change which numbers are drawn, so one pass that carries
-several of them samples the same paths as separate passes would: estimators
-that share a stream read one batch instead of re-streaming it.
+several of them samples the same paths as separate passes would: strategies
+and martingale diagnostics are planned on a chain, each plan naming the
+accumulators it reads, and evaluated on one batch that carries them all.
+
+Expectations that need no pathwise statistic are exact: the chain is a
+birth-death process, so its expected occupation up to T follows from a
+tridiagonal resolvent and a contour inversion of the Laplace transform
+(``exact_occupation``), and the tradeoff ladder reads it.
 """
 
 from __future__ import annotations
@@ -47,17 +53,18 @@ __all__ = [
     "DiagnosticResult",
     "build_chain",
     "sample_paths",
-    "estimate_local_time_field",
+    "local_time_field",
+    "exact_occupation",
     "estimate_tradeoff",
     "StrategyPlan",
     "plan_strategy",
     "evaluate_strategy",
     "run_strategy",
+    "DiagnosticPlan",
+    "plan_diagnostic",
+    "evaluate_diagnostic",
     "martingale_diagnostic",
     "gamma_drift_rates",
-    "cell_exit_statistics",
-    "normal_cdf",
-    "ks_distance",
     "wilson_interval",
     "subseed",
 ]
@@ -77,12 +84,6 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=subseed(seed, stream)))
 
 
-def normal_cdf(x) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in arr])
-    return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
-
-
 def normal_quantile(p: float) -> float:
     lo, hi = -10.0, 10.0
     for _ in range(80):
@@ -92,16 +93,6 @@ def normal_quantile(p: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Kolmogorov-Smirnov distance of an empirical sample to a given cdf."""
-    xs = np.sort(np.asarray(samples, dtype=float))
-    n = xs.size
-    F = np.asarray(cdf(xs), dtype=float)
-    upper = np.max(np.arange(1, n + 1) / n - F)
-    lower = np.max(F - np.arange(0, n) / n)
-    return float(max(upper, lower))
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -151,15 +142,6 @@ class ChainModel:
 
     def state_of(self, u: float) -> int:
         return int(np.argmin(np.abs(self.grid - u)))
-
-    def cell_widths(self) -> np.ndarray:
-        return np.diff(_cell_edges(self.grid))
-
-
-def _gauss_bound_padding(exit_prob: float) -> float:
-    """k with P(max |N(0,1)| excursion > k) <= 4(1 - Phi(k)) = exit_prob."""
-    target = 1.0 - exit_prob / 4.0
-    return normal_quantile(target)
 
 
 def _cell_edges(grid: np.ndarray) -> np.ndarray:
@@ -279,8 +261,9 @@ def build_chain(
 
     if window is None:
         # local variance rate of U is 1/mU_ac; pad by a high-quantile
-        # Gaussian excursion bound, iterating once to update the rate
-        k = _gauss_bound_padding(exit_prob_bound)
+        # Gaussian excursion bound, P(max |N(0,1)| excursion > k) <=
+        # 4(1 - Phi(k)) = exit_prob_bound, iterating once to update the rate
+        k = normal_quantile(1.0 - exit_prob_bound / 4.0)
         width = k * math.sqrt(T)
         for _ in range(2):
             probe_lo = max(s_lo, u_start - width)
@@ -478,8 +461,6 @@ def sample_paths(
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n_states = chain.n_states
-    mean_hold = chain.mean_hold
-    up_prob = chain.up_prob
     q_grid = chain.q_grid
     r = chain.r
 
@@ -491,9 +472,6 @@ def sample_paths(
     payoff = np.zeros(n_paths) if want_payoff else None
     want_resid = residual_rates is not None
     resid = np.zeros(n_paths) if want_resid else None
-    w_resid = residual_weight if residual_weight is not None else (
-        np.ones(n_states) if want_resid else None
-    )
     mesh = None if mesh_times is None else np.asarray(list(mesh_times), float)
     mesh_ids = tuple(int(s) for s in mesh_states)
     if mesh is not None:
@@ -507,8 +485,16 @@ def sample_paths(
     absorb_states = [i for i, rule in edges if rule == "absorb"]
     want_price = want_payoff or want_resid
     discount = want_price and r != 0.0
-    # the next mesh time of each path, +inf once all are recorded
+    # the mesh times and +inf, the next mesh time of a path that recorded all
     mesh_ext = None if mesh is None else np.append(mesh, np.inf)
+    # one gather per step fetches every per-state field of the current states
+    fields = {"hold": chain.mean_hold, "up": chain.up_prob}
+    if want_payoff:
+        fields["position"] = position_table
+    if want_resid:
+        fields["weight"] = np.ones(n_states) if residual_weight is None else residual_weight
+        fields["rate"] = residual_rates
+    table = np.column_stack([np.asarray(f, float) for f in fields.values()])
 
     # the loop carries compacted per-path arrays (survivors only); scalar
     # accumulators ride along compacted and are scattered back on death
@@ -520,77 +506,71 @@ def sample_paths(
         st = np.full(m, chain.start_index, dtype=np.int64)
         tt = np.zeros(m)
         disc_old = np.ones(m) if discount else None  # exp(-r tt)
+        price_old = np.full(m, q_grid[chain.start_index]) if want_price else None  # exp(-r tt) q(U_tt)
         # per-path occupation of the mesh states, for the snapshots
         acc_occ = {ms: np.zeros(m) for ms in mesh_ids}
         acc_hit = {lv: np.full(m, np.inf) for lv in hits}
         acc_pay = np.zeros(m) if want_payoff else None
         acc_res = np.zeros(m) if want_resid else None
         mesh_next = np.zeros(m, dtype=np.int64) if mesh is not None else None
-
-        def _flush(sel_local: np.ndarray) -> None:
-            rows = ids[sel_local]
-            for lv, acc in acc_hit.items():
-                hits[lv][rows] = acc[sel_local]
-            if want_payoff:
-                payoff[rows] = acc_pay[sel_local]
-            if want_resid:
-                resid[rows] = acc_res[sel_local]
+        mesh_t = np.full(m, mesh_ext[0]) if mesh is not None else None  # mesh_ext[mesh_next]
 
         while ids.size:
-            mh = mean_hold[st]
+            at = dict(zip(fields, table.take(st, axis=0).T))
             e = rng.standard_exponential(ids.size)
             uu = rng.random(ids.size)
-            dwell_raw = e * mh
-            t_new = tt + dwell_raw
-            expire = t_new >= T
-            dwell = np.where(expire, T - tt, dwell_raw)
-            t_next = np.minimum(t_new, T)
+            dwell = e * at["hold"]
+            t_next = tt + dwell
+            expire = t_next >= T
+            any_expire = expire.any()
+            if any_expire:
+                dwell = np.where(expire, T - tt, dwell)
+                t_next = np.minimum(t_next, T)
 
             occupation += np.bincount(st, weights=dwell, minlength=n_states)
             for ms, acc in acc_occ.items():
-                acc += np.where(st == ms, dwell, 0.0)
+                acc += dwell * (st == ms)
 
-            if mesh is not None and np.any(mesh_ext[mesh_next] <= t_next):
+            if mesh is not None:
                 # record snapshots at every mesh time inside this sojourn;
                 # the occupation was advanced by the whole dwell already,
                 # so roll it back to the snapshot time
-                while True:
-                    mt = mesh_ext[mesh_next]
-                    inside = (mt <= t_next) & (mt >= tt)
-                    if not np.any(inside):
-                        break
-                    rows = ids[inside]
-                    mesh_state[rows, mesh_next[inside]] = st[inside]
-                    for j, ms in enumerate(mesh_ids):
-                        base = acc_occ[ms][inside]
-                        rollback = np.where(
-                            st[inside] == ms, t_next[inside] - mt[inside], 0.0
-                        )
-                        mesh_occ[rows, mesh_next[inside], j] = base - rollback
-                    mesh_next[inside] += 1
+                snap = mesh_t <= t_next
+                while snap.any():
+                    k = np.flatnonzero(snap)
+                    j = mesh_next[k]
+                    mesh_state[ids[k], j] = st[k]
+                    for col, ms in enumerate(mesh_ids):
+                        rollback = np.where(st[k] == ms, t_next[k] - mesh_t[k], 0.0)
+                        mesh_occ[ids[k], j, col] = acc_occ[ms][k] - rollback
+                    mesh_next[k] += 1
+                    mesh_t[k] = mesh_ext[mesh_next[k]]
+                    snap[k] = mesh_t[k] <= t_next[k]
 
-            s_next = (uu < up_prob[st]).astype(np.int64)
+            s_next = (uu < at["up"]).astype(np.int64)
             s_next *= 2
             s_next -= 1
             s_next += st
             live = ~expire
 
             if want_price:
-                s_eff = np.where(expire, st, s_next)
+                q_next = q_grid[np.where(expire, st, s_next) if any_expire else s_next]
                 if discount:
                     disc_new = np.exp(-r * t_next)
-                    dS = disc_new * q_grid[s_eff] - disc_old * q_grid[st]
+                    price_new = disc_new * q_next
                 else:
-                    dS = q_grid[s_eff] - q_grid[st]
+                    price_new = q_next
+                dS = price_new - price_old
                 if want_payoff:
-                    acc_pay += position_table[st] * dS
+                    acc_pay += at["position"] * dS
                 if want_resid:
                     disc_int = (disc_old - disc_new) / r if discount else dwell
-                    acc_res += w_resid[st] * (dS - residual_rates[st] * disc_int)
+                    acc_res += at["weight"] * (dS - at["rate"] * disc_int)
 
             for lv, acc in acc_hit.items():
-                arrived = live & (s_next == lv) & np.isinf(acc)
-                if np.any(arrived):
+                arrived = s_next == lv
+                if arrived.any():
+                    arrived &= live & np.isinf(acc)
                     acc[arrived] = t_next[arrived]
 
             # deaths: horizon, pad exit (discard), absorbing entry (the
@@ -602,25 +582,33 @@ def sample_paths(
             absorbed = _entering(s_next, absorb_states, live)
             if absorbed is not None:
                 dead = dead | absorbed
-                if discount and np.any(absorbed):
+                if discount and absorbed.any():
                     # the price keeps discounting while parked at the absorbing
                     # value; settle that increment analytically
                     tail = np.where(absorbed, (math.exp(-r * T) - disc_new) * q_grid[s_next], 0.0)
                     if want_payoff:
-                        acc_pay += position_table[s_next] * tail
+                        acc_pay += fields["position"][s_next] * tail
                     if want_resid:
-                        acc_res += w_resid[s_next] * tail
-            if np.any(dead):
-                terminal[ids[dead]] = np.where(expire, st, s_next)[dead]
-                if dead_pad is not None and np.any(dead_pad):
+                        acc_res += fields["weight"][s_next] * tail
+            if dead.any():
+                rows = ids[dead]
+                terminal[rows] = np.where(expire, st, s_next)[dead]
+                if dead_pad is not None and dead_pad.any():
                     discarded[ids[dead_pad]] = True
-                _flush(dead)
+                for lv, acc in acc_hit.items():
+                    hits[lv][rows] = acc[dead]
+                if want_payoff:
+                    payoff[rows] = acc_pay[dead]
+                if want_resid:
+                    resid[rows] = acc_res[dead]
                 keep = ~dead
                 ids = ids[keep]
                 st = s_next[keep]
                 tt = t_next[keep]
                 if discount:
                     disc_old = disc_new[keep]
+                if want_price:
+                    price_old = price_new[keep]
                 for ms in acc_occ:
                     acc_occ[ms] = acc_occ[ms][keep]
                 for lv in acc_hit:
@@ -631,11 +619,14 @@ def sample_paths(
                     acc_res = acc_res[keep]
                 if mesh is not None:
                     mesh_next = mesh_next[keep]
+                    mesh_t = mesh_t[keep]
             else:
                 st = s_next
                 tt = t_next
                 if discount:
                     disc_old = disc_new
+                if want_price:
+                    price_old = price_new
 
     return PathBatch(
         chain=chain,
@@ -657,15 +648,14 @@ def sample_paths(
 # ---------------------------------------------------------------------------
 
 
-def estimate_local_time_field(batch: PathBatch, chain: ChainModel) -> np.ndarray:
-    """Mean local-time field: occupation / (paths * cell mass) per state.
+def local_time_field(occupation: np.ndarray, chain: ChainModel) -> np.ndarray:
+    """Local-time field from a per-path occupation: occupation / cell mass.
 
     Inverts the occupation identity at chain resolution. States with zero
     cell mass get NaN.
     """
-    n = max(batch.n_kept, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lt = batch.occupation / (n * chain.cell_mass)
+        lt = occupation / chain.cell_mass
     return np.where(chain.cell_mass > 0, lt, np.nan)
 
 
@@ -679,26 +669,67 @@ class TradeoffEstimate:
     divergence: bool
 
 
-def _tradeoff_single(view: NaturalScaleView, chain: ChainModel, batch: PathBatch) -> float:
-    """K_hat = sum of phi(u_i)^2 * local-time * cell width over interior states."""
-    lt = estimate_local_time_field(batch, chain)
-    widths = chain.cell_widths()
-    phi_vals = np.asarray(view.phi(chain.grid), float)
-    interior = np.ones(chain.n_states, dtype=bool)
-    interior[0] = interior[-1] = False
-    vals = np.where(np.isfinite(lt) & interior, phi_vals**2 * lt * widths, 0.0)
-    return float(np.sum(vals))
+# Midpoint rule, upper half, on the optimized cotangent contour of Trefethen,
+# Weideman & Schmelzer (2006), w = n (0.5017 t cot(0.6407 t) - 0.6122 +
+# 0.2645 i t): f(T) ~ Re sum_k c_k F(w_k / T) / T for a Laplace transform F
+# analytic off (-inf, 0]. For F(z) = 1 / (z - x) it is a rational
+# approximation of exp(x T) with error about 3.89^-n uniformly in x <= 0, so
+# a stiff spectrum costs nothing; n = 32 reaches the double-precision floor.
+_t = math.pi * (2 * np.arange(16) + 1) / 32
+_TALBOT_W = 32 * (0.5017 * _t / np.tan(0.6407 * _t) - 0.6122 + 0.2645j * _t)
+_TALBOT_DW = 32 * (0.5017 / np.tan(0.6407 * _t) - 0.5017 * 0.6407 * _t / np.sin(0.6407 * _t) ** 2 + 0.2645j)
+_TALBOT_C = 2.0 * np.exp(_TALBOT_W) * _TALBOT_DW / 32j
+
+
+def exact_occupation(chain: ChainModel, T: float) -> np.ndarray:
+    """Expected occupation time of each state up to T, per path.
+
+    The occupation is e_start^T (integral of e^(Qt) over [0, T]) for the
+    generator Q of the live (finite-hold) states, and its Laplace transform
+    is x(z) / z with x(z) = e_start^T (zI - Q)^(-1). That row of the
+    tridiagonal resolvent comes from two continued-fraction sweeps toward
+    the start state, whose pivots keep an imaginary part of at least Im z,
+    so no pivot nears zero; the Talbot rule inverts the transform. The
+    cost is set by the number of states, not by the jump rates, and the
+    result is exact to about 1e-13 relative. A path entering an absorbing
+    or pad state is killed, as in ``sample_paths``, so
+    ``sample_paths(...).occupation / n_paths`` estimates this vector.
+    """
+    occ = np.zeros(chain.n_states)
+    live = np.flatnonzero(np.isfinite(chain.mean_hold))
+    if chain.start_index not in live:
+        occ[chain.start_index] = T  # parked on a terminal state for the whole horizon
+        return occ
+    rate = 1.0 / chain.mean_hold[live]
+    up = rate * chain.up_prob[live]  # i -> i+1; a flow into a terminal state leaves
+    down = rate - up  # i -> i-1
+    flow = up[:-1] * down[1:]  # Q[i, i+1] Q[i+1, i]
+    s = chain.start_index - live[0]
+    z = _TALBOT_W / T
+    # pivots of zI - Q eliminated from both ends toward s, one column per node
+    piv = z[None, :] + rate[:, None]
+    for i in range(1, s + 1):
+        piv[i] -= flow[i - 1] / piv[i - 1]
+    for i in range(live.size - 2, s, -1):
+        piv[i] -= flow[i] / piv[i + 1]
+    if s < live.size - 1:
+        piv[s] -= flow[s] / piv[s + 1]
+    x = np.empty_like(piv)
+    x[s] = 1.0 / piv[s]
+    x[s + 1 :] = x[s] * np.cumprod(up[s:-1, None] / piv[s + 1 :], axis=0)
+    x[:s] = (x[s] * np.cumprod((down[1 : s + 1, None] / piv[:s])[::-1], axis=0))[::-1]
+    occ[live] = np.real((x / z) @ _TALBOT_C) / T
+    return occ
 
 
 def estimate_tradeoff(
     view: NaturalScaleView,
     spec: DiffusionSpec,
-    n_paths: int = 4000,
-    seed: int = 42,
     base_grid: int = 256,
     levels: int = 3,
 ) -> TradeoffEstimate:
-    """Estimate K_T across a grid-refinement ladder and flag divergence.
+    """K_T across a grid-refinement ladder, exact on each level's chain
+    (``exact_occupation``), and a divergence flag.
 
     The flag is raised when the last two level-to-level ratios both reach
     1.5: a 1/x-type pole of phi doubles the estimate per refinement, while
@@ -706,14 +737,15 @@ def estimate_tradeoff(
     """
     if levels < 3:
         raise ValueError("the refinement ladder needs at least 3 levels")
-    grids = []
+    grids = [base_grid * 2**lv for lv in range(levels)]
     ests = []
-    for lv in range(levels):
-        N = base_grid * 2**lv
+    for N in grids:
+        # K = sum of phi(u_i)^2 * local time * cell width over interior states
         chain = build_chain(view, spec, N=N)
-        batch = sample_paths(chain, n_paths, seed, T=spec.horizon, stream=100 + lv)
-        grids.append(N)
-        ests.append(_tradeoff_single(view, chain, batch))
+        lt = local_time_field(exact_occupation(chain, spec.horizon), chain)
+        lt[[0, -1]] = np.nan
+        vals = np.asarray(view.phi(chain.grid), float) ** 2 * lt * np.diff(_cell_edges(chain.grid))
+        ests.append(float(np.sum(np.where(np.isfinite(lt), vals, 0.0))))
     ratios = tuple(
         (ests[i + 1] / ests[i]) if ests[i] > 0 else math.inf if ests[i + 1] > 0 else 1.0
         for i in range(len(ests) - 1)
@@ -757,6 +789,13 @@ class StrategyPlan:
     name: str
     hit_level: Optional[int] = None
     table: Optional[np.ndarray] = None
+
+    @property
+    def accumulators(self) -> dict:
+        """The ``sample_paths`` keyword arguments the plan reads."""
+        if self.hit_level is not None:
+            return {"hit_levels": [self.hit_level]}
+        return {"position_table": self.table}
 
 
 def plan_strategy(
@@ -854,16 +893,7 @@ def run_strategy(
     if chain is None:
         chain = build_chain(view, spec, N=N, horizon=T)
     plan = plan_strategy(view, chain, strategy, level)
-    batch = sample_paths(
-        chain,
-        n_paths,
-        seed,
-        T,
-        hit_levels=() if plan.hit_level is None else [plan.hit_level],
-        position_table=plan.table,
-        stream=7,
-    )
-    return evaluate_strategy(batch, plan)[0]
+    return evaluate_strategy(sample_paths(chain, n_paths, seed, T, stream=7, **plan.accumulators), plan)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -885,6 +915,73 @@ class DiagnosticResult:
         return self.n_samples >= 2 and abs(self.t_stat) < threshold
 
 
+@dataclass(frozen=True)
+class DiagnosticPlan:
+    """A martingale diagnostic resolved on a chain: the ``sample_paths``
+    keyword arguments it reads and, for 'U_minus_half_L', one (state, sign,
+    cell mass) compensator per reflecting boundary."""
+
+    target: str
+    accumulators: dict
+    compensators: tuple[tuple[int, float, float], ...] = ()
+
+
+def plan_diagnostic(
+    view: NaturalScaleView,
+    chain: ChainModel,
+    target: str,
+    T: float,
+    target_states: Optional[Sequence[int]] = None,
+) -> DiagnosticPlan:
+    """Resolve a diagnostic target on a chain (see ``martingale_diagnostic``)."""
+    if target == "U_minus_half_L":
+        refl = [s for s, b in view.boundaries if b.kind == "reflecting"]
+        if not refl:
+            raise ValueError("U_minus_half_L requires a reflecting boundary")
+        # left reflection pushes up (compensator -L/2), right reflection
+        # pushes down (+L/2); with both present, both enter
+        comps = []
+        for side in refl:
+            b_idx = 0 if side == "left" else chain.n_states - 1
+            comps.append((b_idx, 1.0 if side == "left" else -1.0, chain.cell_mass[b_idx]))
+        mesh = {"mesh_times": np.linspace(0.0, T, 9)[1:], "mesh_states": [c[0] for c in comps]}
+        return DiagnosticPlan(target, mesh, tuple(comps))
+    if target == "discounted_price_drift":
+        weight = np.zeros(chain.n_states)
+        if target_states is None:
+            weight[1:-1] = 1.0
+        else:
+            weight[[int(s) for s in target_states]] = 1.0
+        return DiagnosticPlan(target, {"residual_rates": gamma_drift_rates(chain, view), "residual_weight": weight})
+    raise ValueError(f"unknown diagnostic target {target!r}")
+
+
+def evaluate_diagnostic(batch: PathBatch, plan: DiagnosticPlan) -> DiagnosticResult:
+    """The diagnostic's t statistic on the kept paths of a batch that
+    carries the plan's accumulators."""
+    chain = batch.chain
+    keep = batch.kept
+    if plan.target == "U_minus_half_L":
+        incr = np.diff(chain.grid[batch.mesh_state[keep]], axis=1, prepend=chain.grid[chain.start_index])
+        for j, (_, sign, cm) in enumerate(plan.compensators):
+            occ = batch.mesh_occupation[keep][:, :, j]
+            incr = incr - sign * np.diff(occ, axis=1, prepend=0.0) / (2.0 * cm)
+        samples = incr.ravel()
+        note = f"{incr.shape[1]} mesh increments per path, {len(plan.compensators)} reflecting compensator(s)"
+    else:
+        samples = batch.residual[keep]
+        note = "per-path residual of price increments against the predicted drift"
+    mean, se = _mean_se(samples)
+    return DiagnosticResult(
+        target=plan.target,
+        t_stat=mean / se if se > 0 else 0.0,
+        mean=mean,
+        se=se,
+        n_samples=samples.size,
+        note=note,
+    )
+
+
 def martingale_diagnostic(
     view: NaturalScaleView,
     spec: DiffusionSpec,
@@ -897,7 +994,8 @@ def martingale_diagnostic(
     grid_in: str = "natural",
     horizon: Optional[float] = None,
 ) -> DiagnosticResult:
-    """Empirical martingale tests on the chain.
+    """Empirical martingale tests on the chain, each on its own substream
+    (11 and 13) of ``seed``.
 
     'U_minus_half_L': with a reflecting left boundary, increments of
     U - L/2 over a mesh of 8 times must be centered (L estimated as boundary
@@ -912,102 +1010,6 @@ def martingale_diagnostic(
     T = spec.horizon if horizon is None else float(horizon)
     if chain is None:
         chain = build_chain(view, spec, N=N, grid_in=grid_in, horizon=T)
-
-    if target == "U_minus_half_L":
-        refl = [s for s, b in view.boundaries if b.kind == "reflecting"]
-        if not refl:
-            raise ValueError("U_minus_half_L requires a reflecting boundary")
-        # left reflection pushes up (compensator -L/2), right reflection
-        # pushes down (+L/2); with both present, both enter
-        comps = []
-        for side in refl:
-            b_idx = 0 if side == "left" else chain.n_states - 1
-            sign = 1.0 if side == "left" else -1.0
-            comps.append((b_idx, sign, chain.cell_mass[b_idx]))
-        mesh = np.linspace(0.0, T, 9)[1:]
-        batch = sample_paths(
-            chain,
-            n_paths,
-            seed,
-            T,
-            mesh_times=mesh,
-            mesh_states=[idx for idx, _, _ in comps],
-            stream=11,
-        )
-        keep = batch.kept
-        states = batch.mesh_state[keep]
-        u_vals = chain.grid[states]
-        u_full = np.concatenate(
-            [np.full((u_vals.shape[0], 1), chain.grid[chain.start_index]), u_vals], axis=1
-        )
-        incr = np.diff(u_full, axis=1)
-        for j, (idx, sign, cm) in enumerate(comps):
-            occ = batch.mesh_occupation[keep][:, :, j]
-            occ_full = np.concatenate([np.zeros((occ.shape[0], 1)), occ], axis=1)
-            incr = incr - sign * np.diff(occ_full, axis=1) / (2.0 * cm)
-        flat = incr.ravel()
-        mean, se = _mean_se(flat)
-        return DiagnosticResult(
-            target="U_minus_half_L",
-            t_stat=mean / se if se > 0 else 0.0,
-            mean=mean,
-            se=se,
-            n_samples=flat.size,
-            note=f"{mesh.size} mesh increments per path, "
-            f"{len(comps)} reflecting compensator(s)",
-        )
-
-    if target == "discounted_price_drift":
-        rates = gamma_drift_rates(chain, view)
-        weight = np.zeros(chain.n_states)
-        if target_states is None:
-            weight[1:-1] = 1.0
-        else:
-            for s in target_states:
-                weight[int(s)] = 1.0
-        batch = sample_paths(
-            chain,
-            n_paths,
-            seed,
-            T,
-            residual_rates=rates,
-            residual_weight=weight,
-            stream=13,
-        )
-        res = batch.residual[batch.kept]
-        mean, se = _mean_se(res)
-        return DiagnosticResult(
-            target="discounted_price_drift",
-            t_stat=mean / se if se > 0 else 0.0,
-            mean=mean,
-            se=se,
-            n_samples=res.size,
-            note="per-path residual of price increments against the predicted drift",
-        )
-
-    raise ValueError(f"unknown diagnostic target {target!r}")
-
-
-# ---------------------------------------------------------------------------
-# Chain-level statistics used by the validation suite
-# ---------------------------------------------------------------------------
-
-
-def cell_exit_statistics(
-    chain: ChainModel, index: int, n: int, seed: int
-) -> dict[str, float]:
-    """Empirical holding time and up-move frequency at one cell.
-
-    Uses the same generator family as the path sampler; checks that the
-    sampled exponential clock and Bernoulli jumps match the chain fields.
-    """
-    rng = _rng(seed, 999)
-    holds = rng.standard_exponential(n) * chain.mean_hold[index]
-    ups = rng.random(n) < chain.up_prob[index]
-    mean_hold, se_hold = _mean_se(holds)
-    return {
-        "mean_hold": mean_hold,
-        "se_hold": se_hold,
-        "up_frac": float(np.mean(ups)),
-        "se_up": float(math.sqrt(chain.up_prob[index] * (1 - chain.up_prob[index]) / n)),
-    }
+    plan = plan_diagnostic(view, chain, target, T, target_states)
+    batch = sample_paths(chain, n_paths, seed, T, stream=11 if target == "U_minus_half_L" else 13, **plan.accumulators)
+    return evaluate_diagnostic(batch, plan)

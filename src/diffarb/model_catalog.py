@@ -56,7 +56,8 @@ class CatalogEntry:
     def check_params(self, kw: Optional[dict]) -> dict:
         """The defaults overridden by ``kw``, an object whose values are
         numbers, rationals such as ``"4/3"``, ``"inf"`` or ``"-inf"`` where
-        the default is infinite, or None where the default is None."""
+        the default is infinite, or None where the default is None; each
+        value must lie in its parameter's range."""
         kw = json_object({} if kw is None else kw, f"{self.name} parameter", self.params, error=ValueError)
         full = {k: v[0] for k, v in self.params.items()}
         for k, v in kw.items():
@@ -67,8 +68,31 @@ class CatalogEntry:
             v = json_number(v, f"parameter {k!r}", error=ValueError)
             if math.isinf(v) and not (full[k] is not None and math.isinf(full[k])):
                 raise ValueError(f"parameter {k!r} must be finite, got {v}")
+            rng = self.params[k][1].split(";")[0]
+            if not _RANGE_RULES[rng](v):
+                raise ValueError(f"parameter {k!r} = {v} is outside its range ({rng})")
             full[k] = v
         return full
+
+
+# the rule of every range text in CatalogEntry.params (up to a ';' comment);
+# a text missing here is a KeyError, never an unchecked parameter
+_RANGE_RULES = {
+    "any real": lambda v: True,
+    "default: the sticky point": lambda v: True,
+    "natural-scale start": lambda v: True,
+    "zero": lambda v: v == 0.0,
+    "nonzero": lambda v: v != 0.0,
+    "> 0": lambda v: v > 0.0,
+    ">= 0": lambda v: v >= 0.0,
+    "> 1": lambda v: v > 1.0,
+    "(0, 1)": lambda v: 0.0 < v < 1.0,
+    "(0, 2)": lambda v: 0.0 < v < 2.0,
+    "(-1, 0)": lambda v: -1.0 < v < 0.0,
+    "[0, inf]": lambda v: v >= 0.0,
+    # beyond 50 generations the removed radius 2^-(n+3) is below 1e-16
+    "integer in [1, 50]": lambda v: 1 <= v <= 50 and v == int(v),
+}
 
 
 def _rational(text: str) -> float:
@@ -123,8 +147,6 @@ def _expected_brownian_motion(r, x0) -> ExpectedVerdict:
 
 
 def _build_sticky_reflected_bm(r: float, rho: float, x0: float) -> DiffusionSpec:
-    if rho < 0:
-        raise ValueError("stickiness rho must be >= 0")
     J = StateInterval(1.0, _R_INF, alpha_closed=True)
     scale = SmoothPiece1D.from_expr(Affine(1.0, 0.0), (J.alpha, J.beta))
     atoms = ((1.0, float(rho)),) if rho > 0 else ()
@@ -167,10 +189,6 @@ def _bessel_family(delta: float, r: float, x0: float, m0: float) -> DiffusionSpe
     carries a speed atom m0 in [0, inf]: 0 means instantaneous reflection,
     inf means absorption.
     """
-    if not 0 < delta < 2:
-        raise ValueError("delta must lie in (0, 2)")
-    if x0 <= 0:
-        raise ValueError("x0 must be positive")
     nu = delta / 2.0 - 1.0
     p = 1.0 / (1.0 - delta / 2.0)
     J = StateInterval(0.0, _R_INF, alpha_closed=True)
@@ -224,8 +242,6 @@ def _expected_squared_bessel(delta, r, x0) -> ExpectedVerdict:
 
 
 def _build_gen_squared_bessel(nu: float, r: float, m0: float, x0: float) -> DiffusionSpec:
-    if not -1.0 < nu < 0.0:
-        raise ValueError("nu must lie in (-1, 0)")
     delta = 2.0 * (1.0 + nu)
     spec = _bessel_family(delta, r, x0, m0=m0)
     return dataclasses.replace(spec, model_id="gen_squared_bessel")
@@ -244,8 +260,6 @@ def _expected_gen_squared_bessel(nu, r, m0, x0) -> ExpectedVerdict:
 
 
 def _build_cubed_bm(r: float, x0: float) -> DiffusionSpec:
-    if x0 == 0:
-        raise ValueError("x0 must be nonzero (the start must avoid the degenerate point)")
     J = StateInterval(-_R_INF, _R_INF)
     scale = SmoothPiece1D.from_expr(PowerSigned(0.0, 1.0 / 3.0), (J.alpha, J.beta))
 
@@ -281,10 +295,6 @@ def _expected_cubed_bm(r, x0) -> ExpectedVerdict:
 
 
 def _build_sticky_skew(kappa: float, c: float, xi: float, r: float, x0: Optional[float]) -> DiffusionSpec:
-    if not 0 < kappa < 1:
-        raise ValueError("kappa must lie in (0, 1)")
-    if c <= 0:
-        raise ValueError("stickiness c must be positive")
     xi = float(xi)
     x0 = xi if x0 is None else float(x0)
     J = StateInterval(-_R_INF, _R_INF)
@@ -438,11 +448,6 @@ class _FlatSpotInverseScale:
 
 
 def _build_fat_cantor(r: float, generations: float, u0: float) -> DiffusionSpec:
-    if r != 0.0:
-        raise ValueError("this entry is defined for zero interest rate")
-    # beyond 50 generations the removed radius 2^-(n+3) is below 1e-16
-    if not (1 <= generations <= 50 and generations == int(generations)):
-        raise ValueError(f"generations must be an integer in [1, 50], got {generations:g}")
     comps = fat_complement_components(int(generations))
     core = _FlatSpotInverseScale(comps)
     q = SmoothPiece1D(

@@ -7,6 +7,7 @@ import pytest
 
 from diffarb.arb_classifier import classify
 from diffarb.model_catalog import (
+    _RANGE_RULES,
     CATALOG,
     build_model,
     catalog_names,
@@ -84,6 +85,15 @@ def test_every_entry_has_rationale_and_params():
         assert entry.params
         # builders must validate for the default parameters
         build_model(name)
+
+
+def test_every_parameter_range_has_a_rule_that_admits_its_default():
+    # check_params looks each range text up in _RANGE_RULES, so a range text
+    # without a rule (a typo, a new entry) would fail every override of it
+    for name in catalog_names():
+        for k, (default, text) in CATALOG[name].params.items():
+            rule = _RANGE_RULES[text.split(";")[0]]
+            assert default is None or rule(default), (name, k, default, text)
 
 
 def test_unknown_model_and_params_rejected():

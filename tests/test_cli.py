@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diffarb import cli_app, mc_engine
 from diffarb.cli_app import main
 from diffarb.diffusion_model import derive_natural_scale
 from diffarb.mc_engine import build_chain, evaluate_strategy, plan_strategy, run_strategy, sample_paths
@@ -297,6 +298,32 @@ def test_simulate_one_batch_matches_run_strategy(tmp_path):
     ]
 
 
+def test_simulate_samples_paths_once(tmp_path, monkeypatch):
+    calls = []
+    sample_paths = mc_engine.sample_paths
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("stream"))
+        return sample_paths(*args, **kwargs)
+
+    monkeypatch.setattr(mc_engine, "sample_paths", counted)
+    monkeypatch.setattr(cli_app, "sample_paths", counted, raising=False)
+    code = run(
+        [
+            "simulate", "--catalog", "sticky_reflected_bm", "--params", "r=0.5,rho=1",
+            "--paths", "300", "--grid", "64", "--seed", "3", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    assert calls == [7]
+    sim = json.loads((tmp_path / "simulate_sticky_reflected_bm.json").read_text())
+    assert [s["name"] for s in sim["strategies"]] == ["post_hitting_hold@1", "boundary_sit"]
+    assert [d["target"] for d in sim["diagnostics"]] == ["U_minus_half_L", "discounted_price_drift"]
+    # the diagnostics read every kept path of the batch: 8 mesh increments or one residual each
+    kept = sim["n_paths"] - sim["discarded_paths"]
+    assert [d["n_samples"] for d in sim["diagnostics"]] == [8 * kept, kept]
+
+
 def test_simulate_rejects_bad_paths_and_levels(tmp_path, capsys):
     base = ["simulate", "--catalog", "brownian_motion", "--grid", "64", "--out", str(tmp_path)]
     for flag, value, word in (
@@ -381,11 +408,26 @@ MALFORMED_ARGS = {
     "generations_above_50": ["classify", "--catalog", "fat_cantor", "--params", "generations=51"],
     "fat_cantor_infinite_start": ["classify", "--catalog", "fat_cantor", "--params", "u0=inf"],
     "sticky_skew_infinite_point": ["classify", "--catalog", "sticky_skew", "--params", "xi=inf"],
+    "bessel_negative_atom": ["classify", "--catalog", "gen_squared_bessel", "--params", "m0=-1"],
+    "bessel_minus_infinite_atom": ["classify", "--catalog", "gen_squared_bessel", "--params", "m0=-inf"],
+    "cubed_bm_nonzero_rate": ["classify", "--catalog", "cubed_bm", "--params", "r=1"],
+    "squared_bessel_nonzero_rate": ["classify", "--catalog", "squared_bessel", "--params", "r=1/2"],
+    "fat_cantor_nonzero_rate": ["classify", "--catalog", "fat_cantor", "--params", "r=-1"],
     "tol_without_value": _BM + ["--tol", "rel"],
     "unknown_flag": _BM + ["--bogus", "1"],
     "classify_grid": _BM + ["--grid", "64"],
     "report_grid": ["report", "--grid", "64"],
 }
+# rows whose one parameter lies outside its catalog range: the error names it
+_RANGE_ROWS = (
+    "generations_fractional",
+    "generations_above_50",
+    "bessel_negative_atom",
+    "bessel_minus_infinite_atom",
+    "cubed_bm_nonzero_rate",
+    "squared_bessel_nonzero_rate",
+    "fat_cantor_nonzero_rate",
+)
 
 
 @pytest.mark.parametrize(
@@ -402,6 +444,9 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, argv, doc)
     assert run(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+    if argv in [MALFORMED_ARGS[name] for name in _RANGE_ROWS]:
+        param = argv[-1].split("=")[0]
+        assert err[0].startswith(f"error: parameter {param!r}"), err
     # pytest records warnings instead of printing them: a warning would be
     # one more stderr line outside the test
     assert not recwarn.list, [str(w.message) for w in recwarn]

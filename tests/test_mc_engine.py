@@ -6,6 +6,7 @@ seeds; construction identities are exact and asserted tightly.
 
 import dataclasses
 import math
+import time
 import warnings
 
 import numpy as np
@@ -14,13 +15,10 @@ import pytest
 from diffarb.diffusion_model import DiffusionSpec, StateInterval, derive_natural_scale
 from diffarb.mc_engine import (
     build_chain,
-    cell_exit_statistics,
-    estimate_local_time_field,
     estimate_tradeoff,
+    exact_occupation,
     gamma_drift_rates,
-    ks_distance,
     martingale_diagnostic,
-    normal_cdf,
     run_strategy,
     sample_paths,
     wilson_interval,
@@ -29,6 +27,7 @@ from diffarb.measure_kit import Affine, DecomposedMeasure, ScComponent, SmoothPi
 from diffarb.model_catalog import build_model
 
 from cantor_staircase import cantor_cdf
+from oracles import cell_exit_statistics, dense_occupation, estimate_local_time_field, ks_distance, normal_cdf
 
 INF = math.inf
 
@@ -295,6 +294,86 @@ def test_cell_exit_statistics_match_chain(bm):
     assert abs(st["up_frac"] - chain.up_prob[i]) < 3 * st["se_up"]
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("sticky_reflected_bm", {"r": 0.5, "rho": 1.0}),
+        ("gen_squared_bessel", {"r": 0.5, "x0": 0.3, "m0": INF}),
+        ("brownian_motion", {"r": 0.3}),
+    ],
+    ids=["reflecting", "absorbing", "padded"],
+)
+def test_sampled_occupation_matches_exact_oracle(name, params):
+    # a wide exit bound puts pad states in reach, so every interior state is
+    # visited often and pad exits (killed paths) happen on every chain
+    spec = build_model(name, params)
+    view = derive_natural_scale(spec)
+    chain = build_chain(view, spec, N=32, exit_prob_bound=0.3)
+    T = spec.horizon
+    exact = exact_occupation(chain, T)
+    n_batches, n = 40, 500
+    means = np.array([sample_paths(chain, n, 1, T, stream=s).occupation / n for s in range(n_batches)])
+    mean = means.mean(axis=0)
+    se = means.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    live = se > 0
+    assert np.all(np.abs(mean - exact)[live] < 4 * se[live])
+    # terminal states: a path entering one is killed, so neither side counts time there
+    assert np.array_equal(mean[~live], exact[~live])
+    assert not live[-1] and (chain.left_rule == "reflect") == live[0]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("sticky_reflected_bm", {"r": 0.5, "rho": 1.0}),
+        ("gen_squared_bessel", {"r": 0.5, "x0": 0.3, "m0": INF}),
+        ("cubed_bm", {}),
+        ("squared_bessel", {"delta": 1.5}),
+    ],
+    ids=["reflecting", "absorbing", "padded", "stiff"],
+)
+def test_exact_occupation_matches_dense_eigendecomposition(name, params):
+    spec = build_model(name, params)
+    view = derive_natural_scale(spec)
+    for N in (32, 256):
+        chain = build_chain(view, spec, N=N)
+        for T in (0.05, spec.horizon):
+            ref = dense_occupation(chain, T)
+            assert np.max(np.abs(exact_occupation(chain, T) - ref)) <= 1e-10 * np.max(ref), (N, T)
+
+
+def test_exact_occupation_conserves_time_on_a_stiff_chain():
+    # squared_bessel delta=3/2 has speed density 4u^2 at natural scale, so the
+    # reflecting cell at 0 holds for about h^4: the largest jump rate times T
+    # is about 8.6e7 at N = 512. With its pad end made reflecting no path is killed, and the
+    # occupation must add up to T (the zero eigenvalue included).
+    spec = build_model("squared_bessel", {"delta": 1.5})
+    view = derive_natural_scale(spec)
+    chain = build_chain(view, spec, N=512)
+    T = spec.horizon
+    assert chain.left_rule == "reflect" and np.max(1.0 / chain.mean_hold) * T > 5e7
+    hold = chain.mean_hold.copy()
+    hold[-1] = hold[-2]
+    closed = dataclasses.replace(chain, mean_hold=hold, right_rule="reflect")
+    occ = exact_occupation(closed, T)
+    assert abs(occ.sum() - T) <= 1e-11 * T
+    assert np.all(occ >= -1e-12 * T)
+    # the padded chain loses mass only to the pad exit
+    assert 0.999 * T < exact_occupation(chain, T).sum() <= occ.sum()
+
+
+def test_tradeoff_ladder_cost_does_not_follow_the_jump_rates():
+    # the CLI's default ladder (128/256/512) on the stiff squared_bessel
+    # chain: a solver whose work grows with the largest rate times T needs
+    # about 9e7 steps on the top level; the contour solve takes a few ms a level
+    spec = build_model("squared_bessel", {"delta": 1.5})
+    view = derive_natural_scale(spec)
+    t0 = time.perf_counter()
+    tr = estimate_tradeoff(view, spec, base_grid=128)
+    assert time.perf_counter() - t0 < 10.0
+    assert all(math.isfinite(k) and k >= 0.0 for k in tr.estimates)
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -353,7 +432,7 @@ def test_occupation_identity_exact(bm):
 
 def test_tradeoff_zero_for_driftless_bm(bm):
     spec, view, _ = bm
-    tr = estimate_tradeoff(view, spec, n_paths=500, seed=3, base_grid=64)
+    tr = estimate_tradeoff(view, spec, base_grid=64)
     assert tr.estimates == (0.0, 0.0, 0.0)
     assert not tr.divergence
 
@@ -361,7 +440,7 @@ def test_tradeoff_zero_for_driftless_bm(bm):
 def test_tradeoff_divergence_cubed_bm():
     spec = build_model("cubed_bm")
     view = derive_natural_scale(spec)
-    tr = estimate_tradeoff(view, spec, n_paths=1500, seed=5, base_grid=128)
+    tr = estimate_tradeoff(view, spec, base_grid=128)
     assert tr.divergence
     assert all(rho > 1.5 for rho in tr.ratios[-2:])
 
@@ -369,7 +448,7 @@ def test_tradeoff_divergence_cubed_bm():
 def test_tradeoff_stable_sticky_reflected():
     spec = build_model("sticky_reflected_bm", {"r": 0.5, "rho": 1.0})
     view = derive_natural_scale(spec)
-    tr = estimate_tradeoff(view, spec, n_paths=1500, seed=6, base_grid=128)
+    tr = estimate_tradeoff(view, spec, base_grid=128)
     assert not tr.divergence
     assert all(abs(rho - 1.0) < 0.10 for rho in tr.ratios)
 
