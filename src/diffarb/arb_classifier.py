@@ -45,7 +45,6 @@ __all__ = [
     "ConditionReport",
     "Verdict",
     "check_nip",
-    "check_nip_zero_rate",
     "check_nsa",
     "check_nupbr",
     "check_rp",
@@ -270,49 +269,6 @@ def _check_flat_spots(
     return reports
 
 
-def check_nip_zero_rate(
-    view: NaturalScaleView, spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD
-) -> tuple[str, list[ConditionReport]]:
-    """Zero-rate fast path: reflecting boundaries need a flat inverse scale
-    at the boundary image, and q'' must have no singular part. Each zero is
-    tested as the general path tests it at r = 0."""
-    if spec.r != 0.0:
-        raise SpecValidationError("zero-rate NIP check called with r != 0")
-    reports: list[ConditionReport] = []
-    for side, beh in view.boundaries:
-        if beh.kind != "reflecting":
-            continue
-        val = view.boundary_slope(side)
-        ok = close_rel(0.0, 0.5 * val, cfg.eq_rel)
-        reports.append(
-            ConditionReport(
-                "NIP.i.b",
-                "pass" if ok else "fail",
-                residual=val,
-                note=f"{side} reflecting requires q'(s(b)) = 0 at zero rate",
-            )
-        )
-    lo_u, hi_u = view.sJ
-    si_atoms = [(p, m) for p, m in view.qpp.interior_atoms(lo_u, hi_u) if not _within(0.5 * m, 0.5 * abs(m), cfg)]
-    q_sc = view.qpp.sc
-    sc_zero = q_sc is None
-    if q_sc is not None:
-        base = view.mU.sc or q_sc
-        us = np.linspace(base.support[0], base.support[1], 514)[1:-1]
-        half = float(np.max(np.abs(0.5 * np.asarray(q_sc.multiplier(us), float))))
-        sc_zero = _within(half, half, cfg)
-    si_clean = not si_atoms and sc_zero
-    reports.append(
-        ConditionReport(
-            "NIP.ii",
-            "pass" if si_clean else "fail",
-            note="q'' must be absolutely continuous at zero rate"
-            + ("" if si_clean else f" (atoms at {[p for p, _ in si_atoms]})"),
-        )
-    )
-    return _combine([c.status for c in reports]), reports
-
-
 # ---------------------------------------------------------------------------
 # NSA / NUPBR
 # ---------------------------------------------------------------------------
@@ -469,12 +425,6 @@ def classify(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) -> Verdict:
         )
 
     nip, nip_reports = check_nip(view, spec, cfg)
-    if spec.r == 0.0:
-        zr, _ = check_nip_zero_rate(view, spec, cfg)
-        if zr != nip and INCONCLUSIVE not in (zr, nip):
-            raise RuntimeError(
-                f"internal inconsistency: zero-rate fast path says {zr}, general path {nip}"
-            )
     nsa, nsa_reports = check_nsa(view, spec, nip)
     nupbr, nupbr_reports = check_nupbr(view, spec, nsa)
     rp, rp_report = check_rp(view, spec)

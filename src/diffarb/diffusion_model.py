@@ -112,10 +112,17 @@ class BoundaryBehavior:
 class DiffusionSpec:
     """Full market model: diffusion characteristics plus analytic annotations.
 
-    Annotations (kinks, the zero set of q', local behaviours of phi and of
-    q'' near boundary images) let the classifier decide integral conditions
-    exactly; everything annotated is still validated numerically where a
-    numeric check exists.
+    Annotations let the classifier decide integral conditions exactly. Some
+    are checked against the model, and the rest are trusted:
+
+    * checked: the declared boundary kinds (against the collar integral
+      test; an inconclusive test defers to the declaration), the kink jumps
+      of q (against its one-sided derivatives) and ``speed_natural`` (its
+      atoms, and its ac part on four probe intervals unless q' has an
+      annotated zero interval, against the pushforward of ``speed``);
+    * trusted: ``phi_behaviors`` and ``qpp_behaviors`` (the local exponents
+      the deciders use), ``qprime_zero_set``, the inverse scale ``q_expr`` /
+      ``q_piece`` and ``qpp_sc``. A false one can give a wrong verdict.
     """
 
     J: StateInterval

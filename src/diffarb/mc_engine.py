@@ -59,11 +59,9 @@ __all__ = [
     "StrategyPlan",
     "plan_strategy",
     "evaluate_strategy",
-    "run_strategy",
     "DiagnosticPlan",
     "plan_diagnostic",
     "evaluate_diagnostic",
-    "martingale_diagnostic",
     "gamma_drift_rates",
     "wilson_interval",
     "subseed",
@@ -134,7 +132,7 @@ class ChainModel:
     left_rule: str  # 'absorb' | 'reflect' | 'pad'
     right_rule: str
     r: float
-    start_index: int
+    start_index: int  # a live state: build_chain refuses a terminal start
 
     @property
     def n_states(self) -> int:
@@ -262,12 +260,16 @@ def build_chain(
     if window is None:
         # local variance rate of U is 1/mU_ac; pad by a high-quantile
         # Gaussian excursion bound, P(max |N(0,1)| excursion > k) <=
-        # 4(1 - Phi(k)) = exit_prob_bound, iterating once to update the rate
+        # 4(1 - Phi(k)) = exit_prob_bound, iterating once to update the rate.
+        # The rate is probed on the padded sides of the start only: a speed
+        # density vanishing at a finite boundary would otherwise widen the
+        # first probe so far that the second skips the start's neighbourhood
+        # and collapses the pad onto the start.
         k = normal_quantile(1.0 - exit_prob_bound / 4.0)
         width = k * math.sqrt(T)
         for _ in range(2):
-            probe_lo = max(s_lo, u_start - width)
-            probe_hi = min(s_hi, u_start + width)
+            probe_lo = u_start if math.isfinite(s_lo) else u_start - width
+            probe_hi = u_start if math.isfinite(s_hi) else u_start + width
             us = np.linspace(probe_lo, probe_hi, 65)[1:-1]
             if view.mU.ac_density is None:
                 rate = 1.0
@@ -278,8 +280,6 @@ def build_chain(
             width = k * math.sqrt(rate * T)
         lo = s_lo if math.isfinite(s_lo) else u_start - width
         hi = s_hi if math.isfinite(s_hi) else u_start + width
-        lo = max(lo, s_lo)
-        hi = min(hi, s_hi)
         window = (lo, hi)
     lo, hi = window
     if not (lo < u_start < hi) and not (lo == u_start or hi == u_start):
@@ -356,8 +356,10 @@ def build_chain(
     if right_rule != "reflect":
         hold[-1] = math.inf
 
-    q_grid = np.asarray(view.q.value(grid), float)
     start_index = int(np.argmin(np.abs(grid - u_start)))
+    if not math.isfinite(hold[start_index]):
+        raise ValueError(f"the chain starts on a terminal state: window [{lo:g}, {hi:g}] ends at s(x0) = {u_start:g}")
+    q_grid = np.asarray(view.q.value(grid), float)
     return ChainModel(
         grid=grid,
         up_prob=up,
@@ -697,9 +699,6 @@ def exact_occupation(chain: ChainModel, T: float) -> np.ndarray:
     """
     occ = np.zeros(chain.n_states)
     live = np.flatnonzero(np.isfinite(chain.mean_hold))
-    if chain.start_index not in live:
-        occ[chain.start_index] = T  # parked on a terminal state for the whole horizon
-        return occ
     rate = 1.0 / chain.mean_hold[live]
     up = rate * chain.up_prob[live]  # i -> i+1; a flow into a terminal state leaves
     down = rate - up  # i -> i-1
@@ -798,31 +797,27 @@ class StrategyPlan:
         return {"position_table": self.table}
 
 
-def plan_strategy(
-    view: NaturalScaleView,
-    chain: ChainModel,
-    strategy: str | np.ndarray,
-    level: Optional[float] = None,
-) -> StrategyPlan:
-    """Resolve a strategy name (or a custom per-state table) on a chain."""
-    if isinstance(strategy, str) and strategy == "post_hitting_hold":
-        if level is None:
-            acc = [s for s, b in view.boundaries if b.accessible]
-            if not acc:
-                raise ValueError("post_hitting_hold needs a level or an accessible boundary")
-            level = view.boundary_image(acc[0])
+def plan_strategy(view: NaturalScaleView, chain: ChainModel, strategy: str) -> StrategyPlan:
+    """Resolve a named strategy on a chain.
+
+    'post_hitting_hold' enters one unit after first hitting the accessible
+    boundary (its payoff telescopes to S_T - S at the hit); 'boundary_sit'
+    holds one unit only while at the reflecting boundary state.
+    """
+    if strategy == "post_hitting_hold":
+        acc = [s for s, b in view.boundaries if b.accessible]
+        if not acc:
+            raise ValueError("post_hitting_hold needs an accessible boundary")
+        level = view.boundary_image(acc[0])
         return StrategyPlan(f"post_hitting_hold@{float(level):g}", hit_level=chain.state_of(float(level)))
-    if isinstance(strategy, str) and strategy == "boundary_sit":
+    if strategy == "boundary_sit":
         refl = [s for s, b in view.boundaries if b.kind == "reflecting"]
         if not refl:
             raise ValueError("boundary_sit requires a reflecting boundary")
         table = np.zeros(chain.n_states)
         table[chain.state_of(view.boundary_image(refl[0]))] = 1.0
         return StrategyPlan("boundary_sit", table=table)
-    table = np.asarray(strategy, float)
-    if table.shape != (chain.n_states,):
-        raise ValueError("custom strategy table must have one position per state")
-    return StrategyPlan("custom_table", table=table)
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def evaluate_strategy(batch: PathBatch, plan: StrategyPlan) -> tuple[StrategyResult, np.ndarray]:
@@ -870,32 +865,6 @@ def evaluate_strategy(batch: PathBatch, plan: StrategyPlan) -> tuple[StrategyRes
     return result, pay
 
 
-def run_strategy(
-    view: NaturalScaleView,
-    spec: DiffusionSpec,
-    strategy: str | np.ndarray,
-    chain: Optional[ChainModel] = None,
-    n_paths: int = 10_000,
-    seed: int = 42,
-    N: int = 512,
-    level: Optional[float] = None,
-    horizon: Optional[float] = None,
-) -> StrategyResult:
-    """Discrete stochastic integral of a predictable position against the
-    discounted price along chain paths.
-
-    Strategies: 'post_hitting_hold' (enter one unit after first hitting the
-    given level, default the accessible boundary; payoff telescopes to
-    S_T - S at the hit), 'boundary_sit' (hold one unit only while at the
-    reflecting boundary state), or a custom per-state position table.
-    """
-    T = spec.horizon if horizon is None else float(horizon)
-    if chain is None:
-        chain = build_chain(view, spec, N=N, horizon=T)
-    plan = plan_strategy(view, chain, strategy, level)
-    return evaluate_strategy(sample_paths(chain, n_paths, seed, T, stream=7, **plan.accumulators), plan)[0]
-
-
 # ---------------------------------------------------------------------------
 # Martingale diagnostics
 # ---------------------------------------------------------------------------
@@ -933,7 +902,18 @@ def plan_diagnostic(
     T: float,
     target_states: Optional[Sequence[int]] = None,
 ) -> DiagnosticPlan:
-    """Resolve a diagnostic target on a chain (see ``martingale_diagnostic``)."""
+    """Resolve a martingale diagnostic target on a chain.
+
+    'U_minus_half_L': with a reflecting boundary, increments of U - L/2
+    over a mesh of 8 times must be centered (L estimated as boundary
+    occupation over the boundary cell mass).
+
+    'discounted_price_drift': price increments minus the drift predicted by
+    the market-price-of-risk field (Green-averaged per cell) must be
+    centered; restricted to ``target_states`` when given, e.g. the sticky
+    cell. A violated singular-part identity shows up as a biased residual
+    at the affected cell.
+    """
     if target == "U_minus_half_L":
         refl = [s for s, b in view.boundaries if b.kind == "reflecting"]
         if not refl:
@@ -980,36 +960,3 @@ def evaluate_diagnostic(batch: PathBatch, plan: DiagnosticPlan) -> DiagnosticRes
         n_samples=samples.size,
         note=note,
     )
-
-
-def martingale_diagnostic(
-    view: NaturalScaleView,
-    spec: DiffusionSpec,
-    target: str,
-    chain: Optional[ChainModel] = None,
-    n_paths: int = 5000,
-    seed: int = 42,
-    N: int = 512,
-    target_states: Optional[Sequence[int]] = None,
-    grid_in: str = "natural",
-    horizon: Optional[float] = None,
-) -> DiagnosticResult:
-    """Empirical martingale tests on the chain, each on its own substream
-    (11 and 13) of ``seed``.
-
-    'U_minus_half_L': with a reflecting left boundary, increments of
-    U - L/2 over a mesh of 8 times must be centered (L estimated as boundary
-    occupation over the boundary cell mass).
-
-    'discounted_price_drift': price increments minus the drift predicted by
-    the market-price-of-risk field (Green-averaged per cell) must be
-    centered; restricted to ``target_states`` when given, e.g. the sticky
-    cell. A violated singular-part identity shows up as a biased residual
-    at the affected cell.
-    """
-    T = spec.horizon if horizon is None else float(horizon)
-    if chain is None:
-        chain = build_chain(view, spec, N=N, grid_in=grid_in, horizon=T)
-    plan = plan_diagnostic(view, chain, target, T, target_states)
-    batch = sample_paths(chain, n_paths, seed, T, stream=11 if target == "U_minus_half_L" else 13, **plan.accumulators)
-    return evaluate_diagnostic(batch, plan)

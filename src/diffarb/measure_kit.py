@@ -45,7 +45,6 @@ __all__ = [
     "Compose",
     "Piecewise",
     "Tabulated",
-    "expr_to_json",
     "expr_from_json",
     "SmoothPiece1D",
     "ScComponent",
@@ -669,38 +668,6 @@ def json_pair(value, what: str, error=MeasureKitError) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise error(f"{what} must be a pair of numbers, got {value!r}")
     return json_number(value[0], what, error), json_number(value[1], what, error)
-
-
-def expr_to_json(e: Expr) -> dict:
-    """Serialize an expression to the fixed structured-text form."""
-    if isinstance(e, Const):
-        return {"node": "const", "c": e.c}
-    if isinstance(e, Affine):
-        return {"node": "affine", "a": e.a, "b": e.b}
-    if isinstance(e, PowerSigned):
-        return {"node": "power_signed", "center": e.center, "p": e.p}
-    if isinstance(e, ExpIntegral):
-        return {
-            "node": "exp_integral",
-            "mu": expr_to_json(e.mu),
-            "anchor": e.anchor,
-            "inner_anchor": e.inner_anchor,
-        }
-    if isinstance(e, Sum):
-        return {"node": "sum", "terms": [expr_to_json(t) for t in e.terms]}
-    if isinstance(e, Product):
-        return {"node": "product", "factors": [expr_to_json(t) for t in e.factors]}
-    if isinstance(e, Compose):
-        return {"node": "compose", "outer": expr_to_json(e.outer), "inner": expr_to_json(e.inner)}
-    if isinstance(e, Piecewise):
-        return {
-            "node": "piecewise",
-            "breakpoints": list(e.points),
-            "pieces": [expr_to_json(p) for p in e.pieces],
-        }
-    if isinstance(e, Tabulated):
-        return {"node": "tabulated", "samples": [[x, y] for x, y in zip(e.xs, e.ys)]}
-    raise MeasureKitError(f"cannot serialize expression of type {type(e).__name__}")
 
 
 def expr_from_json(obj: dict) -> Expr:

@@ -1,11 +1,37 @@
-"""Reference statistics read only by the test suite."""
+"""Reference implementations read only by the test suite."""
 
 import math
 from typing import Callable
 
 import numpy as np
 
-from diffarb.mc_engine import local_time_field, subseed
+from diffarb.arb_classifier import ConditionReport, _combine, _within
+from diffarb.diffusion_model import SpecValidationError
+from diffarb.mc_engine import (
+    StrategyPlan,
+    build_chain,
+    evaluate_diagnostic,
+    evaluate_strategy,
+    local_time_field,
+    plan_diagnostic,
+    plan_strategy,
+    sample_paths,
+    subseed,
+)
+from diffarb.measure_kit import (
+    DEFAULT_QUAD,
+    Affine,
+    Compose,
+    Const,
+    ExpIntegral,
+    MeasureKitError,
+    Piecewise,
+    PowerSigned,
+    Product,
+    Sum,
+    Tabulated,
+    close_rel,
+)
 
 
 def normal_cdf(x) -> np.ndarray:
@@ -42,8 +68,10 @@ def cell_exit_statistics(chain, index: int, n: int, seed: int) -> dict[str, floa
 
 
 def estimate_local_time_field(batch, chain) -> np.ndarray:
-    """Mean local-time field of a sampled batch: occupation per kept path / cell mass."""
-    return local_time_field(batch.occupation / max(batch.n_kept, 1), chain)
+    """Mean local-time field of a sampled batch: occupation per path / cell
+    mass. A discarded path is killed at the pad exit, as in
+    ``exact_occupation``, so it counts in the denominator too."""
+    return local_time_field(batch.occupation / max(batch.n_paths, 1), chain)
 
 
 def dense_occupation(chain, T: float) -> np.ndarray:
@@ -52,9 +80,6 @@ def dense_occupation(chain, T: float) -> np.ndarray:
     O(N^2) memory, so only for small chains)."""
     occ = np.zeros(chain.n_states)
     live = np.flatnonzero(np.isfinite(chain.mean_hold))
-    if chain.start_index not in live:
-        occ[chain.start_index] = T
-        return occ
     rate = 1.0 / chain.mean_hold[live]
     up = rate * chain.up_prob[live]
     down = rate - up
@@ -67,3 +92,82 @@ def dense_occupation(chain, T: float) -> np.ndarray:
     k = chain.start_index - live[0]
     occ[live] = np.exp(half_log_d - half_log_d[k]) * (V @ (integral * V[k]))
     return occ
+
+
+def run_strategy(view, spec, strategy, chain=None, n_paths=10_000, seed=42, N=512, level=None, horizon=None):
+    """Plan, sample on stream 7 and evaluate one strategy: a name, a name with
+    a ``level`` for the post-hitting hold, or a per-state position table."""
+    T = spec.horizon if horizon is None else float(horizon)
+    if chain is None:
+        chain = build_chain(view, spec, N=N, horizon=T)
+    if not isinstance(strategy, str):
+        plan = StrategyPlan("custom_table", table=np.asarray(strategy, float))
+    elif level is not None:
+        plan = StrategyPlan(f"post_hitting_hold@{float(level):g}", hit_level=chain.state_of(float(level)))
+    else:
+        plan = plan_strategy(view, chain, strategy)
+    return evaluate_strategy(sample_paths(chain, n_paths, seed, T, stream=7, **plan.accumulators), plan)[0]
+
+
+def martingale_diagnostic(
+    view, spec, target, chain=None, n_paths=5000, seed=42, N=512, target_states=None, grid_in="natural", horizon=None
+):
+    """Plan, sample and evaluate one diagnostic (see ``plan_diagnostic``), on
+    its own substream of ``seed``: 11 for 'U_minus_half_L', 13 otherwise."""
+    T = spec.horizon if horizon is None else float(horizon)
+    if chain is None:
+        chain = build_chain(view, spec, N=N, grid_in=grid_in, horizon=T)
+    plan = plan_diagnostic(view, chain, target, T, target_states)
+    stream = 11 if target == "U_minus_half_L" else 13
+    return evaluate_diagnostic(sample_paths(chain, n_paths, seed, T, stream=stream, **plan.accumulators), plan)
+
+
+def check_nip_zero_rate(view, spec, cfg=DEFAULT_QUAD):
+    """NIP at r = 0 by the zero-rate criterion: a reflecting boundary needs
+    q'(s(b)) = 0, and q'' must have no singular part. Each zero is tested as
+    ``check_nip`` tests it at r = 0; the two must agree."""
+    if spec.r != 0.0:
+        raise SpecValidationError("zero-rate NIP check called with r != 0")
+    reports = []
+    for side, beh in view.boundaries:
+        if beh.kind == "reflecting":
+            val = view.boundary_slope(side)
+            ok = close_rel(0.0, 0.5 * val, cfg.eq_rel)
+            note = f"{side} reflecting requires q'(s(b)) = 0 at zero rate"
+            reports.append(ConditionReport("NIP.i.b", "pass" if ok else "fail", residual=val, note=note))
+    lo_u, hi_u = view.sJ
+    si_atoms = [p for p, m in view.qpp.interior_atoms(lo_u, hi_u) if not _within(0.5 * m, 0.5 * abs(m), cfg)]
+    q_sc = view.qpp.sc
+    sc_zero = q_sc is None
+    if q_sc is not None:
+        base = view.mU.sc or q_sc
+        us = np.linspace(base.support[0], base.support[1], 514)[1:-1]
+        half = float(np.max(np.abs(0.5 * np.asarray(q_sc.multiplier(us), float))))
+        sc_zero = _within(half, half, cfg)
+    clean = not si_atoms and sc_zero
+    note = "q'' must be absolutely continuous at zero rate" + ("" if clean else f" (atoms at {si_atoms})")
+    reports.append(ConditionReport("NIP.ii", "pass" if clean else "fail", note=note))
+    return _combine([c.status for c in reports]), reports
+
+
+def expr_to_json(e) -> dict:
+    """Serialize an expression to the structured-text form ``expr_from_json`` reads."""
+    if isinstance(e, Const):
+        return {"node": "const", "c": e.c}
+    if isinstance(e, Affine):
+        return {"node": "affine", "a": e.a, "b": e.b}
+    if isinstance(e, PowerSigned):
+        return {"node": "power_signed", "center": e.center, "p": e.p}
+    if isinstance(e, ExpIntegral):
+        return {"node": "exp_integral", "mu": expr_to_json(e.mu), "anchor": e.anchor, "inner_anchor": e.inner_anchor}
+    if isinstance(e, Sum):
+        return {"node": "sum", "terms": [expr_to_json(t) for t in e.terms]}
+    if isinstance(e, Product):
+        return {"node": "product", "factors": [expr_to_json(t) for t in e.factors]}
+    if isinstance(e, Compose):
+        return {"node": "compose", "outer": expr_to_json(e.outer), "inner": expr_to_json(e.inner)}
+    if isinstance(e, Piecewise):
+        return {"node": "piecewise", "breakpoints": list(e.points), "pieces": [expr_to_json(p) for p in e.pieces]}
+    if isinstance(e, Tabulated):
+        return {"node": "tabulated", "samples": [[x, y] for x, y in zip(e.xs, e.ys)]}
+    raise MeasureKitError(f"cannot serialize expression of type {type(e).__name__}")

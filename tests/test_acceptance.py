@@ -12,7 +12,6 @@ import numpy as np
 
 from diffarb.arb_classifier import (
     check_nip,
-    check_nip_zero_rate,
     check_nsa,
     check_nupbr,
     classify,
@@ -23,14 +22,19 @@ from diffarb.measure_kit import LocalBehavior, decide_L2_local, decide_weighted_
 from diffarb.mc_engine import (
     build_chain,
     estimate_tradeoff,
-    martingale_diagnostic,
-    run_strategy,
     sample_paths,
 )
 from diffarb.model_catalog import build_model
 
 from fuzz_models import random_spec
-from oracles import cell_exit_statistics, ks_distance, normal_cdf
+from oracles import (
+    cell_exit_statistics,
+    check_nip_zero_rate,
+    ks_distance,
+    martingale_diagnostic,
+    normal_cdf,
+    run_strategy,
+)
 
 INF = math.inf
 

@@ -11,7 +11,6 @@ from diffarb.arb_classifier import (
     HOLDS,
     INCONCLUSIVE,
     check_nip,
-    check_nip_zero_rate,
     check_nsa,
     check_nupbr,
     check_rp,
@@ -19,10 +18,11 @@ from diffarb.arb_classifier import (
 )
 from diffarb.diffusion_model import SpecValidationError, derive_natural_scale, load_model_spec
 from diffarb.measure_kit import ScComponent, SmoothPiece1D
-from diffarb.model_catalog import build_model, expected_verdict
+from diffarb.model_catalog import CATALOG, build_model, expected_verdict
 
 from cantor_staircase import cantor_cdf
 from fuzz_models import random_spec
+from oracles import check_nip_zero_rate
 
 INF = math.inf
 ORDER = {HOLDS: 2, INCONCLUSIVE: 1, FAILS: 0}
@@ -75,6 +75,15 @@ def test_zero_rate_fast_path_examples():
         view = derive_natural_scale(spec)
         status, _ = check_nip_zero_rate(view, spec)
         assert status == want, name
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))  # every entry's range for r admits 0
+def test_zero_rate_criterion_agrees_with_check_nip(name):
+    spec = build_model(name, {"r": 0})
+    view = derive_natural_scale(spec)
+    zr, _ = check_nip_zero_rate(view, spec)
+    nip, _ = check_nip(view, spec)
+    assert zr == nip or INCONCLUSIVE in (zr, nip)
 
 
 def test_zero_rate_fast_path_requires_zero_rate():

@@ -12,8 +12,10 @@ import pytest
 from diffarb import cli_app, mc_engine
 from diffarb.cli_app import main
 from diffarb.diffusion_model import derive_natural_scale
-from diffarb.mc_engine import build_chain, evaluate_strategy, plan_strategy, run_strategy, sample_paths
+from diffarb.mc_engine import build_chain, evaluate_strategy, plan_strategy, sample_paths
 from diffarb.model_catalog import build_model
+
+from oracles import run_strategy
 
 
 def run(args):

@@ -18,8 +18,7 @@ from diffarb.mc_engine import (
     estimate_tradeoff,
     exact_occupation,
     gamma_drift_rates,
-    martingale_diagnostic,
-    run_strategy,
+    local_time_field,
     sample_paths,
     wilson_interval,
 )
@@ -27,7 +26,15 @@ from diffarb.measure_kit import Affine, DecomposedMeasure, ScComponent, SmoothPi
 from diffarb.model_catalog import build_model
 
 from cantor_staircase import cantor_cdf
-from oracles import cell_exit_statistics, dense_occupation, estimate_local_time_field, ks_distance, normal_cdf
+from oracles import (
+    cell_exit_statistics,
+    dense_occupation,
+    estimate_local_time_field,
+    ks_distance,
+    martingale_diagnostic,
+    normal_cdf,
+    run_strategy,
+)
 
 INF = math.inf
 
@@ -374,6 +381,22 @@ def test_tradeoff_ladder_cost_does_not_follow_the_jump_rates():
     assert all(math.isfinite(k) and k >= 0.0 for k in tr.estimates)
 
 
+def test_pad_is_probed_on_the_padded_side_only():
+    # squared_bessel delta=1.9: the speed density at natural scale vanishes
+    # at the reflecting end 0 and explodes far out on the padded right side.
+    # A probe over both sides of s(x0) put the right window end on s(x0), so
+    # the start was a terminal pad state and the K ladder read 0 on every level.
+    spec = build_model("squared_bessel", {"delta": 1.9})
+    view = derive_natural_scale(spec)
+    chain = build_chain(view, spec, N=128)
+    assert 0 < chain.start_index < chain.n_states - 1
+    assert math.isfinite(chain.mean_hold[chain.start_index])
+    tr = estimate_tradeoff(view, spec, base_grid=64)  # the ladder of simulate --grid 128
+    assert all(0.0 < k < math.inf for k in tr.estimates)
+    with pytest.raises(ValueError, match="terminal"):
+        build_chain(view, spec, N=64, window=(0.0, view.s_x0))
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -405,6 +428,24 @@ def test_local_time_zero_mass_cell_raises(bm):
     batch = sample_paths(crippled, 10, seed=1, T=0.01)
     # local time is undefined on a cell without speed mass
     assert np.isnan(estimate_local_time_field(batch, crippled)[3])
+
+
+def test_local_time_oracle_matches_exact_on_a_padded_chain():
+    # a path discarded at the pad exit is killed, as in exact_occupation, so
+    # it counts in the denominator; per kept path the field was biased up by
+    # n_paths / n_kept, about 1.4 on this chain
+    spec = build_model("brownian_motion", {"r": 0.3})
+    view = derive_natural_scale(spec)
+    chain = build_chain(view, spec, N=32, exit_prob_bound=0.3)
+    T = spec.horizon
+    exact = local_time_field(exact_occupation(chain, T), chain)
+    n_batches = 40
+    batches = [sample_paths(chain, 500, 1, T, stream=s) for s in range(n_batches)]
+    fields = np.array([estimate_local_time_field(b, chain) for b in batches])
+    mean = fields.mean(axis=0)
+    se = fields.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    live = se > 0
+    assert np.all(np.abs(mean - exact)[live] < 4 * se[live])
 
 
 def test_sticky_occupation_consistent_with_neighbor_local_time():

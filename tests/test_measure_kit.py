@@ -29,7 +29,6 @@ from diffarb.measure_kit import (
     decide_L2_local,
     decide_weighted_L2_boundary,
     expr_from_json,
-    expr_to_json,
     invert_monotone_vec,
     measure_from_json,
     pushforward,
@@ -39,6 +38,7 @@ from diffarb.measure_kit import (
 from diffarb.model_catalog import build_model
 
 from fuzz_models import random_spec
+from oracles import expr_to_json
 
 RT = np.inf
 
