@@ -114,7 +114,6 @@ def check_nip(
 ) -> tuple[str, list[ConditionReport]]:
     reports: list[ConditionReport] = []
     r = spec.r
-    lo_u, hi_u = view.sJ
 
     # (i) boundary clauses
     for side, beh in view.boundaries:
@@ -317,7 +316,6 @@ def _phi_l2_interior(view: NaturalScaleView, spec: DiffusionSpec) -> ConditionRe
         lo_c = min(lo_c, max(view.s_x0 - 0.5, 0.5 * (lo_u + view.s_x0)))
         hi_c = max(hi_c, min(view.s_x0 + 0.5, 0.5 * (hi_u + view.s_x0)))
         edges = np.linspace(lo_c, hi_c, _GENERIC_WINDOWS + 1)
-        pts = [b.point for b in behaviors]
         for a, b in zip(edges[:-1], edges[1:]):
             local = [bb for bb in behaviors if a <= bb.point <= b]
             v = decide_L2_local(view.phi, (float(a), float(b)), behaviors=local)
@@ -373,11 +371,9 @@ def check_nupbr(
     """NSA (its verdict ``nsa_status``) and the weighted collar condition at
     every absorbing boundary."""
     reports: list[ConditionReport] = []
-    has_absorbing = False
     for side, beh in view.boundaries:
         if beh.kind != "absorbing":
             continue
-        has_absorbing = True
         u_b = view.boundary_image(side)
         bb = _boundary_behaviors(view, spec, u_b)
         v = decide_weighted_L2_boundary(view.phi, u_b, view.collar(side), behaviors=bb)
@@ -389,9 +385,6 @@ def check_nupbr(
                 note=f"distance-weighted collar integral of phi**2 at the {side} absorbing boundary: {v.status}",
             )
         )
-    if not has_absorbing:
-        # with no absorbing boundary the two notions coincide
-        return nsa_status, reports
     status = nsa_status
     for c in reports:
         status = _and_then(status, c.status)

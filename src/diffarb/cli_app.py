@@ -267,7 +267,7 @@ def cmd_simulate(args) -> int:
     )
 
     if strategies:
-        pay = _payoff_histogram(evaluated[0][1]) if accessible else []
+        pay = _payoff_histogram(evaluated[0][1])
         _write_csv(out_dir / f"payoffs_{label}.csv", ["bin_left", "bin_right", "count"], pay)
 
     if args.dump_paths:

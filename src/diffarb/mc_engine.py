@@ -15,18 +15,25 @@ speed exactly at cell resolution:
   atom; an absorbing boundary is an absorbing state; truncated inaccessible
   boundaries are padded and exiting paths are discarded and counted.
 
-One quadrature computes these Green integrals: a 12-point Gauss-Legendre
-rule per half-cell, two-sided on interior cells and one-sided on a
-reflecting boundary cell. It integrates the speed density for the holding
-times (one pass over the speed measure also yields the cell masses) and the
-drift density for the per-state drift rates of the price diagnostic.
+One quadrature computes these Green integrals for densities: a 12-point
+Gauss-Legendre rule per half-cell, two-sided on interior cells and
+one-sided on a reflecting boundary cell. It integrates the speed density
+for the holding times (one pass over the speed measure also yields the cell
+masses) and the drift density for the per-state drift rates of the price
+diagnostic. Speed atoms and the binned singular-continuous part are point
+masses, and one helper gives them the same Green weight.
 
 Sampling is vectorized over paths with a counter-based generator (Philox),
 so runs are bit-reproducible for a fixed seed, stream and chunk layout. The
-accumulators never change which numbers are drawn, so one pass that carries
-several of them samples the same paths as separate passes would: strategies
-and martingale diagnostics are planned on a chain, each plan naming the
-accumulators it reads, and evaluated on one batch that carries them all.
+sampler carries one row per quantity for the live paths and compacts the
+rows together when paths die. Its accumulators are hit times, occupations
+and price integrals: the strategy payoff is the integral of a position
+against the discounted price, and the drift residual is the same integral
+less a predicted drift rate. The accumulators never change which numbers
+are drawn, so one pass that carries several of them samples the same paths
+as separate passes would: strategies and martingale diagnostics are planned
+on a chain, each plan naming the accumulators it reads, and evaluated on
+one batch that carries them all.
 
 Expectations that need no pathwise statistic are exact: the chain is a
 birth-death process, so its expected occupation up to T follows from a
@@ -178,6 +185,33 @@ def _green_integrals(
     return out
 
 
+def _add_point_masses(
+    hold: np.ndarray, mass: np.ndarray, grid: np.ndarray, reflect: tuple[bool, bool], y: np.ndarray, m: np.ndarray
+) -> None:
+    """Add speed masses ``m`` at points ``y`` (inside the grid) in place.
+
+    A point adds 2 m G_i(u_i, y) to the holding time of each interior state
+    whose neighbour span holds it (G as in ``_green_integrals``), 2 m times
+    its distance to the first interior node to a reflecting boundary state
+    whose cell holds it, and m to the mass of the cell between the
+    neighbouring midpoints that holds it.
+    """
+    n = grid.size
+    j = np.searchsorted(grid, y, side="right") - 1  # grid[j] <= y
+    i = np.concatenate([j, j + 1])
+    inner = (i >= 1) & (i <= n - 2)
+    i, yi, mi = i[inner], np.tile(y, 2)[inner], np.tile(m, 2)[inner]
+    lo, u, hi = grid[i - 1], grid[i], grid[i + 1]
+    g = (np.minimum(yi, u) - lo) * (hi - np.maximum(yi, u)) / (hi - lo)
+    hold += np.bincount(i, weights=2.0 * mi * g, minlength=n)
+    for b, node in ((0, grid[1]), (-1, grid[-2])):
+        if reflect[b]:
+            near = y < node if b == 0 else y > node
+            hold[b] += np.sum(2.0 * m[near] * np.abs(y[near] - node))
+    cell = np.clip(np.searchsorted(_cell_edges(grid), y) - 1, 0, n - 1)
+    mass += np.bincount(cell, weights=m, minlength=n)
+
+
 def _speed_pass(
     mU: DecomposedMeasure, grid: np.ndarray, reflect: tuple[bool, bool]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -185,53 +219,31 @@ def _speed_pass(
 
     mean_hold[i] = 2 * integral of G_i(u_i, y) mU(dy) (see
     ``_green_integrals``; 0 at terminal boundary states) and cell_mass[i] =
-    mU of the cell between the neighbouring midpoints. Atoms are assumed to
-    sit on grid points (the grid is built that way), entering through
-    G_i(u_i, atom) exactly; the singular-continuous part is binned on a
-    4097-point grid and does not enter the boundary holds.
+    mU of the cell between the neighbouring midpoints. The ac density goes
+    through the cell quadrature; the finite atoms (on grid points, as the
+    grid is built) and the singular-continuous part, binned on a 4097-point
+    grid, are point masses sharing one Green weight (``_add_point_masses``).
     """
     n = grid.size
-    edges = _cell_edges(grid)
     hold = np.zeros(n)
     mass = np.zeros(n)
     if mU.ac_density is not None:
         hold = _green_integrals(mU.ac_density, grid, reflect)
+        edges = _cell_edges(grid)
         lo, hi = edges[:-1], edges[1:]
         y = lo[:, None] + (hi - lo)[:, None] * _GL_T[None, :]
         rho = np.asarray(mU.ac_density(y.ravel()), float).reshape(y.shape)
         mass = (hi - lo) * np.dot(rho, _GL_W)
 
-    for p, m in mU.atoms:
-        if math.isinf(m) or not grid[0] <= p <= grid[-1]:
-            continue  # an infinite atom makes an absorbing state, whose hold is infinite anyway
-        i = int(np.argmin(np.abs(grid - p)))
-        mass[i] += m
-        if 1 <= i <= n - 2:
-            g_at = (min(p, grid[i]) - grid[i - 1]) * (grid[i + 1] - max(p, grid[i])) / (
-                grid[i + 1] - grid[i - 1]
-            )
-            hold[i] += 2.0 * m * g_at
-        if reflect[0] and p < grid[1]:
-            hold[0] += 2.0 * m * (grid[1] - p)
-        if reflect[1] and p > grid[-2]:
-            hold[-1] += 2.0 * m * (p - grid[-2])
-
+    # an infinite atom makes an absorbing state, whose hold is infinite anyway
+    pts = [(p, m) for p, m in mU.atoms if math.isfinite(m) and grid[0] <= p <= grid[-1]]
+    y, m = np.array(pts, float).reshape(-1, 2).T
     if mU.sc is not None:
         us = np.linspace(grid[0], grid[-1], 4097)
-        cdf = np.asarray(mU.sc.base_cdf(us), float)
         mids = 0.5 * (us[:-1] + us[1:])
-        dm = np.asarray(mU.sc.multiplier(mids), float) * np.diff(cdf)
-        np.add.at(mass, np.clip(np.searchsorted(edges, mids) - 1, 0, n - 1), dm)
-        for i in range(1, n - 1):
-            sel = (mids > grid[i - 1]) & (mids < grid[i + 1])
-            if np.any(sel):
-                y = mids[sel]
-                g = np.where(
-                    y <= grid[i],
-                    (y - grid[i - 1]) * (grid[i + 1] - grid[i]),
-                    (grid[i] - grid[i - 1]) * (grid[i + 1] - y),
-                ) / (grid[i + 1] - grid[i - 1])
-                hold[i] += 2.0 * float(np.dot(g, dm[sel]))
+        dm = np.asarray(mU.sc.multiplier(mids), float) * np.diff(np.asarray(mU.sc.base_cdf(us), float))
+        y, m = np.concatenate([y, mids]), np.concatenate([m, dm])
+    _add_point_masses(hold, mass, grid, reflect, y, m)
     return hold, mass
 
 
@@ -285,57 +297,37 @@ def build_chain(
     if not (lo < u_start < hi) and not (lo == u_start or hi == u_start):
         raise ValueError("window does not contain the start point")
 
-    left_rule = "pad"
-    right_rule = "pad"
-    if math.isfinite(s_lo) and abs(lo - s_lo) <= 1e-12 * (1 + abs(s_lo)):
-        beh = view.boundary("left")
-        if beh.kind == "absorbing":
-            left_rule = "absorb"
-        elif beh.kind == "reflecting":
-            left_rule = "reflect"
-    if math.isfinite(s_hi) and abs(hi - s_hi) <= 1e-12 * (1 + abs(s_hi)):
-        beh = view.boundary("right")
-        if beh.kind == "absorbing":
-            right_rule = "absorb"
-        elif beh.kind == "reflecting":
-            right_rule = "reflect"
+    # a window end on a finite boundary image takes that boundary's rule
+    rules = []
+    for side, s_b, end in (("left", s_lo, lo), ("right", s_hi, hi)):
+        on_boundary = math.isfinite(s_b) and abs(end - s_b) <= 1e-12 * (1 + abs(s_b))
+        kind = view.boundary(side).kind if on_boundary else None
+        rules.append({"absorbing": "absorb", "reflecting": "reflect"}.get(kind, "pad"))
+    left_rule, right_rule = rules
 
-    anchors = {lo, hi, u_start}
-    for p, _ in view.mU.atoms:
-        if lo < p < hi:
-            anchors.add(float(p))
-    for p, _ in view.qpp.atoms:
-        if lo < p < hi:
-            anchors.add(float(p))
-    # pin the singular points of phi (flat spots of q, annotated poles) so
-    # refinement ladders see them at exactly one grid point
-    for a, b in spec.qprime_zero_set:
-        for p in (a, b):
-            if lo < p < hi:
-                anchors.add(float(p))
-    for beh in spec.phi_behaviors:
-        if lo < beh.point < hi:
-            anchors.add(float(beh.point))
+    # pin the speed atoms, the atoms of q'' and the singular points of phi
+    # (flat spots of q, annotated poles) so refinement ladders see them at
+    # exactly one grid point
+    points = [p for p, _ in view.mU.atoms] + [p for p, _ in view.qpp.atoms]
+    points += [p for ab in spec.qprime_zero_set for p in ab] + [beh.point for beh in spec.phi_behaviors]
+    anchors = {lo, hi, u_start} | {float(p) for p in points if lo < p < hi}
+
+    def fill(ends: list[float]) -> np.ndarray:
+        """About N cells between the first and last of the sorted anchors,
+        each gap between neighbouring anchors split evenly."""
+        target = (ends[-1] - ends[0]) / N
+        parts = [
+            np.linspace(a, b, max(1, int(round((b - a) / target))) + 1)[:-1] for a, b in zip(ends[:-1], ends[1:])
+        ]
+        return np.concatenate(parts + [[ends[-1]]])
 
     if grid_in == "state":
         # uniform in the original coordinate, mapped through the scale;
         # reproduces the skew jump probability on symmetric state grids
-        x_anchors = sorted(float(view.q.value(np.asarray(a))) for a in anchors)
-        grid_parts = []
-        target = (x_anchors[-1] - x_anchors[0]) / N
-        for a, b in zip(x_anchors[:-1], x_anchors[1:]):
-            n_seg = max(1, int(round((b - a) / target)))
-            grid_parts.append(np.linspace(a, b, n_seg + 1)[:-1])
-        xs = np.concatenate(grid_parts + [[x_anchors[-1]]])
+        xs = fill(sorted(float(view.q.value(np.asarray(a))) for a in anchors))
         grid = np.asarray(spec.scale.value(xs), float)
     else:
-        u_anchors = sorted(anchors)
-        grid_parts = []
-        target = (hi - lo) / N
-        for a, b in zip(u_anchors[:-1], u_anchors[1:]):
-            n_seg = max(1, int(round((b - a) / target)))
-            grid_parts.append(np.linspace(a, b, n_seg + 1)[:-1])
-        grid = np.concatenate(grid_parts + [[hi]])
+        grid = fill(sorted(anchors))
     grid = np.unique(grid)
     if grid.size < 3:
         raise ValueError("degenerate grid")
@@ -453,75 +445,79 @@ def sample_paths(
     """Sample CTMC paths to the horizon with occupation bookkeeping.
 
     Exponential holding times with the chain's means, Bernoulli up/down
-    jumps; deterministic for a fixed (seed, stream). Optional accumulators:
-    position_table H(state) feeds a predictable discrete integral of H
-    against the discounted price; residual_rates subtracts a per-state
-    predicted drift rate from the price increments (weighted per state by
-    residual_weight); mesh_times records the state and the occupation of
-    the ``mesh_states`` at fixed times.
+    jumps; deterministic for a fixed (seed, stream). Optional accumulators
+    are price integrals, the sum over a path of w(state) (dS - rate(state)
+    dt) for the discounted price S and the discounted clock dt:
+    position_table H(state) is the weight of the strategy payoff, which has
+    no rate term; residual_rates is the rate of the drift residual, weighted
+    per state by residual_weight. hit_levels records first hitting times,
+    and mesh_times records the state and the occupation of the
+    ``mesh_states`` at fixed times.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n_states = chain.n_states
     q_grid = chain.q_grid
     r = chain.r
+    discount = r != 0.0
 
     terminal = np.full(n_paths, -1, dtype=np.int64)
     discarded = np.zeros(n_paths, dtype=bool)
     occupation = np.zeros(n_states)
     hits = {int(s): np.full(n_paths, np.inf) for s in hit_levels}
-    want_payoff = position_table is not None
-    payoff = np.zeros(n_paths) if want_payoff else None
-    want_resid = residual_rates is not None
-    resid = np.zeros(n_paths) if want_resid else None
+    integrals = {}  # name: (weight, rate or None) per state
+    if position_table is not None:
+        integrals["payoff"] = (position_table, None)
+    if residual_rates is not None:
+        integrals["residual"] = (np.ones(n_states) if residual_weight is None else residual_weight, residual_rates)
+    totals = {name: np.zeros(n_paths) for name in integrals}
     mesh = None if mesh_times is None else np.asarray(list(mesh_times), float)
     mesh_ids = tuple(int(s) for s in mesh_states)
     if mesh is not None:
         mesh_state = np.full((n_paths, mesh.size), -1, dtype=np.int64)
         mesh_occ = np.zeros((n_paths, mesh.size, len(mesh_ids)))
+        # the mesh times and +inf, the next mesh time of a path that recorded all
+        mesh_ext = np.append(mesh, np.inf)
     else:
         mesh_state = mesh_occ = None
 
     edges = ((0, chain.left_rule), (n_states - 1, chain.right_rule))
     pad_states = [i for i, rule in edges if rule == "pad"]
     absorb_states = [i for i, rule in edges if rule == "absorb"]
-    want_price = want_payoff or want_resid
-    discount = want_price and r != 0.0
-    # the mesh times and +inf, the next mesh time of a path that recorded all
-    mesh_ext = None if mesh is None else np.append(mesh, np.inf)
-    # one gather per step fetches every per-state field of the current states
-    fields = {"hold": chain.mean_hold, "up": chain.up_prob}
-    if want_payoff:
-        fields["position"] = position_table
-    if want_resid:
-        fields["weight"] = np.ones(n_states) if residual_weight is None else residual_weight
-        fields["rate"] = residual_rates
-    table = np.column_stack([np.asarray(f, float) for f in fields.values()])
+    # one gather per step fetches every per-state column of the current
+    # states: hold, up, then each integral's weight and rate
+    cols = [chain.mean_hold, chain.up_prob]
+    spans = []
+    for w, rate in integrals.values():
+        spans.append((len(cols), None if rate is None else len(cols) + 1))
+        cols += [w] if rate is None else [w, rate]
+    table = np.column_stack([np.asarray(c, float) for c in cols])
+    # offsets of the row groups of the carried state
+    j_hit = 5 + len(integrals)
+    j_occ = j_hit + len(hits)
+    j_mesh = j_occ + len(mesh_ids)
 
-    # the loop carries compacted per-path arrays (survivors only); scalar
-    # accumulators ride along compacted and are scattered back on death
     for c0 in range(0, n_paths, _CHUNK):
         c1 = min(c0 + _CHUNK, n_paths)
         m = c1 - c0
         rng = _rng(seed, stream * 1_000_003 + (c0 // _CHUNK) + 1)
-        ids = np.arange(c0, c1, dtype=np.int64)
-        st = np.full(m, chain.start_index, dtype=np.int64)
-        tt = np.zeros(m)
-        disc_old = np.ones(m) if discount else None  # exp(-r tt)
-        price_old = np.full(m, q_grid[chain.start_index]) if want_price else None  # exp(-r tt) q(U_tt)
-        # per-path occupation of the mesh states, for the snapshots
-        acc_occ = {ms: np.zeros(m) for ms in mesh_ids}
-        acc_hit = {lv: np.full(m, np.inf) for lv in hits}
-        acc_pay = np.zeros(m) if want_payoff else None
-        acc_res = np.zeros(m) if want_resid else None
-        mesh_next = np.zeros(m, dtype=np.int64) if mesh is not None else None
-        mesh_t = np.full(m, mesh_ext[0]) if mesh is not None else None  # mesh_ext[mesh_next]
+        # the rows carried per live path, compacted together: path id, state,
+        # clock, discount factor exp(-r t), discounted price, the price
+        # integrals, the hit times, the mesh-state occupations and, with a
+        # mesh, the index and time of the next snapshot
+        S = [np.arange(c0, c1, dtype=np.int64), np.full(m, chain.start_index, dtype=np.int64), np.zeros(m)]
+        S += [np.ones(m), np.full(m, q_grid[chain.start_index])]
+        S += [np.zeros(m) for _ in integrals] + [np.full(m, np.inf) for _ in hits] + [np.zeros(m) for _ in mesh_ids]
+        if mesh is not None:
+            S += [np.zeros(m, dtype=np.int64), np.full(m, mesh_ext[0])]
 
-        while ids.size:
-            at = dict(zip(fields, table.take(st, axis=0).T))
+        while S[0].size:
+            ids, st, tt, disc_old, price_old = S[:5]
+            acc_int, acc_hit, acc_occ = S[5:j_hit], S[j_hit:j_occ], S[j_occ:j_mesh]
+            at = table.take(st, axis=0).T
             e = rng.standard_exponential(ids.size)
             uu = rng.random(ids.size)
-            dwell = e * at["hold"]
+            dwell = e * at[0]
             t_next = tt + dwell
             expire = t_next >= T
             any_expire = expire.any()
@@ -530,46 +526,46 @@ def sample_paths(
                 t_next = np.minimum(t_next, T)
 
             occupation += np.bincount(st, weights=dwell, minlength=n_states)
-            for ms, acc in acc_occ.items():
+            for ms, acc in zip(mesh_ids, acc_occ):
                 acc += dwell * (st == ms)
 
             if mesh is not None:
                 # record snapshots at every mesh time inside this sojourn;
                 # the occupation was advanced by the whole dwell already,
                 # so roll it back to the snapshot time
+                mesh_next, mesh_t = S[j_mesh:]
                 snap = mesh_t <= t_next
                 while snap.any():
                     k = np.flatnonzero(snap)
                     j = mesh_next[k]
                     mesh_state[ids[k], j] = st[k]
-                    for col, ms in enumerate(mesh_ids):
+                    for col, (ms, acc) in enumerate(zip(mesh_ids, acc_occ)):
                         rollback = np.where(st[k] == ms, t_next[k] - mesh_t[k], 0.0)
-                        mesh_occ[ids[k], j, col] = acc_occ[ms][k] - rollback
+                        mesh_occ[ids[k], j, col] = acc[k] - rollback
                     mesh_next[k] += 1
                     mesh_t[k] = mesh_ext[mesh_next[k]]
                     snap[k] = mesh_t[k] <= t_next[k]
 
-            s_next = (uu < at["up"]).astype(np.int64)
+            s_next = (uu < at[1]).astype(np.int64)
             s_next *= 2
             s_next -= 1
             s_next += st
             live = ~expire
 
-            if want_price:
-                q_next = q_grid[np.where(expire, st, s_next) if any_expire else s_next]
-                if discount:
-                    disc_new = np.exp(-r * t_next)
-                    price_new = disc_new * q_next
+            q_next = q_grid[np.where(expire, st, s_next) if any_expire else s_next]
+            if discount:
+                disc_new = np.exp(-r * t_next)
+                price_new = disc_new * q_next
+            else:
+                disc_new, price_new = disc_old, q_next
+            dS = price_new - price_old
+            for acc, (w, rate) in zip(acc_int, spans):
+                if rate is None:
+                    acc += at[w] * dS
                 else:
-                    price_new = q_next
-                dS = price_new - price_old
-                if want_payoff:
-                    acc_pay += at["position"] * dS
-                if want_resid:
-                    disc_int = (disc_old - disc_new) / r if discount else dwell
-                    acc_res += at["weight"] * (dS - at["rate"] * disc_int)
+                    acc += at[w] * (dS - at[rate] * ((disc_old - disc_new) / r if discount else dwell))
 
-            for lv, acc in acc_hit.items():
+            for lv, acc in zip(hits, acc_hit):
                 arrived = s_next == lv
                 if arrived.any():
                     arrived &= live & np.isinf(acc)
@@ -584,51 +580,22 @@ def sample_paths(
             absorbed = _entering(s_next, absorb_states, live)
             if absorbed is not None:
                 dead = dead | absorbed
-                if discount and absorbed.any():
+                if discount and acc_int and absorbed.any():
                     # the price keeps discounting while parked at the absorbing
                     # value; settle that increment analytically
                     tail = np.where(absorbed, (math.exp(-r * T) - disc_new) * q_grid[s_next], 0.0)
-                    if want_payoff:
-                        acc_pay += fields["position"][s_next] * tail
-                    if want_resid:
-                        acc_res += fields["weight"][s_next] * tail
+                    for acc, (w, _) in zip(acc_int, spans):
+                        acc += table[s_next, w] * tail
+            S[1:5] = s_next, t_next, disc_new, price_new
             if dead.any():
                 rows = ids[dead]
                 terminal[rows] = np.where(expire, st, s_next)[dead]
                 if dead_pad is not None and dead_pad.any():
                     discarded[ids[dead_pad]] = True
-                for lv, acc in acc_hit.items():
-                    hits[lv][rows] = acc[dead]
-                if want_payoff:
-                    payoff[rows] = acc_pay[dead]
-                if want_resid:
-                    resid[rows] = acc_res[dead]
+                for out, acc in zip([*totals.values(), *hits.values()], acc_int + acc_hit):
+                    out[rows] = acc[dead]
                 keep = ~dead
-                ids = ids[keep]
-                st = s_next[keep]
-                tt = t_next[keep]
-                if discount:
-                    disc_old = disc_new[keep]
-                if want_price:
-                    price_old = price_new[keep]
-                for ms in acc_occ:
-                    acc_occ[ms] = acc_occ[ms][keep]
-                for lv in acc_hit:
-                    acc_hit[lv] = acc_hit[lv][keep]
-                if want_payoff:
-                    acc_pay = acc_pay[keep]
-                if want_resid:
-                    acc_res = acc_res[keep]
-                if mesh is not None:
-                    mesh_next = mesh_next[keep]
-                    mesh_t = mesh_t[keep]
-            else:
-                st = s_next
-                tt = t_next
-                if discount:
-                    disc_old = disc_new
-                if want_price:
-                    price_old = price_new
+                S = [a[keep] for a in S]
 
     return PathBatch(
         chain=chain,
@@ -638,8 +605,8 @@ def sample_paths(
         discarded=discarded,
         occupation=occupation,
         hit_time=hits,
-        payoff=payoff,
-        residual=resid,
+        payoff=totals.get("payoff"),
+        residual=totals.get("residual"),
         mesh_state=mesh_state,
         mesh_occupation=mesh_occ,
     )

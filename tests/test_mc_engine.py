@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diffarb.diffusion_model import DiffusionSpec, StateInterval, derive_natural_scale
+from diffarb.diffusion_model import DiffusionSpec, StateInterval, derive_natural_scale, load_model_spec
 from diffarb.mc_engine import (
     build_chain,
     estimate_tradeoff,
@@ -113,6 +113,20 @@ def test_atoms_are_snapped_to_grid():
     view = derive_natural_scale(spec)
     chain = build_chain(view, spec, N=100, horizon=1.0)
     assert np.min(np.abs(chain.grid - 0.0)) == 0.0
+    # extra atom mass dm adds its Green weight 2 dm G_i(u_i, u_i) to the hold
+    # and dm to the cell mass of the atom's state, and changes no other state
+    ((p, m),) = view.mU.atoms
+    heavy = build_model("sticky_skew", {"c": 3.0})
+    heavy_view = derive_natural_scale(heavy)
+    assert heavy_view.mU.atoms == ((p, 3.0 * m),)
+    heavy_chain = build_chain(heavy_view, heavy, N=100, horizon=1.0)
+    assert np.array_equal(heavy_chain.grid, chain.grid)
+    i = chain.state_of(p)
+    lo, u, hi = chain.grid[i - 1 : i + 2]
+    assert heavy_chain.mean_hold[i] - chain.mean_hold[i] == pytest.approx(4.0 * m * (u - lo) * (hi - u) / (hi - lo))
+    assert heavy_chain.cell_mass[i] - chain.cell_mass[i] == pytest.approx(2.0 * m)
+    assert np.array_equal(np.delete(heavy_chain.mean_hold, i), np.delete(chain.mean_hold, i))
+    assert np.array_equal(np.delete(heavy_chain.cell_mass, i), np.delete(chain.cell_mass, i))
 
 
 def test_interior_infinite_hold_rejected():
@@ -195,6 +209,15 @@ def test_sc_speed_part_enters_masses_and_holds():
     assert 0 < gains.sum() < gains.size
     assert np.all(chain.mean_hold[1:-1][gains] > plain.mean_hold[1:-1][gains])
     assert np.array_equal(chain.mean_hold[1:-1][~gains], plain.mean_hold[1:-1][~gains])
+    # at a reflecting boundary the one-sided Green weight takes the Cantor
+    # mass of the boundary cell too (the set starts at the boundary, u = 1)
+    refl = build_model("sticky_reflected_bm", {"r": 0.4, "rho": 0.0})
+    shifted = ScComponent("cantor", lambda u: cantor_cdf(np.asarray(u, float) - 1.0), np.ones_like, (1.0, 2.0))
+    refl_sc = dataclasses.replace(refl, speed_natural=dataclasses.replace(refl.speed_natural, sc=shifted))
+    plain = build_chain(derive_natural_scale(refl), refl, N=128, horizon=1.0)
+    chain = build_chain(derive_natural_scale(refl_sc), refl_sc, N=128, horizon=1.0)
+    assert chain.left_rule == "reflect" and np.array_equal(chain.grid, plain.grid)
+    assert chain.mean_hold[0] > plain.mean_hold[0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +245,34 @@ def test_occupation_stops_at_absorption():
     absorbed = np.isfinite(batch.hit_time[0][keep])
     assert np.all(batch.terminal_state[keep][absorbed] == 0)
     assert absorbed.mean() > 0.5  # started close to the boundary
+
+
+def test_absorbed_price_tail_is_settled_exactly():
+    # a weight on the absorbing state only: live paths never hold it, so the
+    # payoff is the analytic tail of the price parked at q(u_0), discounting
+    # from the absorption time tau to the horizon
+    spec = load_model_spec(
+        {
+            "model_id": "absorbed_at_one",
+            "state_interval": {"alpha": 1, "beta": "inf", "alpha_closed": True},
+            "scale": {"node": "affine", "a": 1, "b": 0},
+            "speed": {"ac": {"node": "const", "c": 1}, "atoms": [[1, "inf"]]},
+            "x0": 1.5,
+            "r": 0.5,
+        }
+    )
+    chain = build_chain(derive_natural_scale(spec), spec, N=64)
+    assert chain.left_rule == "absorb" and chain.q_grid[0] != 0.0
+    table = np.zeros(chain.n_states)
+    table[0] = 1.0
+    T, r = spec.horizon, spec.r
+    batch = sample_paths(chain, 3000, 4, T, hit_levels=[0], position_table=table)
+    tau = batch.hit_time[0]
+    absorbed = np.isfinite(tau)
+    assert absorbed.sum() > 1000
+    expected = np.zeros(batch.n_paths)
+    expected[absorbed] = (math.exp(-r * T) - np.exp(-r * tau[absorbed])) * chain.q_grid[0]
+    assert np.array_equal(batch.payoff, expected)
 
 
 def test_terminal_martingale(bm):
@@ -252,6 +303,40 @@ def test_sampler_determinism(bm):
     assert not np.array_equal(b1.terminal_state, b3.terminal_state)
 
 
+# The fused batch of each chain below, pinned at the commit that made the
+# sampler carry one compacted path state: the terminal-state counts (all 65
+# states) and the sums of payoff, residual, finite hit times per level and
+# mesh occupation. Any change to the draws or to the accumulator arithmetic
+# moves them.
+_PINNED_BATCHES = {
+    "sticky_reflected_bm": (
+        [579, 36, 34, 44, 36, 47, 42, 35, 44, 35, 36, 40, 33, 25, 37, 29, 39, 24, 16, 29, 34, 22, 30, 22, 20, 18]
+        + [13, 15, 11, 9, 5, 10, 11, 3, 6, 3, 6, 4, 2, 2, 1, 2, 4, 2, 1, 1, 1, 0, 0, 1, 0, 0, 1] + [0] * 12,
+        -11.33242087149282,
+        -29.232435063844328,
+        (228.14071611126454, 297.63614786250866),
+        619.6402074019702,
+    ),
+    "gen_squared_bessel": (
+        [885, 5, 8, 6, 12, 21, 9, 10, 21, 27, 31, 12, 25, 22, 21, 20, 24, 28, 25, 19, 25, 24, 31, 29, 15, 20, 13]
+        + [11, 12, 13, 8, 10, 7, 8, 4, 4, 10, 6, 4, 2, 0, 3, 0, 3, 1, 2, 0, 1, 0, 1, 1, 0, 0, 1] + [0] * 11,
+        11.120049317155917,
+        -22.608805248807826,
+        (221.05619990384096, 290.69637023220866),
+        286.1468592604948,
+    ),
+    "brownian_motion": (
+        [244, 3, 2, 4, 7, 4, 8, 9, 9, 11, 12, 11, 15, 15, 17, 20, 21, 22, 23, 15, 20, 24, 22, 14, 19, 28, 24, 28]
+        + [26, 27, 15, 27, 21, 23, 34, 19, 20, 30, 24, 30, 28, 30, 28, 27, 25, 21, 19, 20, 17, 14, 18, 15, 10, 7]
+        + [11, 13, 6, 4, 6, 7, 5, 4, 0, 2, 216],
+        -1.1474851329509421,
+        -48.26170175725648,
+        (307.0110091865008, 159.1718117114142),
+        291.0470067788441,
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "name, params, build_kw",
     [
@@ -271,24 +356,31 @@ def test_accumulators_do_not_perturb_paths(name, params, build_kw):
     table[1] = 1.0
     table[n // 2] = -0.5
     extras = {
-        "hit_levels": [chain.start_index // 2, 0],
-        "position_table": table,
-        "residual_rates": gamma_drift_rates(chain, view),
-        "mesh_times": np.linspace(0.0, T, 9)[1:],
+        "hit_levels": {"hit_levels": [chain.start_index // 2, 0]},
+        "position_table": {"position_table": table},
+        "residual_rates": {"residual_rates": gamma_drift_rates(chain, view)},
+        "mesh": {"mesh_times": np.linspace(0.0, T, 9)[1:], "mesh_states": [1, chain.start_index]},
     }
-    fused = sample_paths(chain, 1500, 31, T, stream=7, **extras)
+    fused = sample_paths(chain, 1500, 31, T, stream=7, **{k: v for kw in extras.values() for k, v in kw.items()})
     if chain.left_rule == "absorb":
         assert np.any(fused.terminal_state == 0)  # absorptions happen
     if build_kw:
         assert np.any(fused.discarded)  # pad exits happen
-    for key, value in extras.items():
-        alone = sample_paths(chain, 1500, 31, T, stream=7, **{key: value})
+    counts, payoff, residual, hits, mesh_occ = _PINNED_BATCHES[name]
+    assert np.array_equal(np.bincount(fused.terminal_state, minlength=n), counts)
+    assert fused.payoff.sum() == pytest.approx(payoff, rel=1e-12)
+    assert fused.residual.sum() == pytest.approx(residual, rel=1e-12)
+    for times, pinned in zip(fused.hit_time.values(), hits):
+        assert times[np.isfinite(times)].sum() == pytest.approx(pinned, rel=1e-12)
+    assert fused.mesh_occupation.sum() == pytest.approx(mesh_occ, rel=1e-12)
+    for key, kw in extras.items():
+        alone = sample_paths(chain, 1500, 31, T, stream=7, **kw)
         assert np.array_equal(fused.terminal_state, alone.terminal_state), key
         assert np.array_equal(fused.discarded, alone.discarded), key
         assert np.array_equal(fused.occupation, alone.occupation), key
         for lv, times in alone.hit_time.items():
             assert np.array_equal(fused.hit_time[lv], times), key
-        for field in ("payoff", "residual", "mesh_state"):
+        for field in ("payoff", "residual", "mesh_state", "mesh_occupation"):
             if getattr(alone, field) is not None:
                 assert np.array_equal(getattr(fused, field), getattr(alone, field)), key
 
