@@ -34,11 +34,12 @@ from .diffusion_model import (
 )
 from .measure_kit import (
     DEFAULT_QUAD,
-    LocalBehavior,
     QuadConfig,
+    behaviors_at,
     close_rel,
     decide_L2_local,
     decide_weighted_L2_boundary,
+    same_point,
 )
 
 __all__ = [
@@ -81,10 +82,15 @@ class Verdict:
         return (self.nip, self.nsa, self.nupbr)
 
 
+# decider status -> condition status
+_CONDITION = {"finite": "pass", "divergent": "fail", "inconclusive": "inconclusive"}
+
+
 def _combine(statuses: Sequence[str]) -> str:
-    if any(s == "fail" for s in statuses):
+    """Conjunction of verdicts and condition statuses, in any mix."""
+    if FAILS in statuses or "fail" in statuses:
         return FAILS
-    if any(s == "inconclusive" for s in statuses):
+    if INCONCLUSIVE in statuses:
         return INCONCLUSIVE
     return HOLDS
 
@@ -93,15 +99,6 @@ def _within(residual: float, scale: float, cfg: QuadConfig) -> bool:
     """The NIP.ii equality test: |lhs - rhs| within eq_rel of the size of
     the two sides, floored at 1e-15."""
     return abs(residual) <= cfg.eq_rel * max(scale, 1e-15)
-
-
-def _and_then(prev: str, cond: str) -> str:
-    """Conjunction of a verdict with an extra condition status."""
-    if prev == FAILS or cond == "fail":
-        return FAILS
-    if prev == INCONCLUSIVE or cond == "inconclusive":
-        return INCONCLUSIVE
-    return HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +116,7 @@ def check_nip(
     for side, beh in view.boundaries:
         if not beh.accessible:
             continue
-        b = view.boundary_value(spec, side)
-        u_b = view.boundary_image(side)
+        b = beh.value
         if beh.kind == "absorbing":
             ok = (r == 0.0) or (b == 0.0)
             reports.append(
@@ -131,7 +127,7 @@ def check_nip(
                 )
             )
         else:
-            atom = view.mU.atom_mass_at(u_b, cfg.atom_loc)
+            atom = view.mU.atom_mass_at(beh.image, cfg.atom_loc)
             lhs = r * b * atom
             rhs = 0.5 * view.boundary_slope(side)
             ok = close_rel(lhs, rhs, cfg.eq_rel)
@@ -273,19 +269,6 @@ def _check_flat_spots(
 # ---------------------------------------------------------------------------
 
 
-def _interior_behaviors(view: NaturalScaleView, spec: DiffusionSpec) -> list[LocalBehavior]:
-    lo_u, hi_u = view.sJ
-    out = []
-    for b in spec.phi_behaviors:
-        if lo_u < b.point < hi_u:
-            out.append(b)
-    return out
-
-
-def _boundary_behaviors(view: NaturalScaleView, spec: DiffusionSpec, u_b: float) -> list[LocalBehavior]:
-    return [b for b in spec.phi_behaviors if abs(b.point - u_b) <= 1e-12 * (1 + abs(u_b))]
-
-
 def _phi_l2_interior(view: NaturalScaleView, spec: DiffusionSpec) -> ConditionReport:
     """phi in L2_loc of the open image interval.
 
@@ -294,7 +277,11 @@ def _phi_l2_interior(view: NaturalScaleView, spec: DiffusionSpec) -> ConditionRe
     probe region around the start image.
     """
     lo_u, hi_u = view.sJ
-    behaviors = _interior_behaviors(view, spec)
+    # an annotation at a boundary image belongs to that boundary's collar
+    behaviors = [
+        b for b in spec.phi_behaviors
+        if lo_u < b.point < hi_u and not (same_point(b.point, lo_u) or same_point(b.point, hi_u))
+    ]
     statuses: list[str] = []
     worst_note = ""
 
@@ -339,14 +326,12 @@ def _phi_reflecting_collars(view: NaturalScaleView, spec: DiffusionSpec) -> list
     for side, beh in view.boundaries:
         if beh.kind != "reflecting":
             continue
-        u_b = view.boundary_image(side)
-        bb = _boundary_behaviors(view, spec, u_b)
-        v = decide_L2_local(view.phi, view.collar(side), behaviors=bb, suspicious=[u_b])
-        status = {"finite": "pass", "divergent": "fail", "inconclusive": "inconclusive"}[v.status]
+        bb = behaviors_at(spec.phi_behaviors, beh.image)
+        v = decide_L2_local(view.phi, view.collar(side), behaviors=bb, suspicious=[beh.image])
         reports.append(
             ConditionReport(
                 "NSA.iv.refl",
-                status,
+                _CONDITION[v.status],
                 note=f"collar integral of phi**2 at the {side} reflecting boundary: {v.status}",
             )
         )
@@ -359,10 +344,7 @@ def check_nsa(
     """NIP (its verdict ``nip_status``) and the square-integrability of phi."""
     reports = [_phi_l2_interior(view, spec)]
     reports.extend(_phi_reflecting_collars(view, spec))
-    status = nip_status
-    for c in reports:
-        status = _and_then(status, c.status)
-    return status, reports
+    return _combine([nip_status] + [c.status for c in reports]), reports
 
 
 def check_nupbr(
@@ -374,21 +356,16 @@ def check_nupbr(
     for side, beh in view.boundaries:
         if beh.kind != "absorbing":
             continue
-        u_b = view.boundary_image(side)
-        bb = _boundary_behaviors(view, spec, u_b)
-        v = decide_weighted_L2_boundary(view.phi, u_b, view.collar(side), behaviors=bb)
-        status = {"finite": "pass", "divergent": "fail", "inconclusive": "inconclusive"}[v.status]
+        bb = behaviors_at(spec.phi_behaviors, beh.image)
+        v = decide_weighted_L2_boundary(view.phi, beh.image, view.collar(side), behaviors=bb)
         reports.append(
             ConditionReport(
                 "NUPBR.v",
-                status,
+                _CONDITION[v.status],
                 note=f"distance-weighted collar integral of phi**2 at the {side} absorbing boundary: {v.status}",
             )
         )
-    status = nsa_status
-    for c in reports:
-        status = _and_then(status, c.status)
-    return status, reports
+    return _combine([nsa_status] + [c.status for c in reports]), reports
 
 
 def check_rp(view: NaturalScaleView, spec: DiffusionSpec) -> tuple[str, ConditionReport]:

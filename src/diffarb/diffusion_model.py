@@ -29,6 +29,7 @@ from .measure_kit import (
     DEFAULT_QUAD,
     ScComponent,
     SmoothPiece1D,
+    behaviors_at,
     close_rel,
     decide_abs_integral,
     expr_from_json,
@@ -81,21 +82,24 @@ class StateInterval:
         if self.beta_closed and not math.isfinite(self.beta):
             raise SpecValidationError("a closed endpoint must be finite")
 
-    def contains_interior(self, x: float) -> bool:
-        return self.alpha < x < self.beta
-
 
 @dataclass(frozen=True)
 class BoundaryBehavior:
-    """Behaviour of a finite endpoint.
+    """Everything known about one end of J: the one record the deciders,
+    the semimartingale check and the chain read.
 
     kind is 'inaccessible', 'absorbing' or 'reflecting'; a reflecting
     boundary carries its stickiness (the speed-measure atom there, 0 meaning
     instantaneous reflection). An absorbing boundary is exactly an endpoint
-    in J with infinite speed atom.
+    in J with infinite speed atom. ``value`` is the endpoint b of J and
+    ``image`` its scale image s(b), +-inf where the scale diverges. An
+    annotation (``phi_behaviors``, ``qpp_behaviors``) within 1e-9 relative
+    of ``image`` applies at ``image``.
     """
 
     kind: str
+    value: float
+    image: float
     stickiness: float = 0.0
     note: str = ""
 
@@ -123,6 +127,9 @@ class DiffusionSpec:
     * trusted: ``phi_behaviors`` and ``qpp_behaviors`` (the local exponents
       the deciders use), ``qprime_zero_set``, the inverse scale ``q_expr`` /
       ``q_piece`` and ``qpp_sc``. A false one can give a wrong verdict.
+
+    A behaviour whose point lies within 1e-9 relative of a boundary image
+    s(b) is read as annotated at s(b) itself.
     """
 
     J: StateInterval
@@ -154,12 +161,6 @@ class DiffusionSpec:
         for a, b in self.qprime_zero_set:
             if a > b:
                 raise SpecValidationError("zero-set intervals must have a <= b")
-
-    def declared_kind(self, side: str) -> Optional[str]:
-        for s, kind in self.declared_boundaries:
-            if s == side:
-                return kind
-        return None
 
 
 @dataclass(frozen=True)
@@ -202,30 +203,18 @@ class NaturalScaleView:
         value is admissible at boundary images, so none is forced there."""
         return self.drift_over_slope(u, 2)
 
-    def boundary(self, side: str) -> BoundaryBehavior:
-        for s, b in self.boundaries:
-            if s == side:
-                return b
-        raise KeyError(side)
-
-    def boundary_image(self, side: str) -> float:
-        return self.sJ[0] if side == "left" else self.sJ[1]
-
     def boundary_slope(self, side: str) -> float:
         """One-sided q' at a boundary image, taken from the interior side."""
-        d = self.q.d_plus if side == "left" else self.q.d_minus
-        return float(d(np.asarray(self.boundary_image(side))))
+        if side == "left":
+            return float(self.q.d_plus(np.asarray(self.sJ[0])))
+        return float(self.q.d_minus(np.asarray(self.sJ[1])))
 
     def collar(self, side: str, fraction: float = 1.0) -> tuple[float, float]:
         """Window of length fraction * min(1, |s(J)|/4) at a boundary image."""
         lo_u, hi_u = self.sJ
         span = hi_u - lo_u
         ell = fraction * (min(1.0, span / 4.0) if math.isfinite(span) else 1.0)
-        u_b = self.boundary_image(side)
-        return (u_b, u_b + ell) if side == "left" else (u_b - ell, u_b)
-
-    def boundary_value(self, spec: DiffusionSpec, side: str) -> float:
-        return spec.J.alpha if side == "left" else spec.J.beta
+        return (lo_u, lo_u + ell) if side == "left" else (hi_u - ell, hi_u)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +225,7 @@ class NaturalScaleView:
 def _scale_limit(scale: SmoothPiece1D, b: float, side: str) -> float:
     """s(b) by continuity; +-inf when the scale diverges at the endpoint."""
     if math.isfinite(b):
-        v = float(scale.value(np.asarray(b)))
-        return v
+        return float(scale.value(np.asarray(b)))
     sign = -1.0 if side == "left" else 1.0
     vals = [float(scale.value(np.asarray(sign * 10.0**k))) for k in range(1, 12)]
     if not math.isfinite(vals[-1]):
@@ -258,26 +246,21 @@ def classify_boundary(spec: DiffusionSpec, side: str) -> BoundaryBehavior:
     over a collar at b converges. Accessible with infinite atom -> absorbing;
     finite atom -> reflecting (stickiness = atom). A declared behaviour is
     validated against the test; a definite conflict is an error, and an
-    inconclusive test defers to the declaration.
+    inconclusive test defers to the declaration. An accessible end, tested
+    or declared, must belong to J.
     """
     if side not in ("left", "right"):
         raise SpecValidationError("side must be 'left' or 'right'")
     b = spec.J.alpha if side == "left" else spec.J.beta
     in_J = spec.J.alpha_closed if side == "left" else spec.J.beta_closed
-    declared = spec.declared_kind(side)
-
-    if not math.isfinite(b):
-        if declared not in (None, "inaccessible"):
-            raise SpecValidationError(f"infinite endpoint cannot be {declared}")
-        return BoundaryBehavior("inaccessible", note="infinite endpoint")
-
+    declared = dict(spec.declared_boundaries).get(side)
     s_b = _scale_limit(spec.scale, b, side)
-    if not math.isfinite(s_b):
+
+    if not (math.isfinite(b) and math.isfinite(s_b)):
+        note = "scale image infinite" if math.isfinite(b) else "infinite endpoint"
         if declared not in (None, "inaccessible"):
-            raise SpecValidationError(
-                f"{side} boundary declared {declared} but its scale image is infinite"
-            )
-        return BoundaryBehavior("inaccessible", note="scale image infinite")
+            raise SpecValidationError(f"{side} boundary declared {declared} ({note})")
+        return BoundaryBehavior("inaccessible", b, s_b, note=note)
 
     # integral test on a collar at the boundary
     other = spec.J.beta if side == "left" else spec.J.alpha
@@ -299,35 +282,27 @@ def classify_boundary(spec: DiffusionSpec, side: str) -> BoundaryBehavior:
         if lo <= p <= hi and math.isinf(m):
             status = "divergent"
 
-    if status == "inconclusive":
-        if declared is not None:
-            kind = declared
-            atom = spec.speed.atom_mass_at(b)
-            stick = 0.0 if (math.isinf(atom) or kind != "reflecting") else atom
-            return BoundaryBehavior(kind, stick, note="accessibility test inconclusive; declaration used")
-        return BoundaryBehavior(
-            "inaccessible",
-            note="accessibility test inconclusive and no declaration given",
-        )
-
-    accessible = status == "finite"
-    if accessible:
-        if not in_J:
-            raise SpecValidationError(
-                f"{side} boundary is accessible but excluded from the state interval"
-            )
-        atom = spec.speed.atom_mass_at(b)
-        kind = "absorbing" if math.isinf(atom) else "reflecting"
-        result = BoundaryBehavior(kind, 0.0 if math.isinf(atom) else atom)
+    atom = spec.speed.atom_mass_at(b)
+    if status == "inconclusive" and declared is not None:
+        kind, note = declared, "accessibility test inconclusive; declaration used"
+    elif status == "inconclusive":
+        kind, note = "inaccessible", "accessibility test inconclusive and no declaration given"
+    elif status == "finite":
+        kind, note = ("absorbing" if math.isinf(atom) else "reflecting"), ""
     else:
-        result = BoundaryBehavior("inaccessible", note="speed-weighted scale integral diverges")
+        kind, note = "inaccessible", "speed-weighted scale integral diverges"
 
-    if declared is not None and declared != result.kind:
+    if kind != "inaccessible" and not in_J:
+        raise SpecValidationError(
+            f"{side} boundary is accessible but excluded from the state interval"
+        )
+    if declared is not None and declared != kind:
         raise SpecValidationError(
             f"declared {side} boundary {declared!r} conflicts with the "
-            f"accessibility test ({result.kind!r})"
+            f"accessibility test ({kind!r})"
         )
-    return result
+    stick = atom if kind == "reflecting" and math.isfinite(atom) else 0.0
+    return BoundaryBehavior(kind, b, s_b, stick, note)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +352,7 @@ def inverse_piece(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1
         dm = float(scale.d_minus(np.asarray(c)))
         if dp > 0 and dm > 0:
             kinks.append((u, 1.0 / dp - 1.0 / dm))
-    inf_slope = tuple(
-        float(scale.value(np.asarray(c)))
-        for c in _zero_slope_points(scale)
-        if math.isfinite(c)
-    )
+    inf_slope = tuple(float(scale.value(np.asarray(c))) for c in scale.zero_slope)
     return SmoothPiece1D(
         domain=sJ,
         value=q_val,
@@ -393,43 +364,16 @@ def inverse_piece(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1
     )
 
 
-def _zero_slope_points(scale: SmoothPiece1D) -> tuple[float, ...]:
-    """Points where s' = 0, i.e. where the inverse derivative explodes."""
-    if scale.expr is None:
-        return ()
-    pts = []
-    for c in scale.expr.breakpoints():
-        lo, hi = scale.domain
-        if not (lo < c < hi):
-            continue
-        dp = float(scale.d_plus(np.asarray(c)))
-        dm = float(scale.d_minus(np.asarray(c)))
-        if dp == 0.0 or dm == 0.0:
-            pts.append(c)
-    return tuple(pts)
-
-
 def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) -> NaturalScaleView:
     """Populate the natural-scale cache for a validated model."""
-    lo, hi = spec.J.alpha, spec.J.beta
-    s_lo = _scale_limit(spec.scale, lo, "left")
-    s_hi = _scale_limit(spec.scale, hi, "right")
-    sJ = (s_lo, s_hi)
-
-    boundaries = (
-        ("left", classify_boundary(spec, "left")),
-        ("right", classify_boundary(spec, "right")),
-    )
-    for side, beh in boundaries:
-        b = lo if side == "left" else hi
-        if beh.kind == "absorbing" and spec.x0 == b:
-            raise SpecValidationError("starting value absorbing")
-    if not spec.J.contains_interior(spec.x0):
-        side = "left" if spec.x0 == lo else "right"
-        beh = dict(boundaries)[side]
-        if beh.kind != "reflecting":
+    boundaries = tuple((side, classify_boundary(spec, side)) for side in ("left", "right"))
+    sJ = tuple(beh.image for _, beh in boundaries)
+    for _, beh in boundaries:
+        if spec.x0 == beh.value and beh.kind != "reflecting":
             raise SpecValidationError(
-                "x0 must lie in the interior or at a reflecting boundary"
+                "starting value absorbing"
+                if beh.kind == "absorbing"
+                else "x0 must lie in the interior or at a reflecting boundary"
             )
 
     if spec.q_piece is not None:
@@ -575,13 +519,8 @@ def check_semimartingale_assumption(view: NaturalScaleView, spec: DiffusionSpec)
     for side, beh in view.boundaries:
         if not beh.accessible:
             continue
-        u_b = view.boundary_image(side)
-        exps = [
-            (b.point, b.exponent)
-            for b in spec.qpp_behaviors
-            if abs(b.point - u_b) <= 1e-9 * (1 + abs(u_b))
-        ]
-        weight = u_b if beh.kind == "absorbing" else None
+        exps = [(b.point, b.exponent) for b in behaviors_at(spec.qpp_behaviors, beh.image)]
+        weight = beh.image if beh.kind == "absorbing" else None
         verdict = decide_abs_integral(
             view.q.d2_ac, view.collar(side), point_exponents=exps, weight_point=weight
         )

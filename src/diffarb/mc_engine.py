@@ -297,13 +297,13 @@ def build_chain(
     if not (lo < u_start < hi) and not (lo == u_start or hi == u_start):
         raise ValueError("window does not contain the start point")
 
-    # a window end on a finite boundary image takes that boundary's rule
-    rules = []
-    for side, s_b, end in (("left", s_lo, lo), ("right", s_hi, hi)):
-        on_boundary = math.isfinite(s_b) and abs(end - s_b) <= 1e-12 * (1 + abs(s_b))
-        kind = view.boundary(side).kind if on_boundary else None
-        rules.append({"absorbing": "absorb", "reflecting": "reflect"}.get(kind, "pad"))
-    left_rule, right_rule = rules
+    # a window end on an accessible boundary image takes that boundary's rule
+    left_rule, right_rule = (
+        {"absorbing": "absorb", "reflecting": "reflect"}[beh.kind]
+        if beh.accessible and abs(end - beh.image) <= 1e-12 * (1 + abs(beh.image))
+        else "pad"
+        for (_, beh), end in zip(view.boundaries, (lo, hi))
+    )
 
     # pin the speed atoms, the atoms of q'' and the singular points of phi
     # (flat spots of q, annotated poles) so refinement ladders see them at
@@ -772,17 +772,17 @@ def plan_strategy(view: NaturalScaleView, chain: ChainModel, strategy: str) -> S
     holds one unit only while at the reflecting boundary state.
     """
     if strategy == "post_hitting_hold":
-        acc = [s for s, b in view.boundaries if b.accessible]
+        acc = [b for _, b in view.boundaries if b.accessible]
         if not acc:
             raise ValueError("post_hitting_hold needs an accessible boundary")
-        level = view.boundary_image(acc[0])
+        level = acc[0].image
         return StrategyPlan(f"post_hitting_hold@{float(level):g}", hit_level=chain.state_of(float(level)))
     if strategy == "boundary_sit":
-        refl = [s for s, b in view.boundaries if b.kind == "reflecting"]
+        refl = [b for _, b in view.boundaries if b.kind == "reflecting"]
         if not refl:
             raise ValueError("boundary_sit requires a reflecting boundary")
         table = np.zeros(chain.n_states)
-        table[chain.state_of(view.boundary_image(refl[0]))] = 1.0
+        table[chain.state_of(refl[0].image)] = 1.0
         return StrategyPlan("boundary_sit", table=table)
     raise ValueError(f"unknown strategy {strategy!r}")
 

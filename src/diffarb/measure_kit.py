@@ -61,6 +61,8 @@ __all__ = [
     "pushforward",
     "second_derivative_decomposition",
     "LocalBehavior",
+    "behaviors_at",
+    "same_point",
     "IntegrabilityVerdict",
     "decide_L2_local",
     "decide_weighted_L2_boundary",
@@ -737,19 +739,21 @@ class SmoothPiece1D:
     kinks: tuple[tuple[float, float], ...] = ()
     infinite_slope: tuple[float, ...] = ()
     expr: Optional[Expr] = None
+    zero_slope: tuple[float, ...] = ()  # breakpoints with a one-sided derivative of 0
 
     @classmethod
     def from_expr(cls, e: Expr, domain: tuple[float, float]) -> "SmoothPiece1D":
         """Build from an expression; the function must be continuous.
 
         One-sided derivatives at the expression's breakpoints determine the
-        kink list; continuity at the breakpoints is mandatory here (this is
-        the constructor used for scale functions and their inverses).
+        kink list and the zero-slope points; continuity at the breakpoints is
+        mandatory here (this is the constructor used for scale functions and
+        their inverses).
         """
         lo, hi = domain
         if not e.is_continuous():
             raise MeasureKitError("expression has a jump at a breakpoint; not usable as a function piece")
-        kinks = []
+        kinks, flat = [], []
         for c in e.breakpoints():
             if not (lo < c < hi):
                 continue
@@ -757,6 +761,8 @@ class SmoothPiece1D:
             dp = float(e.deriv(np.asarray(c), 1))
             if math.isfinite(dm) and math.isfinite(dp) and not close_rel(dm, dp, 1e-12):
                 kinks.append((c, dp - dm))
+            if dm == 0.0 or dp == 0.0:
+                flat.append(c)
         inf_pts = tuple(p for p in e.infinite_slope_points() if lo < p < hi)
         return cls(
             domain=domain,
@@ -767,6 +773,7 @@ class SmoothPiece1D:
             kinks=tuple(kinks),
             infinite_slope=inf_pts,
             expr=e,
+            zero_slope=tuple(flat),
         )
 
     def check_increasing(self) -> None:
@@ -780,19 +787,25 @@ class SmoothPiece1D:
             raise MeasureKitError(f"function is not strictly increasing near x = {xs[bad]}")
 
     @cached_property
+    def special_points(self) -> tuple[float, ...]:
+        """The kinks, infinite-slope points and expression breakpoints inside
+        the domain, sorted."""
+        lo, hi = self.domain
+        pts = {c for c, _ in self.kinks} | set(self.infinite_slope)
+        pts.update(self.expr.breakpoints() if self.expr is not None else ())
+        return tuple(sorted(c for c in pts if lo < c < hi))
+
+    @cached_property
     def node_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes x, images f(x) and inverse slopes 1/f'(x) for inversion: 1,025
-        on a core (the domain, cut to 8 wide on an infinite side), the
-        breakpoints, kinks and infinite-slope points, and the core ends -+ 2^k
-        out to the float range (every k < 64, then every 16th), cut to a
-        strictly increasing run of finite images."""
+        on a core (the domain, cut to 8 wide on an infinite side), the special
+        points, and the core ends -+ 2^k out to the float range (every k < 64,
+        then every 16th), cut to a strictly increasing run of finite images."""
         lo, hi = self.domain
         a = lo if math.isfinite(lo) else min(-4.0, hi - 8.0)
         b = hi if math.isfinite(hi) else max(4.0, a + 8.0)
-        extra = [c for c, _ in self.kinks] + list(self.infinite_slope)
-        extra += self.expr.breakpoints() if self.expr is not None else ()
         tails = 2.0 ** np.r_[0:64, 64:1024:16]
-        xs = np.unique(np.concatenate([np.linspace(a, b, 1025), extra, a - tails, b + tails]))
+        xs = np.unique(np.concatenate([np.linspace(a, b, 1025), self.special_points, a - tails, b + tails]))
         xs = xs[(xs >= lo) & (xs <= hi)]
         with np.errstate(all="ignore"):  # far tails may overflow: those nodes drop out
             us = _arr(self.value(xs))
@@ -1090,17 +1103,12 @@ def second_derivative_decomposition(
             )
         if abs(jump) > 0:
             atoms.append((c, jump))
-    lo, hi = q.domain
-    breaks: set[float] = {c for c, _ in q.kinks}
-    breaks.update(q.infinite_slope)
-    if q.expr is not None:
-        breaks.update(q.expr.breakpoints())
     return DecomposedMeasure(
         support=q.domain,
         ac_density=q.d2_ac,
         atoms=tuple(atoms),
         sc=sc,
-        ac_breakpoints=tuple(sorted(b for b in breaks if lo < b < hi)),
+        ac_breakpoints=q.special_points,
     )
 
 
@@ -1147,6 +1155,18 @@ class LocalBehavior:
             raise MeasureKitError("side must be 'left', 'right' or 'both'")
         if self.coeff == 0:
             raise MeasureKitError("LocalBehavior requires a nonzero coefficient")
+
+
+def same_point(p: float, x: float) -> bool:
+    """Does an annotation at p stand for the finite point x? The one
+    tolerance, 1e-9 relative to x, that matches annotations to boundary
+    images."""
+    return math.isfinite(x) and abs(p - x) <= 1e-9 * (1 + abs(x))
+
+
+def behaviors_at(behaviors: Sequence[LocalBehavior], x: float) -> list[LocalBehavior]:
+    """The behaviours annotated at x, each moved exactly onto x."""
+    return [replace(b, point=x) for b in behaviors if same_point(b.point, x)]
 
 
 @dataclass(frozen=True)
@@ -1338,7 +1358,7 @@ def decide_weighted_L2_boundary(
     p > -1 (strict).
     """
     a, b = window
-    if not (abs(a - b_image) <= 1e-9 * (1 + abs(b_image)) or abs(b - b_image) <= 1e-9 * (1 + abs(b_image))):
+    if not (same_point(a, b_image) or same_point(b, b_image)):
         raise MeasureKitError("window must be adjacent to the boundary image")
 
     def g(x):
@@ -1348,11 +1368,11 @@ def decide_weighted_L2_boundary(
 
     specials: list[tuple[float, Optional[float]]] = []
     for beh in behaviors:
-        if abs(beh.point - b_image) <= 1e-9 * (1 + abs(b_image)):
+        if same_point(beh.point, b_image):
             specials.append((b_image, 2.0 * beh.exponent + 1.0))
         elif a <= beh.point <= b:
             specials.append((beh.point, 2.0 * beh.exponent))
-    if all(abs(p - b_image) > 1e-9 * (1 + abs(b_image)) for p, _ in specials):
+    if all(not same_point(p, b_image) for p, _ in specials):
         specials.append((b_image, None))
     return _decide_g_integral(g, window, specials)
 
@@ -1367,7 +1387,8 @@ def decide_abs_integral(
     """Finiteness of the integral of |f| (optionally weighted by |x - w|).
 
     ``point_exponents`` annotates |f| ~ C|x-x0|^p; the rule threshold is
-    p > -1 (plus one when the weight point coincides with the annotation).
+    p > -1 (plus one when the annotation stands for the weight point, and
+    then it moves onto it).
     Used for the |q''| prerequisites of the semimartingale check.
     """
 
@@ -1380,10 +1401,11 @@ def decide_abs_integral(
 
     specials: list[tuple[float, Optional[float]]] = []
     for p, e in point_exponents:
-        ge = e + (1.0 if weight_point is not None and abs(p - weight_point) <= 1e-12 * (1 + abs(p)) else 0.0)
-        specials.append((p, ge))
+        if weight_point is not None and same_point(p, weight_point):
+            p, e = weight_point, e + 1.0
+        specials.append((p, e))
     for p in suspicious:
         specials.append((float(p), None))
-    if weight_point is not None and all(abs(p - weight_point) > 1e-12 * (1 + abs(weight_point)) for p, _ in specials):
+    if weight_point is not None and all(not same_point(p, weight_point) for p, _ in specials):
         specials.append((float(weight_point), None))
     return _decide_g_integral(g, window, specials)

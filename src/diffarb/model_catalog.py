@@ -125,15 +125,16 @@ def _lebesgue(support) -> DecomposedMeasure:
 def _build_brownian_motion(r: float, x0: float) -> DiffusionSpec:
     J = StateInterval(-_R_INF, _R_INF)
     scale = SmoothPiece1D.from_expr(Affine(1.0, 0.0), (J.alpha, J.beta))
+    speed = _lebesgue((J.alpha, J.beta))
     return DiffusionSpec(
         J=J,
         scale=scale,
-        speed=_lebesgue((J.alpha, J.beta)),
+        speed=speed,
         x0=float(x0),
         r=float(r),
         model_id="brownian_motion",
         q_expr=Affine(1.0, 0.0),
-        speed_natural=_lebesgue((-_R_INF, _R_INF)),
+        speed_natural=speed,
     )
 
 
@@ -161,11 +162,7 @@ def _build_sticky_reflected_bm(r: float, rho: float, x0: float) -> DiffusionSpec
         r=float(r),
         model_id="sticky_reflected_bm",
         q_expr=Affine(1.0, 0.0),
-        speed_natural=DecomposedMeasure(
-            support=(1.0, _R_INF),
-            ac_density=lambda x: np.ones_like(np.asarray(x, float)),
-            atoms=atoms,
-        ),
+        speed_natural=speed,
         declared_boundaries=(("left", "reflecting"),),
     )
 

@@ -133,6 +133,43 @@ def test_nupbr_equals_nsa_without_absorbing_boundary():
     assert reports == []  # the condition is empty without absorbing points
 
 
+def _annotated_at_one_third(point, atom, r, key, exponent):
+    """Affine scale and Lebesgue speed on [1/3, inf) with a speed atom at 1/3
+    and one local behaviour annotated at ``point``."""
+    return {
+        "state_interval": {"alpha": 0.3333333333333333, "beta": "inf", "alpha_closed": True},
+        "scale": {"node": "affine", "a": 1, "b": 0},
+        "speed": {"ac": {"node": "const", "c": 1}, "atoms": [[0.3333333333333333, atom]]},
+        "x0": 1,
+        "r": r,
+        key: [{"point": point, "side": "right", "exponent": exponent, "coeff": 1}],
+    }
+
+
+@pytest.mark.parametrize(
+    "atom, r, key, exponent, expected",
+    [
+        ("inf", 0, "phi_behaviors", -1, (HOLDS, HOLDS, FAILS, HOLDS)),  # NUPBR weighted collar
+        ("inf", 0, "phi_behaviors", -0.75, (HOLDS,) * 4),  # not an interior point as well
+        (1, 1.5, "phi_behaviors", -1, (HOLDS, FAILS, FAILS, HOLDS)),  # NSA reflecting collar
+        ("inf", 0, "qpp_behaviors", -2.5, "semimartingale prerequisites"),  # weighted |q''| collar
+    ],
+    ids=["absorbing_phi", "absorbing_phi_finite", "reflecting_phi", "absorbing_qpp"],
+)
+def test_boundary_annotation_spelling_does_not_change_the_verdict(atom, r, key, exponent, expected):
+    # 0.3333333333 lies 3.3e-11 below the boundary image 1/3 and
+    # 0.33333333334 lies 6.7e-12 above it: the same annotation, written
+    # with other digits
+    for point in (0.3333333333333333, 0.3333333333, 0.33333333334):
+        spec = load_model_spec(_annotated_at_one_third(point, atom, r, key, exponent))
+        if isinstance(expected, str):
+            with pytest.raises(SpecValidationError, match=expected):
+                classify(spec)
+        else:
+            v = classify(spec)
+            assert (v.nip, v.nsa, v.nupbr, v.rp) == expected
+
+
 def test_rp_flags():
     fat = build_model("fat_cantor")
     assert check_rp(derive_natural_scale(fat), fat)[0] == FAILS

@@ -1,5 +1,6 @@
 """Boundary classification, natural-scale derivation, standing assumption."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from diffarb.diffusion_model import (
     derive_natural_scale,
     load_model_spec,
 )
-from diffarb.measure_kit import DecomposedMeasure, PowerSigned, SmoothPiece1D
+from diffarb.measure_kit import Affine, DecomposedMeasure, PowerSigned, SmoothPiece1D
 from diffarb.model_catalog import build_model
 
 INF = math.inf
@@ -33,22 +34,83 @@ def test_state_interval_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_bm_boundaries_inaccessible():
-    spec = build_model("brownian_motion")
-    assert classify_boundary(spec, "left").kind == "inaccessible"
-    assert classify_boundary(spec, "right").kind == "inaccessible"
+def _log(x):
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(x, float))
 
 
-def test_reflected_bm_left_boundary_sticky():
-    spec = build_model("sticky_reflected_bm", {"rho": 0.7})
-    beh = classify_boundary(spec, "left")
-    assert beh.kind == "reflecting"
-    assert beh.stickiness == 0.7
+def _log_scale_spec(declared=()):
+    """J = (0, inf) with scale log x: the left image is -inf."""
+    scale = SmoothPiece1D(
+        domain=(0.0, INF),
+        value=_log,
+        d_plus=lambda x: 1.0 / np.asarray(x, float),
+        d_minus=lambda x: 1.0 / np.asarray(x, float),
+        d2_ac=lambda x: -1.0 / np.asarray(x, float) ** 2,
+    )
+    speed = DecomposedMeasure(support=(0.0, INF), ac_density=lambda x: np.ones_like(np.asarray(x, float)))
+    return DiffusionSpec(StateInterval(0.0, INF), scale, speed, x0=1.0, r=0.0, declared_boundaries=declared)
 
 
-def test_absorbing_from_infinite_atom():
-    spec = build_model("gen_squared_bessel", {"m0": INF})
-    assert classify_boundary(spec, "left").kind == "absorbing"
+def _power_speed_spec(p, atoms=(), closed=True, declared=()):
+    """J = [1, inf) with scale 2x + 1 and speed density |x - 1|^p: the
+    collar integral at 1 behaves like that of |y - 1|^(p + 1)."""
+    speed = DecomposedMeasure(
+        support=(1.0, INF), ac_density=lambda x: np.abs(np.asarray(x, float) - 1.0) ** p, atoms=atoms
+    )
+    return DiffusionSpec(
+        StateInterval(1.0, INF, alpha_closed=closed),
+        SmoothPiece1D.from_expr(Affine(2.0, 1.0), (1.0, INF)),
+        speed,
+        x0=2.0,
+        r=0.0,
+        declared_boundaries=declared,
+    )
+
+
+_INCONCLUSIVE = "accessibility test inconclusive"
+
+
+@pytest.mark.parametrize(
+    "make, side, kind, stick, note, value, image",
+    [
+        (lambda: build_model("brownian_motion"), "left", "inaccessible", 0.0, "infinite endpoint", -INF, -INF),
+        (lambda: build_model("brownian_motion"), "right", "inaccessible", 0.0, "infinite endpoint", INF, INF),
+        (_log_scale_spec, "left", "inaccessible", 0.0, "scale image infinite", 0.0, -INF),
+        (lambda: build_model("sticky_reflected_bm", {"rho": 0.7}), "left", "reflecting", 0.7, "", 1.0, 1.0),
+        (lambda: build_model("gen_squared_bessel", {"m0": INF}), "left", "absorbing", 0.0, "", 0.0, 0.0),
+        (lambda: _power_speed_spec(-2.5, closed=False), "left", "inaccessible", 0.0,
+         "speed-weighted scale integral diverges", 1.0, 3.0),
+        # |y - 1|^-0.84 converges too slowly for the dyadic probe to decide
+        (lambda: _power_speed_spec(-1.84, ((1.0, 0.5),), declared=(("left", "reflecting"),)), "left",
+         "reflecting", 0.5, _INCONCLUSIVE + "; declaration used", 1.0, 3.0),
+        (lambda: _power_speed_spec(-1.84, ((1.0, 0.5),)), "left",
+         "inaccessible", 0.0, _INCONCLUSIVE + " and no declaration given", 1.0, 3.0),
+    ],
+    ids=["bm_left", "bm_right", "image_infinite", "reflecting_sticky", "absorbing_infinite_atom",
+         "divergent", "inconclusive_declared", "inconclusive_undeclared"],
+)
+def test_classify_boundary_exits(make, side, kind, stick, note, value, image):
+    beh = classify_boundary(make(), side)
+    assert (beh.kind, beh.stickiness, beh.note, beh.value, beh.image) == (kind, stick, note, value, image)
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: dataclasses.replace(build_model("brownian_motion"), declared_boundaries=(("left", "reflecting"),)),
+         r"declared reflecting \(infinite endpoint\)"),
+        (lambda: _log_scale_spec((("left", "absorbing"),)), r"declared absorbing \(scale image infinite\)"),
+        (lambda: dataclasses.replace(build_model("sticky_reflected_bm"), J=StateInterval(1.0, INF)),
+         "accessible but excluded from the state interval"),
+        (lambda: _power_speed_spec(-1.84, ((1.0, 0.5),), closed=False, declared=(("left", "reflecting"),)),
+         "accessible but excluded from the state interval"),
+    ],
+    ids=["infinite_endpoint_declared", "image_infinite_declared", "accessible_end_open", "declared_end_open"],
+)
+def test_classify_boundary_errors(make, match):
+    with pytest.raises(SpecValidationError, match=match):
+        classify_boundary(make(), "left")
 
 
 def test_declaration_conflict_is_error():
