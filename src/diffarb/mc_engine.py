@@ -23,17 +23,20 @@ masses) and the drift density for the per-state drift rates of the price
 diagnostic. Speed atoms and the binned singular-continuous part are point
 masses, and one helper gives them the same Green weight.
 
-Sampling is vectorized over paths with a counter-based generator (Philox),
-so runs are bit-reproducible for a fixed seed, stream and chunk layout. The
-sampler carries one row per quantity for the live paths and compacts the
-rows together when paths die. Its accumulators are hit times, occupations
-and price integrals: the strategy payoff is the integral of a position
-against the discounted price, and the drift residual is the same integral
-less a predicted drift rate. The accumulators never change which numbers
-are drawn, so one pass that carries several of them samples the same paths
-as separate passes would: strategies and martingale diagnostics are planned
-on a chain, each plan naming the accumulators it reads, and evaluated on
-one batch that carries them all.
+Sampling is vectorized over paths with a counter-based generator (Philox).
+A batch splits into equal chunks of at most 8,192 paths, each drawing from
+its own key, and the chunks run on forked worker processes, one per CPU the
+process may use, writing into shared memory. So a batch is bit-reproducible
+for a fixed seed and stream, and the same on any number of CPUs. The
+sampler carries one row per quantity for the live paths of a chunk and
+compacts the rows in place when paths die. Its accumulators are hit
+times, occupations and price integrals: the strategy payoff is the integral
+of a position against the discounted price, and the drift residual is the
+same integral less a predicted drift rate. The accumulators never change
+which numbers are drawn, so one pass that carries several of them samples
+the same paths as separate passes would: strategies and martingale
+diagnostics are planned on a chain, each plan naming the accumulators it
+reads, and evaluated on one batch that carries them all.
 
 Expectations that need no pathwise statistic are exact: the chain is a
 birth-death process, so its expected occupation up to T follows from a
@@ -44,6 +47,8 @@ tridiagonal resolvent and a contour inversion of the Laplace transform
 from __future__ import annotations
 
 import math
+import mmap
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -74,7 +79,8 @@ __all__ = [
     "subseed",
 ]
 
-_CHUNK = 32768
+# the most paths in one chunk; a batch splits into equal chunks of at most this
+_CHUNK = 8192
 # 12-point Gauss-Legendre nodes and weights on (0, 1) for the cell quadrature
 _GL_T, _GL_W = _leggauss(12)
 _GL_T, _GL_W = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W
@@ -392,9 +398,9 @@ class PathBatch:
     """Summaries of a sampled batch.
 
     Re-running ``sample_paths`` with the same seed and stream reproduces the
-    paths bit-exactly (counter-based generator, fixed chunk layout), so
-    estimators on one stream share a batch through its accumulators instead
-    of storing full event logs.
+    paths bit-exactly on any number of CPUs (counter-based generator, a key
+    per chunk of a fixed layout), so estimators on one stream share a batch
+    through its accumulators instead of storing full event logs.
     """
 
     chain: ChainModel
@@ -429,6 +435,43 @@ def _entering(s_next: np.ndarray, states: Sequence[int], live: np.ndarray) -> Op
     return hit
 
 
+@dataclass
+class _Sampler:
+    """One ``sample_paths`` call: what each chunk reads and the arrays it fills.
+
+    Chunk i samples paths ``bounds[i]:bounds[i + 1]`` and writes only their
+    rows of the per-path arrays and its own row of ``occupation``.
+    """
+
+    chain: ChainModel
+    seed: int
+    stream: int
+    T: float
+    bounds: list[int]
+    # per-state columns, gathered once per step: hold, up, then each
+    # integral's weight and rate; spans holds their column indices
+    table: np.ndarray
+    spans: list[tuple[int, Optional[int]]]
+    mesh_ext: Optional[np.ndarray]  # the mesh times and +inf
+    mesh_ids: tuple[int, ...]
+    terminal: np.ndarray
+    discarded: np.ndarray
+    occupation: np.ndarray  # (chunks, states)
+    totals: dict[str, np.ndarray]
+    hits: dict[int, np.ndarray]
+    mesh_state: Optional[np.ndarray]
+    mesh_occ: Optional[np.ndarray]
+
+
+def _shared_full(shape, fill_value, dtype) -> np.ndarray:
+    """``np.full`` in shared anonymous memory, which forked workers write into."""
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    out = np.frombuffer(mmap.mmap(-1, max(count * dtype.itemsize, 1)), dtype, count).reshape(shape)
+    out.fill(fill_value)
+    return out
+
+
 def sample_paths(
     chain: ChainModel,
     n_paths: int,
@@ -453,163 +496,227 @@ def sample_paths(
     per state by residual_weight. hit_levels records first hitting times,
     and mesh_times records the state and the occupation of the
     ``mesh_states`` at fixed times.
+
+    The batch splits into k = ceil(n_paths / 8192) equal chunks; chunk i
+    holds paths [i n/k, (i+1) n/k) and draws from its own Philox key
+    (stream * 1_000_003 + i + 1). The chunks run on up to k forked worker
+    processes, one per CPU this process may run on, and the occupation is
+    summed in chunk order, so the batch is the same on any number of CPUs.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n_states = chain.n_states
-    q_grid = chain.q_grid
-    r = chain.r
-    discount = r != 0.0
+    k = -(-n_paths // _CHUNK)
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = 1 if affinity is None else min(k, len(affinity(0)))
 
-    terminal = np.full(n_paths, -1, dtype=np.int64)
-    discarded = np.zeros(n_paths, dtype=bool)
-    occupation = np.zeros(n_states)
-    hits = {int(s): np.full(n_paths, np.inf) for s in hit_levels}
     integrals = {}  # name: (weight, rate or None) per state
     if position_table is not None:
         integrals["payoff"] = (position_table, None)
     if residual_rates is not None:
         integrals["residual"] = (np.ones(n_states) if residual_weight is None else residual_weight, residual_rates)
-    totals = {name: np.zeros(n_paths) for name in integrals}
-    mesh = None if mesh_times is None else np.asarray(list(mesh_times), float)
-    mesh_ids = tuple(int(s) for s in mesh_states)
-    if mesh is not None:
-        mesh_state = np.full((n_paths, mesh.size), -1, dtype=np.int64)
-        mesh_occ = np.zeros((n_paths, mesh.size, len(mesh_ids)))
-        # the mesh times and +inf, the next mesh time of a path that recorded all
-        mesh_ext = np.append(mesh, np.inf)
-    else:
-        mesh_state = mesh_occ = None
-
-    edges = ((0, chain.left_rule), (n_states - 1, chain.right_rule))
-    pad_states = [i for i, rule in edges if rule == "pad"]
-    absorb_states = [i for i, rule in edges if rule == "absorb"]
-    # one gather per step fetches every per-state column of the current
-    # states: hold, up, then each integral's weight and rate
     cols = [chain.mean_hold, chain.up_prob]
     spans = []
     for w, rate in integrals.values():
         spans.append((len(cols), None if rate is None else len(cols) + 1))
         cols += [w] if rate is None else [w, rate]
-    table = np.column_stack([np.asarray(c, float) for c in cols])
-    # offsets of the row groups of the carried state
-    j_hit = 5 + len(integrals)
-    j_occ = j_hit + len(hits)
-    j_mesh = j_occ + len(mesh_ids)
-
-    for c0 in range(0, n_paths, _CHUNK):
-        c1 = min(c0 + _CHUNK, n_paths)
-        m = c1 - c0
-        rng = _rng(seed, stream * 1_000_003 + (c0 // _CHUNK) + 1)
-        # the rows carried per live path, compacted together: path id, state,
-        # clock, discount factor exp(-r t), discounted price, the price
-        # integrals, the hit times, the mesh-state occupations and, with a
-        # mesh, the index and time of the next snapshot
-        S = [np.arange(c0, c1, dtype=np.int64), np.full(m, chain.start_index, dtype=np.int64), np.zeros(m)]
-        S += [np.ones(m), np.full(m, q_grid[chain.start_index])]
-        S += [np.zeros(m) for _ in integrals] + [np.full(m, np.inf) for _ in hits] + [np.zeros(m) for _ in mesh_ids]
-        if mesh is not None:
-            S += [np.zeros(m, dtype=np.int64), np.full(m, mesh_ext[0])]
-
-        while S[0].size:
-            ids, st, tt, disc_old, price_old = S[:5]
-            acc_int, acc_hit, acc_occ = S[5:j_hit], S[j_hit:j_occ], S[j_occ:j_mesh]
-            at = table.take(st, axis=0).T
-            e = rng.standard_exponential(ids.size)
-            uu = rng.random(ids.size)
-            dwell = e * at[0]
-            t_next = tt + dwell
-            expire = t_next >= T
-            any_expire = expire.any()
-            if any_expire:
-                dwell = np.where(expire, T - tt, dwell)
-                t_next = np.minimum(t_next, T)
-
-            occupation += np.bincount(st, weights=dwell, minlength=n_states)
-            for ms, acc in zip(mesh_ids, acc_occ):
-                acc += dwell * (st == ms)
-
-            if mesh is not None:
-                # record snapshots at every mesh time inside this sojourn;
-                # the occupation was advanced by the whole dwell already,
-                # so roll it back to the snapshot time
-                mesh_next, mesh_t = S[j_mesh:]
-                snap = mesh_t <= t_next
-                while snap.any():
-                    k = np.flatnonzero(snap)
-                    j = mesh_next[k]
-                    mesh_state[ids[k], j] = st[k]
-                    for col, (ms, acc) in enumerate(zip(mesh_ids, acc_occ)):
-                        rollback = np.where(st[k] == ms, t_next[k] - mesh_t[k], 0.0)
-                        mesh_occ[ids[k], j, col] = acc[k] - rollback
-                    mesh_next[k] += 1
-                    mesh_t[k] = mesh_ext[mesh_next[k]]
-                    snap[k] = mesh_t[k] <= t_next[k]
-
-            s_next = (uu < at[1]).astype(np.int64)
-            s_next *= 2
-            s_next -= 1
-            s_next += st
-            live = ~expire
-
-            q_next = q_grid[np.where(expire, st, s_next) if any_expire else s_next]
-            if discount:
-                disc_new = np.exp(-r * t_next)
-                price_new = disc_new * q_next
-            else:
-                disc_new, price_new = disc_old, q_next
-            dS = price_new - price_old
-            for acc, (w, rate) in zip(acc_int, spans):
-                if rate is None:
-                    acc += at[w] * dS
-                else:
-                    acc += at[w] * (dS - at[rate] * ((disc_old - disc_new) / r if discount else dwell))
-
-            for lv, acc in zip(hits, acc_hit):
-                arrived = s_next == lv
-                if arrived.any():
-                    arrived &= live & np.isinf(acc)
-                    acc[arrived] = t_next[arrived]
-
-            # deaths: horizon, pad exit (discard), absorbing entry (the
-            # clock stops; occupation counts time up to absorption only)
-            dead = expire
-            dead_pad = _entering(s_next, pad_states, live)
-            if dead_pad is not None:
-                dead = dead | dead_pad
-            absorbed = _entering(s_next, absorb_states, live)
-            if absorbed is not None:
-                dead = dead | absorbed
-                if discount and acc_int and absorbed.any():
-                    # the price keeps discounting while parked at the absorbing
-                    # value; settle that increment analytically
-                    tail = np.where(absorbed, (math.exp(-r * T) - disc_new) * q_grid[s_next], 0.0)
-                    for acc, (w, _) in zip(acc_int, spans):
-                        acc += table[s_next, w] * tail
-            S[1:5] = s_next, t_next, disc_new, price_new
-            if dead.any():
-                rows = ids[dead]
-                terminal[rows] = np.where(expire, st, s_next)[dead]
-                if dead_pad is not None and dead_pad.any():
-                    discarded[ids[dead_pad]] = True
-                for out, acc in zip([*totals.values(), *hits.values()], acc_int + acc_hit):
-                    out[rows] = acc[dead]
-                keep = ~dead
-                S = [a[keep] for a in S]
+    mesh = None if mesh_times is None else np.asarray(list(mesh_times), float)
+    mesh_ids = tuple(int(s) for s in mesh_states)
+    job = _Sampler(
+        chain=chain,
+        seed=seed,
+        stream=stream,
+        T=T,
+        bounds=[i * n_paths // k for i in range(k + 1)],
+        table=np.column_stack([np.asarray(c, float) for c in cols]),
+        spans=spans,
+        mesh_ext=None if mesh is None else np.append(mesh, np.inf),
+        mesh_ids=mesh_ids,
+        terminal=_shared_full(n_paths, -1, np.int64),
+        discarded=_shared_full(n_paths, False, bool),
+        occupation=_shared_full((k, n_states), 0.0, float),
+        totals={name: _shared_full(n_paths, 0.0, float) for name in integrals},
+        hits={int(s): _shared_full(n_paths, np.inf, float) for s in hit_levels},
+        mesh_state=None if mesh is None else _shared_full((n_paths, mesh.size), -1, np.int64),
+        mesh_occ=None if mesh is None else _shared_full((n_paths, mesh.size, len(mesh_ids)), 0.0, float),
+    )
+    _run_chunks(job, k, workers)
+    occupation = job.occupation[0].copy()
+    for row in job.occupation[1:]:
+        occupation += row
 
     return PathBatch(
         chain=chain,
         n_paths=n_paths,
         T=T,
-        terminal_state=terminal,
-        discarded=discarded,
+        terminal_state=job.terminal,
+        discarded=job.discarded,
         occupation=occupation,
-        hit_time=hits,
-        payoff=totals.get("payoff"),
-        residual=totals.get("residual"),
-        mesh_state=mesh_state,
-        mesh_occupation=mesh_occ,
+        hit_time=job.hits,
+        payoff=job.totals.get("payoff"),
+        residual=job.totals.get("residual"),
+        mesh_state=job.mesh_state,
+        mesh_occupation=job.mesh_occ,
     )
+
+
+def _run_chunks(job: _Sampler, k: int, workers: int) -> None:
+    """Sample the k chunks of a batch, on forked workers when ``workers`` > 1.
+
+    Worker w samples chunks w, w + workers, ... into the shared arrays. The
+    parent reaps every worker, then samples in-process the chunks of any
+    worker that failed or could not be forked, so an exception raised by a
+    chunk surfaces once, from the parent. A chunk draws the same numbers on
+    every run, so what a failed worker wrote is overwritten with the same
+    values. Workers run numpy array code and the generator only, no BLAS
+    call and no thread, so a fork beside idle BLAS threads is safe for them.
+    """
+    redo = range(workers)
+    if workers > 1:
+        pids = {}
+        try:
+            for w in range(workers):
+                pid = os.fork()
+                if pid == 0:
+                    # the worker leaves through os._exit alone: no traceback,
+                    # no unwinding into the caller's frames
+                    status = 1
+                    try:
+                        for i in range(w, k, workers):
+                            _sample_chunk(job, i)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids[w] = pid
+        except OSError:
+            pass  # no more processes: the parent samples the rest
+        finally:
+            redo = [w for w in range(workers) if w not in pids or os.waitpid(pids[w], 0)[1] != 0]
+    for w in redo:
+        for i in range(w, k, workers):
+            _sample_chunk(job, i)
+
+
+def _sample_chunk(job: _Sampler, i: int) -> None:
+    """Sample chunk i of a batch and write its rows of the output arrays."""
+    chain, table, spans, T = job.chain, job.table, job.spans, job.T
+    n_states = chain.n_states
+    q_grid = chain.q_grid
+    r = chain.r
+    discount = r != 0.0
+    mesh_ext, mesh_ids, hits = job.mesh_ext, job.mesh_ids, job.hits
+    edges = ((0, chain.left_rule), (n_states - 1, chain.right_rule))
+    pad_states = [s for s, rule in edges if rule == "pad"]
+    absorb_states = [s for s, rule in edges if rule == "absorb"]
+    # offsets of the row groups of the carried state
+    j_hit = 5 + len(spans)
+    j_occ = j_hit + len(hits)
+    j_mesh = j_occ + len(mesh_ids)
+
+    c0, c1 = job.bounds[i], job.bounds[i + 1]
+    m = c1 - c0
+    rng = _rng(job.seed, job.stream * 1_000_003 + i + 1)
+    occupation = np.zeros(n_states)
+    # the rows carried per live path, compacted together: path id, state,
+    # clock, discount factor exp(-r t), discounted price, the price
+    # integrals, the hit times, the mesh-state occupations and, with a
+    # mesh, the index and time of the next snapshot
+    S = [np.arange(c0, c1, dtype=np.int64), np.full(m, chain.start_index, dtype=np.int64), np.zeros(m)]
+    S += [np.ones(m), np.full(m, q_grid[chain.start_index])]
+    S += [np.zeros(m) for _ in spans] + [np.full(m, np.inf) for _ in hits] + [np.zeros(m) for _ in mesh_ids]
+    if mesh_ext is not None:
+        S += [np.zeros(m, dtype=np.int64), np.full(m, mesh_ext[0])]
+
+    while S[0].size:
+        ids, st, tt, disc_old, price_old = S[:5]
+        acc_int, acc_hit, acc_occ = S[5:j_hit], S[j_hit:j_occ], S[j_occ:j_mesh]
+        at = table.take(st, axis=0).T
+        e = rng.standard_exponential(ids.size)
+        uu = rng.random(ids.size)
+        dwell = e * at[0]
+        t_next = tt + dwell
+        expire = t_next >= T
+        any_expire = expire.any()
+        if any_expire:
+            dwell = np.where(expire, T - tt, dwell)
+            t_next = np.minimum(t_next, T)
+
+        occupation += np.bincount(st, weights=dwell, minlength=n_states)
+        for ms, acc in zip(mesh_ids, acc_occ):
+            acc += dwell * (st == ms)
+
+        if mesh_ext is not None:
+            # record snapshots at every mesh time inside this sojourn;
+            # the occupation was advanced by the whole dwell already,
+            # so roll it back to the snapshot time
+            mesh_next, mesh_t = S[j_mesh:]
+            snap = mesh_t <= t_next
+            while snap.any():
+                k = np.flatnonzero(snap)
+                j = mesh_next[k]
+                job.mesh_state[ids[k], j] = st[k]
+                for col, (ms, acc) in enumerate(zip(mesh_ids, acc_occ)):
+                    rollback = np.where(st[k] == ms, t_next[k] - mesh_t[k], 0.0)
+                    job.mesh_occ[ids[k], j, col] = acc[k] - rollback
+                mesh_next[k] += 1
+                mesh_t[k] = mesh_ext[mesh_next[k]]
+                snap[k] = mesh_t[k] <= t_next[k]
+
+        s_next = (uu < at[1]).astype(np.int64)
+        s_next *= 2
+        s_next -= 1
+        s_next += st
+        live = ~expire
+
+        q_next = q_grid[np.where(expire, st, s_next) if any_expire else s_next]
+        if discount:
+            disc_new = np.exp(-r * t_next)
+            price_new = disc_new * q_next
+        else:
+            disc_new, price_new = disc_old, q_next
+        dS = price_new - price_old
+        for acc, (w, rate) in zip(acc_int, spans):
+            if rate is None:
+                acc += at[w] * dS
+            else:
+                acc += at[w] * (dS - at[rate] * ((disc_old - disc_new) / r if discount else dwell))
+
+        for lv, acc in zip(hits, acc_hit):
+            arrived = s_next == lv
+            if arrived.any():
+                arrived &= live & np.isinf(acc)
+                acc[arrived] = t_next[arrived]
+
+        # deaths: horizon, pad exit (discard), absorbing entry (the
+        # clock stops; occupation counts time up to absorption only)
+        dead = expire
+        dead_pad = _entering(s_next, pad_states, live)
+        if dead_pad is not None:
+            dead = dead | dead_pad
+        absorbed = _entering(s_next, absorb_states, live)
+        if absorbed is not None:
+            dead = dead | absorbed
+            if discount and acc_int and absorbed.any():
+                # the price keeps discounting while parked at the absorbing
+                # value; settle that increment analytically
+                tail = np.where(absorbed, (math.exp(-r * T) - disc_new) * q_grid[s_next], 0.0)
+                for acc, (w, _) in zip(acc_int, spans):
+                    acc += table[s_next, w] * tail
+        S[1:5] = s_next, t_next, disc_new, price_new
+        if dead.any():
+            rows = ids[dead]
+            job.terminal[rows] = np.where(expire, st, s_next)[dead]
+            if dead_pad is not None and dead_pad.any():
+                job.discarded[ids[dead_pad]] = True
+            for out, acc in zip([*job.totals.values(), *hits.values()], acc_int + acc_hit):
+                out[rows] = acc[dead]
+            # compact each row into its own prefix, one at a time: no second
+            # generation of rows is built
+            keep = np.flatnonzero(~dead)
+            for j, a in enumerate(S):
+                a[: keep.size] = a[keep]
+                S[j] = a[: keep.size]
+    job.occupation[i] = occupation
 
 
 # ---------------------------------------------------------------------------

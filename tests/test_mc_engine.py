@@ -5,13 +5,16 @@ seeds; construction identities are exact and asserted tightly.
 """
 
 import dataclasses
+import functools
 import math
+import os
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+from diffarb import mc_engine
 from diffarb.diffusion_model import DiffusionSpec, StateInterval, derive_natural_scale, load_model_spec
 from diffarb.mc_engine import (
     build_chain,
@@ -337,6 +340,20 @@ _PINNED_BATCHES = {
 }
 
 
+def _accumulators(chain, view, T):
+    """The keyword arguments of each accumulator, by name: two hit levels, a
+    position table, the drift residual and a mesh of eight times."""
+    table = np.zeros(chain.n_states)
+    table[1] = 1.0
+    table[chain.n_states // 2] = -0.5
+    return {
+        "hit_levels": {"hit_levels": [chain.start_index // 2, 0]},
+        "position_table": {"position_table": table},
+        "residual_rates": {"residual_rates": gamma_drift_rates(chain, view)},
+        "mesh": {"mesh_times": np.linspace(0.0, T, 9)[1:], "mesh_states": [1, chain.start_index]},
+    }
+
+
 @pytest.mark.parametrize(
     "name, params, build_kw",
     [
@@ -352,15 +369,7 @@ def test_accumulators_do_not_perturb_paths(name, params, build_kw):
     chain = build_chain(view, spec, N=64, **build_kw)
     T = spec.horizon
     n = chain.n_states
-    table = np.zeros(n)
-    table[1] = 1.0
-    table[n // 2] = -0.5
-    extras = {
-        "hit_levels": {"hit_levels": [chain.start_index // 2, 0]},
-        "position_table": {"position_table": table},
-        "residual_rates": {"residual_rates": gamma_drift_rates(chain, view)},
-        "mesh": {"mesh_times": np.linspace(0.0, T, 9)[1:], "mesh_states": [1, chain.start_index]},
-    }
+    extras = _accumulators(chain, view, T)
     fused = sample_paths(chain, 1500, 31, T, stream=7, **{k: v for kw in extras.values() for k, v in kw.items()})
     if chain.left_rule == "absorb":
         assert np.any(fused.terminal_state == 0)  # absorptions happen
@@ -393,32 +402,160 @@ def test_cell_exit_statistics_match_chain(bm):
     assert abs(st["up_frac"] - chain.up_prob[i]) < 3 * st["se_up"]
 
 
-@pytest.mark.parametrize(
-    "name, params",
-    [
-        ("sticky_reflected_bm", {"r": 0.5, "rho": 1.0}),
-        ("gen_squared_bessel", {"r": 0.5, "x0": 0.3, "m0": INF}),
-        ("brownian_motion", {"r": 0.3}),
-    ],
-    ids=["reflecting", "absorbing", "padded"],
-)
-def test_sampled_occupation_matches_exact_oracle(name, params):
+_ORACLE_CHAINS = {
+    "reflecting": ("sticky_reflected_bm", {"r": 0.5, "rho": 1.0}),
+    "absorbing": ("gen_squared_bessel", {"r": 0.5, "x0": 0.3, "m0": INF}),
+    "padded": ("brownian_motion", {"r": 0.3}),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_case(case):
+    """A chain, its horizon and exact occupation, and the per-state mean
+    occupation of each of 40 one-chunk batches of 500 paths (streams 0-39)."""
     # a wide exit bound puts pad states in reach, so every interior state is
     # visited often and pad exits (killed paths) happen on every chain
+    name, params = _ORACLE_CHAINS[case]
     spec = build_model(name, params)
-    view = derive_natural_scale(spec)
-    chain = build_chain(view, spec, N=32, exit_prob_bound=0.3)
+    chain = build_chain(derive_natural_scale(spec), spec, N=32, exit_prob_bound=0.3)
     T = spec.horizon
-    exact = exact_occupation(chain, T)
-    n_batches, n = 40, 500
-    means = np.array([sample_paths(chain, n, 1, T, stream=s).occupation / n for s in range(n_batches)])
+    means = np.array([sample_paths(chain, 500, 1, T, stream=s).occupation / 500 for s in range(40)])
+    return chain, T, exact_occupation(chain, T), means
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CHAINS))
+def test_sampled_occupation_matches_exact_oracle(case):
+    chain, T, exact, means = _oracle_case(case)
     mean = means.mean(axis=0)
-    se = means.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    se = means.std(axis=0, ddof=1) / math.sqrt(len(means))
     live = se > 0
     assert np.all(np.abs(mean - exact)[live] < 4 * se[live])
     # terminal states: a path entering one is killed, so neither side counts time there
     assert np.array_equal(mean[~live], exact[~live])
     assert not live[-1] and (chain.left_rule == "reflect") == live[0]
+
+
+# ---------------------------------------------------------------------------
+# chunks and worker processes
+# ---------------------------------------------------------------------------
+
+_THREE_CHUNKS = 2 * 8192 + 1  # three chunks of 5,461 or 5,462 paths
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="worker processes need os.fork")
+
+
+def _cpus(monkeypatch, n):
+    """Let sample_paths see n CPUs, so it runs min(n, chunks) worker processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_batch(a, b):
+    for field in ("terminal_state", "discarded", "occupation", "payoff", "residual", "mesh_state", "mesh_occupation"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert (x is None) == (y is None), field
+        if x is not None:
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field
+    assert list(a.hit_time) == list(b.hit_time)
+    for lv, times in a.hit_time.items():
+        assert times.tobytes() == b.hit_time[lv].tobytes(), lv
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "name, params, build_kw",
+    [
+        ("sticky_reflected_bm", {"r": 0.5, "rho": 1.0}, {}),
+        ("brownian_motion", {"r": 0.3}, {"exit_prob_bound": 0.3}),
+    ],
+    ids=["reflecting", "padded"],
+)
+def test_batch_does_not_depend_on_worker_count(name, params, build_kw, monkeypatch):
+    spec = build_model(name, params)
+    view = derive_natural_scale(spec)
+    chain = build_chain(view, spec, N=64, **build_kw)
+    T = spec.horizon
+    kw = {k: v for extra in _accumulators(chain, view, T).values() for k, v in extra.items()}
+    _cpus(monkeypatch, 2)
+    pooled = sample_paths(chain, _THREE_CHUNKS, 31, T, stream=7, **kw)
+    _assert_no_children()
+    _cpus(monkeypatch, 1)
+    alone = sample_paths(chain, _THREE_CHUNKS, 31, T, stream=7, **kw)
+    if build_kw:
+        assert np.any(pooled.discarded)  # pad exits happen
+    _assert_same_batch(pooled, alone)
+
+
+@needs_fork
+def test_more_workers_than_cpus(bm, monkeypatch):
+    # five chunks on five workers, more than most test hosts have CPUs
+    _, _, chain = bm
+    n, kw = 4 * 8192 + 1, {"hit_levels": [chain.start_index + 3]}
+    _cpus(monkeypatch, 1)
+    alone = sample_paths(chain, n, 5, T=0.05, **kw)
+    _cpus(monkeypatch, 8)
+    pooled = sample_paths(chain, n, 5, T=0.05, **kw)
+    _assert_no_children()
+    _assert_same_batch(pooled, alone)
+
+
+@needs_fork
+@pytest.mark.parametrize("case", list(_ORACLE_CHAINS))
+def test_multi_chunk_batch_matches_exact_oracle(case, monkeypatch):
+    # one pooled three-chunk batch; the 500-path batches give the spread of
+    # a path's occupation, so the standard error of the batch mean
+    chain, T, exact, means = _oracle_case(case)
+    _cpus(monkeypatch, 2)
+    n = _THREE_CHUNKS
+    mean = sample_paths(chain, n, 1, T, stream=len(means)).occupation / n
+    se = means.std(axis=0, ddof=1) * math.sqrt(500 / n)
+    live = se > 0
+    assert np.all(np.abs(mean - exact)[live] < 4 * se[live])
+    assert np.array_equal(mean[~live], exact[~live])
+
+
+@needs_fork
+def test_a_failing_chunk_raises_once_from_the_caller(bm, monkeypatch, capfd):
+    _, _, chain = bm
+    sample_chunk = mc_engine._sample_chunk
+
+    def fails_on_chunk_1(job, i):
+        if i == 1:
+            raise RuntimeError("chunk 1 failed")
+        sample_chunk(job, i)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(mc_engine, "_sample_chunk", fails_on_chunk_1)
+    with pytest.raises(RuntimeError, match="chunk 1 failed"):
+        sample_paths(chain, _THREE_CHUNKS, 5, T=0.05)
+    _assert_no_children()
+    assert capfd.readouterr().err == ""  # the worker printed no traceback of its own
+
+
+@needs_fork
+def test_a_failed_worker_is_resampled_in_process(bm, monkeypatch):
+    # worker 0 samples chunks 0 and 2 and dies on chunk 2 after writing
+    # chunk 0; the caller samples both again and gets the same batch
+    _, _, chain = bm
+    _cpus(monkeypatch, 1)
+    alone = sample_paths(chain, _THREE_CHUNKS, 5, T=0.05, hit_levels=[chain.start_index + 3])
+    caller = os.getpid()
+    sample_chunk = mc_engine._sample_chunk
+
+    def worker_dies_on_chunk_2(job, i):
+        if i == 2 and os.getpid() != caller:
+            raise MemoryError
+        sample_chunk(job, i)
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(mc_engine, "_sample_chunk", worker_dies_on_chunk_2)
+    pooled = sample_paths(chain, _THREE_CHUNKS, 5, T=0.05, hit_levels=[chain.start_index + 3])
+    _assert_no_children()
+    _assert_same_batch(pooled, alone)
 
 
 @pytest.mark.parametrize(
