@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import signal
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -574,6 +575,7 @@ def _run_chunks(job: _Sampler, k: int, workers: int) -> None:
     redo = range(workers)
     if workers > 1:
         pids = {}
+        parent = os.getpid()
         try:
             for w in range(workers):
                 pid = os.fork()
@@ -582,9 +584,10 @@ def _run_chunks(job: _Sampler, k: int, workers: int) -> None:
                     # no unwinding into the caller's frames
                     status = 1
                     try:
-                        for i in range(w, k, workers):
-                            _sample_chunk(job, i)
-                        status = 0
+                        if _tie_to_parent(parent):
+                            for i in range(w, k, workers):
+                                _sample_chunk(job, i)
+                            status = 0
                     finally:
                         os._exit(status)
                 pids[w] = pid
@@ -595,6 +598,19 @@ def _run_chunks(job: _Sampler, k: int, workers: int) -> None:
     for w in redo:
         for i in range(w, k, workers):
             _sample_chunk(job, i)
+
+
+def _tie_to_parent(parent: int) -> bool:
+    """Have the kernel kill this forked worker when ``parent`` ends (Linux
+    ``PR_SET_PDEATHSIG``), so a killed caller leaves no worker behind; False
+    when the parent ended before that took effect."""
+    try:
+        import ctypes
+
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
+    except (OSError, AttributeError):  # not Linux: nothing to ask
+        pass
+    return os.getppid() == parent
 
 
 def _sample_chunk(job: _Sampler, i: int) -> None:

@@ -64,6 +64,7 @@ __all__ = [
     "behaviors_at",
     "same_point",
     "IntegrabilityVerdict",
+    "window_nodes",
     "decide_L2_local",
     "decide_weighted_L2_boundary",
     "decide_abs_integral",
@@ -1227,18 +1228,24 @@ def _dyadic_probe(
     return "inconclusive", vals
 
 
-def _detect_suspicious(
-    g: Callable[[np.ndarray], np.ndarray], a: float, b: float, known: Sequence[float]
-) -> list[float]:
-    xs = np.linspace(a, b, 1025)[1:-1]
-    vals = np.abs(_arr(g(xs)))
+def window_nodes(a: float, b: float) -> np.ndarray:
+    """The points where ``decide_L2_local`` reads f on the window (a, b)
+    before any point splits it: the 1,023 inner points of a 1,025-point
+    uniform grid, on which suspicious points are detected."""
+    return np.linspace(a, b, 1025)[1:-1]
+
+
+def _detect_suspicious(g_nodes: np.ndarray, a: float, b: float, known: Sequence[float]) -> list[float]:
+    """The nodes of ``window_nodes(a, b)`` where g, given there, is not
+    finite or exceeds 1e6 times its median, at most one per 1/64 of (a, b)."""
+    vals = np.abs(g_nodes)
     finite = vals[np.isfinite(vals)]
     if finite.size == 0:
         return []
     scale = float(np.median(finite)) + 1e-300
     flag = (~np.isfinite(vals)) | (vals > 1e6 * scale)
     pts: list[float] = []
-    for x in xs[flag]:
+    for x in window_nodes(a, b)[flag]:
         if all(abs(x - p) > (b - a) / 64 for p in list(known) + pts):
             pts.append(float(x))
     return pts
@@ -1273,7 +1280,8 @@ def _decide_g_integral(
     if "divergent" in statuses:
         return IntegrabilityVerdict("divergent", "exponent-rule", tuple(diagnostics))
 
-    # numeric part: probe un-annotated points, integrate the smooth remainder
+    # numeric part: probe un-annotated points; only the probes read the smooth remainder
+    probed = [p for p in pts if exps.get(p) is None]
     gaps = [a] + pts + [b]
     context = 0.0
     try:
@@ -1281,16 +1289,14 @@ def _decide_g_integral(
             lo_, hi_ = gaps[i], gaps[i + 1]
             pad_lo = 0.05 * (hi_ - lo_) if gaps[i] in pts else 0.0
             pad_hi = 0.05 * (hi_ - lo_) if gaps[i + 1] in pts else 0.0
-            if hi_ - pad_hi > lo_ + pad_lo:
+            if probed and hi_ - pad_hi > lo_ + pad_lo:
                 context += gl_fixed(g, lo_ + pad_lo, hi_ - pad_hi, 42)
     except (OverflowError, FloatingPointError):
         context = 1.0
     if not math.isfinite(context):
         context = 1.0
 
-    for p in pts:
-        if exps.get(p) is not None:
-            continue
+    for p in probed:
         method = "numeric-refinement"
         for direction in (-1, 1):
             if direction < 0 and p <= a:
@@ -1317,6 +1323,7 @@ def decide_L2_local(
     behaviors: Sequence[LocalBehavior] = (),
     suspicious: Sequence[float] = (),
     auto_detect: bool = True,
+    f_nodes: Optional[np.ndarray] = None,
 ) -> IntegrabilityVerdict:
     """Is the integral of f^2 over the window finite?
 
@@ -1324,6 +1331,11 @@ def decide_L2_local(
     contribution is finite iff p > -1/2 (strict). Un-annotated suspicious
     points fall back to dyadic numeric refinement, which may return
     'inconclusive' -- a value, not an error.
+
+    ``f_nodes``, when given, holds f at ``window_nodes(*window)``, and
+    detection reads it instead of calling f there; a caller deciding many
+    windows can so evaluate f once on their stacked nodes. The dyadic
+    probes and the panels of the smooth remainder they read still call f.
     """
     a, b = window
 
@@ -1341,7 +1353,8 @@ def decide_L2_local(
             specials.append((float(p), None))
             known.append(float(p))
     if auto_detect:
-        for p in _detect_suspicious(g, a, b, known):
+        v = _arr(f(window_nodes(a, b)) if f_nodes is None else f_nodes)
+        for p in _detect_suspicious(v * v, a, b, known):
             specials.append((p, None))
     return _decide_g_integral(g, window, specials)
 

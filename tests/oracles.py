@@ -5,7 +5,7 @@ from typing import Callable
 
 import numpy as np
 
-from diffarb.arb_classifier import ConditionReport, _combine, _within
+from diffarb.arb_classifier import _GENERIC_WINDOWS, ConditionReport, _combine, _within
 from diffarb.diffusion_model import SpecValidationError
 from diffarb.mc_engine import (
     StrategyPlan,
@@ -31,6 +31,8 @@ from diffarb.measure_kit import (
     Sum,
     Tabulated,
     close_rel,
+    decide_L2_local,
+    same_point,
 )
 
 
@@ -148,6 +150,51 @@ def check_nip_zero_rate(view, spec, cfg=DEFAULT_QUAD):
     note = "q'' must be absolutely continuous at zero rate" + ("" if clean else f" (atoms at {si_atoms})")
     reports.append(ConditionReport("NIP.ii", "pass" if clean else "fail", note=note))
     return _combine([c.status for c in reports]), reports
+
+
+def phi_l2_interior_by_window(view, spec) -> ConditionReport:
+    """Reference for ``arb_classifier._phi_l2_interior``: the same windows,
+    each evaluating phi itself, one window after another."""
+    lo_u, hi_u = view.sJ
+    behaviors = [
+        b for b in spec.phi_behaviors
+        if lo_u < b.point < hi_u and not (same_point(b.point, lo_u) or same_point(b.point, hi_u))
+    ]
+    statuses: list[str] = []
+    worst_note = ""
+
+    for beh in behaviors:
+        gap = min(1.0, 0.5 * min(beh.point - lo_u, hi_u - beh.point))
+        window = (beh.point - gap, beh.point + gap)
+        window = (max(window[0], lo_u + 1e-12), min(window[1], hi_u - 1e-12))
+        v = decide_L2_local(view.phi, window, behaviors=[beh], auto_detect=False)
+        statuses.append(v.status)
+        if v.status != "finite":
+            worst_note = f"phi**2 {v.status} near interior point {beh.point}"
+            break
+
+    if "divergent" not in statuses:
+        lo_c = view.collar("left", 0.5)[1] if math.isfinite(lo_u) else view.s_x0 - 8.0
+        hi_c = view.collar("right", 0.5)[0] if math.isfinite(hi_u) else view.s_x0 + 8.0
+        lo_c = min(lo_c, max(view.s_x0 - 0.5, 0.5 * (lo_u + view.s_x0)))
+        hi_c = max(hi_c, min(view.s_x0 + 0.5, 0.5 * (hi_u + view.s_x0)))
+        edges = np.linspace(lo_c, hi_c, _GENERIC_WINDOWS + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            local = [bb for bb in behaviors if a <= bb.point <= b]
+            v = decide_L2_local(view.phi, (float(a), float(b)), behaviors=local)
+            statuses.append(v.status)
+            if v.status == "divergent":
+                worst_note = f"phi**2 divergent on generic window [{a:.4g}, {b:.4g}]"
+                break
+            if v.status == "inconclusive" and not worst_note:
+                worst_note = f"phi**2 inconclusive on window [{a:.4g}, {b:.4g}]"
+
+    status = (
+        "fail"
+        if "divergent" in statuses
+        else ("inconclusive" if "inconclusive" in statuses else "pass")
+    )
+    return ConditionReport("NSA.iv.loc", status, note=worst_note or "local square integrability of phi")
 
 
 def expr_to_json(e) -> dict:

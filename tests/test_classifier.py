@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,19 +12,30 @@ from diffarb.arb_classifier import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    _phi_l2_interior,
     check_nip,
     check_nsa,
     check_nupbr,
     check_rp,
     classify,
 )
-from diffarb.diffusion_model import SpecValidationError, derive_natural_scale, load_model_spec
-from diffarb.measure_kit import ScComponent, SmoothPiece1D
+from diffarb.diffusion_model import (
+    DiffusionSpec,
+    NaturalScaleView,
+    SpecValidationError,
+    StateInterval,
+    derive_natural_scale,
+    load_model_spec,
+)
+from diffarb.measure_kit import Affine, DecomposedMeasure, QuadratureError, ScComponent, SmoothPiece1D, window_nodes
 from diffarb.model_catalog import CATALOG, build_model, expected_verdict
 
 from cantor_staircase import cantor_cdf
 from fuzz_models import random_spec
-from oracles import check_nip_zero_rate
+from oracles import check_nip_zero_rate, phi_l2_interior_by_window
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402  the benchmark's golden table and document families
 
 INF = math.inf
 ORDER = {HOLDS: 2, INCONCLUSIVE: 1, FAILS: 0}
@@ -444,3 +457,91 @@ def test_nsa_holds_for_absorbed_bessel_started_near_the_origin():
     want = expected_verdict("gen_squared_bessel", params)
     assert v.nsa == want.nsa == HOLDS
     assert (*v.triple(), v.rp) == (want.nip, want.nsa, want.nupbr, want.rp)
+
+
+# ---------------------------------------------------------------------------
+# the generic windows of NSA (iv), phi evaluated once per block of windows
+# ---------------------------------------------------------------------------
+
+
+def _poles(*poles):
+    """BM on the line at r = 1/2 with speed density the sum of |x - c|^p over
+    the (c, p) pairs, so that phi = -r u mU_ac(u) has a pole at each c. On
+    the panel [-8, 8] of windows 1/2 wide, each c below is the middle node of
+    a window's detection grid, where the density is infinite."""
+
+    def density(x):
+        x = np.asarray(x, float)
+        with np.errstate(divide="ignore"):
+            return sum(np.abs(x - c) ** p for c, p in poles)
+
+    line = (-INF, INF)
+    return DiffusionSpec(
+        StateInterval(*line), SmoothPiece1D.from_expr(Affine(1.0, 0.0), line),
+        DecomposedMeasure(support=line, ac_density=density), x0=0.0, r=0.5,
+    )
+
+
+_FIRST_DOCS: dict = {}  # the first document of each benchmark family, seed 1
+for _d in workloads.doc_inputs(1):
+    _FIRST_DOCS.setdefault(_d.family, _d.doc)
+
+_PANEL_CASES = {
+    **{f"golden-{name}-{params}": (lambda n=name, p=params: build_model(n, workloads.parse_params(p)))
+       for name, params in workloads.GOLDEN},
+    **{f"doc-{family}": (lambda doc=doc: load_model_spec(doc)) for family, doc in _FIRST_DOCS.items()},
+    # window 5, in the second block, is the first divergent one
+    "divergent-window-5": lambda: _poles((-5.25, -0.75)),
+    "inconclusive-window-2": lambda: _poles((-6.75, -0.35)),
+    # the divergent note replaces the inconclusive one, and the panel stops
+    "inconclusive-then-divergent": lambda: _poles((-7.25, -0.35), (2.25, -0.75)),
+}
+
+
+@pytest.mark.parametrize("case", list(_PANEL_CASES))
+def test_phi_panel_matches_the_window_by_window_oracle(case):
+    spec = _PANEL_CASES[case]()
+    view = derive_natural_scale(spec)
+    got = _phi_l2_interior(view, spec)
+    assert got == phi_l2_interior_by_window(view, spec)
+    expected_note = {
+        "divergent-window-5": ("fail", "phi**2 divergent on generic window [-5.5, -5]"),
+        "inconclusive-window-2": ("inconclusive", "phi**2 inconclusive on window [-7, -6.5]"),
+        "inconclusive-then-divergent": ("fail", "phi**2 divergent on generic window [2, 2.5]"),
+    }
+    if case in expected_note:
+        assert (got.status, got.note) == expected_note[case]
+
+
+def test_generic_windows_evaluate_phi_in_blocks_of_four(monkeypatch):
+    # a sticky reflecting document: phi = -r q mU_ac is smooth, so no
+    # window is split and every value comes from the block evaluations
+    spec = load_model_spec(_FIRST_DOCS["sticky"])
+    view = derive_natural_scale(spec)
+    sizes = []
+    phi = NaturalScaleView.phi
+
+    def counted(self, u):
+        sizes.append(np.size(u))
+        return phi(self, u)
+
+    monkeypatch.setattr(NaturalScaleView, "phi", counted)
+    assert _phi_l2_interior(view, spec).status == "pass"
+    assert sizes == [4 * np.size(window_nodes(0.0, 1.0))] * 8  # 4 x 1,023 points; all 32 at once costs memory
+
+
+def test_phi_raising_past_the_first_divergent_window_is_never_reached(monkeypatch):
+    # window 5 diverges; phi raises anywhere in window 6, which shares its
+    # block: window by window, the panel stops before it evaluates there
+    spec = _poles((-5.25, -0.75))
+    view = derive_natural_scale(spec)
+    phi = NaturalScaleView.phi
+
+    def raises_in_window_6(self, u):
+        if np.any((np.asarray(u) > -5.0) & (np.asarray(u) < -4.5)):
+            raise QuadratureError("no convergence")
+        return phi(self, u)
+
+    monkeypatch.setattr(NaturalScaleView, "phi", raises_in_window_6)
+    got = _phi_l2_interior(view, spec)
+    assert (got.status, got.note) == ("fail", "phi**2 divergent on generic window [-5.5, -5]")

@@ -8,8 +8,12 @@ import dataclasses
 import functools
 import math
 import os
+import signal
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -556,6 +560,73 @@ def test_a_failed_worker_is_resampled_in_process(bm, monkeypatch):
     pooled = sample_paths(chain, _THREE_CHUNKS, 5, T=0.05, hit_levels=[chain.start_index + 3])
     _assert_no_children()
     _assert_same_batch(pooled, alone)
+
+
+def _child_pids(pid):
+    """The children of a process: from /proc/<pid>/task/<pid>/children where
+    the kernel has it, otherwise from the parent field of every
+    /proc/<n>/stat."""
+    listing = Path(f"/proc/{pid}/task/{pid}/children")
+    if listing.exists():
+        return [int(c) for c in listing.read_text().split()]
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process ended while we looked
+            continue
+        if int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _running(pid):
+    """Is the process there and not a zombie waiting to be reaped?"""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+_SAMPLES_FOR_LONG = """
+from diffarb.diffusion_model import derive_natural_scale
+from diffarb.mc_engine import build_chain, sample_paths
+from diffarb.model_catalog import build_model
+
+spec = build_model("brownian_motion", {"x0": 0.0})
+chain = build_chain(derive_natural_scale(spec), spec, N=256, horizon=1.0)
+sample_paths(chain, 2 * 8192 + 1, 1, T=1000.0)  # far longer than the test waits
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the process table under /proc")
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="one worker needs two CPUs"
+)
+def test_a_killed_caller_leaves_no_worker():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", _SAMPLES_FOR_LONG], env=env)
+    forks = min(3, len(os.sched_getaffinity(0)))  # one worker per chunk or CPU
+    workers = []
+    try:
+        deadline = time.monotonic() + 120
+        while len(workers) < forks and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _child_pids(proc.pid)
+        assert len(workers) == forks, f"the caller forked {workers} (exit code {proc.poll()})"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == -signal.SIGTERM
+        deadline = time.monotonic() + 2
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers)), "a worker outlived its caller"
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.parametrize(

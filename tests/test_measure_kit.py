@@ -34,6 +34,7 @@ from diffarb.measure_kit import (
     pushforward,
     sampled_total_variation,
     second_derivative_decomposition,
+    window_nodes,
 )
 from diffarb.model_catalog import build_model
 
@@ -443,6 +444,38 @@ def test_numeric_refinement_near_critical_is_inconclusive_not_wrong():
     # resolution; the decider must not claim divergence
     v = decide_L2_local(_power_profile(-0.4), (-1.0, 1.0), suspicious=[0.0])
     assert v.status in ("finite", "inconclusive")
+
+
+_L2_LOCAL_CASES = {
+    "annotated-finite": (_power_profile(-0.25), (-1.0, 1.0), {"behaviors": [LocalBehavior(0.0, "both", -0.25, 1.0)]}),
+    "annotated-divergent": (_power_profile(-1.0), (-1.0, 1.0), {"behaviors": [LocalBehavior(0.0, "both", -1.0, 1.0)]}),
+    "smooth": (lambda x: -0.5 * np.asarray(x), (1.0, 2.0), {}),
+    "suspicious-divergent": (_power_profile(-1.0), (-1.0, 1.0), {"suspicious": [0.0]}),
+    "suspicious-bounded": (lambda x: np.cos(np.asarray(x)), (-1.0, 1.0), {"suspicious": [0.0]}),
+    "suspicious-near-critical": (_power_profile(-0.4), (-1.0, 1.0), {"suspicious": [0.0]}),
+    # 0.25 is a node of the detection grid, where the profile is infinite
+    "detected-divergent": (_power_profile(-1.0, x0=0.25), (-1.0, 1.0), {}),
+    "detected-near-critical": (_power_profile(-0.4, x0=0.25), (-1.0, 1.0), {}),
+    "annotated-not-detected": (_power_profile(-0.25), (-1.0, 1.0),
+                               {"behaviors": [LocalBehavior(0.0, "both", -0.25, 1.0)], "auto_detect": False}),
+}
+
+
+@pytest.mark.parametrize("case", list(_L2_LOCAL_CASES))
+def test_l2_local_reads_precomputed_node_values(case):
+    f, window, kw = _L2_LOCAL_CASES[case]
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    alone = decide_L2_local(f, window, **kw)
+    given = decide_L2_local(counted, window, f_nodes=f(window_nodes(*window)), **kw)
+    assert (given.status, given.method, given.diagnostics) == (alone.status, alone.method, alone.diagnostics)
+    assert np.size(window_nodes(*window)) not in sizes  # detection read the given values
+    if case == "detected-divergent":
+        assert alone.method == "numeric-refinement" and alone.status == "divergent"
 
 
 # ---------------------------------------------------------------------------
