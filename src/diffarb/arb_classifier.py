@@ -424,7 +424,7 @@ def classify(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) -> Verdict:
     us = _gamma_probe_points(view)
     impr = {
         "formula": "gamma(u) = (q''(u)/2 - r q(u) mU_ac(u)) / q'(u)^2 on {q' != 0}, 0 at boundary images",
-        "samples": [[float(u), float(np.asarray(view.gamma(np.asarray([u])))[0])] for u in us],
+        "samples": [[float(u), float(g)] for u, g in zip(us, np.asarray(view.gamma(us)))],
     }
     return Verdict(
         nip=nip,

@@ -223,11 +223,13 @@ class NaturalScaleView:
 
 
 def _scale_limit(scale: SmoothPiece1D, b: float, side: str) -> float:
-    """s(b) by continuity; +-inf when the scale diverges at the endpoint."""
+    """s(b) by continuity; +-inf when the scale diverges at the endpoint.
+
+    An infinite end is read from s at -+10^k, k = 1..11, in one call."""
     if math.isfinite(b):
         return float(scale.value(np.asarray(b)))
     sign = -1.0 if side == "left" else 1.0
-    vals = [float(scale.value(np.asarray(sign * 10.0**k))) for k in range(1, 12)]
+    vals = [float(v) for v in scale.value(sign * 10.0 ** np.arange(1, 12))]
     if not math.isfinite(vals[-1]):
         return sign * math.inf
     # converging increments mean a finite limit (the endpoint stays

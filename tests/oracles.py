@@ -28,8 +28,11 @@ from diffarb.measure_kit import (
     Piecewise,
     PowerSigned,
     Product,
+    QuadratureError,
     Sum,
     Tabulated,
+    _arr,
+    _leggauss,
     close_rel,
     decide_L2_local,
     same_point,
@@ -40,6 +43,45 @@ def normal_cdf(x) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in arr])
     return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
+
+
+def adaptive_quad_two_calls(f, a, b, rtol=1e-8, atol=1e-12, max_panels=2000) -> float:
+    """Reference for ``measure_kit.adaptive_quad``: the same panels, each
+    calling f twice, once on the 21 Gauss nodes and once on the 10."""
+    if a == b:
+        return 0.0
+    sign = 1.0
+    if a > b:
+        a, b, sign = b, a, -1.0
+
+    def panel(lo: float, hi: float):
+        x21, w21 = _leggauss(21)
+        x10, w10 = _leggauss(10)
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        v21 = _arr(f(mid + half * x21))
+        v10 = _arr(f(mid + half * x10))
+        if not (np.all(np.isfinite(v21)) and np.all(np.isfinite(v10))):
+            return lo, hi, 0.0, math.inf
+        i21 = float(half * np.dot(w21, v21))
+        i10 = float(half * np.dot(w10, v10))
+        return lo, hi, i21, abs(i21 - i10)
+
+    panels = [panel(a, b)]
+    while True:
+        total = sum(p[2] for p in panels)
+        err = sum(p[3] for p in panels)
+        if err <= max(atol, rtol * abs(total)):
+            return sign * total
+        if len(panels) >= max_panels:
+            raise QuadratureError(f"no convergence on [{a}, {b}] in {len(panels)} panels")
+        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        lo, hi, _, _ = panels.pop(worst)
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            raise QuadratureError(f"float resolution near {lo}")
+        panels.append(panel(lo, mid))
+        panels.append(panel(mid, hi))
 
 
 def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:

@@ -12,6 +12,7 @@ from diffarb.arb_classifier import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
+    _gamma_probe_points,
     _phi_l2_interior,
     check_nip,
     check_nsa,
@@ -27,7 +28,15 @@ from diffarb.diffusion_model import (
     derive_natural_scale,
     load_model_spec,
 )
-from diffarb.measure_kit import Affine, DecomposedMeasure, QuadratureError, ScComponent, SmoothPiece1D, window_nodes
+from diffarb.measure_kit import (
+    Affine,
+    DecomposedMeasure,
+    QuadratureError,
+    ScComponent,
+    SmoothPiece1D,
+    invert_monotone_vec,
+    window_nodes,
+)
 from diffarb.model_catalog import CATALOG, build_model, expected_verdict
 
 from cantor_staircase import cantor_cdf
@@ -545,3 +554,49 @@ def test_phi_raising_past_the_first_divergent_window_is_never_reached(monkeypatc
     monkeypatch.setattr(NaturalScaleView, "phi", raises_in_window_6)
     got = _phi_l2_interior(view, spec)
     assert (got.status, got.note) == ("fail", "phi**2 divergent on generic window [-5.5, -5]")
+
+
+_SCALE_CASES = {
+    **{name: (lambda n=name: build_model(n)) for name in sorted(CATALOG)},
+    **{f"doc-{family}": (lambda doc=doc: load_model_spec(doc)) for family, doc in _FIRST_DOCS.items()},
+}
+_FAR = 10.0 ** np.arange(1, 12)  # the points _scale_limit reads at an infinite end
+
+
+@pytest.mark.parametrize("case", list(_SCALE_CASES))
+def test_inverting_a_stacked_array_equals_inverting_each_point(case):
+    # one call per probe set (the far points, the gamma samples, a detection
+    # window) keeps the values of one call per point only if the inversion
+    # is elementwise, bit for bit
+    spec = _SCALE_CASES[case]()
+    us = _gamma_probe_points(derive_natural_scale(spec))
+    far = np.concatenate([-_FAR, _FAR])
+    sets = [(spec.scale, np.concatenate([far, us, window_nodes(us[0], us[-1])]))]
+    if case == "fat_cantor":
+        # its scale is the inverse of q_piece, whose flats send points down
+        # the bisection path: each value of the scale is an inversion itself,
+        # so the window is read on q_piece, in state space
+        xs = np.asarray(spec.q_piece.value(us))
+        sets = [(spec.scale, np.concatenate([far, us])),
+                (spec.q_piece, np.concatenate([far, xs, window_nodes(xs[0], xs[-1])]))]
+    for f, ys in sets:
+        each = np.array([invert_monotone_vec(f, ys[i : i + 1])[0] for i in range(ys.size)])
+        assert np.array_equal(invert_monotone_vec(f, ys), each)
+
+
+@pytest.mark.parametrize("case", ["fat_cantor", "doc-sticky", "doc-cubic"])
+def test_classify_reads_the_gamma_samples_from_one_call(case, monkeypatch):
+    spec = _SCALE_CASES[case]()
+    view = derive_natural_scale(spec)
+    us = _gamma_probe_points(view)
+    each = [[float(u), float(view.gamma(us[i : i + 1])[0])] for i, u in enumerate(us)]
+    sizes = []
+    gamma = NaturalScaleView.gamma
+
+    def counted(self, u):
+        sizes.append(np.size(u))
+        return gamma(self, u)
+
+    monkeypatch.setattr(NaturalScaleView, "gamma", counted)
+    assert classify(spec).impr["samples"] == each
+    assert sizes == [us.size]

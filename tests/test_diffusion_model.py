@@ -11,13 +11,14 @@ from diffarb.diffusion_model import (
     DiffusionSpec,
     SpecValidationError,
     StateInterval,
+    _scale_limit,
     check_semimartingale_assumption,
     classify_boundary,
     derive_natural_scale,
     load_model_spec,
 )
 from diffarb.measure_kit import Affine, DecomposedMeasure, PowerSigned, SmoothPiece1D
-from diffarb.model_catalog import build_model
+from diffarb.model_catalog import CATALOG, build_model
 
 INF = math.inf
 
@@ -111,6 +112,24 @@ def test_classify_boundary_exits(make, side, kind, stick, note, value, image):
 def test_classify_boundary_errors(make, match):
     with pytest.raises(SpecValidationError, match=match):
         classify_boundary(make(), "left")
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_scale_limit_reads_an_infinite_end_in_one_call(name):
+    spec = build_model(name)
+    args = []
+
+    def counted(x):
+        args.append(np.asarray(x))
+        return spec.scale.value(x)
+
+    scale = dataclasses.replace(spec.scale, value=counted)
+    for side, b in (("left", spec.J.alpha), ("right", spec.J.beta)):
+        if math.isinf(b):
+            args.clear()
+            assert _scale_limit(scale, b, side) == classify_boundary(spec, side).image
+            assert len(args) == 1
+            assert np.array_equal(args[0], math.copysign(1.0, b) * 10.0 ** np.arange(1, 12))
 
 
 def test_declaration_conflict_is_error():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffarb import measure_kit
 from diffarb.arb_classifier import classify
-from diffarb.diffusion_model import inverse_piece, load_model_spec
+from diffarb.diffusion_model import derive_natural_scale, inverse_piece, load_model_spec
 from diffarb.measure_kit import (
     Affine,
     Compose,
@@ -39,7 +40,7 @@ from diffarb.measure_kit import (
 from diffarb.model_catalog import build_model
 
 from fuzz_models import random_spec
-from oracles import expr_to_json
+from oracles import adaptive_quad_two_calls, expr_to_json
 
 RT = np.inf
 
@@ -82,6 +83,46 @@ def test_adaptive_quad_singular_endpoint():
     # integral of x^{-1/2} over (0, 1] = 2, integrable endpoint singularity
     val = adaptive_quad(lambda x: np.abs(x) ** -0.5, 0.0, 1.0, rtol=1e-9)
     assert abs(val - 2.0) < 1e-7
+
+
+def _speed_hint_quadratures(name, monkeypatch):
+    """The integrals that ``derive_natural_scale`` hands to ``adaptive_quad``
+    to check the catalog entry's declared natural-scale speed, as
+    (f, a, b, options); those with an end at 0 meet the density's singularity."""
+    calls = []
+    real = measure_kit.adaptive_quad
+
+    def record(f, a, b, **kw):
+        calls.append((f, a, b, kw))
+        return real(f, a, b, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(measure_kit, "adaptive_quad", record)
+        derive_natural_scale(build_model(name))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["singular-endpoint", "squared_bessel", "cubed_bm"])
+def test_adaptive_quad_matches_the_two_call_oracle_with_one_call_per_panel(case, monkeypatch):
+    if case == "singular-endpoint":
+        integrals = [(lambda x: np.abs(x) ** -0.5, 0.0, 1.0, {"rtol": 1e-9})]
+    else:
+        integrals = _speed_hint_quadratures(case, monkeypatch)
+    panels = []
+    for f, a, b, kw in integrals:
+        calls = {"one": 0, "two": 0}
+
+        def counted(key, f=f):
+            def g(x):
+                calls[key] += 1
+                return f(x)
+
+            return g
+
+        assert adaptive_quad(counted("one"), a, b, **kw) == adaptive_quad_two_calls(counted("two"), a, b, **kw)
+        assert 2 * calls["one"] == calls["two"]  # the oracle calls f twice per panel
+        panels.append(calls["one"])
+    assert max(panels) > 80  # the singular integrals split
 
 
 def test_adaptive_quad_reports_divergence():
