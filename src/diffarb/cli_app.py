@@ -203,11 +203,11 @@ def cmd_simulate(args) -> int:
         plans.append(plan_strategy(view, chain, "post_hitting_hold"))
     if reflecting:
         plans.append(plan_strategy(view, chain, "boundary_sit"))
-    diag_plans = [plan_diagnostic(view, chain, "U_minus_half_L", T)] if reflecting else []
-    diag_plans.append(plan_diagnostic(view, chain, "discounted_price_drift", T))
+    diag_plans = [plan_diagnostic(view, chain, "U_minus_half_L")] if reflecting else []
+    diag_plans.append(plan_diagnostic(view, chain, "discounted_price_drift"))
     # one stream-7 batch feeds the strategies, the diagnostics, the payoff
     # histogram, the discarded count and the path dump; each plan reads its
-    # own accumulators (hit level, position table, mesh, residual)
+    # own accumulators (hit level, position table, boundary occupation, residual)
     accumulators = {k: v for p in plans + diag_plans for k, v in p.accumulators.items()}
     batch = sample_paths(chain, args.paths, args.seed, T, stream=7, **accumulators)
     evaluated = [evaluate_strategy(batch, p) for p in plans]

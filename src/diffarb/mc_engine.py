@@ -30,13 +30,16 @@ process may use, writing into shared memory. So a batch is bit-reproducible
 for a fixed seed and stream, and the same on any number of CPUs. The
 sampler carries one row per quantity for the live paths of a chunk and
 compacts the rows in place when paths die. Its accumulators are hit
-times, occupations and price integrals: the strategy payoff is the integral
-of a position against the discounted price, and the drift residual is the
-same integral less a predicted drift rate. The accumulators never change
+times, per-path state occupations and price integrals: the strategy payoff
+is the integral of a position against the discounted price, and the drift
+residual is the same integral less a predicted drift rate. Each is a
+carried row written once, when its path ends. The accumulators never change
 which numbers are drawn, so one pass that carries several of them samples
 the same paths as separate passes would: strategies and martingale
 diagnostics are planned on a chain, each plan naming the accumulators it
-reads, and evaluated on one batch that carries them all.
+reads, and evaluated on one batch that carries them all. The U - L/2
+diagnostic reads one sample per path, its terminal increment of U less
+the boundary occupation over twice the boundary cell mass.
 
 Expectations that need no pathwise statistic are exact: the chain is a
 birth-death process, so its expected occupation up to T follows from a
@@ -411,10 +414,9 @@ class PathBatch:
     discarded: np.ndarray
     occupation: np.ndarray  # summed over paths, per state
     hit_time: dict[int, np.ndarray]
+    state_occupation: dict[int, np.ndarray]  # per path, for each listed state
     payoff: Optional[np.ndarray] = None
     residual: Optional[np.ndarray] = None
-    mesh_state: Optional[np.ndarray] = None
-    mesh_occupation: Optional[np.ndarray] = None  # (paths, mesh, mesh states)
 
     @property
     def kept(self) -> np.ndarray:
@@ -453,15 +455,12 @@ class _Sampler:
     # integral's weight and rate; spans holds their column indices
     table: np.ndarray
     spans: list[tuple[int, Optional[int]]]
-    mesh_ext: Optional[np.ndarray]  # the mesh times and +inf
-    mesh_ids: tuple[int, ...]
     terminal: np.ndarray
     discarded: np.ndarray
     occupation: np.ndarray  # (chunks, states)
     totals: dict[str, np.ndarray]
     hits: dict[int, np.ndarray]
-    mesh_state: Optional[np.ndarray]
-    mesh_occ: Optional[np.ndarray]
+    occ: dict[int, np.ndarray]
 
 
 def _shared_full(shape, fill_value, dtype) -> np.ndarray:
@@ -482,8 +481,7 @@ def sample_paths(
     position_table: Optional[np.ndarray] = None,
     residual_rates: Optional[np.ndarray] = None,
     residual_weight: Optional[np.ndarray] = None,
-    mesh_times: Optional[Sequence[float]] = None,
-    mesh_states: Sequence[int] = (),
+    occupation_states: Sequence[int] = (),
     stream: int = 0,
 ) -> PathBatch:
     """Sample CTMC paths to the horizon with occupation bookkeeping.
@@ -494,9 +492,10 @@ def sample_paths(
     dt) for the discounted price S and the discounted clock dt:
     position_table H(state) is the weight of the strategy payoff, which has
     no rate term; residual_rates is the rate of the drift residual, weighted
-    per state by residual_weight. hit_levels records first hitting times,
-    and mesh_times records the state and the occupation of the
-    ``mesh_states`` at fixed times.
+    per state by residual_weight. hit_levels records first hitting times
+    and occupation_states the time each path spends in those states. Every
+    accumulator is a row carried per live path and written once, when the
+    path ends.
 
     The batch splits into k = ceil(n_paths / 8192) equal chunks; chunk i
     holds paths [i n/k, (i+1) n/k) and draws from its own Philox key
@@ -521,8 +520,6 @@ def sample_paths(
     for w, rate in integrals.values():
         spans.append((len(cols), None if rate is None else len(cols) + 1))
         cols += [w] if rate is None else [w, rate]
-    mesh = None if mesh_times is None else np.asarray(list(mesh_times), float)
-    mesh_ids = tuple(int(s) for s in mesh_states)
     job = _Sampler(
         chain=chain,
         seed=seed,
@@ -531,15 +528,12 @@ def sample_paths(
         bounds=[i * n_paths // k for i in range(k + 1)],
         table=np.column_stack([np.asarray(c, float) for c in cols]),
         spans=spans,
-        mesh_ext=None if mesh is None else np.append(mesh, np.inf),
-        mesh_ids=mesh_ids,
         terminal=_shared_full(n_paths, -1, np.int64),
         discarded=_shared_full(n_paths, False, bool),
         occupation=_shared_full((k, n_states), 0.0, float),
         totals={name: _shared_full(n_paths, 0.0, float) for name in integrals},
         hits={int(s): _shared_full(n_paths, np.inf, float) for s in hit_levels},
-        mesh_state=None if mesh is None else _shared_full((n_paths, mesh.size), -1, np.int64),
-        mesh_occ=None if mesh is None else _shared_full((n_paths, mesh.size, len(mesh_ids)), 0.0, float),
+        occ={int(s): _shared_full(n_paths, 0.0, float) for s in occupation_states},
     )
     _run_chunks(job, k, workers)
     occupation = job.occupation[0].copy()
@@ -554,10 +548,9 @@ def sample_paths(
         discarded=job.discarded,
         occupation=occupation,
         hit_time=job.hits,
+        state_occupation=job.occ,
         payoff=job.totals.get("payoff"),
         residual=job.totals.get("residual"),
-        mesh_state=job.mesh_state,
-        mesh_occupation=job.mesh_occ,
     )
 
 
@@ -620,14 +613,13 @@ def _sample_chunk(job: _Sampler, i: int) -> None:
     q_grid = chain.q_grid
     r = chain.r
     discount = r != 0.0
-    mesh_ext, mesh_ids, hits = job.mesh_ext, job.mesh_ids, job.hits
+    hits, occ = job.hits, job.occ
     edges = ((0, chain.left_rule), (n_states - 1, chain.right_rule))
     pad_states = [s for s, rule in edges if rule == "pad"]
     absorb_states = [s for s, rule in edges if rule == "absorb"]
     # offsets of the row groups of the carried state
     j_hit = 5 + len(spans)
     j_occ = j_hit + len(hits)
-    j_mesh = j_occ + len(mesh_ids)
 
     c0, c1 = job.bounds[i], job.bounds[i + 1]
     m = c1 - c0
@@ -635,17 +627,14 @@ def _sample_chunk(job: _Sampler, i: int) -> None:
     occupation = np.zeros(n_states)
     # the rows carried per live path, compacted together: path id, state,
     # clock, discount factor exp(-r t), discounted price, the price
-    # integrals, the hit times, the mesh-state occupations and, with a
-    # mesh, the index and time of the next snapshot
+    # integrals, the hit times and the state occupations
     S = [np.arange(c0, c1, dtype=np.int64), np.full(m, chain.start_index, dtype=np.int64), np.zeros(m)]
     S += [np.ones(m), np.full(m, q_grid[chain.start_index])]
-    S += [np.zeros(m) for _ in spans] + [np.full(m, np.inf) for _ in hits] + [np.zeros(m) for _ in mesh_ids]
-    if mesh_ext is not None:
-        S += [np.zeros(m, dtype=np.int64), np.full(m, mesh_ext[0])]
+    S += [np.zeros(m) for _ in spans] + [np.full(m, np.inf) for _ in hits] + [np.zeros(m) for _ in occ]
 
     while S[0].size:
         ids, st, tt, disc_old, price_old = S[:5]
-        acc_int, acc_hit, acc_occ = S[5:j_hit], S[j_hit:j_occ], S[j_occ:j_mesh]
+        acc_int, acc_hit, acc_occ = S[5:j_hit], S[j_hit:j_occ], S[j_occ:]
         at = table.take(st, axis=0).T
         e = rng.standard_exponential(ids.size)
         uu = rng.random(ids.size)
@@ -658,25 +647,8 @@ def _sample_chunk(job: _Sampler, i: int) -> None:
             t_next = np.minimum(t_next, T)
 
         occupation += np.bincount(st, weights=dwell, minlength=n_states)
-        for ms, acc in zip(mesh_ids, acc_occ):
-            acc += dwell * (st == ms)
-
-        if mesh_ext is not None:
-            # record snapshots at every mesh time inside this sojourn;
-            # the occupation was advanced by the whole dwell already,
-            # so roll it back to the snapshot time
-            mesh_next, mesh_t = S[j_mesh:]
-            snap = mesh_t <= t_next
-            while snap.any():
-                k = np.flatnonzero(snap)
-                j = mesh_next[k]
-                job.mesh_state[ids[k], j] = st[k]
-                for col, (ms, acc) in enumerate(zip(mesh_ids, acc_occ)):
-                    rollback = np.where(st[k] == ms, t_next[k] - mesh_t[k], 0.0)
-                    job.mesh_occ[ids[k], j, col] = acc[k] - rollback
-                mesh_next[k] += 1
-                mesh_t[k] = mesh_ext[mesh_next[k]]
-                snap[k] = mesh_t[k] <= t_next[k]
+        for s, acc in zip(occ, acc_occ):
+            acc += dwell * (st == s)
 
         s_next = (uu < at[1]).astype(np.int64)
         s_next *= 2
@@ -724,7 +696,7 @@ def _sample_chunk(job: _Sampler, i: int) -> None:
             job.terminal[rows] = np.where(expire, st, s_next)[dead]
             if dead_pad is not None and dead_pad.any():
                 job.discarded[ids[dead_pad]] = True
-            for out, acc in zip([*job.totals.values(), *hits.values()], acc_int + acc_hit):
+            for out, acc in zip([*job.totals.values(), *hits.values(), *occ.values()], acc_int + acc_hit + acc_occ):
                 out[rows] = acc[dead]
             # compact each row into its own prefix, one at a time: no second
             # generation of rows is built
@@ -989,14 +961,17 @@ def plan_diagnostic(
     view: NaturalScaleView,
     chain: ChainModel,
     target: str,
-    T: float,
     target_states: Optional[Sequence[int]] = None,
 ) -> DiagnosticPlan:
     """Resolve a martingale diagnostic target on a chain.
 
-    'U_minus_half_L': with a reflecting boundary, increments of U - L/2
-    over a mesh of 8 times must be centered (L estimated as boundary
-    occupation over the boundary cell mass).
+    'U_minus_half_L': with a reflecting boundary, each path's increment of
+    U - L/2 from the start to its end (the horizon, or absorption) must be
+    centered; L is the path's boundary occupation over the boundary cell
+    mass. Increments of a martingale over disjoint times are uncorrelated,
+    so the mean of a path's increments over a mesh of times is its terminal
+    increment over the mesh size, with a standard error smaller by the same
+    factor: a mesh gives, to first order, the same t statistic.
 
     'discounted_price_drift': price increments minus the drift predicted by
     the market-price-of-risk field (Green-averaged per cell) must be
@@ -1014,8 +989,7 @@ def plan_diagnostic(
         for side in refl:
             b_idx = 0 if side == "left" else chain.n_states - 1
             comps.append((b_idx, 1.0 if side == "left" else -1.0, chain.cell_mass[b_idx]))
-        mesh = {"mesh_times": np.linspace(0.0, T, 9)[1:], "mesh_states": [c[0] for c in comps]}
-        return DiagnosticPlan(target, mesh, tuple(comps))
+        return DiagnosticPlan(target, {"occupation_states": [c[0] for c in comps]}, tuple(comps))
     if target == "discounted_price_drift":
         weight = np.zeros(chain.n_states)
         if target_states is None:
@@ -1028,16 +1002,16 @@ def plan_diagnostic(
 
 def evaluate_diagnostic(batch: PathBatch, plan: DiagnosticPlan) -> DiagnosticResult:
     """The diagnostic's t statistic on the kept paths of a batch that
-    carries the plan's accumulators."""
+    carries the plan's accumulators, one sample per path: for
+    'U_minus_half_L' the increment of U - L/2 from the start state to the
+    terminal state, read from the values written when the path ended."""
     chain = batch.chain
     keep = batch.kept
     if plan.target == "U_minus_half_L":
-        incr = np.diff(chain.grid[batch.mesh_state[keep]], axis=1, prepend=chain.grid[chain.start_index])
-        for j, (_, sign, cm) in enumerate(plan.compensators):
-            occ = batch.mesh_occupation[keep][:, :, j]
-            incr = incr - sign * np.diff(occ, axis=1, prepend=0.0) / (2.0 * cm)
-        samples = incr.ravel()
-        note = f"{incr.shape[1]} mesh increments per path, {len(plan.compensators)} reflecting compensator(s)"
+        samples = chain.grid[batch.terminal_state[keep]] - chain.grid[chain.start_index]
+        for b, sign, cm in plan.compensators:
+            samples = samples - sign * batch.state_occupation[b][keep] / (2.0 * cm)
+        note = f"terminal increment per path, {len(plan.compensators)} reflecting compensator(s)"
     else:
         samples = batch.residual[keep]
         note = "per-path residual of price increments against the predicted drift"

@@ -161,7 +161,7 @@ def martingale_diagnostic(
     T = spec.horizon if horizon is None else float(horizon)
     if chain is None:
         chain = build_chain(view, spec, N=N, grid_in=grid_in, horizon=T)
-    plan = plan_diagnostic(view, chain, target, T, target_states)
+    plan = plan_diagnostic(view, chain, target, target_states)
     stream = 11 if target == "U_minus_half_L" else 13
     return evaluate_diagnostic(sample_paths(chain, n_paths, seed, T, stream=stream, **plan.accumulators), plan)
 

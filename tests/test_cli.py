@@ -321,9 +321,43 @@ def test_simulate_samples_paths_once(tmp_path, monkeypatch):
     sim = json.loads((tmp_path / "simulate_sticky_reflected_bm.json").read_text())
     assert [s["name"] for s in sim["strategies"]] == ["post_hitting_hold@1", "boundary_sit"]
     assert [d["target"] for d in sim["diagnostics"]] == ["U_minus_half_L", "discounted_price_drift"]
-    # the diagnostics read every kept path of the batch: 8 mesh increments or one residual each
+    # the diagnostics read every kept path of the batch: one terminal increment or one residual each
     kept = sim["n_paths"] - sim["discarded_paths"]
-    assert [d["n_samples"] for d in sim["diagnostics"]] == [8 * kept, kept]
+    assert [d["n_samples"] for d in sim["diagnostics"]] == [kept, kept]
+
+
+# J = [0, 1] with Brownian scale and speed, one end absorbing (an infinite
+# atom) and the other reflecting: (x0, absorbing end, boundaries). U - L/2
+# stopped at absorption is a martingale, so both diagnostics pass.
+_ABSORB_AND_REFLECT = {
+    "absorbing_left": (0.3, 0.0, {"left": "absorbing", "right": "reflecting"}),
+    "absorbing_right": (0.7, 1.0, {"left": "reflecting", "right": "absorbing"}),
+}
+
+
+@pytest.mark.parametrize("label", list(_ABSORB_AND_REFLECT))
+def test_u_minus_half_l_stops_at_absorption(tmp_path, label):
+    x0, end, boundaries = _ABSORB_AND_REFLECT[label]
+    doc = {
+        "state_interval": {"alpha": 0, "beta": 1, "alpha_closed": True, "beta_closed": True},
+        "scale": {"node": "affine", "a": 1, "b": 0},
+        "speed": {"ac": {"node": "const", "c": 1}, "atoms": [[end, "inf"]]},
+        "x0": x0,
+        "r": 0,
+        "boundaries": boundaries,
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", "--model", str(path), "--id", label, "--paths", "4000", "--grid", "128", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path), "--dump-paths"]) == 0
+    rows = (tmp_path / f"paths_{label}.csv").read_text().splitlines()[1:]
+    assert sum(float(row.split(",")[1]) == end for row in rows) > 100  # many paths are absorbed
+    sim = json.loads((tmp_path / f"simulate_{label}.json").read_text())
+    kept = sim["n_paths"] - sim["discarded_paths"]
+    assert [(d["target"], d["n_samples"], d["pass"]) for d in sim["diagnostics"]] == [
+        ("U_minus_half_L", kept, True),
+        ("discounted_price_drift", kept, True),
+    ]
 
 
 def test_simulate_rejects_bad_paths_and_levels(tmp_path, capsys):

@@ -312,9 +312,8 @@ def test_sampler_determinism(bm):
 
 # The fused batch of each chain below, pinned at the commit that made the
 # sampler carry one compacted path state: the terminal-state counts (all 65
-# states) and the sums of payoff, residual, finite hit times per level and
-# mesh occupation. Any change to the draws or to the accumulator arithmetic
-# moves them.
+# states) and the sums of payoff, residual and finite hit times per level.
+# Any change to the draws or to the accumulator arithmetic moves them.
 _PINNED_BATCHES = {
     "sticky_reflected_bm": (
         [579, 36, 34, 44, 36, 47, 42, 35, 44, 35, 36, 40, 33, 25, 37, 29, 39, 24, 16, 29, 34, 22, 30, 22, 20, 18]
@@ -322,7 +321,6 @@ _PINNED_BATCHES = {
         -11.33242087149282,
         -29.232435063844328,
         (228.14071611126454, 297.63614786250866),
-        619.6402074019702,
     ),
     "gen_squared_bessel": (
         [885, 5, 8, 6, 12, 21, 9, 10, 21, 27, 31, 12, 25, 22, 21, 20, 24, 28, 25, 19, 25, 24, 31, 29, 15, 20, 13]
@@ -330,7 +328,6 @@ _PINNED_BATCHES = {
         11.120049317155917,
         -22.608805248807826,
         (221.05619990384096, 290.69637023220866),
-        286.1468592604948,
     ),
     "brownian_motion": (
         [244, 3, 2, 4, 7, 4, 8, 9, 9, 11, 12, 11, 15, 15, 17, 20, 21, 22, 23, 15, 20, 24, 22, 14, 19, 28, 24, 28]
@@ -339,14 +336,14 @@ _PINNED_BATCHES = {
         -1.1474851329509421,
         -48.26170175725648,
         (307.0110091865008, 159.1718117114142),
-        291.0470067788441,
     ),
 }
 
 
-def _accumulators(chain, view, T):
+def _accumulators(chain, view):
     """The keyword arguments of each accumulator, by name: two hit levels, a
-    position table, the drift residual and a mesh of eight times."""
+    position table, the drift residual and the occupation of three states
+    (the left end, its neighbour and the start)."""
     table = np.zeros(chain.n_states)
     table[1] = 1.0
     table[chain.n_states // 2] = -0.5
@@ -354,7 +351,7 @@ def _accumulators(chain, view, T):
         "hit_levels": {"hit_levels": [chain.start_index // 2, 0]},
         "position_table": {"position_table": table},
         "residual_rates": {"residual_rates": gamma_drift_rates(chain, view)},
-        "mesh": {"mesh_times": np.linspace(0.0, T, 9)[1:], "mesh_states": [1, chain.start_index]},
+        "occupation_states": {"occupation_states": [0, 1, chain.start_index]},
     }
 
 
@@ -373,19 +370,23 @@ def test_accumulators_do_not_perturb_paths(name, params, build_kw):
     chain = build_chain(view, spec, N=64, **build_kw)
     T = spec.horizon
     n = chain.n_states
-    extras = _accumulators(chain, view, T)
+    extras = _accumulators(chain, view)
     fused = sample_paths(chain, 1500, 31, T, stream=7, **{k: v for kw in extras.values() for k, v in kw.items()})
     if chain.left_rule == "absorb":
         assert np.any(fused.terminal_state == 0)  # absorptions happen
     if build_kw:
         assert np.any(fused.discarded)  # pad exits happen
-    counts, payoff, residual, hits, mesh_occ = _PINNED_BATCHES[name]
+    counts, payoff, residual, hits = _PINNED_BATCHES[name]
     assert np.array_equal(np.bincount(fused.terminal_state, minlength=n), counts)
     assert fused.payoff.sum() == pytest.approx(payoff, rel=1e-12)
     assert fused.residual.sum() == pytest.approx(residual, rel=1e-12)
     for times, pinned in zip(fused.hit_time.values(), hits):
         assert times[np.isfinite(times)].sum() == pytest.approx(pinned, rel=1e-12)
-    assert fused.mesh_occupation.sum() == pytest.approx(mesh_occ, rel=1e-12)
+    # a path's occupation of a state, written when it ends, sums to the batch occupation
+    for s, occ in fused.state_occupation.items():
+        assert occ.sum() == pytest.approx(fused.occupation[s], rel=1e-12)
+    if chain.left_rule == "reflect":
+        assert fused.state_occupation[0].sum() > 0.0
     for key, kw in extras.items():
         alone = sample_paths(chain, 1500, 31, T, stream=7, **kw)
         assert np.array_equal(fused.terminal_state, alone.terminal_state), key
@@ -393,7 +394,9 @@ def test_accumulators_do_not_perturb_paths(name, params, build_kw):
         assert np.array_equal(fused.occupation, alone.occupation), key
         for lv, times in alone.hit_time.items():
             assert np.array_equal(fused.hit_time[lv], times), key
-        for field in ("payoff", "residual", "mesh_state", "mesh_occupation"):
+        for s, occ in alone.state_occupation.items():
+            assert np.array_equal(fused.state_occupation[s], occ), key
+        for field in ("payoff", "residual"):
             if getattr(alone, field) is not None:
                 assert np.array_equal(getattr(fused, field), getattr(alone, field)), key
 
@@ -459,14 +462,16 @@ def _assert_no_children():
 
 
 def _assert_same_batch(a, b):
-    for field in ("terminal_state", "discarded", "occupation", "payoff", "residual", "mesh_state", "mesh_occupation"):
+    for field in ("terminal_state", "discarded", "occupation", "payoff", "residual"):
         x, y = getattr(a, field), getattr(b, field)
         assert (x is None) == (y is None), field
         if x is not None:
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), field
-    assert list(a.hit_time) == list(b.hit_time)
-    for lv, times in a.hit_time.items():
-        assert times.tobytes() == b.hit_time[lv].tobytes(), lv
+    for rows in ("hit_time", "state_occupation"):
+        x, y = getattr(a, rows), getattr(b, rows)
+        assert list(x) == list(y), rows
+        for s, row in x.items():
+            assert row.tobytes() == y[s].tobytes(), (rows, s)
 
 
 @needs_fork
@@ -483,7 +488,7 @@ def test_batch_does_not_depend_on_worker_count(name, params, build_kw, monkeypat
     view = derive_natural_scale(spec)
     chain = build_chain(view, spec, N=64, **build_kw)
     T = spec.horizon
-    kw = {k: v for extra in _accumulators(chain, view, T).values() for k, v in extra.items()}
+    kw = {k: v for extra in _accumulators(chain, view).values() for k, v in extra.items()}
     _cpus(monkeypatch, 2)
     pooled = sample_paths(chain, _THREE_CHUNKS, 31, T, stream=7, **kw)
     _assert_no_children()

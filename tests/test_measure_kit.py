@@ -386,6 +386,18 @@ def test_sampled_tv_flags_exploding_derivative():
     assert not stable
 
 
+def test_sampled_tv_evaluates_one_grid():
+    sizes = []
+
+    def d(x):
+        sizes.append(np.size(x))
+        return np.abs(x)
+
+    tvs, stable = sampled_total_variation(d, (-1.0, 1.0))
+    assert sizes == [4097] and stable
+    assert tvs == pytest.approx([2.0] * 4, rel=1e-2)
+
+
 def test_sampled_tv_accepts_kinked_but_bv():
     q = piece(Piecewise([0.0], [Affine(1, 0), Affine(3, 0)]))
     tvs, stable = sampled_total_variation(q.d_plus, (-1.0, 1.0))
