@@ -36,6 +36,7 @@ from .measure_kit import (
     DEFAULT_QUAD,
     MeasureKitError,
     QuadConfig,
+    _detect_suspicious,
     behaviors_at,
     close_rel,
     decide_L2_local,
@@ -278,11 +279,15 @@ def _phi_l2_interior(view: NaturalScaleView, spec: DiffusionSpec) -> ConditionRe
     Windows around every annotated interior singular point (decided by the
     exponent rule) plus a fixed panel of generic windows over a compact
     probe region around the start image, decided in order up to the first
-    divergent one. phi is evaluated once on the stacked ``window_nodes`` of
-    each block of 4 generic windows (about 4,100 points), and each window
-    reads its slice. One evaluation per window pays the fixed cost of a
-    numeric inverse 32 times; one for all 32 windows raised the peak memory
-    of classifying a document by a fifth.
+    divergent one. The generic windows are screened a block of 4 at a time:
+    phi is evaluated once on the block's stacked ``window_nodes`` (about
+    4,100 points) and ``_detect_suspicious`` reads all 4 rows in one call.
+    Only a window with a detected point or an annotated behaviour goes on
+    to ``decide_L2_local``; every other one is finite, as that decider
+    finds it. One evaluation per window pays the fixed cost of a numeric
+    inverse 32 times; one for all 32 windows raised the peak memory of
+    classifying a document by a fifth. When a block's evaluation raises,
+    each of its windows evaluates phi itself.
     """
     lo_u, hi_u = view.sJ
     # an annotation at a boundary image belongs to that boundary's collar
@@ -312,20 +317,31 @@ def _phi_l2_interior(view: NaturalScaleView, spec: DiffusionSpec) -> ConditionRe
         hi_c = max(hi_c, min(view.s_x0 + 0.5, 0.5 * (hi_u + view.s_x0)))
         edges = np.linspace(lo_c, hi_c, _GENERIC_WINDOWS + 1)
         windows = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+        nodes = window_nodes(edges[:-1], edges[1:])
         for k, (a, b) in enumerate(windows):
-            if k % _WINDOW_BLOCK == 0:
+            j = k % _WINDOW_BLOCK
+            if j == 0:
                 block = windows[k : k + _WINDOW_BLOCK]
+                local = [[bb for bb in behaviors if lo <= bb.point <= hi] for lo, hi in block]
                 try:
-                    phi_nodes = np.split(view.phi(np.concatenate([window_nodes(*w) for w in block])), len(block))
+                    rows = np.asarray(view.phi(nodes[k : k + _WINDOW_BLOCK].ravel()), float).reshape(len(block), -1)
                 except MeasureKitError:  # each window evaluates phi, so one past a divergent window never raises
-                    phi_nodes = [None] * len(block)
-            local = [bb for bb in behaviors if a <= bb.point <= b]
-            v = decide_L2_local(view.phi, (a, b), behaviors=local, f_nodes=phi_nodes[k % _WINDOW_BLOCK])
-            statuses.append(v.status)
-            if v.status == "divergent":
+                    found = [None] * len(block)
+                else:
+                    found = _detect_suspicious(rows * rows, block, [[bb.point for bb in loc] for loc in local])
+            if found[j] is None:
+                status = decide_L2_local(view.phi, (a, b), behaviors=local[j]).status
+            elif local[j] or found[j]:
+                status = decide_L2_local(
+                    view.phi, (a, b), behaviors=local[j], suspicious=found[j], auto_detect=False
+                ).status
+            else:
+                status = "finite"
+            statuses.append(status)
+            if status == "divergent":
                 worst_note = f"phi**2 divergent on generic window [{a:.4g}, {b:.4g}]"
                 break
-            if v.status == "inconclusive" and not worst_note:
+            if status == "inconclusive" and not worst_note:
                 worst_note = f"phi**2 inconclusive on window [{a:.4g}, {b:.4g}]"
 
     status = (

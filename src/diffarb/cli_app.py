@@ -24,6 +24,7 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -78,12 +79,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser for the DIFFARB_* variables set now, which give its
+    defaults. Building one takes about 0.9 ms, mostly argparse sizing a
+    help formatter to the terminal for every argument: an eighth of a
+    catalog classify. So a process that runs many commands keeps one per
+    environment. The parser names the command and ``main`` looks its
+    ``cmd_*`` function up when it runs, so a function rebound in this
+    module after the parser was built (by a tracer, by a test) is the one
+    that runs."""
+    return _parser_for(tuple(sorted(kv for kv in os.environ.items() if kv[0].startswith("DIFFARB_"))))
+
+
+@lru_cache(maxsize=8)
+def _parser_for(env: tuple) -> argparse.ArgumentParser:
+    """The parser whose defaults ``_env`` reads; ``env``, the sorted
+    DIFFARB_* items, is only the key of the cache."""
     p = _Parser(prog="diffarb", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def model_command(name, run, help):
+    def model_command(name, help):
         sp = sub.add_parser(name, help=help)
-        sp.set_defaults(run=run)
         sp.add_argument("--model", default=_env("MODEL", None), help="path to a model-spec JSON document")
         sp.add_argument("--catalog", default=_env("CATALOG", None), help="catalog model name")
         sp.add_argument("--params", default=_env("PARAMS", ""), help="catalog parameters k=v,...")
@@ -93,18 +108,16 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--id", dest="run_id", default=_env("ID", None), help="report label (default: the model id)")
         return sp
 
-    model_command("classify", cmd_classify, "deterministic verdicts")
-    sim = model_command("simulate", cmd_simulate, "Monte Carlo cross-validation")
+    model_command("classify", "deterministic verdicts")
+    sim = model_command("simulate", "Monte Carlo cross-validation")
     sim.add_argument("--grid", type=int, default=_env_int("GRID", 512))
     sim.add_argument("--paths", type=int, default=_env_int("PATHS", 10_000))
     sim.add_argument("--levels", type=int, default=_env_int("LEVELS", 3))
     sim.add_argument("--dump-paths", action="store_true", help="also write a per-path CSV")
     cat = sub.add_parser("catalog", help="list or show catalog entries")
-    cat.set_defaults(run=cmd_catalog)
     cat.add_argument("action", choices=["list", "show"])
     cat.add_argument("name", nargs="?", default=None)
     rep = sub.add_parser("report", help="merge prior outputs into one table")
-    rep.set_defaults(run=cmd_report)
     rep.add_argument("--out", default=_env("OUT", "out"))
     return p
 
@@ -397,7 +410,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        rc = args.run(args)
+        rc = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left (``| head``): drop what is still buffered
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

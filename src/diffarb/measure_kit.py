@@ -846,13 +846,12 @@ def invert_monotone_vec(f: SmoothPiece1D, ys: np.ndarray) -> np.ndarray:
         a[hit] = np.where(_arr(f.value(np.nextafter(b[hit], -np.inf))) < y[hit], b[hit], a[hit])
     newton = np.ones(y.shape, bool)
     act = a < b
-    every = np.arange(y.size)
     for _ in range(100):
-        live = every[act]
+        live = np.flatnonzero(act)
         if not live.size:
             break
-        # a few live points step alone; more step with all, so that temporaries keep one size
-        idx = live if live.size < 64 else every
+        # a few live points step alone; more step with all, through views, so that temporaries keep one size
+        idx = live if live.size < 64 else slice(None)
         on, xl, yl, nl = act[idx], x[idx], y[idx], newton[idx]
         g = _arr(f.value(xl)) - yl
         al = np.where(on & (g < 0), xl, a[idx])
@@ -1233,29 +1232,40 @@ def _dyadic_probe(
     return "inconclusive", vals
 
 
-def window_nodes(a: float, b: float) -> np.ndarray:
+def window_nodes(a, b) -> np.ndarray:
     """The points where ``decide_L2_local`` reads f on the window (a, b)
     before any point splits it: the 1,023 inner points of a 1,025-point
-    uniform grid, on which suspicious points are detected."""
-    return np.linspace(a, b, 1025)[1:-1]
+    uniform grid, on which suspicious points are detected. Given arrays of
+    edges, one row per window, each row the same floats as for its window
+    alone."""
+    return np.linspace(a, b, 1025, axis=-1)[..., 1:-1]
 
 
-def _detect_suspicious(g_nodes: np.ndarray, a: float, b: float, known: Sequence[float]) -> list[float]:
-    """The nodes of ``window_nodes(a, b)`` where g, given there, is not
-    finite or exceeds 1e6 times its median, at most one per 1/64 of (a, b)."""
-    vals = np.abs(g_nodes)
-    finite = vals[np.isfinite(vals)]
-    if finite.size == 0:
-        return []
-    scale = float(np.median(finite)) + 1e-300
-    flag = (~np.isfinite(vals)) | (vals > 1e6 * scale)
-    if not flag.any():
-        return []
-    pts: list[float] = []
-    for x in window_nodes(a, b)[flag]:
-        if all(abs(x - p) > (b - a) / 64 for p in list(known) + pts):
-            pts.append(float(x))
-    return pts
+def _detect_suspicious(
+    g_rows: np.ndarray, windows: Sequence[tuple[float, float]], known: Sequence[Sequence[float]]
+) -> list[list[float]]:
+    """Suspicious points of many windows at once. Row i of ``g_rows`` holds
+    g at ``window_nodes(*windows[i])``; its points are the nodes where g is
+    not finite or exceeds 1e6 times the median of the row's finite values,
+    at most one per 1/64 of the window and none that near a point of
+    ``known[i]``. A row with no finite value has none. One call takes the
+    medians of all rows that are finite throughout; each other row takes
+    the median of its finite values alone."""
+    vals = np.abs(g_rows)
+    ok = np.isfinite(vals)
+    clean, some = ok.all(axis=1), ok.any(axis=1)
+    scale = np.zeros(len(vals))
+    scale[clean] = np.median(vals[clean], axis=1)
+    for i in np.flatnonzero(~clean & some):
+        scale[i] = np.median(vals[i][ok[i]])
+    flag = (~ok | (vals > 1e6 * (scale + 1e-300)[:, None])) & some[:, None]
+    found: list[list[float]] = [[] for _ in windows]
+    for i in np.flatnonzero(flag.any(axis=1)):
+        (a, b), pts = windows[i], found[i]
+        for x in window_nodes(a, b)[flag[i]]:
+            if all(abs(x - p) > (b - a) / 64 for p in list(known[i]) + pts):
+                pts.append(float(x))
+    return found
 
 
 def _decide_g_integral(
@@ -1330,7 +1340,6 @@ def decide_L2_local(
     behaviors: Sequence[LocalBehavior] = (),
     suspicious: Sequence[float] = (),
     auto_detect: bool = True,
-    f_nodes: Optional[np.ndarray] = None,
 ) -> IntegrabilityVerdict:
     """Is the integral of f^2 over the window finite?
 
@@ -1339,10 +1348,10 @@ def decide_L2_local(
     points fall back to dyadic numeric refinement, which may return
     'inconclusive' -- a value, not an error.
 
-    ``f_nodes``, when given, holds f at ``window_nodes(*window)``, and
-    detection reads it instead of calling f there; a caller deciding many
-    windows can so evaluate f once on their stacked nodes. The dyadic
-    probes and the panels of the smooth remainder they read still call f.
+    With ``auto_detect``, f is read at ``window_nodes(*window)`` and
+    ``_detect_suspicious`` adds the points it flags there. A caller that
+    has detected already, for many windows at once, passes its points as
+    ``suspicious`` with ``auto_detect=False``.
     """
     a, b = window
 
@@ -1360,8 +1369,8 @@ def decide_L2_local(
             specials.append((float(p), None))
             known.append(float(p))
     if auto_detect:
-        v = _arr(f(window_nodes(a, b)) if f_nodes is None else f_nodes)
-        for p in _detect_suspicious(v * v, a, b, known):
+        v = _arr(f(window_nodes(a, b)))
+        for p in _detect_suspicious((v * v)[None], [window], [known])[0]:
             specials.append((p, None))
     return _decide_g_integral(g, window, specials)
 

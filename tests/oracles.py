@@ -194,6 +194,23 @@ def check_nip_zero_rate(view, spec, cfg=DEFAULT_QUAD):
     return _combine([c.status for c in reports]), reports
 
 
+def detect_suspicious_one_window(g_nodes, a: float, b: float, known) -> list[float]:
+    """Reference for ``measure_kit._detect_suspicious``, one window alone:
+    the nodes of ``window_nodes(a, b)`` where g, given there, is not finite
+    or exceeds 1e6 times its median, at most one per 1/64 of (a, b)."""
+    vals = np.abs(g_nodes)
+    finite = vals[np.isfinite(vals)]
+    if finite.size == 0:
+        return []
+    scale = float(np.median(finite)) + 1e-300
+    flag = (~np.isfinite(vals)) | (vals > 1e6 * scale)
+    pts: list[float] = []
+    for x in np.linspace(a, b, 1025)[1:-1][flag]:
+        if all(abs(x - p) > (b - a) / 64 for p in list(known) + pts):
+            pts.append(float(x))
+    return pts
+
+
 def phi_l2_interior_by_window(view, spec) -> ConditionReport:
     """Reference for ``arb_classifier._phi_l2_interior``: the same windows,
     each evaluating phi itself, one window after another."""

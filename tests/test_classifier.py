@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diffarb import arb_classifier
 from diffarb.arb_classifier import (
     FAILS,
     HOLDS,
@@ -31,6 +32,7 @@ from diffarb.diffusion_model import (
 from diffarb.measure_kit import (
     Affine,
     DecomposedMeasure,
+    LocalBehavior,
     QuadratureError,
     ScComponent,
     SmoothPiece1D,
@@ -473,22 +475,29 @@ def test_nsa_holds_for_absorbed_bessel_started_near_the_origin():
 # ---------------------------------------------------------------------------
 
 
-def _poles(*poles):
-    """BM on the line at r = 1/2 with speed density the sum of |x - c|^p over
-    the (c, p) pairs, so that phi = -r u mU_ac(u) has a pole at each c. On
-    the panel [-8, 8] of windows 1/2 wide, each c below is the middle node of
-    a window's detection grid, where the density is infinite."""
+def _line_bm(density, phi_behaviors=()) -> DiffusionSpec:
+    """BM on the line at r = 1/2 with speed density ``density``, so that
+    phi = -r u mU_ac(u)."""
+    line = (-INF, INF)
+    return DiffusionSpec(
+        StateInterval(*line), SmoothPiece1D.from_expr(Affine(1.0, 0.0), line),
+        DecomposedMeasure(support=line, ac_density=density), x0=0.0, r=0.5, phi_behaviors=tuple(phi_behaviors),
+    )
+
+
+def _poles(*poles, annotated=()):
+    """``_line_bm`` with speed density the sum of |x - c|^p over the (c, p)
+    pairs, so that phi has a pole at each c; the poles at the points in
+    ``annotated`` carry their exponent as a phi behaviour. On the panel
+    [-8, 8] of windows 1/2 wide, each c below is the middle node of a
+    window's detection grid, where the density is infinite."""
 
     def density(x):
         x = np.asarray(x, float)
         with np.errstate(divide="ignore"):
             return sum(np.abs(x - c) ** p for c, p in poles)
 
-    line = (-INF, INF)
-    return DiffusionSpec(
-        StateInterval(*line), SmoothPiece1D.from_expr(Affine(1.0, 0.0), line),
-        DecomposedMeasure(support=line, ac_density=density), x0=0.0, r=0.5,
-    )
+    return _line_bm(density, [LocalBehavior(c, "both", p, -0.5 * c) for c, p in poles if c in annotated])
 
 
 _FIRST_DOCS: dict = {}  # the first document of each benchmark family, seed 1
@@ -504,6 +513,10 @@ _PANEL_CASES = {
     "inconclusive-window-2": lambda: _poles((-6.75, -0.35)),
     # the divergent note replaces the inconclusive one, and the panel stops
     "inconclusive-then-divergent": lambda: _poles((-7.25, -0.35), (2.25, -0.75)),
+    # in the first block, window 1 is annotated and window 3 is flagged
+    "annotated-beside-flagged": lambda: _poles((-7.25, -0.35), (-6.25, -0.2), annotated=(-7.25,)),
+    # phi = -inf at the middle node of window 21 and bounded elsewhere
+    "phi-inf-at-one-node": lambda: _line_bm(lambda x: np.where(np.asarray(x) == 2.75, INF, 1.0)),
 }
 
 
@@ -537,6 +550,28 @@ def test_generic_windows_evaluate_phi_in_blocks_of_four(monkeypatch):
     monkeypatch.setattr(NaturalScaleView, "phi", counted)
     assert _phi_l2_interior(view, spec).status == "pass"
     assert sizes == [4 * np.size(window_nodes(0.0, 1.0))] * 8  # 4 x 1,023 points; all 32 at once costs memory
+
+
+def test_generic_windows_without_a_flag_or_an_annotation_skip_the_decider(monkeypatch):
+    # Brownian motion: phi is smooth and nothing is annotated, so each block
+    # of 4 windows runs one detection and no window is decided
+    spec = build_model("brownian_motion")
+    view = derive_natural_scale(spec)
+    detected, decided = [], []
+    detect, decide = arb_classifier._detect_suspicious, arb_classifier.decide_L2_local
+
+    def counted_detect(g_rows, windows, known):
+        detected.append(len(windows))
+        return detect(g_rows, windows, known)
+
+    def counted_decide(f, window, *args, **kwargs):
+        decided.append(window)
+        return decide(f, window, *args, **kwargs)
+
+    monkeypatch.setattr(arb_classifier, "_detect_suspicious", counted_detect)
+    monkeypatch.setattr(arb_classifier, "decide_L2_local", counted_decide)
+    assert _phi_l2_interior(view, spec).status == "pass"
+    assert (detected, decided) == ([4] * 8, [])
 
 
 def test_phi_raising_past_the_first_divergent_window_is_never_reached(monkeypatch):

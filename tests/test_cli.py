@@ -258,6 +258,31 @@ def test_env_variable_overrides(tmp_path, monkeypatch, capsys):
         assert len(err) == 1 and err[0].startswith("error: ") and f"DIFFARB_{name}" in err[0]
 
 
+def test_env_read_on_every_in_process_call(tmp_path, monkeypatch, capsys):
+    # one process, many commands: the parser kept for one environment is
+    # not the one for the next
+    monkeypatch.setenv("DIFFARB_OUT", str(tmp_path))
+    report = tmp_path / "classify_brownian_motion.json"
+    for seed in ("5", "6", "5"):
+        monkeypatch.setenv("DIFFARB_SEED", seed)
+        assert run(["classify", "--catalog", "brownian_motion"]) == 0
+        assert json.loads(report.read_text())["seed"] == int(seed)
+    capsys.readouterr()
+    monkeypatch.setenv("DIFFARB_SEED", "abc")
+    for _ in range(2):
+        assert run(["classify", "--catalog", "brownian_motion"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "DIFFARB_SEED" in err[0]
+
+
+def test_command_rebound_after_the_first_call_is_the_one_that_runs(tmp_path, monkeypatch):
+    assert run(["classify", "--catalog", "brownian_motion", "--out", str(tmp_path)]) == 0
+    seen = []
+    monkeypatch.setattr(cli_app, "cmd_classify", lambda args: seen.append(args.catalog) or 0)
+    assert run(["classify", "--catalog", "brownian_motion", "--out", str(tmp_path)]) == 0
+    assert seen == ["brownian_motion"]
+
+
 def test_simulate_one_batch_matches_run_strategy(tmp_path):
     params = {"r": 0.5, "rho": 1.0}
     code = run(

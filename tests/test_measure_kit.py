@@ -26,6 +26,7 @@ from diffarb.measure_kit import (
     SmoothPiece1D,
     Sum,
     Tabulated,
+    _detect_suspicious,
     adaptive_quad,
     decide_L2_local,
     decide_weighted_L2_boundary,
@@ -40,7 +41,7 @@ from diffarb.measure_kit import (
 from diffarb.model_catalog import build_model
 
 from fuzz_models import random_spec
-from oracles import adaptive_quad_two_calls, expr_to_json
+from oracles import adaptive_quad_two_calls, detect_suspicious_one_window, expr_to_json
 
 RT = np.inf
 
@@ -516,6 +517,8 @@ _L2_LOCAL_CASES = {
 
 @pytest.mark.parametrize("case", list(_L2_LOCAL_CASES))
 def test_l2_local_reads_precomputed_node_values(case):
+    # what the NSA panel does: detect on node values computed beforehand,
+    # then decide with the detected points and detection off
     f, window, kw = _L2_LOCAL_CASES[case]
     sizes = []
 
@@ -524,11 +527,46 @@ def test_l2_local_reads_precomputed_node_values(case):
         return f(x)
 
     alone = decide_L2_local(f, window, **kw)
-    given = decide_L2_local(counted, window, f_nodes=f(window_nodes(*window)), **kw)
-    assert (given.status, given.method, given.diagnostics) == (alone.status, alone.method, alone.diagnostics)
-    assert np.size(window_nodes(*window)) not in sizes  # detection read the given values
+    given = list(kw.get("suspicious", ()))
+    if kw.get("auto_detect", True):
+        known = [b.point for b in kw.get("behaviors", ())] + given
+        g = np.asarray(f(window_nodes(*window)), float) ** 2
+        given += _detect_suspicious(g[None], [window], [known])[0]
+    split = decide_L2_local(counted, window, behaviors=kw.get("behaviors", ()), suspicious=given, auto_detect=False)
+    assert (split.status, split.method, split.diagnostics) == (alone.status, alone.method, alone.diagnostics)
+    assert np.size(window_nodes(*window)) not in sizes  # the decider did not read f at the nodes again
     if case == "detected-divergent":
         assert alone.method == "numeric-refinement" and alone.status == "divergent"
+
+
+def test_window_nodes_of_stacked_edges_are_each_windows_own():
+    edges = np.linspace(-8.3, 7.9, 33)
+    rows = window_nodes(edges[:-1], edges[1:])
+    assert rows.shape == (32, 1023)
+    for row, (a, b) in zip(rows, zip(edges[:-1].tolist(), edges[1:].tolist())):
+        assert np.array_equal(row, np.linspace(a, b, 1025)[1:-1])
+
+
+def test_stacked_detection_matches_one_row_at_a_time():
+    windows = [(-1.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 5.0), (5.0, 6.0), (6.0, 7.0), (7.0, 8.0)]
+    rows = [1.0 + window_nodes(a, b) ** 2 for a, b in windows]
+    known: list[list[float]] = [[] for _ in windows]
+    rows[1][300] *= 1e8  # a spike
+    rows[2][17] = np.inf
+    rows[3][900] = np.nan
+    rows[4][:] = np.inf  # no finite value: nothing detected
+    rows[4][::2] = np.nan
+    rows[5][512] *= 1e8  # a spike, and a known point within (b - a)/64 of it
+    rows[5][600] = np.inf
+    known[5] = [window_nodes(*windows[5])[512] + (windows[5][1] - windows[5][0]) / 100]
+    rows[6][[100, 101, 700]] = np.inf  # the second is within (b - a)/64 of the first
+    stacked = _detect_suspicious(np.array(rows), windows, known)
+    alone = [_detect_suspicious(g[None], [w], [k])[0] for g, w, k in zip(rows, windows, known)]
+    assert stacked == alone == [detect_suspicious_one_window(g, *w, k) for g, w, k in zip(rows, windows, known)]
+    nodes = [window_nodes(a, b) for a, b in windows]
+    assert stacked == [
+        [], [nodes[1][300]], [nodes[2][17]], [nodes[3][900]], [], [nodes[5][600]], [nodes[6][100], nodes[6][700]]
+    ]
 
 
 # ---------------------------------------------------------------------------
