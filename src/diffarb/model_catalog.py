@@ -392,17 +392,13 @@ class _FlatSpotInverseScale:
     """
 
     def __init__(self, components: list[tuple[float, float]], tilt: float = 1e-9):
-        self.components = components
+        self.ends = np.array(components, float).ravel()  # sorted: the components are disjoint and in order
         self.tilt = float(tilt)
-        knots: list[float] = []
-        for a, b in components:
-            knots.extend((a, b))
-        for (a1, b1), (a2, b2) in zip(components[:-1], components[1:]):
-            knots.append(0.5 * (b1 + a2))
-        lo = components[0][0]
-        hi = components[-1][1]
-        # far knots on a doubling ladder keep each segment's value exact
-        knots.extend([0.0, *(lo - 2.0 ** np.arange(22)), *(hi + 2.0 ** np.arange(22))])
+        lo, hi = self.ends[0], self.ends[-1]
+        # the ends, the midpoints of the gaps, and far knots on a doubling
+        # ladder that keep each segment's value exact
+        gaps = 0.5 * (self.ends[1:-1:2] + self.ends[2::2])
+        knots = [*self.ends, *gaps, 0.0, *(lo - 2.0 ** np.arange(22)), *(hi + 2.0 ** np.arange(22))]
         self.t = np.array(sorted(set(knots)))
         self.d_at = self._dist(self.t)
         slopes = np.diff(self.d_at) / np.diff(self.t)
@@ -413,13 +409,14 @@ class _FlatSpotInverseScale:
         self.Q = np.concatenate([-np.cumsum(seg[:i0][::-1])[::-1], [0.0], np.cumsum(seg[i0:])])
 
     def _dist(self, z: np.ndarray) -> np.ndarray:
+        # the nearest end of F is one of the two ends around z: float
+        # subtraction is monotone, so no farther end comes out nearer
         z = np.asarray(z, float)
-        out = np.full_like(z, np.inf)
-        for a, b in self.components:
-            inside = (z >= a) & (z <= b)
-            d = np.minimum(np.abs(z - a), np.abs(z - b))
-            out = np.where(inside, 0.0, np.minimum(out, d))
-        return out
+        e = self.ends
+        k = np.searchsorted(e, z, "right")  # odd: z lies in a component
+        below = np.where(k > 0, z - e[np.maximum(k - 1, 0)], np.inf)
+        above = np.where(k < e.size, e[np.minimum(k, e.size - 1)] - z, np.inf)
+        return np.where(k % 2 == 1, 0.0, np.minimum(below, above))
 
     def _segment(self, x: np.ndarray, side: int = 1) -> np.ndarray:
         k = np.searchsorted(self.t, x, side="right" if side > 0 else "left") - 1

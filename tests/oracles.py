@@ -194,6 +194,19 @@ def check_nip_zero_rate(view, spec, cfg=DEFAULT_QUAD):
     return _combine([c.status for c in reports]), reports
 
 
+def fat_cantor_dist_by_component(components, z) -> np.ndarray:
+    """Reference for ``model_catalog._FlatSpotInverseScale._dist``: the
+    distance from z to the union of closed ``components``, one component at
+    a time (0 inside, else the nearest of all ends)."""
+    z = np.asarray(z, float)
+    out = np.full_like(z, np.inf)
+    for a, b in components:
+        inside = (z >= a) & (z <= b)
+        d = np.minimum(np.abs(z - a), np.abs(z - b))
+        out = np.where(inside, 0.0, np.minimum(out, d))
+    return out
+
+
 def detect_suspicious_one_window(g_nodes, a: float, b: float, known) -> list[float]:
     """Reference for ``measure_kit._detect_suspicious``, one window alone:
     the nodes of ``window_nodes(a, b)`` where g, given there, is not finite

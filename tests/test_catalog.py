@@ -7,6 +7,7 @@ import pytest
 
 from diffarb.arb_classifier import classify
 from diffarb.model_catalog import (
+    _FlatSpotInverseScale,
     _RANGE_RULES,
     CATALOG,
     build_model,
@@ -14,6 +15,8 @@ from diffarb.model_catalog import (
     expected_verdict,
     fat_complement_components,
 )
+
+from oracles import fat_cantor_dist_by_component
 
 INF = math.inf
 
@@ -123,6 +126,23 @@ def test_fat_complement_has_positive_measure():
     for (a1, b1), (a2, b2) in zip(comps[:-1], comps[1:]):
         assert b1 < a2
     assert comps[0][0] >= 0.0 and comps[-1][1] <= 1.0
+
+
+@pytest.mark.parametrize("generations", [1, 3, 6, 7, 8, 50])
+def test_fat_cantor_distance_matches_the_component_loop_bit_for_bit(generations):
+    # the two ends around z give the nearest end by the same subtraction
+    comps = fat_complement_components(generations)
+    ends = np.array(comps).ravel()
+    z = np.concatenate([
+        np.random.default_rng(generations).uniform(-0.5, 1.5, 20_001),
+        ends,
+        np.nextafter(ends, -INF),
+        np.nextafter(ends, INF),
+        [-INF, INF, np.nan, -0.0, 0.0, -1e300, 1e300],
+    ])
+    got = _FlatSpotInverseScale(comps)._dist(z)
+    want = fat_cantor_dist_by_component(comps, z)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_expected_verdict_exact_arithmetic():

@@ -58,6 +58,28 @@ def test_classify_absorbing_start_exit_1(tmp_path, capsys):
     assert "absorbing" in err
 
 
+def test_classify_declared_speed_one_percent_off_exit_1(tmp_path, capsys):
+    # speed_natural must be the pushforward of speed: here m_ac = 1 under the
+    # scale 2x, so mU_ac = 1/2, declared 1 % too large
+    doc = {
+        "model_id": "speed_off",
+        "state_interval": {"alpha": "-inf", "beta": "inf"},
+        "scale": {"node": "affine", "a": 2.0, "b": 0.0},
+        "speed": {"ac": {"node": "const", "c": 1.0}},
+        "speed_natural": {"ac": {"node": "const", "c": 0.505}},
+        "x0": 0.0,
+        "r": 0.0,
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["classify", "--model", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "declared natural-scale speed disagrees with pushforward" in err[0]
+    doc["speed_natural"]["ac"]["c"] = 0.5
+    path.write_text(json.dumps(doc))
+    assert run(["classify", "--model", str(path), "--out", str(tmp_path)]) == 0
+
+
 def test_classify_incomparable_sc_exit_2(tmp_path, capsys):
     staircase = {
         "node": "tabulated",

@@ -255,6 +255,34 @@ def test_smooth_drift_matches_half_q2():
     assert np.allclose(view.drift_density(u), 0.5 * 6.0 * u, rtol=1e-12)
 
 
+_SPEED_MISMATCH = "declared natural-scale speed disagrees with pushforward"
+
+
+def _speed_natural_scaled(spec, factor):
+    dens = spec.speed_natural.ac_density
+    off = dataclasses.replace(spec.speed_natural, ac_density=lambda u: factor * np.asarray(dens(u), float))
+    return dataclasses.replace(spec, speed_natural=off)
+
+
+# every entry at its defaults, and fat_cantor over generations and starts: it
+# declares a q' = 0 set, so its pushforward is undefined, and the pointwise
+# check needs none
+_DECLARED_SPEEDS = [(name, {}) for name in sorted(CATALOG) if name != "fat_cantor"] + [
+    ("fat_cantor", {"generations": g, "u0": u0}) for g in (1, 3, 6, 7, 8) for u0 in (0.1, 0.5, 0.9)
+]
+
+
+@pytest.mark.parametrize("name, params", _DECLARED_SPEEDS)
+def test_declared_speed_density_is_checked_pointwise(name, params):
+    # 1e-4 relative at each node: 1 % and 0.02 % off are refused, 0.005 % passes
+    spec = build_model(name, params)
+    derive_natural_scale(spec)
+    derive_natural_scale(_speed_natural_scaled(spec, 1 + 5e-5))
+    for eps in (1e-2, 2e-4):
+        with pytest.raises(SpecValidationError, match=_SPEED_MISMATCH):
+            derive_natural_scale(_speed_natural_scaled(spec, 1 + eps))
+
+
 def test_flat_spot_consistency_guard():
     # on each flat interval of fat_cantor q'' vanishes and r = 0, so NIP.iii
     # holds exactly

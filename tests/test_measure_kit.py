@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffarb import measure_kit
 from diffarb.arb_classifier import classify
-from diffarb.diffusion_model import derive_natural_scale, inverse_piece, load_model_spec
+from diffarb.diffusion_model import inverse_piece, load_model_spec
 from diffarb.measure_kit import (
+    DEFAULT_QUAD,
     Affine,
     Compose,
     Const,
@@ -86,29 +86,23 @@ def test_adaptive_quad_singular_endpoint():
     assert abs(val - 2.0) < 1e-7
 
 
-def _speed_hint_quadratures(name, monkeypatch):
-    """The integrals that ``derive_natural_scale`` hands to ``adaptive_quad``
-    to check the catalog entry's declared natural-scale speed, as
-    (f, a, b, options); those with an end at 0 meet the density's singularity."""
-    calls = []
-    real = measure_kit.adaptive_quad
-
-    def record(f, a, b, **kw):
-        calls.append((f, a, b, kw))
-        return real(f, a, b, **kw)
-
-    with monkeypatch.context() as m:
-        m.setattr(measure_kit, "adaptive_quad", record)
-        derive_natural_scale(build_model(name))
-    return calls
+# the state-space speed densities of two catalog entries are singular at 0:
+# x^-1/2 (squared_bessel, delta = 1) and |x|^-2/3 (cubed_bm); each is
+# integrated on intervals with an end at 0, at the default tolerances
+_SINGULAR_SPEED_INTERVALS = {
+    "squared_bessel": [(0.0, 0.75)],
+    "cubed_bm": [(-1.0, 0.0), (0.0, 1.0)],
+}
 
 
 @pytest.mark.parametrize("case", ["singular-endpoint", "squared_bessel", "cubed_bm"])
-def test_adaptive_quad_matches_the_two_call_oracle_with_one_call_per_panel(case, monkeypatch):
+def test_adaptive_quad_matches_the_two_call_oracle_with_one_call_per_panel(case):
     if case == "singular-endpoint":
         integrals = [(lambda x: np.abs(x) ** -0.5, 0.0, 1.0, {"rtol": 1e-9})]
     else:
-        integrals = _speed_hint_quadratures(case, monkeypatch)
+        f = build_model(case).speed.ac_density
+        kw = {"rtol": DEFAULT_QUAD.rel, "atol": DEFAULT_QUAD.abs}
+        integrals = [(f, a, b, kw) for a, b in _SINGULAR_SPEED_INTERVALS[case]]
     panels = []
     for f, a, b, kw in integrals:
         calls = {"one": 0, "two": 0}
