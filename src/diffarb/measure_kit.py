@@ -802,7 +802,9 @@ class SmoothPiece1D:
         """Nodes x, images f(x) and inverse slopes 1/f'(x) for inversion: 1,025
         on a core (the domain, cut to 8 wide on an infinite side), the special
         points, and the core ends -+ 2^k out to the float range (every k < 64,
-        then every 16th), cut to a strictly increasing run of finite images."""
+        then every 16th), cut to a strictly increasing run of finite images.
+        ``invert_monotone_vec`` guesses by linear interpolation in (f(x), x);
+        the inverse slopes serve only the cubic Hermite guess of its phase 2."""
         lo, hi = self.domain
         a = lo if math.isfinite(lo) else min(-4.0, hi - 8.0)
         b = hi if math.isfinite(hi) else max(4.0, a + 8.0)
@@ -823,13 +825,42 @@ class SmoothPiece1D:
 
 def invert_monotone_vec(f: SmoothPiece1D, ys: np.ndarray) -> np.ndarray:
     """Solve f(x) = y for strictly increasing f, elementwise: the left edge of
-    {f >= y} to float resolution, a node exactly. Each target runs
-    safeguarded Newton from a cubic Hermite guess in its cell of
-    ``f.node_table``, f(a) < y <= f(b); if f(x -+ 8 ulp) does not bracket y
-    at the Newton point (a float-noise band near a zero of f'), it bisects
-    and polishes the midpoint by three guarded Newton steps. A target
-    beyond the table maps to its end."""
+    {f >= y} to float resolution, a node exactly. Phase 1 guesses x by linear
+    interpolation in ``f.node_table`` and takes at most 8 Newton steps on the
+    whole batch; a point freezes at its first step of at most w = 8 ulp of
+    max(|x|, 1/2). A frozen root stands if f(x - w) < y <= f(x + w). Every
+    other target (no freeze, a failed check, NaN, at or beyond an end of the
+    table) goes to phase 2, ``_invert_safeguarded``. A target beyond the
+    table maps to its end."""
     y = np.atleast_1d(_arr(ys)).ravel()
+    nx, nu, _ = f.node_table
+    x = np.interp(y, nu, nx)
+    inside = (y > nu[0]) & (y < nu[-1])
+    frozen = ~inside  # NaN and the table's ends take no step
+    with np.errstate(all="ignore"):  # a zero slope or a NaN leaves a point unfrozen or failing the check
+        for _ in range(8):
+            g = _arr(f.value(x)) - y
+            xn = np.clip(np.where(g == 0, x, x - g / _arr(f.d_plus(x))), nx[0], nx[-1])
+            small = np.abs(xn - x) <= 8 * np.spacing(np.maximum(np.abs(x), 0.5))
+            x = np.where(frozen, x, xn)
+            frozen |= small
+            if frozen.all():
+                break
+        w = 8 * np.spacing(np.maximum(np.abs(x), 0.5))
+        fv = _arr(f.value(np.concatenate((x - w, x + w))))
+    good = inside & frozen & (fv[: y.size] < y) & (fv[y.size :] >= y)
+    bad = np.flatnonzero(~good)
+    if bad.size:
+        x[bad] = _invert_safeguarded(f, y[bad])
+    return x.reshape(np.shape(ys))
+
+
+def _invert_safeguarded(f: SmoothPiece1D, y: np.ndarray) -> np.ndarray:
+    """Phase 2 of ``invert_monotone_vec``: safeguarded Newton from a cubic
+    Hermite guess in the cell of ``f.node_table`` with f(a) < y <= f(b),
+    stepping only the live points. If f(x -+ 8 ulp) does not bracket y at the
+    Newton point (a float-noise band near a zero of f'), it bisects and
+    polishes the midpoint by three guarded Newton steps."""
     lo, hi = f.domain
     nx, nu, nm = f.node_table
     k = np.searchsorted(nu, y, "left")
@@ -850,28 +881,26 @@ def invert_monotone_vec(f: SmoothPiece1D, ys: np.ndarray) -> np.ndarray:
         live = np.flatnonzero(act)
         if not live.size:
             break
-        # a few live points step alone; more step with all, through views, so that temporaries keep one size
-        idx = live if live.size < 64 else slice(None)
-        on, xl, yl, nl = act[idx], x[idx], y[idx], newton[idx]
+        xl, yl, nl = x[live], y[live], newton[live]
         g = _arr(f.value(xl)) - yl
-        al = np.where(on & (g < 0), xl, a[idx])
-        bl = np.where(on & ~(g < 0), xl, b[idx])
-        a[idx], b[idx] = al, bl
+        al = np.where(g < 0, xl, a[live])
+        bl = np.where(~(g < 0), xl, b[live])
+        a[live], b[live] = al, bl
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = np.where(g == 0, xl, xl - g / np.where(nl, _arr(f.d_plus(xl)), np.nan))
         ok = (xn > al) & (xn < bl)
         w = 8 * np.spacing(np.maximum(np.abs(xl), 0.5))  # 8 ulp, and no finer than at 1/2
-        pinned = on & nl & (np.abs(xn - xl) <= w)
-        xl = np.where(on, np.where(pinned | ok, xn, 0.5 * (al + bl)), xl)
-        x[idx] = xl
-        done = on & (bl - al <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(bl)))
+        pinned = nl & (np.abs(xn - xl) <= w)
+        xl = np.where(pinned | ok, xn, 0.5 * (al + bl))
+        x[live] = xl
+        done = bl - al <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(bl))
         if pinned.any():
             fv = _arr(f.value(np.concatenate((xl - w, xl + w))))
             good = pinned & (fv[: xl.size] < yl) & (fv[xl.size :] >= yl)
-            a[idx], b[idx] = np.where(good, xl - w, al), np.where(good, xl + w, bl)
-            newton[idx] = nl & ~(pinned & ~good)
+            a[live], b[live] = np.where(good, xl - w, al), np.where(good, xl + w, bl)
+            newton[live] = nl & ~(pinned & ~good)
             done = np.where(pinned, good, done)
-        act[idx] &= ~done
+        act[live] = ~done
     # a Newton point stands; a bisected point is its bracket's midpoint, polished
     x = np.where(newton & (a < b), x, 0.5 * (a + b))
     bis = np.flatnonzero(~newton)
@@ -880,7 +909,7 @@ def invert_monotone_vec(f: SmoothPiece1D, ys: np.ndarray) -> np.ndarray:
         ok = np.isfinite(d) & (d >= 1e-6)
         step = np.where(ok, (_arr(f.value(x[bis])) - y[bis]) / np.where(ok, d, 1.0), 0.0)
         x[bis] = np.clip(x[bis] - step, a[bis], b[bis])
-    return x.reshape(np.shape(ys))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -1241,6 +1270,15 @@ def window_nodes(a, b) -> np.ndarray:
     return np.linspace(a, b, 1025, axis=-1)[..., 1:-1]
 
 
+def _row_medians(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=1)``, the same bits. At an odd row length (1,023
+    for ``window_nodes``) that is the middle of one ``np.partition``."""
+    n = rows.shape[1]
+    if n % 2 == 0:
+        return np.median(rows, axis=1)
+    return np.partition(rows, n // 2, axis=1)[:, n // 2]
+
+
 def _detect_suspicious(
     g_rows: np.ndarray, windows: Sequence[tuple[float, float]], known: Sequence[Sequence[float]]
 ) -> list[list[float]]:
@@ -1255,7 +1293,7 @@ def _detect_suspicious(
     ok = np.isfinite(vals)
     clean, some = ok.all(axis=1), ok.any(axis=1)
     scale = np.zeros(len(vals))
-    scale[clean] = np.median(vals[clean], axis=1)
+    scale[clean] = _row_medians(vals[clean])
     for i in np.flatnonzero(~clean & some):
         scale[i] = np.median(vals[i][ok[i]])
     flag = (~ok | (vals > 1e6 * (scale + 1e-300)[:, None])) & some[:, None]

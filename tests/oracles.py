@@ -207,6 +207,69 @@ def fat_cantor_dist_by_component(components, z) -> np.ndarray:
     return out
 
 
+def invert_monotone_vec_one_phase(f, ys) -> np.ndarray:
+    """Reference for ``measure_kit.invert_monotone_vec``: the one-phase
+    safeguarded loop it replaced. Solve f(x) = y for strictly increasing f,
+    elementwise: the left edge of {f >= y} to float resolution, a node
+    exactly. Each target runs safeguarded Newton from a cubic Hermite guess
+    in its cell of ``f.node_table``, f(a) < y <= f(b); if f(x -+ 8 ulp) does
+    not bracket y at the Newton point (a float-noise band near a zero of
+    f'), it bisects and polishes the midpoint by three guarded Newton steps.
+    A target beyond the table maps to its end."""
+    y = np.atleast_1d(_arr(ys)).ravel()
+    lo, hi = f.domain
+    nx, nu, nm = f.node_table
+    k = np.searchsorted(nu, y, "left")
+    ex = np.concatenate(([lo if math.isfinite(lo) else nx[0]], nx, [hi if math.isfinite(hi) else nx[-1]]))
+    eu = np.concatenate(([-np.inf], nu, [np.inf]))
+    em = np.concatenate(([np.nan], nm, [np.nan]))
+    a, b = ex[k], ex[k + 1]
+    with np.errstate(invalid="ignore"):  # cubic Hermite in y, slopes from the table
+        h, dx, t = eu[k + 1] - eu[k], b - a, (y - eu[k]) / (eu[k + 1] - eu[k])
+        x = a + t * dx + t * (1 - t) * ((1 - t) * (h * em[k] - dx) - t * (h * em[k + 1] - dx))
+    x = np.clip(np.where(np.isfinite(x), x, 0.5 * (a + b)), a, b)
+    hit = np.flatnonzero(y == eu[k + 1])
+    if hit.size:
+        a[hit] = np.where(_arr(f.value(np.nextafter(b[hit], -np.inf))) < y[hit], b[hit], a[hit])
+    newton = np.ones(y.shape, bool)
+    act = a < b
+    for _ in range(100):
+        live = np.flatnonzero(act)
+        if not live.size:
+            break
+        # a few live points step alone; more step with all, through views, so that temporaries keep one size
+        idx = live if live.size < 64 else slice(None)
+        on, xl, yl, nl = act[idx], x[idx], y[idx], newton[idx]
+        g = _arr(f.value(xl)) - yl
+        al = np.where(on & (g < 0), xl, a[idx])
+        bl = np.where(on & ~(g < 0), xl, b[idx])
+        a[idx], b[idx] = al, bl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = np.where(g == 0, xl, xl - g / np.where(nl, _arr(f.d_plus(xl)), np.nan))
+        ok = (xn > al) & (xn < bl)
+        w = 8 * np.spacing(np.maximum(np.abs(xl), 0.5))  # 8 ulp, and no finer than at 1/2
+        pinned = on & nl & (np.abs(xn - xl) <= w)
+        xl = np.where(on, np.where(pinned | ok, xn, 0.5 * (al + bl)), xl)
+        x[idx] = xl
+        done = on & (bl - al <= 4 * np.finfo(float).eps * np.maximum(1.0, np.abs(bl)))
+        if pinned.any():
+            fv = _arr(f.value(np.concatenate((xl - w, xl + w))))
+            good = pinned & (fv[: xl.size] < yl) & (fv[xl.size :] >= yl)
+            a[idx], b[idx] = np.where(good, xl - w, al), np.where(good, xl + w, bl)
+            newton[idx] = nl & ~(pinned & ~good)
+            done = np.where(pinned, good, done)
+        act[idx] &= ~done
+    # a Newton point stands; a bisected point is its bracket's midpoint, polished
+    x = np.where(newton & (a < b), x, 0.5 * (a + b))
+    bis = np.flatnonzero(~newton)
+    for _ in range(3 if bis.size else 0):
+        d = _arr(f.d_plus(x[bis]))
+        ok = np.isfinite(d) & (d >= 1e-6)
+        step = np.where(ok, (_arr(f.value(x[bis])) - y[bis]) / np.where(ok, d, 1.0), 0.0)
+        x[bis] = np.clip(x[bis] - step, a[bis], b[bis])
+    return x.reshape(np.shape(ys))
+
+
 def detect_suspicious_one_window(g_nodes, a: float, b: float, known) -> list[float]:
     """Reference for ``measure_kit._detect_suspicious``, one window alone:
     the nodes of ``window_nodes(a, b)`` where g, given there, is not finite

@@ -1,6 +1,7 @@
 """Condition-level and property tests for the no-arbitrage classifier."""
 
 import dataclasses
+import json
 import math
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffarb import arb_classifier
+from diffarb import arb_classifier, diffusion_model, measure_kit
 from diffarb.arb_classifier import (
     FAILS,
     HOLDS,
@@ -21,6 +22,7 @@ from diffarb.arb_classifier import (
     check_rp,
     classify,
 )
+from diffarb.cli_app import main
 from diffarb.diffusion_model import (
     DiffusionSpec,
     NaturalScaleView,
@@ -635,3 +637,46 @@ def test_classify_reads_the_gamma_samples_from_one_call(case, monkeypatch):
     monkeypatch.setattr(NaturalScaleView, "gamma", counted)
     assert classify(spec).impr["samples"] == each
     assert sizes == [us.size]
+
+
+def test_few_nsa_screen_targets_reach_the_safeguarded_inverse(monkeypatch):
+    # the NSA screen of the first document of each family evaluates phi on
+    # 8 blocks of 4 x 1,023 window_nodes over the start-image window; phase 1
+    # of invert_monotone_vec settles all but at most 1 % of those targets
+    counts = {"all": 0, "phase 2": 0}
+    invert, safeguarded = diffusion_model.invert_monotone_vec, measure_kit._invert_safeguarded
+
+    def counted_invert(f, ys):
+        counts["all"] += np.size(ys)
+        return invert(f, ys)
+
+    def counted_safeguarded(f, y):
+        counts["phase 2"] += y.size
+        return safeguarded(f, y)
+
+    for doc in _FIRST_DOCS.values():
+        spec = load_model_spec(doc)
+        view = derive_natural_scale(spec)
+        with monkeypatch.context() as m:
+            m.setattr(diffusion_model, "invert_monotone_vec", counted_invert)
+            m.setattr(measure_kit, "_invert_safeguarded", counted_safeguarded)
+            _phi_l2_interior(view, spec)
+    assert counts["all"] >= len(_FIRST_DOCS) * 32 * 1023
+    assert counts["phase 2"] <= 0.01 * counts["all"]
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["doc00_sticky", "doc01_skew", "doc02_absorbing", "doc03_cubic", "kink"])
+def test_document_classifies_to_its_committed_report(name, tmp_path):
+    # the first document of each benchmark family and the kink document of
+    # test_kink_inverse_document_matches_sticky_skew. The bytes are those of
+    # one numpy build: its SIMD power and exp can differ from libm in the last
+    # bit, so on another build a report may need regenerating with
+    # diffarb classify --model tests/golden/NAME.json --out tests/golden/
+    path = _GOLDEN / f"{name}.json"
+    if name != "kink":
+        assert json.loads(path.read_text()) == _FIRST_DOCS[name.split("_")[1]]
+    assert main(["classify", "--model", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / f"classify_{name}.json").read_bytes() == (_GOLDEN / f"classify_{name}.json").read_bytes()

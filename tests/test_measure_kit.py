@@ -1,6 +1,8 @@
 """Unit and property tests for the expression grammar and measure calculus."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from diffarb.measure_kit import (
     Sum,
     Tabulated,
     _detect_suspicious,
+    _row_medians,
     adaptive_quad,
     decide_L2_local,
     decide_weighted_L2_boundary,
@@ -41,7 +44,12 @@ from diffarb.measure_kit import (
 from diffarb.model_catalog import build_model
 
 from fuzz_models import random_spec
-from oracles import adaptive_quad_two_calls, detect_suspicious_one_window, expr_to_json
+from oracles import (
+    adaptive_quad_two_calls,
+    detect_suspicious_one_window,
+    expr_to_json,
+    invert_monotone_vec_one_phase,
+)
 
 RT = np.inf
 
@@ -195,6 +203,67 @@ def test_invert_returns_a_kink_exactly():
         assert float(invert_monotone_vec(f, f.value(np.asarray(c)))) == c
 
 
+# the fuzz scales are numeric inverses of a random q, increasing only to
+# their float noise; every other scale here meets the contract as stated
+_CONTRACT_SCALES = {
+    **{f"family-{k}": (lambda k=k: piece(*FAMILY_SCALES[k])) for k in sorted(FAMILY_SCALES)},
+    **{name: (lambda n=name: build_model(n).scale)
+       for name in ("cubed_bm", "squared_bessel", "gen_squared_bessel", "sticky_skew", "fat_cantor")},
+    "fat_cantor-q_piece": lambda: build_model("fat_cantor").q_piece,
+    **{f"fuzz-{i}": (lambda i=i: random_spec(i).scale) for i in range(20)},
+}
+
+
+def _contract_targets(f, rng) -> np.ndarray:
+    """4,092 targets: every node image, the kink images, the table's ends and
+    their outer neighbours, NaN, -+inf, and the rest spread over the table's
+    cells and over magnitudes 1e-8 .. 1e8, shuffled."""
+    nx, nu, _ = f.node_table
+    fixed = np.concatenate([
+        nu, f.value(np.array([c for c, _ in f.kinks], float)),
+        [nu[0], nu[-1], np.nextafter(nu[0], -np.inf), np.nextafter(nu[-1], np.inf), np.nan, np.inf, -np.inf],
+    ])
+    m = 4092 - fixed.size
+    k = rng.integers(0, nu.size - 1, m - m // 2)
+    cells = nu[k] + rng.uniform(size=k.size) * (nu[k + 1] - nu[k])
+    spread = rng.choice([-1.0, 1.0], m // 2) * 10.0 ** rng.uniform(-8, 8, m // 2)
+    return rng.permutation(np.concatenate([fixed, cells, spread]))
+
+
+@pytest.mark.parametrize("case", list(_CONTRACT_SCALES))
+def test_two_phase_inverse_keeps_the_one_phase_contract(case):
+    f, strict = _CONTRACT_SCALES[case](), not case.startswith("fuzz-")
+    nx, nu, _ = f.node_table
+    y = _contract_targets(f, np.random.default_rng(11))
+    got, want = invert_monotone_vec(f, y), invert_monotone_vec_one_phase(f, y)
+    # a batch of any size gives each target the bits it gets here
+    for n in (1, 63, 64, 40_000):
+        assert np.array_equal(invert_monotone_vec(f, np.resize(y, n)), np.resize(got, n), equal_nan=True)
+    inside = (y > nu[0]) & (y < nu[-1])
+    with np.errstate(all="ignore"):
+        w, w_ref = (8 * np.spacing(np.maximum(np.abs(v), 0.5)) for v in (got, want))
+        brackets = (f.value(got - w) < y) & (f.value(got + w) >= y)
+        ref_brackets = (f.value(want - w_ref) < y) & (f.value(want + w_ref) >= y)
+    # the 8-ulp bracket check at every target inside the table (on a fuzz
+    # scale, wherever the reference meets it)
+    assert np.all(brackets[inside & (ref_brackets | strict)])
+    # nodes exactly, wherever the reference gives them; kinks exactly
+    at_node = inside & np.isin(y, nu)
+    node, ref_node = nx[np.searchsorted(nu, y[at_node])], want[at_node]
+    assert np.array_equal(got[at_node][ref_node == node], node[ref_node == node])
+    for c, _ in f.kinks if strict else ():
+        assert float(invert_monotone_vec(f, f.value(np.asarray(c)))) == c
+    # NaN targets and targets at or beyond the table's ends as the reference
+    assert np.array_equal(got[~inside], want[~inside], equal_nan=True)
+    if strict:
+        assert np.all(np.abs(got - want)[inside] <= w[inside])
+    else:
+        # y may cross a fuzz scale more than once within a few ulp: where
+        # both roots pass the check, their brackets overlap
+        both = inside & brackets & ref_brackets
+        assert np.all(np.abs(got - want)[both] <= (w + w_ref)[both])
+
+
 def test_inverse_slope_stays_finite_at_a_flat_point():
     # fuzz seed 7: q is a cubic with q' = 0 at v. Its image is float-flat
     # around q(v), and the inverse takes the left edge of that band, where
@@ -224,17 +293,7 @@ def test_inverse_piece_memo_is_keyed_on_content_and_returns_copies():
 def test_kink_inverse_document_matches_sticky_skew():
     # a skew document without inverse_scale: kink at 4/3, slopes 3/4 -> 1/4,
     # atom 1, r = 1. The numeric inverse must land on the kink.
-    doc = {
-        "state_interval": {"alpha": "-inf", "beta": "inf"},
-        "scale": {
-            "node": "piecewise",
-            "breakpoints": [4 / 3],
-            "pieces": [{"node": "affine", "a": 0.75, "b": 0.0}, {"node": "affine", "a": 0.25, "b": 2 / 3}],
-        },
-        "speed": {"ac": {"node": "const", "c": 1.0}, "atoms": [[4 / 3, 1.0]]},
-        "x0": 2 / 3,
-        "r": 1.0,
-    }
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / "kink.json").read_text())
     got = classify(load_model_spec(doc))
     want = classify(build_model("sticky_skew", {"kappa": 0.75, "c": 1.0, "xi": 4 / 3, "r": 1.0}))
     assert (*got.triple(), got.rp) == (*want.triple(), want.rp) == ("holds",) * 4
@@ -561,6 +620,19 @@ def test_stacked_detection_matches_one_row_at_a_time():
     assert stacked == [
         [], [nodes[1][300]], [nodes[2][17]], [nodes[3][900]], [], [nodes[5][600]], [nodes[6][100], nodes[6][700]]
     ]
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 101, 1023, 1025, 2, 1024])
+def test_row_medians_equal_np_median_bit_for_bit(n):
+    # ties, zeros, subnormals and values near 1e300, in every row
+    rng = np.random.default_rng(n)
+    pool = np.array([0.0, 0.0, 5e-324, 1e-300, 1.0, 1.0, 2.5, 1e300, np.nextafter(1e300, np.inf), 1.7976931348623157e308])
+    rows = np.concatenate([
+        rng.choice(pool, (8, n)),
+        1e300 * (1.0 + rng.integers(0, 4, (8, n)) * np.finfo(float).eps),
+        rng.uniform(0.0, 1.0, (8, n)) * 10.0 ** rng.integers(-300, 301, (8, n)),
+    ])
+    assert _row_medians(rows).tobytes() == np.median(rows, axis=1).tobytes()
 
 
 # ---------------------------------------------------------------------------
