@@ -61,6 +61,9 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
+_ENV = ("MODEL", "CATALOG", "PARAMS", "SEED", "OUT", "TOL", "ID", "GRID", "PATHS", "LEVELS")  # every name _env reads
+
+
 def _env(name: str, fallback):
     return os.environ.get(f"DIFFARB_{name}", fallback)
 
@@ -87,13 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ``cmd_*`` function up when it runs, so a function rebound in this
     module after the parser was built (by a tracer, by a test) is the one
     that runs."""
-    return _parser_for(tuple(sorted(kv for kv in os.environ.items() if kv[0].startswith("DIFFARB_"))))
+    return _parser_for(tuple(os.environ.get(f"DIFFARB_{name}") for name in _ENV))
 
 
 @lru_cache(maxsize=8)
 def _parser_for(env: tuple) -> argparse.ArgumentParser:
-    """The parser whose defaults ``_env`` reads; ``env``, the sorted
-    DIFFARB_* items, is only the key of the cache."""
+    """The parser whose defaults ``_env`` reads; ``env``, the values of the
+    DIFFARB_* names in ``_ENV``, is only the key of the cache."""
     p = _Parser(prog="diffarb", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -151,8 +154,7 @@ def _label(args, spec: DiffusionSpec) -> str:
 def _write_json(path: Path, obj: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2) + "\n")  # one write: json.dump streams hundreds of small ones
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

@@ -29,6 +29,7 @@ from .measure_kit import (
     DEFAULT_QUAD,
     ScComponent,
     SmoothPiece1D,
+    _inverse_slope,
     _leggauss,
     behaviors_at,
     close_rel,
@@ -176,20 +177,24 @@ class NaturalScaleView:
     r: float
     s_x0: float
 
-    def drift_density(self, u) -> np.ndarray:
-        """Lebesgue density of the drift measure, q''(u)/2 - r q(u) mU_ac(u)."""
+    def drift_density(self, u, jet: Optional[tuple] = None) -> np.ndarray:
+        """Lebesgue density of the drift measure, q''(u)/2 - r q(u) mU_ac(u);
+        ``jet`` is ``q.jet(u, 2)`` when the caller has it."""
         u = np.asarray(u, float)
-        out = 0.5 * np.asarray(self.q.d2_ac(u), float)
+        qv, _, qpp = self.q.jet(u, 2) if jet is None else jet
+        out = 0.5 * np.asarray(qpp, float)
         mU_ac = self.mU.ac_density
         if self.r != 0.0 and mU_ac is not None:
-            out = out - self.r * np.asarray(self.q.value(u), float) * np.asarray(mU_ac(u), float)
+            out = out - self.r * np.asarray(qv, float) * np.asarray(mU_ac(u), float)
         return out
 
     def drift_over_slope(self, u, power: int) -> np.ndarray:
-        """drift_density(u) / q'(u)**power on {q' != 0, finite}, 0 elsewhere."""
+        """drift_density(u) / q'(u)**power on {q' != 0, finite}, 0 elsewhere;
+        q, q' and q'' come from one ``q.jet`` call."""
         u = np.asarray(u, float)
-        d = np.asarray(self.q.d_plus(u), float)
-        out = self.drift_density(u)
+        jet = self.q.jet(u, 2)
+        d = np.asarray(jet[1], float)
+        out = self.drift_density(u, jet)
         if power:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = out / (d if power == 1 else d * d)
@@ -315,55 +320,53 @@ def classify_boundary(spec: DiffusionSpec, side: str) -> BoundaryBehavior:
 
 def inverse_piece(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1D:
     """Inverse q = s^{-1} of the increasing piece s = ``scale`` on its image
-    ``sJ``, as function handles via root finding. The last array inverted
-    is kept: q, q', q'' and the pushed speed density share its inversion.
+    ``sJ``, as function handles via root finding.
 
-    q' = 1/s'(q) one-sided, q'' = -s''(q) / s'(q)^3 a.e.; kinks of s map to
-    kinks of q and flat points of s to infinite-slope points of q. Models
-    built from q take their scale as ``inverse_piece(q, J)``.
+    One root record serves the last array inverted: its roots x and, from
+    the first slope asked for on, s'_+(x) and s''(x), read from one order-2
+    ``scale.jet`` call. q, q'_+ = 1/s'_+(q), q'' = -s''(q) / s'_+(q)^3 (a.e.),
+    q's own ``jet`` and, through ``inverse_of``, the pushed speed density
+    read it; q'_- computes s'_-(q) when asked. Kinks of s map to kinks of q
+    and flat points of s to infinite-slope points of q. Models built from q
+    take their scale as ``inverse_piece(q, J)``.
     """
-    last = [None, None]  # (shape, bytes) of the last array, and its inverse
+    rec = [None, None, None, None]  # (shape, bytes) of the last array, its roots, s'_+ and s'' there
 
-    def x_of(u):
+    def record(u, slopes: bool):
         u = np.asarray(u, float)
         key = (u.shape, u.tobytes())
-        if key != last[0]:
-            last[:] = key, invert_monotone_vec(scale, u)
-        return last[1]
+        if key != rec[0]:
+            rec[:] = key, invert_monotone_vec(scale, u), None, None
+        if slopes and rec[2] is None:
+            rec[2:] = (np.asarray(v, float) for v in scale.jet(rec[1], 2)[1:])
+        return rec[1:]
 
-    def q_val(u):
-        return x_of(u).copy()
-
-    def d_side(u, side):
-        x = x_of(u)
-        d = np.asarray(scale.d_plus(x) if side > 0 else scale.d_minus(x), float)
-        with np.errstate(divide="ignore"):
-            return np.where(d > 0, 1.0 / d, np.inf)
-
-    def d2(u):
-        x = x_of(u)
-        d = np.asarray(scale.d_plus(x), float)
-        dd = np.asarray(scale.d2_ac(x), float)
+    def curvature(d, dd):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = -dd / d**3
         return np.where(np.isfinite(out), out, 0.0)
 
+    def jet(u, order=1):
+        x, d, dd = record(u, True)
+        return (x.copy(), _inverse_slope(d), curvature(d, dd)) if order > 1 else (x.copy(), _inverse_slope(d))
+
     kinks = []
     for c, _ in scale.kinks:
-        u = float(scale.value(np.asarray(c)))
-        dp = float(scale.d_plus(np.asarray(c)))
+        u, dp = map(float, scale.jet(np.asarray(c)))
         dm = float(scale.d_minus(np.asarray(c)))
         if dp > 0 and dm > 0:
             kinks.append((u, 1.0 / dp - 1.0 / dm))
     inf_slope = tuple(float(scale.value(np.asarray(c))) for c in scale.zero_slope)
     return SmoothPiece1D(
         domain=sJ,
-        value=q_val,
-        d_plus=lambda u: d_side(u, 1),
-        d_minus=lambda u: d_side(u, -1),
-        d2_ac=d2,
+        value=lambda u: record(u, False)[0].copy(),
+        d_plus=lambda u: _inverse_slope(record(u, True)[1]),
+        d_minus=lambda u: _inverse_slope(scale.d_minus(record(u, False)[0])),
+        d2_ac=lambda u: curvature(*record(u, True)[1:]),
         kinks=tuple(kinks),
         infinite_slope=inf_slope,
+        jet=jet,
+        inverse_of=scale,
     )
 
 

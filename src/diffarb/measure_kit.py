@@ -136,13 +136,17 @@ def _leggauss(n: int):
 
 def gl_fixed(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 21) -> float:
     """Fixed n-point Gauss-Legendre panel. Nodes never touch a or b."""
-    if a == b:
-        return 0.0
+    return 0.0 if a == b else _gl_panels(f, [a], [b], n)[0]
+
+
+def _gl_panels(f: Callable[[np.ndarray], np.ndarray], a, b, n: int = 21) -> list[float]:
+    """``gl_fixed`` on the panels [a_i, b_i], a_i != b_i, read from one call
+    of f on their stacked nodes; each panel gets the bits it gets alone."""
     x, w = _leggauss(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = _arr(f(mid + half * x))
-    return float(half * np.dot(w, vals))
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    vals = _arr(f((mid[:, None] + half[:, None] * x).ravel())).reshape(a.size, n)
+    return [float(h * np.dot(w, v)) for h, v in zip(half, vals)]
 
 
 def adaptive_quad(
@@ -210,20 +214,28 @@ def adaptive_quad(
 class Expr:
     """Base of the closed expression grammar.
 
-    Subclasses implement vectorized ``value`` and one-sided derivatives.
-    ``side`` is +1 for right-hand, -1 for left-hand limits; away from the
-    breakpoints both sides agree.
+    ``jet(x, side, order)`` walks the tree once and returns the value and
+    the one-sided derivatives up to ``order`` (0, 1 or 2): ``(f,)``,
+    ``(f, f')`` or ``(f, f', f'')``, f'' being the a.e. second derivative
+    (density of the AC part of f''). ``side`` is +1 for right-hand, -1 for
+    left-hand limits; away from the breakpoints both sides agree, and the
+    value never depends on it. ``value``, ``deriv`` and ``deriv2`` read the
+    jet, so each formula has one home and a caller that needs several
+    outputs walks the tree once.
     """
 
-    def value(self, x: np.ndarray) -> np.ndarray:
+    def jet(self, x: np.ndarray, side: int = 1, order: int = 1) -> tuple:
         raise NotImplementedError
 
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return self.jet(x, 1, 0)[0]
+
     def deriv(self, x: np.ndarray, side: int = 1) -> np.ndarray:
-        raise NotImplementedError
+        return self.jet(x, side, 1)[1]
 
     def deriv2(self, x: np.ndarray, side: int = 1) -> np.ndarray:
         """A.e. second derivative (density of the AC part of f'')."""
-        raise NotImplementedError
+        return self.jet(x, side, 2)[2]
 
     def children(self) -> tuple["Expr", ...]:
         """Sub-expressions whose breakpoints, infinite-slope points and
@@ -254,15 +266,9 @@ def _union(point_sets) -> tuple[float, ...]:
 class Const(Expr):
     c: float
 
-    def value(self, x):
+    def jet(self, x, side=1, order=1):
         x = _arr(x)
-        return np.full_like(x, self.c)
-
-    def deriv(self, x, side=1):
-        return np.zeros_like(_arr(x))
-
-    def deriv2(self, x, side=1):
-        return np.zeros_like(_arr(x))
+        return (np.full_like(x, self.c), *(np.zeros_like(x) for _ in range(order)))
 
 
 @dataclass(frozen=True)
@@ -272,14 +278,10 @@ class Affine(Expr):
     a: float
     b: float
 
-    def value(self, x):
-        return self.a * _arr(x) + self.b
-
-    def deriv(self, x, side=1):
-        return np.full_like(_arr(x), self.a)
-
-    def deriv2(self, x, side=1):
-        return np.zeros_like(_arr(x))
+    def jet(self, x, side=1, order=1):
+        x = _arr(x)
+        out = (self.a * x + self.b, np.full_like(x, self.a) if order else None, np.zeros_like(x) if order > 1 else None)
+        return out[: order + 1]
 
 
 @dataclass(frozen=True)
@@ -298,28 +300,20 @@ class PowerSigned(Expr):
         if not self.p > 0:
             raise MeasureKitError("PowerSigned requires p > 0")
 
-    def value(self, x):
+    def jet(self, x, side=1, order=1):
         u = _arr(x) - self.center
-        return np.sign(u) * np.abs(u) ** self.p
-
-    def deriv(self, x, side=1):
-        u = np.abs(_arr(x) - self.center)
-        with np.errstate(divide="ignore"):
-            out = self.p * u ** (self.p - 1.0)
-        if self.p == 1.0:
-            out = np.where(u == 0.0, 1.0, out)
-        elif self.p > 1.0:
-            out = np.where(u == 0.0, 0.0, out)
-        else:
-            out = np.where(u == 0.0, np.inf, out)
-        return out
-
-    def deriv2(self, x, side=1):
-        u = _arr(x) - self.center
-        au = np.abs(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.p * (self.p - 1.0) * np.sign(u) * au ** (self.p - 2.0)
-        return np.where(au == 0.0, 0.0, out)
+        au, sign = np.abs(u), np.sign(u)
+        out = [sign * au**self.p]
+        if order:
+            with np.errstate(divide="ignore"):
+                d = self.p * au ** (self.p - 1.0)
+            at_center = 1.0 if self.p == 1.0 else (0.0 if self.p > 1.0 else np.inf)
+            out.append(np.where(au == 0.0, at_center, d))
+        if order > 1:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d2 = self.p * (self.p - 1.0) * sign * au ** (self.p - 2.0)
+            out.append(np.where(au == 0.0, 0.0, d2))
+        return tuple(out)
 
     def breakpoints(self):
         return () if self.p == 1.0 else (self.center,)
@@ -341,11 +335,9 @@ class ExpIntegral(Expr):
     anchor: float = 0.0
     inner_anchor: Optional[float] = None
 
-    def _a_inner(self) -> float:
-        return self.anchor if self.inner_anchor is None else self.inner_anchor
-
     def _inner(self, y: float) -> float:
-        return adaptive_quad(self.mu.value, self._a_inner(), y, rtol=1e-10, atol=1e-14)
+        a = self.anchor if self.inner_anchor is None else self.inner_anchor
+        return adaptive_quad(self.mu.value, a, y, rtol=1e-10, atol=1e-14)
 
     def _growth(self, y):
         ys = _arr(y)
@@ -354,28 +346,24 @@ class ExpIntegral(Expr):
             out = np.exp([self._inner(float(v)) for v in flat])
         return out.reshape(np.shape(ys)) if np.shape(ys) else out[0]
 
-    def value(self, x):
+    def jet(self, x, side=1, order=1):
         xs = _arr(x)
         flat = np.atleast_1d(xs).ravel()
-        order = np.argsort(flat)
         vals = np.empty_like(flat)
         acc = 0.0
         prev = self.anchor
-        for idx in order:
+        for idx in np.argsort(flat):  # the value accumulates from point to point in sorted order
             xi = float(flat[idx])
             acc += adaptive_quad(lambda y: self._growth(y), prev, xi, rtol=1e-10, atol=1e-14)
             vals[idx] = acc
             prev = xi
-        return vals.reshape(np.shape(xs)) if np.shape(xs) else vals[0]
-
-    def deriv(self, x, side=1):
-        xs = _arr(x)
-        flat = np.atleast_1d(xs).ravel()
-        out = np.array([self._growth(float(v)) for v in flat])
-        return out.reshape(np.shape(xs)) if np.shape(xs) else out[0]
-
-    def deriv2(self, x, side=1):
-        return self.mu.value(_arr(x)) * self.deriv(x, side)
+        out = [vals.reshape(np.shape(xs)) if np.shape(xs) else vals[0]]
+        if order:
+            d = np.array([self._growth(float(v)) for v in flat])
+            out.append(d.reshape(np.shape(xs)) if np.shape(xs) else d[0])
+        if order > 1:
+            out.append(self.mu.value(xs) * out[1])
+        return tuple(out)
 
     def breakpoints(self):
         # mu is not a child: the integral is continuous with a finite slope
@@ -390,26 +378,12 @@ class Sum(Expr):
     def __init__(self, terms: Sequence[Expr]):
         object.__setattr__(self, "terms", tuple(terms))
 
-    def value(self, x):
+    def jet(self, x, side=1, order=1):
         x = _arr(x)
-        out = np.zeros_like(x)
+        out = [np.zeros_like(x) for _ in range(order + 1)]
         for t in self.terms:
-            out = out + t.value(x)
-        return out
-
-    def deriv(self, x, side=1):
-        x = _arr(x)
-        out = np.zeros_like(x)
-        for t in self.terms:
-            out = out + t.deriv(x, side)
-        return out
-
-    def deriv2(self, x, side=1):
-        x = _arr(x)
-        out = np.zeros_like(x)
-        for t in self.terms:
-            out = out + t.deriv2(x, side)
-        return out
+            out = [o + v for o, v in zip(out, t.jet(x, side, order))]
+        return tuple(out)
 
     def children(self):
         return self.terms
@@ -422,49 +396,36 @@ class Product(Expr):
     def __init__(self, factors: Sequence[Expr]):
         object.__setattr__(self, "factors", tuple(factors))
 
-    def value(self, x):
+    def jet(self, x, side=1, order=1):
         x = _arr(x)
-        out = np.ones_like(x)
-        for t in self.factors:
-            out = out * t.value(x)
-        return out
+        jets = [t.jet(x, side, order) for t in self.factors]
+        vals = [j[0] for j in jets]
+        n = len(jets)
 
-    def deriv(self, x, side=1):
-        x = _arr(x)
-        vals = [t.value(x) for t in self.factors]
-        out = np.zeros_like(x)
-        for i, t in enumerate(self.factors):
-            part = t.deriv(x, side)
-            for j, v in enumerate(vals):
-                if j != i:
+        def times_others(part, *skip):  # part times the value of every factor not in skip, in order
+            for k, v in enumerate(vals):
+                if k not in skip:
                     part = part * v
-            out = out + part
-        return out
+            return part
 
-    def deriv2(self, x, side=1):
-        x = _arr(x)
-        vals = [t.value(x) for t in self.factors]
-        ders = [t.deriv(x, side) for t in self.factors]
-        out = np.zeros_like(x)
-        n = len(self.factors)
-        for i in range(n):
-            part = self.factors[i].deriv2(x, side)
-            for j in range(n):
-                if j != i:
-                    part = part * vals[j]
-            out = out + part
-        # ordered pairs (i, j), i != j: each unordered pair appears twice,
-        # matching the product-rule coefficient 2 f'g'
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                part = ders[i] * ders[j]
-                for k in range(n):
-                    if k != i and k != j:
-                        part = part * vals[k]
-                out = out + part
-        return out
+        out = [times_others(np.ones_like(x))]
+        if order:
+            d = np.zeros_like(x)
+            for i in range(n):
+                d = d + times_others(jets[i][1], i)
+            out.append(d)
+        if order > 1:
+            d2 = np.zeros_like(x)
+            for i in range(n):
+                d2 = d2 + times_others(jets[i][2], i)
+            # ordered pairs (i, j), i != j: each unordered pair appears twice,
+            # matching the product-rule coefficient 2 f'g'
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        d2 = d2 + times_others(jets[i][1] * jets[j][1], i, j)
+            out.append(d2)
+        return tuple(out)
 
     def children(self):
         return self.factors
@@ -477,24 +438,20 @@ class Compose(Expr):
     outer: Expr
     inner: Expr
 
-    def value(self, x):
-        return self.outer.value(self.inner.value(_arr(x)))
-
-    def deriv(self, x, side=1):
-        x = _arr(x)
-        di = self.inner.deriv(x, side)
+    def jet(self, x, side=1, order=1):
+        inner = self.inner.jet(_arr(x), side, order)
+        if not order:
+            return self.outer.jet(inner[0], 1, 0)
+        u, di = inner[0], inner[1]
+        # the outer slope is taken on the side the inner map moves u toward
         oside = np.where(di >= 0, side, -side)
-        u = self.inner.value(x)
-        do_r = self.outer.deriv(u, 1)
-        do_l = self.outer.deriv(u, -1)
-        do = np.where(oside > 0, do_r, do_l)
-        return do * di
-
-    def deriv2(self, x, side=1):
-        x = _arr(x)
-        u = self.inner.value(x)
-        di = self.inner.deriv(x, side)
-        return self.outer.deriv2(u, side) * di * di + self.outer.deriv(u, side) * self.inner.deriv2(x, side)
+        right = self.outer.jet(u, 1, order if side > 0 else 1)
+        left = self.outer.jet(u, -1, order if side < 0 else 1)
+        out = (right[0], np.where(oside > 0, right[1], left[1]) * di)
+        if order > 1:
+            o = right if side > 0 else left
+            out += (o[2] * di * di + o[1] * inner[2],)
+        return out
 
     def children(self):
         return (self.outer, self.inner)
@@ -521,9 +478,10 @@ class Compose(Expr):
 class Piecewise(Expr):
     """Pieces glued at strictly increasing breakpoints.
 
-    Values at a breakpoint follow the right-hand piece. Jumps are allowed
-    (densities may be discontinuous); continuity is enforced separately
-    where the expression is used as a scale function.
+    Values at a breakpoint follow the right-hand piece, and one-sided
+    derivatives the piece on their side. Jumps are allowed (densities may
+    be discontinuous); continuity is enforced separately where the
+    expression is used as a scale function.
     """
 
     points: tuple[float, ...]
@@ -554,26 +512,24 @@ class Piecewise(Expr):
         pts = np.asarray(self.points)
         return np.searchsorted(pts, x, side="right" if side > 0 else "left")
 
-    def _apply(self, x: np.ndarray, fn: str, side: int) -> np.ndarray:
+    def jet(self, x, side=1, order=1):
         x = _arr(x)
-        idx = self._index(np.atleast_1d(x), side)
-        out = np.empty_like(np.atleast_1d(x))
+        flat = np.atleast_1d(x)
+        at = self._index(flat, 1)
+        dat = self._index(flat, side) if order and side < 0 else at
+        # (piece index, first and last output read from it): a point on a
+        # breakpoint, read from the left, takes its value and its slopes
+        # from two pieces
+        parts = [(at, 0, order)] if dat is at or np.array_equal(at, dat) else [(at, 0, 0), (dat, 1, order)]
+        outs = [np.empty_like(flat) for _ in range(order + 1)]
         for i, piece in enumerate(self.pieces):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = getattr(piece, fn)(np.atleast_1d(x)[mask], side) if fn != "value" else piece.value(
-                    np.atleast_1d(x)[mask]
-                )
-        return out.reshape(np.shape(x)) if np.shape(x) else out[0]
-
-    def value(self, x):
-        return self._apply(x, "value", 1)
-
-    def deriv(self, x, side=1):
-        return self._apply(x, "deriv", side)
-
-    def deriv2(self, x, side=1):
-        return self._apply(x, "deriv2", side)
+            for idx, first, last in parts:
+                mask = idx == i
+                if np.any(mask):
+                    got = piece.jet(flat[mask], side, last)
+                    for k in range(first, last + 1):
+                        outs[k][mask] = got[k]
+        return tuple(o.reshape(np.shape(x)) if np.shape(x) else o[0] for o in outs)
 
     def breakpoints(self):
         return _union((self.points, super().breakpoints()))
@@ -599,34 +555,20 @@ class Tabulated(Expr):
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    def _slopes(self) -> np.ndarray:
-        xs = np.asarray(self.xs)
-        ys = np.asarray(self.ys)
-        return np.diff(ys) / np.diff(xs)
-
-    def value(self, x):
+    def jet(self, x, side=1, order=1):
         x = _arr(x)
         xs = np.asarray(self.xs)
         ys = np.asarray(self.ys)
+        s = np.diff(ys) / np.diff(xs)
         out = np.interp(x, xs, ys)
-        s = self._slopes()
-        lo = x < xs[0]
-        hi = x > xs[-1]
-        out = np.where(lo, ys[0] + s[0] * (x - xs[0]), out)
-        out = np.where(hi, ys[-1] + s[-1] * (x - xs[-1]), out)
-        return out
-
-    def deriv(self, x, side=1):
-        x = _arr(x)
-        xs = np.asarray(self.xs)
-        s = self._slopes()
+        out = np.where(x < xs[0], ys[0] + s[0] * (x - xs[0]), out)
+        out = np.where(x > xs[-1], ys[-1] + s[-1] * (x - xs[-1]), out)
+        if not order:
+            return (out,)
         idx = np.searchsorted(xs, np.atleast_1d(x), side="right" if side > 0 else "left") - 1
-        idx = np.clip(idx, 0, len(s) - 1)
-        out = s[idx]
-        return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
-
-    def deriv2(self, x, side=1):
-        return np.zeros_like(_arr(x))
+        d = s[np.clip(idx, 0, len(s) - 1)]
+        d = d.reshape(np.shape(x)) if np.shape(x) else float(d[0])
+        return (out, d, np.zeros_like(x)) if order > 1 else (out, d)
 
     def breakpoints(self):
         return tuple(self.xs[1:-1])
@@ -731,6 +673,10 @@ class SmoothPiece1D:
 
     ``d2_ac`` is the density of the absolutely continuous part of the second
     derivative measure; kink jumps carry the atomic part separately.
+    ``jet(x, order)`` gives ``(value, d_plus)``, or at order 2 ``(value,
+    d_plus, d2_ac)``, from one call: the expression's jet for a piece built
+    by ``from_expr``, one call per handle unless a builder supplies its own.
+    ``inverse_of`` is the piece this one is the numeric inverse of, if any.
     """
 
     domain: tuple[float, float]
@@ -742,6 +688,13 @@ class SmoothPiece1D:
     infinite_slope: tuple[float, ...] = ()
     expr: Optional[Expr] = None
     zero_slope: tuple[float, ...] = ()  # breakpoints with a one-sided derivative of 0
+    jet: Optional[Callable[..., tuple]] = None
+    inverse_of: Optional["SmoothPiece1D"] = None
+
+    def __post_init__(self):
+        if self.jet is None:
+            f, d, d2 = self.value, self.d_plus, self.d2_ac
+            object.__setattr__(self, "jet", lambda x, order=1: (f(x), d(x), d2(x)) if order > 1 else (f(x), d(x)))
 
     @classmethod
     def from_expr(cls, e: Expr, domain: tuple[float, float]) -> "SmoothPiece1D":
@@ -776,6 +729,7 @@ class SmoothPiece1D:
             infinite_slope=inf_pts,
             expr=e,
             zero_slope=tuple(flat),
+            jet=lambda x, order=1: e.jet(x, 1, order),
         )
 
     def check_increasing(self) -> None:
@@ -803,8 +757,9 @@ class SmoothPiece1D:
         on a core (the domain, cut to 8 wide on an infinite side), the special
         points, and the core ends -+ 2^k out to the float range (every k < 64,
         then every 16th), cut to a strictly increasing run of finite images.
-        ``invert_monotone_vec`` guesses by linear interpolation in (f(x), x);
-        the inverse slopes serve only the cubic Hermite guess of its phase 2."""
+        Phase 1 of ``invert_monotone_vec`` guesses by linear interpolation in
+        (f(x), x) and Newton-steps from there; the inverse slopes serve only
+        the cubic Hermite guess of phase 2, ``_invert_safeguarded``."""
         lo, hi = self.domain
         a = lo if math.isfinite(lo) else min(-4.0, hi - 8.0)
         b = hi if math.isfinite(hi) else max(4.0, a + 8.0)
@@ -823,15 +778,28 @@ class SmoothPiece1D:
 # ---------------------------------------------------------------------------
 
 
+_EXPONENT = 0x7FF0000000000000
+
+
+def _eight_ulp(x: np.ndarray) -> np.ndarray:
+    """8 * np.spacing(np.maximum(np.abs(x), 0.5)), the same bits for finite
+    x, built from the exponent bits: 8 ulp of |x|, and no finer than at 1/2.
+    A NaN x gets a finite width, and any bracket around it fails."""
+    e = np.maximum(np.asarray(x, float).view(np.int64) & _EXPONENT, 1022 << 52)
+    return (e - (49 << 52)).view(float)
+
+
 def invert_monotone_vec(f: SmoothPiece1D, ys: np.ndarray) -> np.ndarray:
     """Solve f(x) = y for strictly increasing f, elementwise: the left edge of
-    {f >= y} to float resolution, a node exactly. Phase 1 guesses x by linear
-    interpolation in ``f.node_table`` and takes at most 8 Newton steps on the
-    whole batch; a point freezes at its first step of at most w = 8 ulp of
-    max(|x|, 1/2). A frozen root stands if f(x - w) < y <= f(x + w). Every
-    other target (no freeze, a failed check, NaN, at or beyond an end of the
-    table) goes to phase 2, ``_invert_safeguarded``. A target beyond the
-    table maps to its end."""
+    {f >= y} to float resolution, a node exactly. NaN inverts to NaN.
+
+    Phase 1 guesses x by linear interpolation in ``f.node_table`` and takes
+    at most 8 Newton steps on the whole batch, each reading f and f'_+ from
+    one ``f.jet`` call; a point freezes at its first step of at most
+    w = ``_eight_ulp(x)``. A frozen root stands if f(x - w) < y <= f(x + w).
+    Every other target but NaN (no freeze, a failed check, at or beyond an
+    end of the table) goes to phase 2, ``_invert_safeguarded``, which maps a
+    target beyond the table to its end."""
     y = np.atleast_1d(_arr(ys)).ravel()
     nx, nu, _ = f.node_table
     x = np.interp(y, nu, nx)
@@ -839,17 +807,18 @@ def invert_monotone_vec(f: SmoothPiece1D, ys: np.ndarray) -> np.ndarray:
     frozen = ~inside  # NaN and the table's ends take no step
     with np.errstate(all="ignore"):  # a zero slope or a NaN leaves a point unfrozen or failing the check
         for _ in range(8):
-            g = _arr(f.value(x)) - y
-            xn = np.clip(np.where(g == 0, x, x - g / _arr(f.d_plus(x))), nx[0], nx[-1])
-            small = np.abs(xn - x) <= 8 * np.spacing(np.maximum(np.abs(x), 0.5))
+            fx, d = f.jet(x)
+            g = _arr(fx) - y
+            xn = np.clip(np.where(g == 0, x, x - g / _arr(d)), nx[0], nx[-1])
+            small = np.abs(xn - x) <= _eight_ulp(x)
             x = np.where(frozen, x, xn)
             frozen |= small
             if frozen.all():
                 break
-        w = 8 * np.spacing(np.maximum(np.abs(x), 0.5))
+        w = _eight_ulp(x)
         fv = _arr(f.value(np.concatenate((x - w, x + w))))
     good = inside & frozen & (fv[: y.size] < y) & (fv[y.size :] >= y)
-    bad = np.flatnonzero(~good)
+    bad = np.flatnonzero(~good & ~np.isnan(y))
     if bad.size:
         x[bad] = _invert_safeguarded(f, y[bad])
     return x.reshape(np.shape(ys))
@@ -882,14 +851,15 @@ def _invert_safeguarded(f: SmoothPiece1D, y: np.ndarray) -> np.ndarray:
         if not live.size:
             break
         xl, yl, nl = x[live], y[live], newton[live]
-        g = _arr(f.value(xl)) - yl
-        al = np.where(g < 0, xl, a[live])
-        bl = np.where(~(g < 0), xl, b[live])
-        a[live], b[live] = al, bl
         with np.errstate(divide="ignore", invalid="ignore"):
-            xn = np.where(g == 0, xl, xl - g / np.where(nl, _arr(f.d_plus(xl)), np.nan))
+            fx, d = f.jet(xl)
+            g = _arr(fx) - yl
+            al = np.where(g < 0, xl, a[live])
+            bl = np.where(~(g < 0), xl, b[live])
+            xn = np.where(g == 0, xl, xl - g / np.where(nl, _arr(d), np.nan))
+        a[live], b[live] = al, bl
         ok = (xn > al) & (xn < bl)
-        w = 8 * np.spacing(np.maximum(np.abs(xl), 0.5))  # 8 ulp, and no finer than at 1/2
+        w = _eight_ulp(xl)
         pinned = nl & (np.abs(xn - xl) <= w)
         xl = np.where(pinned | ok, xn, 0.5 * (al + bl))
         x[live] = xl
@@ -905,9 +875,9 @@ def _invert_safeguarded(f: SmoothPiece1D, y: np.ndarray) -> np.ndarray:
     x = np.where(newton & (a < b), x, 0.5 * (a + b))
     bis = np.flatnonzero(~newton)
     for _ in range(3 if bis.size else 0):
-        d = _arr(f.d_plus(x[bis]))
+        fx, d = (_arr(v) for v in f.jet(x[bis]))
         ok = np.isfinite(d) & (d >= 1e-6)
-        step = np.where(ok, (_arr(f.value(x[bis])) - y[bis]) / np.where(ok, d, 1.0), 0.0)
+        step = np.where(ok, (fx - y[bis]) / np.where(ok, d, 1.0), 0.0)
         x[bis] = np.clip(x[bis] - step, a[bis], b[bis])
     return x
 
@@ -1038,6 +1008,13 @@ def measure_from_json(obj: dict, support: tuple[float, float]) -> DecomposedMeas
 # ---------------------------------------------------------------------------
 
 
+def _inverse_slope(d) -> np.ndarray:
+    """q' = 1/s' at q = s^{-1}, from d = s'(q): 1/d, and +inf where d <= 0."""
+    d = _arr(d)
+    with np.errstate(divide="ignore"):
+        return np.where(d > 0, 1.0 / d, np.inf)
+
+
 def pushforward(
     m: DecomposedMeasure,
     s: SmoothPiece1D,
@@ -1048,10 +1025,12 @@ def pushforward(
     inverse is ``q``.
 
     Atoms move to (s(point), mass). The ac density transforms pointwise as
-    m_ac(q(u)) * q'(u). An sc part keeps its base_id and gets its
-    cdf composed with q. If the inverse has a zero-derivative set of positive
-    measure (``qprime_zero_intervals`` nonempty) the ac part cannot be pushed
-    as a density, and the call is an error.
+    m_ac(q(u)) * q'(u), q'(u) = 1/s'_+(q(u)): read from q's root record in
+    one ``q.jet`` call when q is the numeric inverse of s (``q.inverse_of``),
+    and from s'_+ at q(u) for a declared q. An sc part keeps its base_id and
+    gets its cdf composed with q. If the inverse has a zero-derivative set of
+    positive measure (``qprime_zero_intervals`` nonempty) the ac part cannot
+    be pushed as a density, and the call is an error.
     """
     if qprime_zero_intervals:
         raise MeasureKitError(
@@ -1074,11 +1053,11 @@ def pushforward(
         src = m.ac_density
 
         def pushed(u: np.ndarray) -> np.ndarray:
+            if q.inverse_of is s:
+                x, qp = (_arr(v) for v in q.jet(np.atleast_1d(_arr(u))))
+                return _arr(src(x)) * qp
             x = inverse(u)
-            dp = _arr(s.d_plus(x))
-            with np.errstate(divide="ignore"):
-                qp = np.where(dp > 0, 1.0 / dp, np.inf)
-            return _arr(src(x)) * qp
+            return _arr(src(x)) * _inverse_slope(s.d_plus(x))
 
         density = pushed
 
@@ -1228,36 +1207,45 @@ def _dyadic_probe(
     0.9 sustained over the last three levels); finite when the geometric
     tail bound drops below 1e-8 of the accumulated total; inconclusive when
     the float resolution floor is reached first.
+
+    g is read once per batch of levels: levels 1-4, which always run before
+    the first decision, then up to 8 at a time. A batch that raises is read
+    again one level at a time, so an error surfaces only at a level reached.
     """
-    vals: list[float] = []
-    total = abs(context_total)
     floor = 1e-13 * (1.0 + abs(point))
+    panels = []  # one annulus per level, down to the float resolution floor
     for k in range(1, _LEVEL_CAP + 1):
         outer = width * 2.0 ** (1 - k)
         inner = width * 2.0 ** (-k)
         if inner < floor:
-            return "inconclusive", vals
-        if direction > 0:
-            a, b = point + inner, point + outer
-        else:
-            a, b = point - outer, point - inner
-        val = gl_fixed(g, a, b, 21)
-        if not math.isfinite(val):
-            return "divergent", vals + [val]
-        vals.append(val)
-        total += abs(val)
-        if k >= 4:
-            if max(vals[-3:]) == 0.0:
-                return "finite", vals
-            r1 = vals[-1] / vals[-2] if vals[-2] > 0 else (0.0 if vals[-1] == 0 else math.inf)
-            r2 = vals[-2] / vals[-3] if vals[-3] > 0 else (0.0 if vals[-2] == 0 else math.inf)
-            if min(r1, r2) >= _DIVERGENCE_RATIO:
-                return "divergent", vals
-            r = max(r1, r2)
-            if r < 1.0:
-                tail = vals[-1] * r / (1.0 - r)
-                if tail < _TAIL_FRACTION * max(total, 1e-300):
+            break
+        panels.append((point + inner, point + outer) if direction > 0 else (point - outer, point - inner))
+    vals: list[float] = []
+    total = abs(context_total)
+    while len(vals) < len(panels):
+        batch = panels[len(vals) : 4 if not vals else len(vals) + 8]
+        try:
+            sums = _gl_panels(g, *zip(*batch))
+        except Exception:
+            sums = [None] * len(batch)
+        for (a, b), val in zip(batch, sums):
+            val = gl_fixed(g, a, b, 21) if val is None else val
+            if not math.isfinite(val):
+                return "divergent", vals + [val]
+            vals.append(val)
+            total += abs(val)
+            if len(vals) >= 4:
+                if max(vals[-3:]) == 0.0:
                     return "finite", vals
+                r1 = vals[-1] / vals[-2] if vals[-2] > 0 else (0.0 if vals[-1] == 0 else math.inf)
+                r2 = vals[-2] / vals[-3] if vals[-3] > 0 else (0.0 if vals[-2] == 0 else math.inf)
+                if min(r1, r2) >= _DIVERGENCE_RATIO:
+                    return "divergent", vals
+                r = max(r1, r2)
+                if r < 1.0:
+                    tail = vals[-1] * r / (1.0 - r)
+                    if tail < _TAIL_FRACTION * max(total, 1e-300):
+                        return "finite", vals
     return "inconclusive", vals
 
 

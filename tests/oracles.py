@@ -1,12 +1,13 @@
 """Reference implementations read only by the test suite."""
 
+import dataclasses
 import math
 from typing import Callable
 
 import numpy as np
 
 from diffarb.arb_classifier import _GENERIC_WINDOWS, ConditionReport, _combine, _within
-from diffarb.diffusion_model import SpecValidationError
+from diffarb.diffusion_model import SpecValidationError, inverse_piece
 from diffarb.mc_engine import (
     StrategyPlan,
     build_chain,
@@ -31,8 +32,12 @@ from diffarb.measure_kit import (
     QuadratureError,
     Sum,
     Tabulated,
+    _DIVERGENCE_RATIO,
+    _LEVEL_CAP,
+    _TAIL_FRACTION,
     _arr,
     _leggauss,
+    adaptive_quad,
     close_rel,
     decide_L2_local,
     same_point,
@@ -353,3 +358,260 @@ def expr_to_json(e) -> dict:
     if isinstance(e, Tabulated):
         return {"node": "tabulated", "samples": [[x, y] for x, y in zip(e.xs, e.ys)]}
     raise MeasureKitError(f"cannot serialize expression of type {type(e).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# The expression grammar's value / deriv / deriv2, one walk of the tree per
+# output, as they stood before ``Expr.jet``; every sub-expression is read
+# through these functions, so a whole tree is evaluated the old way.
+# ---------------------------------------------------------------------------
+
+
+def expr_value(e, x):
+    """Reference for ``Expr.value``."""
+    if isinstance(e, Const):
+        x = _arr(x)
+        return np.full_like(x, e.c)
+    if isinstance(e, Affine):
+        return e.a * _arr(x) + e.b
+    if isinstance(e, PowerSigned):
+        u = _arr(x) - e.center
+        return np.sign(u) * np.abs(u) ** e.p
+    if isinstance(e, ExpIntegral):
+        xs = _arr(x)
+        flat = np.atleast_1d(xs).ravel()
+        order = np.argsort(flat)
+        vals = np.empty_like(flat)
+        acc = 0.0
+        prev = e.anchor
+        for idx in order:
+            xi = float(flat[idx])
+            acc += adaptive_quad(lambda y: _exp_integral_growth(e, y), prev, xi, rtol=1e-10, atol=1e-14)
+            vals[idx] = acc
+            prev = xi
+        return vals.reshape(np.shape(xs)) if np.shape(xs) else vals[0]
+    if isinstance(e, Sum):
+        x = _arr(x)
+        out = np.zeros_like(x)
+        for t in e.terms:
+            out = out + expr_value(t, x)
+        return out
+    if isinstance(e, Product):
+        x = _arr(x)
+        out = np.ones_like(x)
+        for t in e.factors:
+            out = out * expr_value(t, x)
+        return out
+    if isinstance(e, Compose):
+        return expr_value(e.outer, expr_value(e.inner, _arr(x)))
+    if isinstance(e, Piecewise):
+        return _piecewise_apply(e, x, "value", 1)
+    if isinstance(e, Tabulated):
+        x = _arr(x)
+        xs = np.asarray(e.xs)
+        ys = np.asarray(e.ys)
+        out = np.interp(x, xs, ys)
+        s = np.diff(ys) / np.diff(xs)
+        lo = x < xs[0]
+        hi = x > xs[-1]
+        out = np.where(lo, ys[0] + s[0] * (x - xs[0]), out)
+        out = np.where(hi, ys[-1] + s[-1] * (x - xs[-1]), out)
+        return out
+    raise TypeError(type(e).__name__)
+
+
+def expr_deriv(e, x, side=1):
+    """Reference for ``Expr.deriv``."""
+    if isinstance(e, Const):
+        return np.zeros_like(_arr(x))
+    if isinstance(e, Affine):
+        return np.full_like(_arr(x), e.a)
+    if isinstance(e, PowerSigned):
+        u = np.abs(_arr(x) - e.center)
+        with np.errstate(divide="ignore"):
+            out = e.p * u ** (e.p - 1.0)
+        if e.p == 1.0:
+            out = np.where(u == 0.0, 1.0, out)
+        elif e.p > 1.0:
+            out = np.where(u == 0.0, 0.0, out)
+        else:
+            out = np.where(u == 0.0, np.inf, out)
+        return out
+    if isinstance(e, ExpIntegral):
+        xs = _arr(x)
+        flat = np.atleast_1d(xs).ravel()
+        out = np.array([_exp_integral_growth(e, float(v)) for v in flat])
+        return out.reshape(np.shape(xs)) if np.shape(xs) else out[0]
+    if isinstance(e, Sum):
+        x = _arr(x)
+        out = np.zeros_like(x)
+        for t in e.terms:
+            out = out + expr_deriv(t, x, side)
+        return out
+    if isinstance(e, Product):
+        x = _arr(x)
+        vals = [expr_value(t, x) for t in e.factors]
+        out = np.zeros_like(x)
+        for i, t in enumerate(e.factors):
+            part = expr_deriv(t, x, side)
+            for j, v in enumerate(vals):
+                if j != i:
+                    part = part * v
+            out = out + part
+        return out
+    if isinstance(e, Compose):
+        x = _arr(x)
+        di = expr_deriv(e.inner, x, side)
+        oside = np.where(di >= 0, side, -side)
+        u = expr_value(e.inner, x)
+        do_r = expr_deriv(e.outer, u, 1)
+        do_l = expr_deriv(e.outer, u, -1)
+        do = np.where(oside > 0, do_r, do_l)
+        return do * di
+    if isinstance(e, Piecewise):
+        return _piecewise_apply(e, x, "deriv", side)
+    if isinstance(e, Tabulated):
+        x = _arr(x)
+        xs = np.asarray(e.xs)
+        s = np.diff(np.asarray(e.ys)) / np.diff(xs)
+        idx = np.searchsorted(xs, np.atleast_1d(x), side="right" if side > 0 else "left") - 1
+        idx = np.clip(idx, 0, len(s) - 1)
+        out = s[idx]
+        return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
+    raise TypeError(type(e).__name__)
+
+
+def expr_deriv2(e, x, side=1):
+    """Reference for ``Expr.deriv2``."""
+    if isinstance(e, (Const, Affine, Tabulated)):
+        return np.zeros_like(_arr(x))
+    if isinstance(e, PowerSigned):
+        u = _arr(x) - e.center
+        au = np.abs(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = e.p * (e.p - 1.0) * np.sign(u) * au ** (e.p - 2.0)
+        return np.where(au == 0.0, 0.0, out)
+    if isinstance(e, ExpIntegral):
+        return expr_value(e.mu, _arr(x)) * expr_deriv(e, x, side)
+    if isinstance(e, Sum):
+        x = _arr(x)
+        out = np.zeros_like(x)
+        for t in e.terms:
+            out = out + expr_deriv2(t, x, side)
+        return out
+    if isinstance(e, Product):
+        x = _arr(x)
+        vals = [expr_value(t, x) for t in e.factors]
+        ders = [expr_deriv(t, x, side) for t in e.factors]
+        out = np.zeros_like(x)
+        n = len(e.factors)
+        for i in range(n):
+            part = expr_deriv2(e.factors[i], x, side)
+            for j in range(n):
+                if j != i:
+                    part = part * vals[j]
+            out = out + part
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                part = ders[i] * ders[j]
+                for k in range(n):
+                    if k != i and k != j:
+                        part = part * vals[k]
+                out = out + part
+        return out
+    if isinstance(e, Compose):
+        x = _arr(x)
+        u = expr_value(e.inner, x)
+        di = expr_deriv(e.inner, x, side)
+        return expr_deriv2(e.outer, u, side) * di * di + expr_deriv(e.outer, u, side) * expr_deriv2(e.inner, x, side)
+    if isinstance(e, Piecewise):
+        return _piecewise_apply(e, x, "deriv2", side)
+    raise TypeError(type(e).__name__)
+
+
+def piece_with_one_call_per_handle(f):
+    """``f`` with the handles it had before jets: the reference expression
+    functions above for a piece built from an expression, an inverse piece
+    rebuilt over such a piece, and a jet that calls value and d_plus apart."""
+    if f.expr is not None:
+        e = f.expr
+        return dataclasses.replace(
+            f, value=lambda x: expr_value(e, x), d_plus=lambda x: expr_deriv(e, x, 1),
+            d_minus=lambda x: expr_deriv(e, x, -1), d2_ac=lambda x: expr_deriv2(e, x, 1), jet=None,
+        )
+    if f.inverse_of is not None:
+        return inverse_piece(piece_with_one_call_per_handle(f.inverse_of), f.domain)
+    return dataclasses.replace(f, jet=None)
+
+
+def _exp_integral_growth(e, y):
+    ys = _arr(y)
+    flat = np.atleast_1d(ys).ravel()
+    inner = e.anchor if e.inner_anchor is None else e.inner_anchor
+    with np.errstate(over="ignore"):
+        out = np.exp([
+            adaptive_quad(lambda z: expr_value(e.mu, z), inner, float(v), rtol=1e-10, atol=1e-14) for v in flat
+        ])
+    return out.reshape(np.shape(ys)) if np.shape(ys) else out[0]
+
+
+def _piecewise_apply(e, x, fn, side):
+    x = _arr(x)
+    pts = np.asarray(e.points)
+    idx = np.searchsorted(pts, np.atleast_1d(x), side="right" if side > 0 else "left")
+    out = np.empty_like(np.atleast_1d(x))
+    read = {"value": lambda p, v: expr_value(p, v), "deriv": lambda p, v: expr_deriv(p, v, side),
+            "deriv2": lambda p, v: expr_deriv2(p, v, side)}[fn]
+    for i, piece in enumerate(e.pieces):
+        mask = idx == i
+        if np.any(mask):
+            out[mask] = read(piece, np.atleast_1d(x)[mask])
+    return out.reshape(np.shape(x)) if np.shape(x) else out[0]
+
+
+def gl_fixed_one_panel(f, a: float, b: float, n: int = 21) -> float:
+    """Reference for ``measure_kit.gl_fixed``: a fixed n-point Gauss-Legendre panel."""
+    if a == b:
+        return 0.0
+    x, w = _leggauss(n)
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    vals = _arr(f(mid + half * x))
+    return float(half * np.dot(w, vals))
+
+
+def dyadic_probe_level_by_level(g, point, direction, width, context_total):
+    """Reference for ``measure_kit._dyadic_probe``: one call of g per level,
+    one panel each, up to the deciding level."""
+    vals: list[float] = []
+    total = abs(context_total)
+    floor = 1e-13 * (1.0 + abs(point))
+    for k in range(1, _LEVEL_CAP + 1):
+        outer = width * 2.0 ** (1 - k)
+        inner = width * 2.0 ** (-k)
+        if inner < floor:
+            return "inconclusive", vals
+        if direction > 0:
+            a, b = point + inner, point + outer
+        else:
+            a, b = point - outer, point - inner
+        val = gl_fixed_one_panel(g, a, b, 21)
+        if not math.isfinite(val):
+            return "divergent", vals + [val]
+        vals.append(val)
+        total += abs(val)
+        if k >= 4:
+            if max(vals[-3:]) == 0.0:
+                return "finite", vals
+            r1 = vals[-1] / vals[-2] if vals[-2] > 0 else (0.0 if vals[-1] == 0 else math.inf)
+            r2 = vals[-2] / vals[-3] if vals[-3] > 0 else (0.0 if vals[-2] == 0 else math.inf)
+            if min(r1, r2) >= _DIVERGENCE_RATIO:
+                return "divergent", vals
+            r = max(r1, r2)
+            if r < 1.0:
+                tail = vals[-1] * r / (1.0 - r)
+                if tail < _TAIL_FRACTION * max(total, 1e-300):
+                    return "finite", vals
+    return "inconclusive", vals

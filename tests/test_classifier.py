@@ -680,3 +680,12 @@ def test_document_classifies_to_its_committed_report(name, tmp_path):
         assert json.loads(path.read_text()) == _FIRST_DOCS[name.split("_")[1]]
     assert main(["classify", "--model", str(path), "--out", str(tmp_path)]) == 0
     assert (tmp_path / f"classify_{name}.json").read_bytes() == (_GOLDEN / f"classify_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_default_classifies_to_its_committed_report(name, tmp_path):
+    # every catalog entry at its defaults. The same numpy-build caveat as
+    # above: on another build a report may need regenerating with
+    # diffarb classify --catalog NAME --out tests/golden/
+    assert main(["classify", "--catalog", name, "--out", str(tmp_path)]) in (0, 2)
+    assert (tmp_path / f"classify_{name}.json").read_bytes() == (_GOLDEN / f"classify_{name}.json").read_bytes()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -295,6 +296,13 @@ def test_env_read_on_every_in_process_call(tmp_path, monkeypatch, capsys):
         assert run(["classify", "--catalog", "brownian_motion"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "DIFFARB_SEED" in err[0]
+
+
+def test_parser_cache_key_covers_every_variable_the_parser_reads():
+    # the kept parser is keyed on the values of the names in _ENV: a name
+    # _env reads but _ENV lacks would leave a stale parser in place
+    names = re.findall(r'_env(?:_int)?\("([A-Z]+)"', Path(cli_app.__file__).read_text())
+    assert names and set(names) == set(cli_app._ENV)
 
 
 def test_command_rebound_after_the_first_call_is_the_one_that_runs(tmp_path, monkeypatch):

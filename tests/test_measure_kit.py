@@ -1,5 +1,6 @@
 """Unit and property tests for the expression grammar and measure calculus."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -29,6 +30,8 @@ from diffarb.measure_kit import (
     Sum,
     Tabulated,
     _detect_suspicious,
+    _dyadic_probe,
+    _eight_ulp,
     _row_medians,
     adaptive_quad,
     decide_L2_local,
@@ -41,14 +44,19 @@ from diffarb.measure_kit import (
     second_derivative_decomposition,
     window_nodes,
 )
-from diffarb.model_catalog import build_model
+from diffarb.model_catalog import build_model, catalog_names
 
 from fuzz_models import random_spec
 from oracles import (
     adaptive_quad_two_calls,
     detect_suspicious_one_window,
+    dyadic_probe_level_by_level,
+    expr_deriv,
+    expr_deriv2,
     expr_to_json,
+    expr_value,
     invert_monotone_vec_one_phase,
+    piece_with_one_call_per_handle,
 )
 
 RT = np.inf
@@ -86,6 +94,65 @@ def test_eval_exp_integral_constant_mu():
     for x in (-1.0, 0.3, 2.0):
         expect = (math.exp(c * x) - 1.0) / c
         assert abs(float(e(x)) - expect) < 1e-9 * (1 + abs(expect))
+
+
+# ---------------------------------------------------------------------------
+# jets
+# ---------------------------------------------------------------------------
+
+_PW = Piecewise(
+    [0.0, 1.5], [Affine(2.0, 0.0), PowerSigned(0.0, 0.5), Sum([Affine(1.0, 0.5), Tabulated([1.5, 2.0, 3.0], [0.0, 1.0, 5.0])])]
+)
+_JET_EXPRS = {
+    "const": lambda: Const(-2.5),
+    "affine": lambda: Affine(3.0, 1.0),
+    "power-cubic": lambda: PowerSigned(0.3, 3.0),
+    "power-root": lambda: PowerSigned(0.0, 0.5),
+    "power-linear": lambda: PowerSigned(1.0, 1.0),
+    "exp-integral": lambda: ExpIntegral(Affine(-0.5, 0.2), anchor=0.25, inner_anchor=-0.5),
+    "tabulated": lambda: Tabulated([-1.0, 0.0, 1.0, 2.5], [-3.0, 0.0, 1.0, 4.0]),
+    "piecewise": lambda: _PW,
+    "product-of-three": lambda: Product(
+        [PowerSigned(0.0, 2.0), Affine(1.0, 1.0), Tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])]
+    ),
+    "compose-decreasing-inner": lambda: Compose(PowerSigned(0.5, 3.0), Affine(-2.0, 1.0)),
+    "compose-of-piecewise": lambda: Compose(_PW, PowerSigned(0.0, 3.0)),
+    "compose-tabulated-reversed": lambda: Compose(Tabulated([-1.0, 0.0, 1.0], [-3.0, 0.0, 1.0]), Affine(-1.0, 0.0)),
+    "nested": lambda: Product([_PW, Compose(_PW, Affine(2.0, 0.0)), Sum([_PW, Compose(Affine(-1.0, 0.0), _PW)])]),
+    # the four benchmark families' scales, and every catalog scale and q given as an expression
+    **{f"family-{k}": (lambda k=k: FAMILY_SCALES[k][0]) for k in ("sticky", "absorbing", "skew", "cubic")},
+    **{f"catalog-{n}-q": (lambda n=n: build_model(n).q_expr) for n in catalog_names() if n != "fat_cantor"},
+    **{f"catalog-{n}-scale": (lambda n=n: build_model(n).scale.expr) for n in catalog_names() if n != "fat_cantor"},
+}
+
+
+def _same(a, b) -> bool:
+    """Bit for bit, NaN equal to NaN: the same type, shape, values and signs."""
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("case", list(_JET_EXPRS))
+def test_jet_equals_the_separate_walks_bit_for_bit(case):
+    # random points, breakpoints (kinks among them), infinite-slope points
+    # and their neighbours, -+0, -+inf and NaN; as one array and one by one
+    e = _JET_EXPRS[case]()
+    special = np.array([*e.breakpoints(), *e.infinite_slope_points()], float)
+    near = np.concatenate([special, np.nextafter(special, -np.inf), np.nextafter(special, np.inf)])
+    rng = np.random.default_rng(3)
+    if isinstance(e, ExpIntegral):  # nested quadrature per point: a few finite points
+        xs = np.concatenate([rng.normal(0.0, 1.0, 6), near, [0.0, -0.0]])
+    else:
+        xs = np.concatenate([rng.normal(0.0, 2.0, 64), near, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    with np.errstate(all="ignore"):
+        for x in (xs, *(np.asarray(v) for v in xs[-(near.size + 5):]), np.asarray(xs[0])):
+            for side in (1, -1):
+                ref = (expr_value(e, x), expr_deriv(e, x, side), expr_deriv2(e, x, side))
+                for order in (0, 1, 2):
+                    got = e.jet(x, side, order)
+                    assert len(got) == order + 1 and all(_same(g, r) for g, r in zip(got, ref)), (x, side, order)
+                readers = (e.value(x), e.deriv(x, side), e.deriv2(x, side))
+                assert all(_same(g, r) for g, r in zip(readers, ref))
 
 
 def test_adaptive_quad_singular_endpoint():
@@ -236,6 +303,8 @@ def test_two_phase_inverse_keeps_the_one_phase_contract(case):
     nx, nu, _ = f.node_table
     y = _contract_targets(f, np.random.default_rng(11))
     got, want = invert_monotone_vec(f, y), invert_monotone_vec_one_phase(f, y)
+    # one jet call per Newton step gives the roots of separate value and slope walks
+    assert np.array_equal(got, invert_monotone_vec(piece_with_one_call_per_handle(f), y), equal_nan=True)
     # a batch of any size gives each target the bits it gets here
     for n in (1, 63, 64, 40_000):
         assert np.array_equal(invert_monotone_vec(f, np.resize(y, n)), np.resize(got, n), equal_nan=True)
@@ -253,8 +322,10 @@ def test_two_phase_inverse_keeps_the_one_phase_contract(case):
     assert np.array_equal(got[at_node][ref_node == node], node[ref_node == node])
     for c, _ in f.kinks if strict else ():
         assert float(invert_monotone_vec(f, f.value(np.asarray(c)))) == c
-    # NaN targets and targets at or beyond the table's ends as the reference
-    assert np.array_equal(got[~inside], want[~inside], equal_nan=True)
+    # NaN targets invert to NaN; targets at or beyond the table's ends as the reference
+    nan = np.isnan(y)
+    assert np.all(np.isnan(got[nan]))
+    assert np.array_equal(got[~inside & ~nan], want[~inside & ~nan])
     if strict:
         assert np.all(np.abs(got - want)[inside] <= w[inside])
     else:
@@ -262,6 +333,57 @@ def test_two_phase_inverse_keeps_the_one_phase_contract(case):
         # both roots pass the check, their brackets overlap
         both = inside & brackets & ref_brackets
         assert np.all(np.abs(got - want)[both] <= (w + w_ref)[both])
+
+
+_HANDLE_CASES = {
+    **{k: _CONTRACT_SCALES[k]
+       for k in ("family-cubic", "family-skew", "fat_cantor", "fat_cantor-q_piece", "fuzz-1", "fuzz-7")},
+    **{f"inverse-{k}": (lambda k=k: inverse_piece(piece(*FAMILY_SCALES[k]), (-RT, RT))) for k in ("cubic", "skew")},
+}
+
+
+@pytest.mark.parametrize("case", list(_HANDLE_CASES))
+def test_piece_jets_and_handles_keep_their_bits(case):
+    # a piece built from an expression reads its jet, a hand-built piece
+    # calls its handles, an inverse piece reads its root record: each gives
+    # the bits of the handles before jets, q'_- included
+    f = _HANDLE_CASES[case]()
+    old = piece_with_one_call_per_handle(f)
+    nx, _, _ = f.node_table
+    x = np.concatenate([nx[::7], [c for c, _ in f.kinks], f.special_points])
+    with np.errstate(all="ignore"):
+        for order in (1, 2):
+            ref = (old.value(x), old.d_plus(x), old.d2_ac(x))[: order + 1]
+            got = f.jet(x, order)
+            assert len(got) == order + 1 and all(_same(g, r) for g, r in zip(got, ref))
+        handles = (f.value(x), f.d_plus(x), f.d_minus(x), f.d2_ac(x))
+        assert all(_same(g, r) for g, r in zip(handles, (old.value(x), old.d_plus(x), old.d_minus(x), old.d2_ac(x))))
+
+
+def test_pushed_density_reads_the_root_record_with_the_same_bits():
+    # through an inverse piece, q' comes from its root record; declared, from s'_+(q)
+    s = piece(*FAMILY_SCALES["cubic"])
+    q = inverse_piece(s, (-RT, RT))
+    m = DecomposedMeasure(support=(-RT, RT), ac_density=lambda x: 1.0 + np.abs(x))
+    u = np.linspace(-5.0, 5.0, 1001)
+    declared = dataclasses.replace(q, inverse_of=None)
+    assert np.array_equal(pushforward(m, s, q).ac_density(u), pushforward(m, s, declared).ac_density(u))
+
+
+def test_a_nan_target_inverts_to_nan():
+    f = piece(Affine(2.0, 0.0))
+    got = invert_monotone_vec(f, np.array([np.nan, 1.0, np.nan]))
+    assert np.isnan(got[0]) and got[1] == 0.5 and np.isnan(got[2])
+    q = inverse_piece(piece(PowerSigned(0.0, 3.0)), (-RT, RT))
+    assert np.isnan(q.value(np.array([np.nan]))[0])
+
+
+def test_freeze_width_from_the_exponent_bits_equals_eight_spacings():
+    rng = np.random.default_rng(2)
+    fixed = [0.0, -0.0, 0.5, -0.5, np.nextafter(0.5, 0.0), 1.0, 1e-300, -1e-300, 5e-324, 1.7e308, -1.7e308]
+    m = 4092 - len(fixed)
+    x = np.concatenate([fixed, rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-323, 308, m)])
+    assert np.array_equal(_eight_ulp(x), 8 * np.spacing(np.maximum(np.abs(x), 0.5)))
 
 
 def test_inverse_slope_stays_finite_at_a_flat_point():
@@ -551,6 +673,45 @@ def test_numeric_refinement_near_critical_is_inconclusive_not_wrong():
     # resolution; the decider must not claim divergence
     v = decide_L2_local(_power_profile(-0.4), (-1.0, 1.0), suspicious=[0.0])
     assert v.status in ("finite", "inconclusive")
+
+
+@pytest.mark.parametrize("context", [0.0, 3.7])
+def test_dyadic_probe_in_batches_equals_the_level_by_level_oracle(context):
+    # |x|^e over exponents on both sides of the divergence threshold -1:
+    # the same status and level sums, from one call of g for levels 1-4 and
+    # one per 8 levels after
+    for e in np.linspace(-1.6, 2.0, 37):
+        for direction in (-1, 1):
+            calls = []
+
+            def g(x, e=e):
+                calls.append(x.size)
+                return np.abs(x) ** e
+
+            got = _dyadic_probe(g, 0.0, direction, 0.5, context)
+            assert got == dyadic_probe_level_by_level(lambda x, e=e: np.abs(x) ** e, 0.0, direction, 0.5, context)
+            assert len(calls) <= 1 + math.ceil(max(0, len(got[1]) - 4) / 8)
+
+
+def test_dyadic_probe_raises_only_at_a_level_it_reaches():
+    # |x|^2 is decided finite at level k; g raises at every node of level
+    # k + 1 on, which shares a batch with level k, or from level k on
+    status, vals = dyadic_probe_level_by_level(lambda x: np.abs(x) ** 2, 0.0, 1, 1.0, 0.0)
+    k = len(vals)
+    assert status == "finite" and k % 8 != 4  # batches end at levels 4, 12, 20, ...: k + 1 shares k's
+
+    def raising_from(level):
+        def g(x):
+            if np.any(np.abs(x) < 2.0 ** (1 - level)):
+                raise MeasureKitError("no value this deep")
+            return np.abs(x) ** 2
+
+        return g
+
+    assert _dyadic_probe(raising_from(k + 1), 0.0, 1, 1.0, 0.0) == (status, vals)
+    for probe in (_dyadic_probe, dyadic_probe_level_by_level):
+        with pytest.raises(MeasureKitError):
+            probe(raising_from(k), 0.0, 1, 1.0, 0.0)
 
 
 _L2_LOCAL_CASES = {
