@@ -29,7 +29,6 @@ from .measure_kit import (
     DEFAULT_QUAD,
     ScComponent,
     SmoothPiece1D,
-    _inverse_slope,
     _leggauss,
     behaviors_at,
     close_rel,
@@ -124,8 +123,8 @@ class DiffusionSpec:
     * checked: the declared boundary kinds (against the collar integral
       test; an inconclusive test defers to the declaration), the kink jumps
       of q (against its one-sided derivatives) and ``speed_natural`` (its
-      atoms, and its ac part on four probe intervals unless q' has an
-      annotated zero interval, against the pushforward of ``speed``);
+      atoms, and its ac part pointwise on four probe intervals, against the
+      pushforward of ``speed``);
     * trusted: ``phi_behaviors`` and ``qpp_behaviors`` (the local exponents
       the deciders use), ``qprime_zero_set``, the inverse scale ``q_expr`` /
       ``q_piece`` and ``qpp_sc``. A false one can give a wrong verdict.
@@ -177,24 +176,16 @@ class NaturalScaleView:
     r: float
     s_x0: float
 
-    def drift_density(self, u, jet: Optional[tuple] = None) -> np.ndarray:
-        """Lebesgue density of the drift measure, q''(u)/2 - r q(u) mU_ac(u);
-        ``jet`` is ``q.jet(u, 2)`` when the caller has it."""
+    def drift_over_slope(self, u, power: int) -> np.ndarray:
+        """The drift density q''(u)/2 - r q(u) mU_ac(u), over q'(u)**power,
+        on {q' != 0, finite}, 0 elsewhere; q, q' and q'' come from one
+        ``q.jet`` call. Its numerator is coded here alone."""
         u = np.asarray(u, float)
-        qv, _, qpp = self.q.jet(u, 2) if jet is None else jet
-        out = 0.5 * np.asarray(qpp, float)
+        qv, d, qpp = (np.asarray(v, float) for v in self.q.jet(u, order=2))
+        out = 0.5 * qpp
         mU_ac = self.mU.ac_density
         if self.r != 0.0 and mU_ac is not None:
-            out = out - self.r * np.asarray(qv, float) * np.asarray(mU_ac(u), float)
-        return out
-
-    def drift_over_slope(self, u, power: int) -> np.ndarray:
-        """drift_density(u) / q'(u)**power on {q' != 0, finite}, 0 elsewhere;
-        q, q' and q'' come from one ``q.jet`` call."""
-        u = np.asarray(u, float)
-        jet = self.q.jet(u, 2)
-        d = np.asarray(jet[1], float)
-        out = self.drift_density(u, jet)
+            out = out - self.r * qv * np.asarray(mU_ac(u), float)
         if power:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = out / (d if power == 1 else d * d)
@@ -320,15 +311,15 @@ def classify_boundary(spec: DiffusionSpec, side: str) -> BoundaryBehavior:
 
 def inverse_piece(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1D:
     """Inverse q = s^{-1} of the increasing piece s = ``scale`` on its image
-    ``sJ``, as function handles via root finding.
+    ``sJ``, read through one ``jet`` over a root record.
 
-    One root record serves the last array inverted: its roots x and, from
-    the first slope asked for on, s'_+(x) and s''(x), read from one order-2
-    ``scale.jet`` call. q, q'_+ = 1/s'_+(q), q'' = -s''(q) / s'_+(q)^3 (a.e.),
-    q's own ``jet`` and, through ``inverse_of``, the pushed speed density
-    read it; q'_- computes s'_-(q) when asked. Kinks of s map to kinks of q
-    and flat points of s to infinite-slope points of q. Models built from q
-    take their scale as ``inverse_piece(q, J)``.
+    The record serves the last array inverted: its roots x and, from the
+    first slope asked for on, s'_+(x) and s''(x), read from one order-2
+    ``scale.jet`` call. At order 0 the jet returns the roots alone; q'_+ =
+    1/s'_+(q) and q'' = -s''(q) / s'_+(q)^3 (a.e.) read the record, and at
+    side -1 it computes q'_- = 1/s'_-(q) when asked. Kinks of s map to kinks
+    of q and flat points of s to infinite-slope points of q. Models built
+    from q take their scale as ``inverse_piece(q, J)``.
     """
     rec = [None, None, None, None]  # (shape, bytes) of the last array, its roots, s'_+ and s'' there
 
@@ -338,17 +329,24 @@ def inverse_piece(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1
         if key != rec[0]:
             rec[:] = key, invert_monotone_vec(scale, u), None, None
         if slopes and rec[2] is None:
-            rec[2:] = (np.asarray(v, float) for v in scale.jet(rec[1], 2)[1:])
+            rec[2:] = (np.asarray(v, float) for v in scale.jet(rec[1], order=2)[1:])
         return rec[1:]
 
-    def curvature(d, dd):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = -dd / d**3
-        return np.where(np.isfinite(out), out, 0.0)
-
-    def jet(u, order=1):
-        x, d, dd = record(u, True)
-        return (x.copy(), _inverse_slope(d), curvature(d, dd)) if order > 1 else (x.copy(), _inverse_slope(d))
+    def jet(u, side=1, order=1):
+        x, d, dd = record(u, order and side > 0)
+        if order and side < 0:  # the record holds the right slopes: the left ones at q, when asked
+            left = scale.jet(x, -1, order)
+            d, dd = left[1], left[-1]
+        out = (x.copy(),)
+        if order:  # q' = 1/s', and +inf where s' <= 0
+            d = np.asarray(d, float)
+            with np.errstate(divide="ignore"):
+                out += (np.where(d > 0, 1.0 / d, np.inf),)
+        if order > 1:  # q'' = -s''/s'^3 where finite, else 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c = -np.asarray(dd, float) / d**3
+            out += (np.where(np.isfinite(c), c, 0.0),)
+        return out
 
     kinks = []
     for c, _ in scale.kinks:
@@ -357,17 +355,7 @@ def inverse_piece(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1
         if dp > 0 and dm > 0:
             kinks.append((u, 1.0 / dp - 1.0 / dm))
     inf_slope = tuple(float(scale.value(np.asarray(c))) for c in scale.zero_slope)
-    return SmoothPiece1D(
-        domain=sJ,
-        value=lambda u: record(u, False)[0].copy(),
-        d_plus=lambda u: _inverse_slope(record(u, True)[1]),
-        d_minus=lambda u: _inverse_slope(scale.d_minus(record(u, False)[0])),
-        d2_ac=lambda u: curvature(*record(u, True)[1:]),
-        kinks=tuple(kinks),
-        infinite_slope=inf_slope,
-        jet=jet,
-        inverse_of=scale,
-    )
+    return SmoothPiece1D(domain=sJ, jet=jet, kinks=tuple(kinks), infinite_slope=inf_slope)
 
 
 def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) -> NaturalScaleView:

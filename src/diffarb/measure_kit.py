@@ -89,15 +89,10 @@ class KinkMismatchError(MeasureKitError):
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Tolerances shared by the quadrature and equality checks.
+    """Tolerances of the equality checks: eq_rel is the relative tolerance
+    for algebraic identities, atom_loc the absolute tolerance for matching
+    atom locations."""
 
-    rel/abs are the adaptive quadrature targets; eq_rel is the relative
-    tolerance for algebraic identities; atom_loc the absolute tolerance for
-    matching atom locations.
-    """
-
-    rel: float = 1e-8
-    abs: float = 1e-12
     eq_rel: float = 1e-9
     atom_loc: float = 1e-12
 
@@ -328,16 +323,22 @@ class ExpIntegral(Expr):
 
     The canonical representation of a scale function with mu in L2_loc;
     both anchors are fixed at construction. Evaluation uses nested adaptive
-    quadrature at relative tolerance 1e-10.
+    quadrature at relative tolerance 1e-10, both levels split at the
+    breakpoints of mu, where the integrands may jump or kink.
     """
 
     mu: Expr
     anchor: float = 0.0
     inner_anchor: Optional[float] = None
 
+    def _quad(self, f, a: float, b: float) -> float:
+        cuts = sorted(p for p in self.mu.breakpoints() if min(a, b) < p < max(a, b))
+        ends = [a, *(cuts if a <= b else cuts[::-1]), b]
+        parts = [adaptive_quad(f, lo, hi, rtol=1e-10, atol=1e-14) for lo, hi in zip(ends, ends[1:])]
+        return sum(parts[1:], parts[0])
+
     def _inner(self, y: float) -> float:
-        a = self.anchor if self.inner_anchor is None else self.inner_anchor
-        return adaptive_quad(self.mu.value, a, y, rtol=1e-10, atol=1e-14)
+        return self._quad(self.mu.value, self.anchor if self.inner_anchor is None else self.inner_anchor, y)
 
     def _growth(self, y):
         ys = _arr(y)
@@ -354,7 +355,7 @@ class ExpIntegral(Expr):
         prev = self.anchor
         for idx in np.argsort(flat):  # the value accumulates from point to point in sorted order
             xi = float(flat[idx])
-            acc += adaptive_quad(lambda y: self._growth(y), prev, xi, rtol=1e-10, atol=1e-14)
+            acc += self._quad(self._growth, prev, xi)
             vals[idx] = acc
             prev = xi
         out = [vals.reshape(np.shape(xs)) if np.shape(xs) else vals[0]]
@@ -669,32 +670,34 @@ def expr_from_json(obj: dict) -> Expr:
 
 @dataclass(frozen=True)
 class SmoothPiece1D:
-    """Piecewise-smooth function with explicit one-sided derivative handles.
+    """Piecewise-smooth function read through one handle.
 
-    ``d2_ac`` is the density of the absolutely continuous part of the second
-    derivative measure; kink jumps carry the atomic part separately.
-    ``jet(x, order)`` gives ``(value, d_plus)``, or at order 2 ``(value,
-    d_plus, d2_ac)``, from one call: the expression's jet for a piece built
-    by ``from_expr``, one call per handle unless a builder supplies its own.
-    ``inverse_of`` is the piece this one is the numeric inverse of, if any.
+    ``jet(x, side=1, order=1)`` has ``Expr.jet``'s signature and output
+    order: ``(f,)``, ``(f, f')`` or ``(f, f', f'')``, the derivatives one-sided
+    (``side`` +1 or -1). ``value``, ``d_plus``, ``d_minus`` and ``d2_ac`` read
+    it; ``d2_ac`` is the density of the absolutely continuous part of the
+    second derivative measure, and kink jumps carry the atomic part
+    separately.
     """
 
     domain: tuple[float, float]
-    value: Callable[[np.ndarray], np.ndarray]
-    d_plus: Callable[[np.ndarray], np.ndarray]
-    d_minus: Callable[[np.ndarray], np.ndarray]
-    d2_ac: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[..., tuple]
     kinks: tuple[tuple[float, float], ...] = ()
     infinite_slope: tuple[float, ...] = ()
     expr: Optional[Expr] = None
     zero_slope: tuple[float, ...] = ()  # breakpoints with a one-sided derivative of 0
-    jet: Optional[Callable[..., tuple]] = None
-    inverse_of: Optional["SmoothPiece1D"] = None
 
-    def __post_init__(self):
-        if self.jet is None:
-            f, d, d2 = self.value, self.d_plus, self.d2_ac
-            object.__setattr__(self, "jet", lambda x, order=1: (f(x), d(x), d2(x)) if order > 1 else (f(x), d(x)))
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return self.jet(x, 1, 0)[0]
+
+    def d_plus(self, x: np.ndarray) -> np.ndarray:
+        return self.jet(x, 1, 1)[1]
+
+    def d_minus(self, x: np.ndarray) -> np.ndarray:
+        return self.jet(x, -1, 1)[1]
+
+    def d2_ac(self, x: np.ndarray) -> np.ndarray:
+        return self.jet(x, 1, 2)[2]
 
     @classmethod
     def from_expr(cls, e: Expr, domain: tuple[float, float]) -> "SmoothPiece1D":
@@ -721,15 +724,11 @@ class SmoothPiece1D:
         inf_pts = tuple(p for p in e.infinite_slope_points() if lo < p < hi)
         return cls(
             domain=domain,
-            value=e.value,
-            d_plus=lambda x: e.deriv(x, 1),
-            d_minus=lambda x: e.deriv(x, -1),
-            d2_ac=lambda x: e.deriv2(x, 1),
+            jet=e.jet,
             kinks=tuple(kinks),
             infinite_slope=inf_pts,
             expr=e,
             zero_slope=tuple(flat),
-            jet=lambda x, order=1: e.jet(x, 1, order),
         )
 
     def check_increasing(self) -> None:
@@ -953,11 +952,12 @@ class DecomposedMeasure:
         mult = _arr(self.sc.multiplier(mids))
         return float(np.dot(mult, np.diff(cdf)))
 
-    def mass(self, a: float, b: float, cfg: QuadConfig = DEFAULT_QUAD) -> float:
+    def mass(self, a: float, b: float) -> float:
         """Mass of [a, b]; infinite atoms propagate to inf.
 
         The AC integral is split at declared density breakpoints and atom
-        locations, where the density is allowed to jump.
+        locations, where the density is allowed to jump, and each part is
+        integrated at the ``adaptive_quad`` defaults.
         """
         total = 0.0
         if self.ac_density is not None:
@@ -967,7 +967,7 @@ class DecomposedMeasure:
                 | {p for p, _ in self.atoms if a < p < b}
             )
             for lo, hi in zip(cuts[:-1], cuts[1:]):
-                total += adaptive_quad(self.ac_density, lo, hi, rtol=cfg.rel, atol=cfg.abs)
+                total += adaptive_quad(self.ac_density, lo, hi)
         for p, m in self.atoms:
             if a <= p <= b:
                 if math.isinf(m):
@@ -1008,13 +1008,6 @@ def measure_from_json(obj: dict, support: tuple[float, float]) -> DecomposedMeas
 # ---------------------------------------------------------------------------
 
 
-def _inverse_slope(d) -> np.ndarray:
-    """q' = 1/s' at q = s^{-1}, from d = s'(q): 1/d, and +inf where d <= 0."""
-    d = _arr(d)
-    with np.errstate(divide="ignore"):
-        return np.where(d > 0, 1.0 / d, np.inf)
-
-
 def pushforward(
     m: DecomposedMeasure,
     s: SmoothPiece1D,
@@ -1025,12 +1018,12 @@ def pushforward(
     inverse is ``q``.
 
     Atoms move to (s(point), mass). The ac density transforms pointwise as
-    m_ac(q(u)) * q'(u), q'(u) = 1/s'_+(q(u)): read from q's root record in
-    one ``q.jet`` call when q is the numeric inverse of s (``q.inverse_of``),
-    and from s'_+ at q(u) for a declared q. An sc part keeps its base_id and
-    gets its cdf composed with q. If the inverse has a zero-derivative set of
-    positive measure (``qprime_zero_intervals`` nonempty) the ac part cannot
-    be pushed as a density, and the call is an error.
+    m_ac(q(u)) * q'_+(u), q and q'_+ read from one ``q.jet`` call (the root
+    record of a numeric inverse, or a declared q's own jet). An sc part
+    keeps its base_id and gets its cdf composed with q. If the inverse has a
+    zero-derivative set of positive measure (``qprime_zero_intervals``
+    nonempty) the ac part cannot be pushed as a density, and the call is an
+    error.
     """
     if qprime_zero_intervals:
         raise MeasureKitError(
@@ -1053,11 +1046,8 @@ def pushforward(
         src = m.ac_density
 
         def pushed(u: np.ndarray) -> np.ndarray:
-            if q.inverse_of is s:
-                x, qp = (_arr(v) for v in q.jet(np.atleast_1d(_arr(u))))
-                return _arr(src(x)) * qp
-            x = inverse(u)
-            return _arr(src(x)) * _inverse_slope(s.d_plus(x))
+            x, qp = (_arr(v) for v in q.jet(np.atleast_1d(_arr(u))))
+            return _arr(src(x)) * qp
 
         density = pushed
 

@@ -420,38 +420,38 @@ class _FlatSpotInverseScale:
 
     def _segment(self, x: np.ndarray, side: int = 1) -> np.ndarray:
         k = np.searchsorted(self.t, x, side="right" if side > 0 else "left") - 1
-        return np.clip(k, 0, len(self.t) - 2)
+        return np.minimum(np.maximum(k, 0), len(self.t) - 2)  # np.clip's wrapper costs more on a few points
 
-    def _q_raw(self, x: np.ndarray) -> np.ndarray:
+    def jet(self, x, side=1, order=1):
+        """q, q' and q'' (the slope of dist(., F) on the knot segment on
+        ``side``), up to ``order``; the segment is looked up once."""
         x = np.asarray(x, float)
         k = self._segment(x)
         h = x - self.t[k]
-        return self.Q[k] + self.d_at[k] * h + 0.5 * self.slope[k] * h * h
+        out = (self.Q[k] + self.d_at[k] * h + 0.5 * self.slope[k] * h * h + self.tilt * x,)
+        if order:
+            out += (self._dist(x) + self.tilt,)
+        if order > 1:
+            out += (self.slope[k if side > 0 else self._segment(x, side)],)
+        return out
 
-    def q_value(self, x):
-        x = np.asarray(x, float)
-        return self._q_raw(x) + self.tilt * x
 
-    def q_deriv(self, x):
-        x = np.asarray(x, float)
-        return self._dist(x) + self.tilt
+@dataclass(frozen=True)
+class _FlatSpotPiece(SmoothPiece1D):
+    """fat_cantor's q, read through ``core.jet``. Its q'' reader looks up
+    the knot segment alone, without q and q': NIP.iii reads q'' at 10,000
+    points of every flat."""
 
-    def q_deriv2(self, x, side=1):
-        x = np.asarray(x, float)
-        return self.slope[self._segment(x, side)]
+    core: Optional[_FlatSpotInverseScale] = None
+
+    def d2_ac(self, x):
+        return self.core.slope[self.core._segment(np.asarray(x, float))]
 
 
 def _build_fat_cantor(r: float, generations: float, u0: float) -> DiffusionSpec:
     comps = fat_complement_components(int(generations))
     core = _FlatSpotInverseScale(comps)
-    q = SmoothPiece1D(
-        domain=(-_R_INF, _R_INF),
-        value=core.q_value,
-        d_plus=core.q_deriv,
-        d_minus=core.q_deriv,
-        d2_ac=lambda x: core.q_deriv2(x, 1),
-        kinks=(),
-    )
+    q = _FlatSpotPiece(domain=(-_R_INF, _R_INF), jet=core.jet, core=core)
     J = StateInterval(-_R_INF, _R_INF)
     scale = inverse_piece(q, (J.alpha, J.beta))
     speed = DecomposedMeasure(support=(J.alpha, J.beta), ac_density=scale.d_plus)
@@ -459,7 +459,7 @@ def _build_fat_cantor(r: float, generations: float, u0: float) -> DiffusionSpec:
     for a, b in comps:
         behaviors.append(LocalBehavior(a, "left", -1.0, -0.5))
         behaviors.append(LocalBehavior(b, "right", -1.0, 0.5))
-    x0 = float(core.q_value(np.asarray(u0)))
+    x0 = float(q.value(np.asarray(u0)))
     return DiffusionSpec(
         J=J,
         scale=scale,

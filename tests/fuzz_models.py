@@ -81,6 +81,11 @@ def _piecewise_affine_q(rng, n_kinks: int, u_lo: float, u_hi: float):
 
 
 def random_spec(seed: int) -> DiffusionSpec:
+    return random_model(seed)[0]
+
+
+def random_model(seed: int) -> tuple[DiffusionSpec, SmoothPiece1D]:
+    """``random_spec(seed)`` and the piece q whose inverse is its scale."""
     rng = np.random.default_rng(seed)
     r = float(rng.choice([0.0, 0.0, 0.25, 1.0, -0.5]))
     shape = rng.choice(["real_line", "halfline", "halfline", "real_line"])
@@ -160,7 +165,8 @@ def random_spec(seed: int) -> DiffusionSpec:
         INF,
         alpha_closed=math.isfinite(J_alpha) and shape == "halfline",
     )
-    scale = inverse_piece(SmoothPiece1D.from_expr(q_expr, (u_lo, u_hi)), (J.alpha, J.beta))
+    q = SmoothPiece1D.from_expr(q_expr, (u_lo, u_hi))
+    scale = inverse_piece(q, (J.alpha, J.beta))
 
     def m_density(x):
         return dens0 * np.asarray(scale.d_plus(x), float)
@@ -197,4 +203,4 @@ def random_spec(seed: int) -> DiffusionSpec:
         qprime_zero_set=tuple(zero_set),
         phi_behaviors=tuple(phi_behaviors),
         declared_boundaries=tuple(declared),
-    )
+    ), q

@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 
 from diffarb.arb_classifier import _GENERIC_WINDOWS, ConditionReport, _combine, _within
-from diffarb.diffusion_model import SpecValidationError, inverse_piece
+from diffarb.diffusion_model import SpecValidationError
 from diffarb.mc_engine import (
     StrategyPlan,
     build_chain,
@@ -30,6 +30,7 @@ from diffarb.measure_kit import (
     PowerSigned,
     Product,
     QuadratureError,
+    SmoothPiece1D,
     Sum,
     Tabulated,
     _DIVERGENCE_RATIO,
@@ -40,6 +41,7 @@ from diffarb.measure_kit import (
     adaptive_quad,
     close_rel,
     decide_L2_local,
+    invert_monotone_vec,
     same_point,
 )
 
@@ -531,19 +533,75 @@ def expr_deriv2(e, x, side=1):
     raise TypeError(type(e).__name__)
 
 
-def piece_with_one_call_per_handle(f):
-    """``f`` with the handles it had before jets: the reference expression
-    functions above for a piece built from an expression, an inverse piece
-    rebuilt over such a piece, and a jet that calls value and d_plus apart."""
+def flat_spot_segment(core, x, side=1):
+    """``model_catalog._FlatSpotInverseScale._segment`` before the one jet."""
+    k = np.searchsorted(core.t, x, side="right" if side > 0 else "left") - 1
+    return np.clip(k, 0, len(core.t) - 2)
+
+
+def flat_spot_q_raw(core, x):
+    """``_FlatSpotInverseScale._q_raw`` before the one jet."""
+    x = np.asarray(x, float)
+    k = flat_spot_segment(core, x)
+    h = x - core.t[k]
+    return core.Q[k] + core.d_at[k] * h + 0.5 * core.slope[k] * h * h
+
+
+def flat_spot_q_value(core, x):
+    """``_FlatSpotInverseScale.q_value`` before the one jet."""
+    x = np.asarray(x, float)
+    return flat_spot_q_raw(core, x) + core.tilt * x
+
+
+def flat_spot_q_deriv(core, x):
+    """``_FlatSpotInverseScale.q_deriv`` before the one jet."""
+    x = np.asarray(x, float)
+    return core._dist(x) + core.tilt
+
+
+def flat_spot_q_deriv2(core, x, side=1):
+    """``_FlatSpotInverseScale.q_deriv2`` before the one jet."""
+    x = np.asarray(x, float)
+    return core.slope[flat_spot_segment(core, x, side)]
+
+
+def _jet_by_handle(value, deriv, deriv2):
+    """A jet that calls value(x), deriv(x, side) and deriv2(x, side) apart,
+    as many as its order asks for."""
+
+    def jet(x, side=1, order=1):
+        return (value(x), *(d(x, side) for d in (deriv, deriv2)[:order]))
+
+    return jet
+
+
+def piece_with_one_call_per_handle(f, source=None):
+    """``f`` read one output at a time, as before the one jet: through the
+    reference expression walks above for a piece built from an expression,
+    through the flat-spot handles for ``fat_cantor``'s q, and for the inverse
+    of ``source`` (itself read so) as the roots with 1/s'(x) and
+    -s''(x)/s'(x)^3 there, each slope read apart on the jet's side."""
+    if source is not None:
+        s = piece_with_one_call_per_handle(source)
+
+        def jet(u, side=1, order=1):
+            x = invert_monotone_vec(s, _arr(u))
+            with np.errstate(all="ignore"):
+                d = _arr(s.d_plus(x) if side > 0 else s.d_minus(x))
+                c = -_arr(s.jet(x, side, 2)[2]) / d**3
+            return (x, np.where(d > 0, 1.0 / d, np.inf), np.where(np.isfinite(c), c, 0.0))[: order + 1]
+
+        return SmoothPiece1D(domain=f.domain, jet=jet, kinks=f.kinks, infinite_slope=f.infinite_slope)
     if f.expr is not None:
         e = f.expr
-        return dataclasses.replace(
-            f, value=lambda x: expr_value(e, x), d_plus=lambda x: expr_deriv(e, x, 1),
-            d_minus=lambda x: expr_deriv(e, x, -1), d2_ac=lambda x: expr_deriv2(e, x, 1), jet=None,
-        )
-    if f.inverse_of is not None:
-        return inverse_piece(piece_with_one_call_per_handle(f.inverse_of), f.domain)
-    return dataclasses.replace(f, jet=None)
+        return dataclasses.replace(f, jet=_jet_by_handle(
+            lambda x: expr_value(e, x), lambda x, side: expr_deriv(e, x, side), lambda x, side: expr_deriv2(e, x, side),
+        ))
+    core = f.core  # fat_cantor's q: a plain piece, whose q'' reads the jet
+    return SmoothPiece1D(domain=f.domain, jet=_jet_by_handle(
+        lambda x: flat_spot_q_value(core, x), lambda x, side: flat_spot_q_deriv(core, x),
+        lambda x, side: flat_spot_q_deriv2(core, x, side),
+    ))
 
 
 def _exp_integral_growth(e, y):

@@ -297,12 +297,14 @@ def _affine_rescaled(spec, a: float, b: float):
     """
     s = spec.scale
     lo, hi = s.domain
+
+    def scale_jet(x, side=1, order=1):
+        f, *ds = s.jet(x, side, order)
+        return (a * np.asarray(f, float) + b, *(a * np.asarray(d, float) for d in ds))
+
     new_scale = SmoothPiece1D(
         domain=s.domain,
-        value=lambda x: a * np.asarray(s.value(x), float) + b,
-        d_plus=lambda x: a * np.asarray(s.d_plus(x), float),
-        d_minus=lambda x: a * np.asarray(s.d_minus(x), float),
-        d2_ac=lambda x: a * np.asarray(s.d2_ac(x), float),
+        jet=scale_jet,
         kinks=tuple((c, a * j) for c, j in s.kinks),
         infinite_slope=s.infinite_slope,
     )
@@ -317,10 +319,9 @@ def _affine_rescaled(spec, a: float, b: float):
     qlo, qhi = qp.domain
     q_piece = SmoothPiece1D(
         domain=(a * qlo + b if math.isfinite(qlo) else qlo, a * qhi + b if math.isfinite(qhi) else qhi),
-        value=lambda u: np.asarray(qp.value(ell_inv(u)), float),
-        d_plus=lambda u: np.asarray(qp.d_plus(ell_inv(u)), float) / a,
-        d_minus=lambda u: np.asarray(qp.d_minus(ell_inv(u)), float) / a,
-        d2_ac=lambda u: np.asarray(qp.d2_ac(ell_inv(u)), float) / a**2,
+        jet=lambda u, side=1, order=1: tuple(
+            np.asarray(v, float) / a**k for k, v in enumerate(qp.jet(ell_inv(u), side, order))
+        ),
         kinks=tuple((a * c + b, j / a) for c, j in qp.kinks),
         infinite_slope=tuple(a * c + b for c in qp.infinite_slope),
     )
@@ -668,16 +669,20 @@ def test_few_nsa_screen_targets_reach_the_safeguarded_inverse(monkeypatch):
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["doc00_sticky", "doc01_skew", "doc02_absorbing", "doc03_cubic", "kink"])
+@pytest.mark.parametrize(
+    "name", ["doc00_sticky", "doc01_skew", "doc02_absorbing", "doc03_cubic", "kink", "doc04_declared_inverse"]
+)
 def test_document_classifies_to_its_committed_report(name, tmp_path):
-    # the first document of each benchmark family and the kink document of
-    # test_kink_inverse_document_matches_sticky_skew. The bytes are those of
-    # one numpy build: its SIMD power and exp can differ from libm in the last
-    # bit, so on another build a report may need regenerating with
+    # the first document of each benchmark family, the kink document of
+    # test_kink_inverse_document_matches_sticky_skew, and a declared inverse
+    # scale without a declared speed, whose pushed density reads its jet
+    # (phi = 1/u - 0.3 u^3). The bytes are those of one numpy build: its SIMD
+    # power and exp can differ from libm in the last bit, so on another build
+    # a report may need regenerating with
     # diffarb classify --model tests/golden/NAME.json --out tests/golden/
-    path = _GOLDEN / f"{name}.json"
-    if name != "kink":
-        assert json.loads(path.read_text()) == _FIRST_DOCS[name.split("_")[1]]
+    path, family = _GOLDEN / f"{name}.json", name.split("_")[-1]
+    if family in _FIRST_DOCS:
+        assert json.loads(path.read_text()) == _FIRST_DOCS[family]
     assert main(["classify", "--model", str(path), "--out", str(tmp_path)]) == 0
     assert (tmp_path / f"classify_{name}.json").read_bytes() == (_GOLDEN / f"classify_{name}.json").read_bytes()
 

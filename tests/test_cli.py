@@ -246,11 +246,11 @@ def test_tolerance_overrides_parse_and_apply(tmp_path, capsys):
     code = run(
         [
             "classify", "--catalog", "sticky_reflected_bm", "--params", "r=0.5,rho=1.0",
-            "--tol", "eq_rel=1e-6,rel=1e-7", "--out", str(tmp_path),
+            "--tol", "eq_rel=1e-6,atom_loc=1e-11", "--out", str(tmp_path),
         ]
     )
     assert code == 0
-    for key in ("bogus_key", "invert"):
+    for key in ("bogus_key", "invert", "rel", "abs"):
         argv = ["classify", "--catalog", "brownian_motion", "--tol", f"{key}=1e-6", "--out", str(tmp_path)]
         assert run(argv) == 1
         assert f"unknown tolerance key '{key}'" in capsys.readouterr().err

@@ -35,20 +35,15 @@ def test_state_interval_validation():
 # ---------------------------------------------------------------------------
 
 
-def _log(x):
+def _log_jet(x, side=1, order=1):
+    x = np.asarray(x, float)
     with np.errstate(divide="ignore"):
-        return np.log(np.asarray(x, float))
+        return (np.log(x), 1.0 / x, -1.0 / x**2)[: order + 1]
 
 
 def _log_scale_spec(declared=()):
     """J = (0, inf) with scale log x: the left image is -inf."""
-    scale = SmoothPiece1D(
-        domain=(0.0, INF),
-        value=_log,
-        d_plus=lambda x: 1.0 / np.asarray(x, float),
-        d_minus=lambda x: 1.0 / np.asarray(x, float),
-        d2_ac=lambda x: -1.0 / np.asarray(x, float) ** 2,
-    )
+    scale = SmoothPiece1D(domain=(0.0, INF), jet=_log_jet)
     speed = DecomposedMeasure(support=(0.0, INF), ac_density=lambda x: np.ones_like(np.asarray(x, float)))
     return DiffusionSpec(StateInterval(0.0, INF), scale, speed, x0=1.0, r=0.0, declared_boundaries=declared)
 
@@ -119,11 +114,11 @@ def test_scale_limit_reads_an_infinite_end_in_one_call(name):
     spec = build_model(name)
     args = []
 
-    def counted(x):
+    def counted(x, side=1, order=1):
         args.append(np.asarray(x))
-        return spec.scale.value(x)
+        return spec.scale.jet(x, side, order)
 
-    scale = dataclasses.replace(spec.scale, value=counted)
+    scale = dataclasses.replace(spec.scale, jet=counted)
     for side, b in (("left", spec.J.alpha), ("right", spec.J.beta)):
         if math.isinf(b):
             args.clear()
@@ -252,7 +247,7 @@ def test_smooth_drift_matches_half_q2():
     # r = 0 and polynomial q: classical relation drift density = q''(x)/2
     view = derive_natural_scale(build_model("cubed_bm", {"r": 0.0}))
     u = np.linspace(-1.5, 1.5, 11)
-    assert np.allclose(view.drift_density(u), 0.5 * 6.0 * u, rtol=1e-12)
+    assert np.allclose(view.drift_over_slope(u, 0), 0.5 * 6.0 * u, rtol=1e-12)
 
 
 _SPEED_MISMATCH = "declared natural-scale speed disagrees with pushforward"

@@ -1,6 +1,5 @@
 """Unit and property tests for the expression grammar and measure calculus."""
 
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from diffarb.arb_classifier import classify
 from diffarb.diffusion_model import inverse_piece, load_model_spec
 from diffarb.measure_kit import (
-    DEFAULT_QUAD,
     Affine,
     Compose,
     Const,
@@ -46,7 +44,7 @@ from diffarb.measure_kit import (
 )
 from diffarb.model_catalog import build_model, catalog_names
 
-from fuzz_models import random_spec
+from fuzz_models import random_model, random_spec
 from oracles import (
     adaptive_quad_two_calls,
     detect_suspicious_one_window,
@@ -55,6 +53,9 @@ from oracles import (
     expr_deriv2,
     expr_to_json,
     expr_value,
+    flat_spot_q_deriv,
+    flat_spot_q_deriv2,
+    flat_spot_q_value,
     invert_monotone_vec_one_phase,
     piece_with_one_call_per_handle,
 )
@@ -176,7 +177,7 @@ def test_adaptive_quad_matches_the_two_call_oracle_with_one_call_per_panel(case)
         integrals = [(lambda x: np.abs(x) ** -0.5, 0.0, 1.0, {"rtol": 1e-9})]
     else:
         f = build_model(case).speed.ac_density
-        kw = {"rtol": DEFAULT_QUAD.rel, "atol": DEFAULT_QUAD.abs}
+        kw = {"rtol": 1e-8, "atol": 1e-12}
         integrals = [(f, a, b, kw) for a, b in _SINGULAR_SPEED_INTERVALS[case]]
     panels = []
     for f, a, b, kw in integrals:
@@ -193,6 +194,24 @@ def test_adaptive_quad_matches_the_two_call_oracle_with_one_call_per_panel(case)
         assert 2 * calls["one"] == calls["two"]  # the oracle calls f twice per panel
         panels.append(calls["one"])
     assert max(panels) > 80  # the singular integrals split
+
+
+def test_exp_integral_splits_its_quadratures_at_the_breakpoints_of_mu():
+    # mu jumps at 0.5, so the growth exp(int mu) has a kink there: an unsplit
+    # quadrature across it kept halving panels for over a minute
+    e = ExpIntegral(Piecewise([0.5], [Const(0.3), Affine(-1.0, 0.2)]), anchor=0.25)
+    nodes, weights = np.polynomial.legendre.leggauss(60)
+
+    def gl(f, a, b):  # 60-point Gauss-Legendre on each side of 0.5
+        ends = [a, *([0.5] if min(a, b) < 0.5 < max(a, b) else []), b]
+        return sum(0.5 * (hi - lo) * np.dot(weights, f(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes))
+                   for lo, hi in zip(ends, ends[1:]))
+
+    def growth(ys):
+        return np.exp([gl(lambda z: np.where(z < 0.5, 0.3, 0.2 - z), 0.25, y) for y in ys])
+
+    want = [gl(growth, 0.25, x) for x in (0.1, 0.7, -1.0)]
+    assert np.allclose(e.value([0.1, 0.7, -1.0]), want, rtol=0.0, atol=1e-15)
 
 
 def test_adaptive_quad_reports_divergence():
@@ -270,14 +289,21 @@ def test_invert_returns_a_kink_exactly():
         assert float(invert_monotone_vec(f, f.value(np.asarray(c)))) == c
 
 
-# the fuzz scales are numeric inverses of a random q, increasing only to
+def _fat_cantor_scale():
+    spec = build_model("fat_cantor")
+    return spec.scale, spec.q_piece
+
+
+# each case is a piece and the piece it is the numeric inverse of, if any.
+# The fuzz scales are numeric inverses of a random q, increasing only to
 # their float noise; every other scale here meets the contract as stated
 _CONTRACT_SCALES = {
-    **{f"family-{k}": (lambda k=k: piece(*FAMILY_SCALES[k])) for k in sorted(FAMILY_SCALES)},
-    **{name: (lambda n=name: build_model(n).scale)
-       for name in ("cubed_bm", "squared_bessel", "gen_squared_bessel", "sticky_skew", "fat_cantor")},
-    "fat_cantor-q_piece": lambda: build_model("fat_cantor").q_piece,
-    **{f"fuzz-{i}": (lambda i=i: random_spec(i).scale) for i in range(20)},
+    **{f"family-{k}": (lambda k=k: (piece(*FAMILY_SCALES[k]), None)) for k in sorted(FAMILY_SCALES)},
+    **{name: (lambda n=name: (build_model(n).scale, None))
+       for name in ("cubed_bm", "squared_bessel", "gen_squared_bessel", "sticky_skew")},
+    "fat_cantor": _fat_cantor_scale,
+    "fat_cantor-q_piece": lambda: (build_model("fat_cantor").q_piece, None),
+    **{f"fuzz-{i}": (lambda i=i: (lambda spec, q: (spec.scale, q))(*random_model(i))) for i in range(20)},
 }
 
 
@@ -299,12 +325,12 @@ def _contract_targets(f, rng) -> np.ndarray:
 
 @pytest.mark.parametrize("case", list(_CONTRACT_SCALES))
 def test_two_phase_inverse_keeps_the_one_phase_contract(case):
-    f, strict = _CONTRACT_SCALES[case](), not case.startswith("fuzz-")
+    (f, source), strict = _CONTRACT_SCALES[case](), not case.startswith("fuzz-")
     nx, nu, _ = f.node_table
     y = _contract_targets(f, np.random.default_rng(11))
     got, want = invert_monotone_vec(f, y), invert_monotone_vec_one_phase(f, y)
     # one jet call per Newton step gives the roots of separate value and slope walks
-    assert np.array_equal(got, invert_monotone_vec(piece_with_one_call_per_handle(f), y), equal_nan=True)
+    assert np.array_equal(got, invert_monotone_vec(piece_with_one_call_per_handle(f, source), y), equal_nan=True)
     # a batch of any size gives each target the bits it gets here
     for n in (1, 63, 64, 40_000):
         assert np.array_equal(invert_monotone_vec(f, np.resize(y, n)), np.resize(got, n), equal_nan=True)
@@ -338,36 +364,48 @@ def test_two_phase_inverse_keeps_the_one_phase_contract(case):
 _HANDLE_CASES = {
     **{k: _CONTRACT_SCALES[k]
        for k in ("family-cubic", "family-skew", "fat_cantor", "fat_cantor-q_piece", "fuzz-1", "fuzz-7")},
-    **{f"inverse-{k}": (lambda k=k: inverse_piece(piece(*FAMILY_SCALES[k]), (-RT, RT))) for k in ("cubic", "skew")},
+    **{f"inverse-{k}": (lambda k=k: (lambda s: (inverse_piece(s, (-RT, RT)), s))(piece(*FAMILY_SCALES[k])))
+       for k in ("cubic", "skew")},
 }
 
 
 @pytest.mark.parametrize("case", list(_HANDLE_CASES))
 def test_piece_jets_and_handles_keep_their_bits(case):
-    # a piece built from an expression reads its jet, a hand-built piece
-    # calls its handles, an inverse piece reads its root record: each gives
-    # the bits of the handles before jets, q'_- included
-    f = _HANDLE_CASES[case]()
-    old = piece_with_one_call_per_handle(f)
+    # a piece's jet and its readers give the bits of its outputs read apart:
+    # the expression walks, the flat-spot handles, or an inverse's roots
+    # with 1/s' and -s''/s'^3 there, on either side, q'_- included
+    f, source = _HANDLE_CASES[case]()
+    old = piece_with_one_call_per_handle(f, source)
     nx, _, _ = f.node_table
     x = np.concatenate([nx[::7], [c for c, _ in f.kinks], f.special_points])
     with np.errstate(all="ignore"):
-        for order in (1, 2):
-            ref = (old.value(x), old.d_plus(x), old.d2_ac(x))[: order + 1]
-            got = f.jet(x, order)
-            assert len(got) == order + 1 and all(_same(g, r) for g, r in zip(got, ref))
-        handles = (f.value(x), f.d_plus(x), f.d_minus(x), f.d2_ac(x))
-        assert all(_same(g, r) for g, r in zip(handles, (old.value(x), old.d_plus(x), old.d_minus(x), old.d2_ac(x))))
+        for side in (1, -1):
+            for order in (0, 1, 2):
+                got = f.jet(x, side, order)
+                assert len(got) == order + 1 and all(_same(g, r) for g, r in zip(got, old.jet(x, side, order)))
+        for reader in ("value", "d_plus", "d_minus", "d2_ac"):
+            assert _same(getattr(f, reader)(x), getattr(old, reader)(x)), reader
 
 
-def test_pushed_density_reads_the_root_record_with_the_same_bits():
-    # through an inverse piece, q' comes from its root record; declared, from s'_+(q)
-    s = piece(*FAMILY_SCALES["cubic"])
-    q = inverse_piece(s, (-RT, RT))
-    m = DecomposedMeasure(support=(-RT, RT), ac_density=lambda x: 1.0 + np.abs(x))
-    u = np.linspace(-5.0, 5.0, 1001)
-    declared = dataclasses.replace(q, inverse_of=None)
-    assert np.array_equal(pushforward(m, s, q).ac_density(u), pushforward(m, s, declared).ac_density(u))
+@pytest.mark.parametrize("generations", [1, 8, 50])
+def test_flat_spot_jet_and_its_q2_keep_the_bits_of_the_three_handles(generations):
+    # fat_cantor's q: one jet for q, q' and q'' on either side, and a q''
+    # reader of its own, against the handles it replaced
+    q = build_model("fat_cantor", {"generations": generations}).q_piece
+    core = q.core
+    pts = np.concatenate([core.t, core.ends])
+    x = np.concatenate([
+        np.random.default_rng(generations).uniform(-3.0, 4.0, 4_001), pts,
+        np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf), [0.0, -0.0, np.inf, -np.inf, np.nan],
+    ])
+    with np.errstate(all="ignore"):
+        for xs in (x, *(np.asarray(v) for v in x[-5:])):
+            for side in (1, -1):
+                ref = (flat_spot_q_value(core, xs), flat_spot_q_deriv(core, xs), flat_spot_q_deriv2(core, xs, side))
+                for order in (0, 1, 2):
+                    got = q.jet(xs, side, order)
+                    assert len(got) == order + 1 and all(_same(g, r) for g, r in zip(got, ref)), (side, order)
+            assert _same(q.d2_ac(xs), flat_spot_q_deriv2(core, xs))
 
 
 def test_a_nan_target_inverts_to_nan():
