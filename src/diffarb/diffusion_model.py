@@ -16,8 +16,8 @@ assumption (q must be a difference of two convex functions, with weighted
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .measure_kit import (
     ScComponent,
     SmoothPiece1D,
     _leggauss,
-    behaviors_at,
     close_rel,
     decide_abs_integral,
     expr_from_json,
@@ -41,6 +40,7 @@ from .measure_kit import (
     json_pair,
     measure_from_json,
     pushforward,
+    same_point,
     sampled_total_variation,
     sc_from_json,
     second_derivative_decomposition,
@@ -166,7 +166,10 @@ class DiffusionSpec:
 
 @dataclass(frozen=True)
 class NaturalScaleView:
-    """Derived cache: everything the classifier needs, in s(J) coordinates."""
+    """Everything the classifier needs, read in one chart t of s(J): u for
+    a declared q, else the state x (``scale`` is s, ``m_ac`` the state-space
+    speed density when mU is its pushforward). Integrals over u are taken
+    over t, du = du/dt dt, so only points given in u are ever inverted."""
 
     sJ: tuple[float, float]
     q: SmoothPiece1D
@@ -175,30 +178,53 @@ class NaturalScaleView:
     boundaries: tuple[tuple[str, BoundaryBehavior], ...]
     r: float
     s_x0: float
+    scale: Optional[SmoothPiece1D] = None
+    m_ac: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def drift_over_slope(self, u, power: int) -> np.ndarray:
-        """The drift density q''(u)/2 - r q(u) mU_ac(u), over q'(u)**power,
-        on {q' != 0, finite}, 0 elsewhere; q, q' and q'' come from one
-        ``q.jet`` call. Its numerator is coded here alone."""
+    def chart(self, u) -> np.ndarray:
+        """Chart points of natural-scale points u, by one inversion in the
+        state chart; a boundary image goes to its endpoint exactly."""
         u = np.asarray(u, float)
-        qv, d, qpp = (np.asarray(v, float) for v in self.q.jet(u, order=2))
+        if self.scale is None:
+            return u
+        (_, lo), (_, hi) = self.boundaries
+        return np.where(u == lo.image, lo.value, np.where(u == hi.image, hi.value, invert_monotone_vec(self.scale, u)))
+
+    def point(self, t) -> tuple:
+        """(u, q, q', q'', du/dt) at chart points t, from one jet read."""
+        if self.scale is None:
+            return (t, *(np.asarray(v, float) for v in self.q.jet(t, order=2)), 1.0)
+        u, ds, d, qpp = _inverse_jet(self.scale, t)
+        return u, t, d, qpp, ds
+
+    def drift_over_slope(self, t, power: int, dt: bool = False) -> np.ndarray:
+        """The drift density q''/2 - r q mU_ac over q'**power at chart points
+        t (times sqrt(du/dt) with ``dt``), on {q' != 0, finite}, 0 elsewhere.
+        Its numerator is coded here alone."""
+        u, qv, d, qpp, dudt = self.point(t)
         out = 0.5 * qpp
-        mU_ac = self.mU.ac_density
-        if self.r != 0.0 and mU_ac is not None:
-            out = out - self.r * qv * np.asarray(mU_ac(u), float)
-        if power:
-            with np.errstate(divide="ignore", invalid="ignore"):
+        if self.r != 0.0 and self.mU.ac_density is not None:
+            mU_ac = self.mU.ac_density(u) if self.m_ac is None else np.asarray(self.m_ac(qv), float) * d
+            out = out - self.r * qv * np.asarray(mU_ac, float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if power:
                 out = out / (d if power == 1 else d * d)
+            if dt:
+                out = out * np.sqrt(dudt)
         return np.where((d != 0.0) & np.isfinite(d), out, 0.0)
 
     def phi(self, u) -> np.ndarray:
         """phi = (q''/2 - r q mU_ac) / q' on {q' != 0}, 0 elsewhere."""
-        return self.drift_over_slope(u, 1)
+        return self.drift_over_slope(self.chart(u), 1)
+
+    def phi_dt(self, t) -> np.ndarray:
+        """phi sqrt(du/dt) at chart points t, whose square integrates dt as phi**2 does du."""
+        return self.drift_over_slope(t, 1, dt=True)
 
     def gamma(self, u) -> np.ndarray:
         """gamma = (q''/2 - r q mU_ac) / q'^2 on {q' != 0}, 0 elsewhere; any
         value is admissible at boundary images, so none is forced there."""
-        return self.drift_over_slope(u, 2)
+        return self.drift_over_slope(self.chart(u), 2)
 
     def boundary_slope(self, side: str) -> float:
         """One-sided q' at a boundary image, taken from the interior side."""
@@ -212,6 +238,13 @@ class NaturalScaleView:
         span = hi_u - lo_u
         ell = fraction * (min(1.0, span / 4.0) if math.isfinite(span) else 1.0)
         return (lo_u, lo_u + ell) if side == "left" else (hi_u - ell, hi_u)
+
+    def chart_collar(self, side: str, behaviors) -> tuple[tuple[float, float], float, list]:
+        """``collar(side)`` in the chart, its boundary end there, and the
+        ``behaviors`` annotated at the boundary image, moved onto that end."""
+        k, window = int(side == "right"), self.collar(side)
+        t = tuple(self.chart(np.asarray(window)).tolist())
+        return t, t[k], [replace(b, point=t[k]) for b in behaviors if same_point(b.point, window[k])]
 
 
 # ---------------------------------------------------------------------------
@@ -309,44 +342,28 @@ def classify_boundary(spec: DiffusionSpec, side: str) -> BoundaryBehavior:
 # ---------------------------------------------------------------------------
 
 
+def _inverse_jet(scale: SmoothPiece1D, x, side: int = 1, order: int = 2) -> tuple:
+    """(s, s', q', q'') at x = q(u) from one ``scale.jet`` read: q' = 1/s',
+    +inf where s' <= 0, and q'' = -s''/s'^3 (a.e.) where finite, else 0."""
+    s, d, *dd = (np.asarray(v, float) for v in scale.jet(x, side, order))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (s, d, np.where(d > 0, 1.0 / d, np.inf))
+        if order > 1:
+            c = -dd[0] / d**3
+            out += (np.where(np.isfinite(c), c, 0.0),)
+    return out
+
+
 def inverse_piece(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1D:
     """Inverse q = s^{-1} of the increasing piece s = ``scale`` on its image
-    ``sJ``, read through one ``jet`` over a root record.
-
-    The record serves the last array inverted: its roots x and, from the
-    first slope asked for on, s'_+(x) and s''(x), read from one order-2
-    ``scale.jet`` call. At order 0 the jet returns the roots alone; q'_+ =
-    1/s'_+(q) and q'' = -s''(q) / s'_+(q)^3 (a.e.) read the record, and at
-    side -1 it computes q'_- = 1/s'_-(q) when asked. Kinks of s map to kinks
-    of q and flat points of s to infinite-slope points of q. Models built
-    from q take their scale as ``inverse_piece(q, J)``.
-    """
-    rec = [None, None, None, None]  # (shape, bytes) of the last array, its roots, s'_+ and s'' there
-
-    def record(u, slopes: bool):
-        u = np.asarray(u, float)
-        key = (u.shape, u.tobytes())
-        if key != rec[0]:
-            rec[:] = key, invert_monotone_vec(scale, u), None, None
-        if slopes and rec[2] is None:
-            rec[2:] = (np.asarray(v, float) for v in scale.jet(rec[1], order=2)[1:])
-        return rec[1:]
+    ``sJ``. Its jet holds no state: each call inverts its points once and
+    reads ``_inverse_jet`` there. Kinks of s map to kinks of q and flat
+    points of s to infinite-slope points of q. Models built from q take
+    their scale as ``inverse_piece(q, J)``."""
 
     def jet(u, side=1, order=1):
-        x, d, dd = record(u, order and side > 0)
-        if order and side < 0:  # the record holds the right slopes: the left ones at q, when asked
-            left = scale.jet(x, -1, order)
-            d, dd = left[1], left[-1]
-        out = (x.copy(),)
-        if order:  # q' = 1/s', and +inf where s' <= 0
-            d = np.asarray(d, float)
-            with np.errstate(divide="ignore"):
-                out += (np.where(d > 0, 1.0 / d, np.inf),)
-        if order > 1:  # q'' = -s''/s'^3 where finite, else 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                c = -np.asarray(dd, float) / d**3
-            out += (np.where(np.isfinite(c), c, 0.0),)
-        return out
+        x = invert_monotone_vec(scale, u)
+        return (x, *_inverse_jet(scale, x, side, order)[2:]) if order else (x,)
 
     kinks = []
     for c, _ in scale.kinks:
@@ -370,12 +387,14 @@ def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) ->
                 else "x0 must lie in the interior or at a reflecting boundary"
             )
 
+    chart = {}  # u for a declared q, x otherwise
     if spec.q_piece is not None:
         q = spec.q_piece
     elif spec.q_expr is not None:
         q = SmoothPiece1D.from_expr(spec.q_expr, sJ)
     else:
         q = inverse_piece(spec.scale, sJ)
+        chart = {"scale": spec.scale, "m_ac": None if spec.speed_natural is not None else spec.speed.ac_density}
 
     qpp = second_derivative_decomposition(q, q.kinks, sc=spec.qpp_sc)
 
@@ -394,6 +413,7 @@ def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) ->
         boundaries=boundaries,
         r=spec.r,
         s_x0=float(spec.scale.value(np.asarray(spec.x0))),
+        **chart,
     )
 
 
@@ -499,8 +519,8 @@ def check_semimartingale_assumption(view: NaturalScaleView, spec: DiffusionSpec)
             lo = max(lo, s_lo + margin)
         if math.isfinite(s_hi):
             hi = min(hi, s_hi - margin)
-        if lo < hi:
-            tvs, stable = sampled_total_variation(view.q.d_plus, (lo, hi))
+        if lo < hi:  # sampled over the chart: a monotone change of variable keeps the variation
+            tvs, stable = sampled_total_variation(lambda t: view.point(t)[2], view.chart(np.array([lo, hi])))
             checks.append(
                 AssumptionCheck(
                     "q-prime-bv",
@@ -511,27 +531,19 @@ def check_semimartingale_assumption(view: NaturalScaleView, spec: DiffusionSpec)
         else:
             checks.append(AssumptionCheck("q-prime-bv", True, "window degenerate; skipped"))
 
-    # (b), (c) boundary integrability of |q''|
+    # (b), (c) boundary integrability of |q''|, that is of |q''| du/dt over the chart
     for side, beh in view.boundaries:
         if not beh.accessible:
             continue
-        exps = [(b.point, b.exponent) for b in behaviors_at(spec.qpp_behaviors, beh.image)]
-        weight = beh.image if beh.kind == "absorbing" else None
-        verdict = decide_abs_integral(
-            view.q.d2_ac, view.collar(side), point_exponents=exps, weight_point=weight
-        )
-        label = f"qpp-integrable-{side}-{beh.kind}"
-        if verdict.status == "finite":
-            checks.append(AssumptionCheck(label, True))
-        else:
-            checks.append(
-                AssumptionCheck(
-                    label,
-                    False,
-                    f"|q''| {'distance-weighted ' if weight is not None else ''}integral "
-                    f"near s({side}) is {verdict.status}",
-                )
-            )
+        window, b_t, bb = view.chart_collar(side, spec.qpp_behaviors)
+        weighted = beh.kind == "absorbing"
+        status = decide_abs_integral(
+            lambda t: np.multiply(*view.point(t)[3:]), window, point_exponents=[(b.point, b.exponent) for b in bb],
+            weight_point=b_t if weighted else None, distance=lambda t: np.abs(view.point(t)[0] - beh.image),
+        ).status
+        ok = status == "finite"
+        note = "" if ok else f"|q''| {'distance-weighted ' if weighted else ''}integral near s({side}) is {status}"
+        checks.append(AssumptionCheck(f"qpp-integrable-{side}-{beh.kind}", ok, note))
 
     return AssumptionReport(passed=all(c.ok for c in checks), checks=tuple(checks))
 

@@ -386,7 +386,7 @@ def gamma_drift_rates(chain: ChainModel, view: NaturalScaleView) -> np.ndarray:
     Absorbing and pad states get rate 0.
     """
     reflect = (chain.left_rule == "reflect", chain.right_rule == "reflect")
-    num = _green_integrals(lambda x: view.drift_over_slope(x, 0), chain.grid, reflect)
+    num = _green_integrals(lambda u: view.drift_over_slope(view.chart(u), 0), chain.grid, reflect)
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = num / chain.mean_hold
     return np.where(np.isfinite(rates), rates, 0.0)
@@ -421,10 +421,6 @@ class PathBatch:
     @property
     def kept(self) -> np.ndarray:
         return ~self.discarded
-
-    @property
-    def n_kept(self) -> int:
-        return int(np.sum(self.kept))
 
 
 def _entering(s_next: np.ndarray, states: Sequence[int], live: np.ndarray) -> Optional[np.ndarray]:
@@ -837,9 +833,6 @@ class StrategyResult:
     wilson_low: float
     wilson_high: float
     grid_step: float
-
-    def positive_ci_excludes_zero(self) -> bool:
-        return self.wilson_low > 0.0
 
 
 @dataclass(frozen=True)

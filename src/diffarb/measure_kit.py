@@ -61,7 +61,6 @@ __all__ = [
     "pushforward",
     "second_derivative_decomposition",
     "LocalBehavior",
-    "behaviors_at",
     "same_point",
     "IntegrabilityVerdict",
     "window_nodes",
@@ -939,43 +938,6 @@ class DecomposedMeasure:
         hi_cut = hi - eps * (1 + abs(hi)) if math.isfinite(hi) else hi
         return tuple((p, m) for p, m in self.atoms if lo_cut < p < hi_cut)
 
-    def sc_mass(self, a: float, b: float) -> float:
-        if self.sc is None:
-            return 0.0
-        lo = max(a, self.sc.support[0])
-        hi = min(b, self.sc.support[1])
-        if hi <= lo:
-            return 0.0
-        grid = np.linspace(lo, hi, 1025)
-        cdf = _arr(self.sc.base_cdf(grid))
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        mult = _arr(self.sc.multiplier(mids))
-        return float(np.dot(mult, np.diff(cdf)))
-
-    def mass(self, a: float, b: float) -> float:
-        """Mass of [a, b]; infinite atoms propagate to inf.
-
-        The AC integral is split at declared density breakpoints and atom
-        locations, where the density is allowed to jump, and each part is
-        integrated at the ``adaptive_quad`` defaults.
-        """
-        total = 0.0
-        if self.ac_density is not None:
-            cuts = sorted(
-                {a, b}
-                | {p for p in self.ac_breakpoints if a < p < b}
-                | {p for p, _ in self.atoms if a < p < b}
-            )
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                total += adaptive_quad(self.ac_density, lo, hi)
-        for p, m in self.atoms:
-            if a <= p <= b:
-                if math.isinf(m):
-                    return math.inf
-                total += m
-        total += self.sc_mass(a, b)
-        return total
-
 
 def sc_from_json(obj: dict, support: tuple[float, float]) -> ScComponent:
     """Parse a singular-continuous part; ``support`` is used when the object
@@ -1018,8 +980,8 @@ def pushforward(
     inverse is ``q``.
 
     Atoms move to (s(point), mass). The ac density transforms pointwise as
-    m_ac(q(u)) * q'_+(u), q and q'_+ read from one ``q.jet`` call (the root
-    record of a numeric inverse, or a declared q's own jet). An sc part
+    m_ac(q(u)) * q'_+(u), q and q'_+ read from one ``q.jet`` call (one
+    inversion for a numeric inverse, or a declared q's own jet). An sc part
     keeps its base_id and gets its cdf composed with q. If the inverse has a
     zero-derivative set of positive measure (``qprime_zero_intervals``
     nonempty) the ac part cannot be pushed as a density, and the call is an
@@ -1165,11 +1127,6 @@ def same_point(p: float, x: float) -> bool:
     tolerance, 1e-9 relative to x, that matches annotations to boundary
     images."""
     return math.isfinite(x) and abs(p - x) <= 1e-9 * (1 + abs(x))
-
-
-def behaviors_at(behaviors: Sequence[LocalBehavior], x: float) -> list[LocalBehavior]:
-    """The behaviours annotated at x, each moved exactly onto x."""
-    return [replace(b, point=x) for b in behaviors if same_point(b.point, x)]
 
 
 @dataclass(frozen=True)
@@ -1391,16 +1348,25 @@ def decide_L2_local(
     return _decide_g_integral(g, window, specials)
 
 
+def _weighted(specials: Sequence[tuple[float, Optional[float]]], w: float) -> list:
+    """``specials`` of an integrand weighted by |x - w|: an exponent annotated
+    at w rises by one and moves onto w, and w is probed when none is."""
+    out = [(w, e + 1.0) if same_point(p, w) else (p, e) for p, e in specials]
+    return out if any(same_point(p, w) for p, _ in out) else out + [(w, None)]
+
+
 def decide_weighted_L2_boundary(
     f: Callable[[np.ndarray], np.ndarray],
     b_image: float,
     window: tuple[float, float],
     behaviors: Sequence[LocalBehavior] = (),
+    distance: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> IntegrabilityVerdict:
     """Is the integral of |x - b_image| f(x)^2 over a boundary collar finite?
 
     For f ~ C|x-b|^p at the boundary image the contribution is finite iff
-    p > -1 (strict).
+    p > -1 (strict). Over a chart t of the natural scale u, ``distance(t)``
+    gives the weight |u(t) - s(b)| in place of |t - b_image|.
     """
     a, b = window
     if not (same_point(a, b_image) or same_point(b, b_image)):
@@ -1409,17 +1375,10 @@ def decide_weighted_L2_boundary(
     def g(x):
         x = _arr(x)
         v = _arr(f(x))
-        return np.abs(x - b_image) * v * v
+        return (np.abs(x - b_image) if distance is None else distance(x)) * v * v
 
-    specials: list[tuple[float, Optional[float]]] = []
-    for beh in behaviors:
-        if same_point(beh.point, b_image):
-            specials.append((b_image, 2.0 * beh.exponent + 1.0))
-        elif a <= beh.point <= b:
-            specials.append((beh.point, 2.0 * beh.exponent))
-    if all(not same_point(p, b_image) for p, _ in specials):
-        specials.append((b_image, None))
-    return _decide_g_integral(g, window, specials)
+    near = [(c.point, 2.0 * c.exponent) for c in behaviors if same_point(c.point, b_image) or a <= c.point <= b]
+    return _decide_g_integral(g, window, _weighted(near, b_image))
 
 
 def decide_abs_integral(
@@ -1428,12 +1387,14 @@ def decide_abs_integral(
     point_exponents: Sequence[tuple[float, float]] = (),
     weight_point: Optional[float] = None,
     suspicious: Sequence[float] = (),
+    distance: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> IntegrabilityVerdict:
     """Finiteness of the integral of |f| (optionally weighted by |x - w|).
 
     ``point_exponents`` annotates |f| ~ C|x-x0|^p; the rule threshold is
     p > -1 (plus one when the annotation stands for the weight point, and
-    then it moves onto it).
+    then it moves onto it). Over a chart t of the natural scale u,
+    ``distance(t)`` gives the weight |u(t) - s(b)| in place of |t - w|.
     Used for the |q''| prerequisites of the semimartingale check.
     """
 
@@ -1441,16 +1402,8 @@ def decide_abs_integral(
         x = _arr(x)
         v = np.abs(_arr(f(x)))
         if weight_point is not None:
-            v = v * np.abs(x - weight_point)
+            v = v * (np.abs(x - weight_point) if distance is None else distance(x))
         return v
 
-    specials: list[tuple[float, Optional[float]]] = []
-    for p, e in point_exponents:
-        if weight_point is not None and same_point(p, weight_point):
-            p, e = weight_point, e + 1.0
-        specials.append((p, e))
-    for p in suspicious:
-        specials.append((float(p), None))
-    if weight_point is not None and all(not same_point(p, weight_point) for p, _ in specials):
-        specials.append((float(weight_point), None))
-    return _decide_g_integral(g, window, specials)
+    specials = list(point_exponents) if weight_point is None else _weighted(point_exponents, float(weight_point))
+    return _decide_g_integral(g, window, specials + [(float(p), None) for p in suspicious])

@@ -400,6 +400,12 @@ class _FlatSpotInverseScale:
         gaps = 0.5 * (self.ends[1:-1:2] + self.ends[2::2])
         knots = [*self.ends, *gaps, 0.0, *(lo - 2.0 ** np.arange(22)), *(hi + 2.0 ** np.arange(22))]
         self.t = np.array(sorted(set(knots)))
+        # every end is a knot: each knot segment lies in F (an odd count of
+        # ends at or below it) or between the same two ends throughout
+        j = np.searchsorted(self.ends, self.t[:-1], "right")
+        self.inside = j % 2 == 1
+        self.lo_end = np.concatenate(([-np.inf], self.ends))[j]
+        self.hi_end = np.concatenate((self.ends, [np.inf]))[j]
         self.d_at = self._dist(self.t)
         slopes = np.diff(self.d_at) / np.diff(self.t)
         self.slope = np.round(slopes).astype(float)  # exactly -1, 0, +1
@@ -408,15 +414,14 @@ class _FlatSpotInverseScale:
         i0 = int(np.searchsorted(self.t, 0.0))
         self.Q = np.concatenate([-np.cumsum(seg[:i0][::-1])[::-1], [0.0], np.cumsum(seg[i0:])])
 
-    def _dist(self, z: np.ndarray) -> np.ndarray:
-        # the nearest end of F is one of the two ends around z: float
-        # subtraction is monotone, so no farther end comes out nearer
+    def _dist(self, z: np.ndarray, k: Optional[np.ndarray] = None) -> np.ndarray:
+        # the nearest end of F is one of the two ends around z's knot segment
+        # k: float subtraction is monotone, so no farther end comes out
+        # nearer; fmin keeps the distance of an infinite z infinite
         z = np.asarray(z, float)
-        e = self.ends
-        k = np.searchsorted(e, z, "right")  # odd: z lies in a component
-        below = np.where(k > 0, z - e[np.maximum(k - 1, 0)], np.inf)
-        above = np.where(k < e.size, e[np.minimum(k, e.size - 1)] - z, np.inf)
-        return np.where(k % 2 == 1, 0.0, np.minimum(below, above))
+        k = self._segment(z) if k is None else k
+        with np.errstate(invalid="ignore"):
+            return np.where(self.inside[k], 0.0, np.fmin(z - self.lo_end[k], self.hi_end[k] - z))
 
     def _segment(self, x: np.ndarray, side: int = 1) -> np.ndarray:
         k = np.searchsorted(self.t, x, side="right" if side > 0 else "left") - 1
@@ -430,7 +435,7 @@ class _FlatSpotInverseScale:
         h = x - self.t[k]
         out = (self.Q[k] + self.d_at[k] * h + 0.5 * self.slope[k] * h * h + self.tilt * x,)
         if order:
-            out += (self._dist(x) + self.tilt,)
+            out += (self._dist(x, k) + self.tilt,)
         if order > 1:
             out += (self.slope[k if side > 0 else self._segment(x, side)],)
         return out

@@ -201,6 +201,98 @@ def check_nip_zero_rate(view, spec, cfg=DEFAULT_QUAD):
     return _combine([c.status for c in reports]), reports
 
 
+def sc_mass(m, a: float, b: float) -> float:
+    """Mass of [a, b] under the singular-continuous part of the measure m:
+    its multiplier at cell midpoints against the base cdf increments of a
+    1,025-point grid."""
+    if m.sc is None:
+        return 0.0
+    lo = max(a, m.sc.support[0])
+    hi = min(b, m.sc.support[1])
+    if hi <= lo:
+        return 0.0
+    grid = np.linspace(lo, hi, 1025)
+    cdf = _arr(m.sc.base_cdf(grid))
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    mult = _arr(m.sc.multiplier(mids))
+    return float(np.dot(mult, np.diff(cdf)))
+
+
+def measure_mass(m, a: float, b: float) -> float:
+    """Mass of [a, b] under the ``DecomposedMeasure`` m; infinite atoms
+    propagate to inf.
+
+    The AC integral is split at declared density breakpoints and atom
+    locations, where the density is allowed to jump, and each part is
+    integrated at the ``adaptive_quad`` defaults.
+    """
+    total = 0.0
+    if m.ac_density is not None:
+        cuts = sorted(
+            {a, b}
+            | {p for p in m.ac_breakpoints if a < p < b}
+            | {p for p, _ in m.atoms if a < p < b}
+        )
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            total += adaptive_quad(m.ac_density, lo, hi)
+    for p, mass in m.atoms:
+        if a <= p <= b:
+            if math.isinf(mass):
+                return math.inf
+            total += mass
+    total += sc_mass(m, a, b)
+    return total
+
+
+def inverse_piece_with_root_record(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1D:
+    """Reference for ``diffusion_model.inverse_piece`` and for the state
+    chart of ``NaturalScaleView``: the inverse q = s^{-1} read through one
+    ``jet`` over a root record.
+
+    The record serves the last array inverted: its roots x and, from the
+    first slope asked for on, s'_+(x) and s''(x), read from one order-2
+    ``scale.jet`` call. At order 0 the jet returns the roots alone; q'_+ =
+    1/s'_+(q) and q'' = -s''(q) / s'_+(q)^3 (a.e.) read the record, and at
+    side -1 it computes q'_- = 1/s'_-(q) when asked. Kinks of s map to kinks
+    of q and flat points of s to infinite-slope points of q.
+    """
+    rec = [None, None, None, None]  # (shape, bytes) of the last array, its roots, s'_+ and s'' there
+
+    def record(u, slopes: bool):
+        u = np.asarray(u, float)
+        key = (u.shape, u.tobytes())
+        if key != rec[0]:
+            rec[:] = key, invert_monotone_vec(scale, u), None, None
+        if slopes and rec[2] is None:
+            rec[2:] = (np.asarray(v, float) for v in scale.jet(rec[1], order=2)[1:])
+        return rec[1:]
+
+    def jet(u, side=1, order=1):
+        x, d, dd = record(u, order and side > 0)
+        if order and side < 0:  # the record holds the right slopes: the left ones at q, when asked
+            left = scale.jet(x, -1, order)
+            d, dd = left[1], left[-1]
+        out = (x.copy(),)
+        if order:  # q' = 1/s', and +inf where s' <= 0
+            d = np.asarray(d, float)
+            with np.errstate(divide="ignore"):
+                out += (np.where(d > 0, 1.0 / d, np.inf),)
+        if order > 1:  # q'' = -s''/s'^3 where finite, else 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c = -np.asarray(dd, float) / d**3
+            out += (np.where(np.isfinite(c), c, 0.0),)
+        return out
+
+    kinks = []
+    for c, _ in scale.kinks:
+        u, dp = map(float, scale.jet(np.asarray(c)))
+        dm = float(scale.d_minus(np.asarray(c)))
+        if dp > 0 and dm > 0:
+            kinks.append((u, 1.0 / dp - 1.0 / dm))
+    inf_slope = tuple(float(scale.value(np.asarray(c))) for c in scale.zero_slope)
+    return SmoothPiece1D(domain=sJ, jet=jet, kinks=tuple(kinks), infinite_slope=inf_slope)
+
+
 def fat_cantor_dist_by_component(components, z) -> np.ndarray:
     """Reference for ``model_catalog._FlatSpotInverseScale._dist``: the
     distance from z to the union of closed ``components``, one component at

@@ -186,7 +186,7 @@ def test_criterion_5_empirical_arbitrage():
     res = run_strategy(view, spec, "post_hitting_hold", n_paths=10_000, seed=42, N=512, horizon=1.0)
     if res.min_payoff < -2 * res.grid_step:
         failures.append(f"min payoff {res.min_payoff} below -2 grid steps ({res.grid_step})")
-    if not res.positive_ci_excludes_zero():
+    if not res.wilson_low > 0.0:
         failures.append(f"Wilson CI [{res.wilson_low:.4f}, {res.wilson_high:.4f}] does not exclude 0")
     _report(5, "post-hitting-hold on the reflected zero-rate model realizes arbitrage", failures, time.time() - t0, 60.0)
 

@@ -1,7 +1,9 @@
 """Boundary classification, natural-scale derivation, standing assumption."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +216,25 @@ def test_affine_passes_assumption():
     spec = build_model("brownian_motion")
     view = derive_natural_scale(spec)
     assert check_semimartingale_assumption(view, spec).passed
+
+
+@pytest.mark.parametrize(
+    "name, exponent, note",
+    [
+        ("doc02_absorbing", -2.5, "|q''| distance-weighted integral near s(left) is divergent"),
+        ("doc05_sticky_cubic", -1.0, "|q''| integral near s(left) is divergent"),
+    ],
+)
+def test_qpp_collar_condition_fails_by_the_declared_exponent(name, exponent, note):
+    # |q''| ~ |u - s(b)|^exponent at the boundary image: at an absorbing end
+    # the distance weight raises the exponent by one, at a reflecting end
+    # nothing does; over the state chart the exponent rule decides as over u
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / f"{name}.json").read_text())
+    image = derive_natural_scale(load_model_spec(doc)).sJ[0]
+    doc["qpp_behaviors"] = [{"point": image, "side": "right", "exponent": exponent, "coeff": 1.0}]
+    spec = load_model_spec(doc)
+    report = check_semimartingale_assumption(derive_natural_scale(spec), spec)
+    assert report.failures() == [note]
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,9 @@ from oracles import (
     flat_spot_q_deriv,
     flat_spot_q_deriv2,
     flat_spot_q_value,
+    inverse_piece_with_root_record,
     invert_monotone_vec_one_phase,
+    measure_mass,
     piece_with_one_call_per_handle,
 )
 
@@ -437,8 +439,10 @@ def test_inverse_slope_stays_finite_at_a_flat_point():
     assert math.isfinite(slope) and slope > 1e6
 
 
-def test_inverse_piece_memo_is_keyed_on_content_and_returns_copies():
-    q = inverse_piece(piece(PowerSigned(0.0, 3.0)), (-RT, RT))
+def test_inverse_piece_holds_no_state_and_returns_fresh_arrays():
+    s = piece(PowerSigned(0.0, 3.0))
+    q = inverse_piece(s, (-RT, RT))
+    assert q.jet.__code__.co_freevars == ("scale",)  # the jet closes over the scale alone
     u = np.linspace(-2.0, 2.0, 9)
     first = q.value(u)
     first[:] = 99.0  # a caller may mutate the result
@@ -446,8 +450,12 @@ def test_inverse_piece_memo_is_keyed_on_content_and_returns_copies():
     assert np.allclose(again, np.cbrt(u), rtol=1e-14, atol=1e-15)
     assert np.array_equal(again, q.value(u))
     assert not np.shares_memory(again, q.value(u))
-    # the slope reads the same inversion
     assert np.allclose(q.d_plus(u[u != 0]), 1.0 / (3.0 * np.cbrt(u[u != 0]) ** 2), rtol=1e-12)
+    # on either side and at every order, the bits of the root-record inverse
+    old = inverse_piece_with_root_record(s, (-RT, RT))
+    for side in (1, -1):
+        for order in (0, 1, 2):
+            assert all(_same(a, b) for a, b in zip(q.jet(u, side, order), old.jet(u, side, order)))
 
 
 def test_kink_inverse_document_matches_sticky_skew():
@@ -474,7 +482,7 @@ def test_pushforward_identity_lebesgue():
     m = DecomposedMeasure(support=(-RT, RT), ac_density=lambda x: np.ones_like(x))
     s = piece(Affine(1, 0))
     mu = pushforward(m, s, inverse_piece(s, (-RT, RT)))
-    assert abs(mu.mass(-1.3, 2.2) - 3.5) < 1e-8
+    assert abs(measure_mass(mu, -1.3, 2.2) - 3.5) < 1e-8
 
 
 def test_pushforward_atom_moves_with_map():
@@ -485,7 +493,7 @@ def test_pushforward_atom_moves_with_map():
     s = piece(Affine(1, 0), domain=(1.0, RT))
     mu = pushforward(m, s, inverse_piece(s, (1.0, RT)))
     assert mu.atoms == ((1.0, rho),)
-    assert abs(mu.mass(1.0, 2.0) - (1.0 + rho)) < 1e-8
+    assert abs(measure_mass(mu, 1.0, 2.0) - (1.0 + rho)) < 1e-8
 
 
 def test_pushforward_sticky_skew():
@@ -519,8 +527,8 @@ def test_pushforward_mass_conservation_random_intervals():
         a, b = np.sort(rng.uniform(-3, 3, size=2))
         if b - a < 1e-3:
             continue
-        lhs = m.mass(a, b)
-        rhs = mu.mass(float(s.value(np.asarray(a))), float(s.value(np.asarray(b))))
+        lhs = measure_mass(m, a, b)
+        rhs = measure_mass(mu, float(s.value(np.asarray(a))), float(s.value(np.asarray(b))))
         assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
 
 
@@ -589,7 +597,7 @@ def test_second_derivative_reintegration_random_intervals():
         if y - x < 1e-3:
             continue
         expect = float(q.d_plus(np.asarray(y)) - q.d_plus(np.asarray(x)))
-        got = dec.mass(x, y) - sum(mass for pt, mass in dec.atoms if pt == x)
+        got = measure_mass(dec, x, y) - sum(mass for pt, mass in dec.atoms if pt == x)
         assert abs(got - expect) <= 1e-8 * max(1.0, abs(expect))
 
 
@@ -845,7 +853,7 @@ def test_atoms_sorted_and_infinite_only_at_boundary():
     with pytest.raises(MeasureKitError):
         DecomposedMeasure(support=(0.0, 10.0), atoms=((5.0, math.inf),))
     m = DecomposedMeasure(support=(0.0, 10.0), atoms=((0.0, math.inf),))
-    assert math.isinf(m.mass(0.0, 1.0))
+    assert math.isinf(measure_mass(m, 0.0, 1.0))
 
 
 def test_measure_json_round_trip():
@@ -857,7 +865,7 @@ def test_measure_json_round_trip():
     m = measure_from_json(obj, support=(0.0, 3.0))
     assert m.atoms[0] == (1.0, 0.5)
     assert math.isinf(m.atoms[1][1])
-    assert abs(m.mass(0.0, 1.0) - (2.0 + 0.5)) < 1e-9
+    assert abs(measure_mass(m, 0.0, 1.0) - (2.0 + 0.5)) < 1e-9
 
 
 def test_measure_json_rejects_unknown_fields():
