@@ -358,8 +358,9 @@ def inverse_piece(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1
     """Inverse q = s^{-1} of the increasing piece s = ``scale`` on its image
     ``sJ``. Its jet holds no state: each call inverts its points once and
     reads ``_inverse_jet`` there. Kinks of s map to kinks of q and flat
-    points of s to infinite-slope points of q. Models built from q take
-    their scale as ``inverse_piece(q, J)``."""
+    points of s to infinite-slope points of q. Only a model that declares
+    neither q nor an inverse scale is inverted so; every catalog model
+    declares q, and fat_cantor's scale is q's inverse in closed form."""
 
     def jet(u, side=1, order=1):
         x = invert_monotone_vec(scale, u)

@@ -1221,21 +1221,29 @@ def _detect_suspicious(
     g at ``window_nodes(*windows[i])``; its points are the nodes where g is
     not finite or exceeds 1e6 times the median of the row's finite values,
     at most one per 1/64 of the window and none that near a point of
-    ``known[i]``. A row with no finite value has none. One call takes the
-    medians of all rows that are finite throughout; each other row takes
-    the median of its finite values alone."""
+    ``known[i]``. A row with no finite value has none, and neither has a
+    finite row whose largest value is at most 1e6 times its smallest: the
+    median is never below the smallest value, so no value exceeds 1e6 times
+    it. The other rows take their medians, those finite throughout from one
+    call, each other one of its finite values alone, and are flagged."""
     vals = np.abs(g_rows)
     ok = np.isfinite(vals)
-    clean, some = ok.all(axis=1), ok.any(axis=1)
-    scale = np.zeros(len(vals))
-    scale[clean] = _row_medians(vals[clean])
-    for i in np.flatnonzero(~clean & some):
-        scale[i] = np.median(vals[i][ok[i]])
-    flag = (~ok | (vals > 1e6 * (scale + 1e-300)[:, None])) & some[:, None]
+    clean = ok.all(axis=1)
+    quiet = clean & (vals.max(axis=1) <= 1e6 * vals.min(axis=1))
+    rows = np.flatnonzero(~quiet & ok.any(axis=1))
     found: list[list[float]] = [[] for _ in windows]
-    for i in np.flatnonzero(flag.any(axis=1)):
+    if not rows.size:
+        return found
+    vals, ok, clean = vals[rows], ok[rows], clean[rows]
+    scale = np.zeros(rows.size)
+    scale[clean] = _row_medians(vals[clean])
+    for j in np.flatnonzero(~clean):
+        scale[j] = np.median(vals[j][ok[j]])
+    flag = ~ok | (vals > 1e6 * (scale + 1e-300)[:, None])
+    for j in np.flatnonzero(flag.any(axis=1)):
+        i = rows[j]
         (a, b), pts = windows[i], found[i]
-        for x in window_nodes(a, b)[flag[i]]:
+        for x in window_nodes(a, b)[flag[j]]:
             if all(abs(x - p) > (b - a) / 64 for p in list(known[i]) + pts):
                 pts.append(float(x))
     return found

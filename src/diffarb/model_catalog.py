@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diffusion_model import DiffusionSpec, StateInterval, inverse_piece
+from .diffusion_model import DiffusionSpec, StateInterval
 from .measure_kit import (
     Affine,
     DecomposedMeasure,
@@ -382,13 +382,15 @@ def fat_complement_components(generations: int) -> list[tuple[float, float]]:
 
 
 class _FlatSpotInverseScale:
-    """q(x) = integral_0^x dist(z, F) dz + tilt * x for a finite union F.
+    """q(x) = integral_0^x dist(z, F) dz + tilt * x for a finite union F,
+    and its inverse s = q^{-1}, both in closed form.
 
     dist(z, F) is piecewise affine with slopes in {-1, 0, +1}; the integral
-    is evaluated exactly as a piecewise quadratic. The tiny tilt keeps q
-    strictly increasing on the flats so the approximant remains a valid,
-    simulatable scale inverse; classification relies on the declared
-    annotations, not on the tilt.
+    is evaluated exactly as a piecewise quadratic, so s is one quadratic
+    root per knot segment (``inverse_jet``) and no point is inverted
+    numerically. The tiny tilt keeps q strictly increasing on the flats so
+    the approximant remains a valid, simulatable scale inverse;
+    classification relies on the declared annotations, not on the tilt.
     """
 
     def __init__(self, components: list[tuple[float, float]], tilt: float = 1e-9):
@@ -413,6 +415,13 @@ class _FlatSpotInverseScale:
         # q(0) = 0; summing outward from it, no far segment absorbs a near one
         i0 = int(np.searchsorted(self.t, 0.0))
         self.Q = np.concatenate([-np.cumsum(seg[:i0][::-1])[::-1], [0.0], np.cumsum(seg[i0:])])
+        # the knot images q(t): non-decreasing, and tied only where a segment
+        # is narrower than an ulp of its image (from 29 generations on)
+        self.U = self.Q + self.tilt * self.t
+        # a root stays in its knot segment, so that s is monotone across the
+        # knots; the outer two segments extrapolate
+        self.u_lo = np.concatenate(([-np.inf], self.t[1:-1]))
+        self.u_hi = np.concatenate((self.t[1:-1], [np.inf]))
 
     def _dist(self, z: np.ndarray, k: Optional[np.ndarray] = None) -> np.ndarray:
         # the nearest end of F is one of the two ends around z's knot segment
@@ -440,6 +449,27 @@ class _FlatSpotInverseScale:
             out += (self.slope[k if side > 0 else self._segment(x, side)],)
         return out
 
+    def inverse_jet(self, x, side=1, order=1):
+        """s = q^{-1} at x, then 1/q'(s) and -q''(s)/q'(s)^3 on ``side``, up
+        to ``order``. On x's knot segment k, the last whose image starts at
+        or below x, clipped as ``_segment`` clips so that the far tails
+        extrapolate as q's jet does, q(t_k + h) - x = a h^2 + b h + c with
+        a = q''/2, b = q'(t_k) > 0 and c = q(t_k) - x. The root
+        -2c / (b + sqrt(b^2 - 4ac)) takes no difference of near-equal terms,
+        and is computed halved so that no term overflows. -+inf maps to
+        -+inf and NaN to NaN."""
+        x = np.asarray(x, float)
+        k = np.searchsorted(self.U, x, "right") - 1
+        k = np.minimum(np.maximum(k, 0), len(self.t) - 2)
+        a, half_b, c = 0.5 * self.slope[k], 0.5 * (self.d_at[k] + self.tilt), self.U[k] - x
+        with np.errstate(invalid="ignore"):
+            h = -c / (half_b + np.sqrt(np.maximum(half_b * half_b - a * c, 0.0)))
+            u = np.where(np.isinf(x), x, np.minimum(np.maximum(self.t[k] + h, self.u_lo[k]), self.u_hi[k]))
+        if not order:
+            return (u,)
+        _, d, *dd = self.jet(u, side, order)
+        return (u, 1.0 / d, -dd[0] / d**3) if order > 1 else (u, 1.0 / d)
+
 
 @dataclass(frozen=True)
 class _FlatSpotPiece(SmoothPiece1D):
@@ -458,7 +488,7 @@ def _build_fat_cantor(r: float, generations: float, u0: float) -> DiffusionSpec:
     core = _FlatSpotInverseScale(comps)
     q = _FlatSpotPiece(domain=(-_R_INF, _R_INF), jet=core.jet, core=core)
     J = StateInterval(-_R_INF, _R_INF)
-    scale = inverse_piece(q, (J.alpha, J.beta))
+    scale = SmoothPiece1D(domain=(J.alpha, J.beta), jet=core.inverse_jet)
     speed = DecomposedMeasure(support=(J.alpha, J.beta), ac_density=scale.d_plus)
     behaviors = []
     for a, b in comps:

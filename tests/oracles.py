@@ -2,7 +2,7 @@
 
 import dataclasses
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,11 +38,13 @@ from diffarb.measure_kit import (
     _TAIL_FRACTION,
     _arr,
     _leggauss,
+    _row_medians,
     adaptive_quad,
     close_rel,
     decide_L2_local,
     invert_monotone_vec,
     same_point,
+    window_nodes,
 )
 
 
@@ -386,6 +388,28 @@ def detect_suspicious_one_window(g_nodes, a: float, b: float, known) -> list[flo
     return pts
 
 
+def detect_suspicious_every_median(
+    g_rows: np.ndarray, windows: Sequence[tuple[float, float]], known: Sequence[Sequence[float]]
+) -> list[list[float]]:
+    """Reference for ``measure_kit._detect_suspicious``: every row with a
+    finite value takes its median and is flagged, however narrow its range."""
+    vals = np.abs(g_rows)
+    ok = np.isfinite(vals)
+    clean, some = ok.all(axis=1), ok.any(axis=1)
+    scale = np.zeros(len(vals))
+    scale[clean] = _row_medians(vals[clean])
+    for i in np.flatnonzero(~clean & some):
+        scale[i] = np.median(vals[i][ok[i]])
+    flag = (~ok | (vals > 1e6 * (scale + 1e-300)[:, None])) & some[:, None]
+    found: list[list[float]] = [[] for _ in windows]
+    for i in np.flatnonzero(flag.any(axis=1)):
+        (a, b), pts = windows[i], found[i]
+        for x in window_nodes(a, b)[flag[i]]:
+            if all(abs(x - p) > (b - a) / 64 for p in list(known[i]) + pts):
+                pts.append(float(x))
+    return found
+
+
 def phi_l2_interior_by_window(view, spec) -> ConditionReport:
     """Reference for ``arb_classifier._phi_l2_interior``: the same windows,
     each evaluating phi itself, one window after another."""
@@ -670,9 +694,11 @@ def _jet_by_handle(value, deriv, deriv2):
 def piece_with_one_call_per_handle(f, source=None):
     """``f`` read one output at a time, as before the one jet: through the
     reference expression walks above for a piece built from an expression,
-    through the flat-spot handles for ``fat_cantor``'s q, and for the inverse
-    of ``source`` (itself read so) as the roots with 1/s'(x) and
-    -s''(x)/s'(x)^3 there, each slope read apart on the jet's side."""
+    through the flat-spot handles for ``fat_cantor``'s q, for its
+    closed-form scale as the roots with 1/q'(u) and -q''(u)/q'(u)^3 there
+    read through those handles, and for the inverse of ``source`` (itself
+    read so) as the roots with 1/s'(x) and -s''(x)/s'(x)^3 there, each slope
+    read apart on the jet's side."""
     if source is not None:
         s = piece_with_one_call_per_handle(source)
 
@@ -689,6 +715,16 @@ def piece_with_one_call_per_handle(f, source=None):
         return dataclasses.replace(f, jet=_jet_by_handle(
             lambda x: expr_value(e, x), lambda x, side: expr_deriv(e, x, side), lambda x, side: expr_deriv2(e, x, side),
         ))
+    if not hasattr(f, "core"):  # fat_cantor's scale: a plain piece over core.inverse_jet
+        core = f.jet.__self__
+
+        def jet(x, side=1, order=1):
+            u = core.inverse_jet(x, side, 0)[0]
+            with np.errstate(all="ignore"):
+                d = flat_spot_q_deriv(core, u)
+                return (u, 1.0 / d, -flat_spot_q_deriv2(core, u, side) / d**3)[: order + 1]
+
+        return SmoothPiece1D(domain=f.domain, jet=jet)
     core = f.core  # fat_cantor's q: a plain piece, whose q'' reads the jet
     return SmoothPiece1D(domain=f.domain, jet=_jet_by_handle(
         lambda x: flat_spot_q_value(core, x), lambda x, side: flat_spot_q_deriv(core, x),

@@ -1,6 +1,8 @@
 """Golden agreement: the classifier must reproduce every expected verdict."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from diffarb.model_catalog import (
 )
 
 from oracles import fat_cantor_dist_by_component
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402  the benchmark's catalog inputs
 
 INF = math.inf
 
@@ -168,3 +173,37 @@ def test_fat_cantor_inverse_scale_is_monotone_and_matches_its_slope():
     # the integral of dist(., F) over [0, 3/4] plus the tilt, in exact arithmetic
     assert spec.x0 == pytest.approx(0.0022778518547, rel=1e-10)
     assert float(spec.scale.value(np.asarray(spec.x0))) == 0.75
+
+
+def _bench_fat_cantor_starts() -> list[float]:
+    """u0 of every fat_cantor input of the benchmark, seeds 1-3, passes 0-1."""
+    return sorted({
+        workloads.parse_params(c.params).get("u0", 0.55)
+        for seed in (1, 2, 3) for p in (0, 1) for c in workloads.catalog_inputs(seed, p) if c.name == "fat_cantor"
+    })
+
+
+@pytest.mark.parametrize("generations", [1, 7, 8, 12])
+def test_fat_cantor_scale_is_the_closed_form_inverse_of_q(generations):
+    # s = q^-1 from one quadratic root per knot segment: q(s(x)) is x to 16
+    # ulp of the larger of |x| and |q(t_k)|, t_k the start of the root's knot
+    # segment (an ulp of x alone is too tight near x = 0), s is monotone
+    # across the knot images, and its slopes are q's, inverted, bit for bit
+    spec = build_model("fat_cantor", {"generations": generations})
+    q, s, core = spec.q_piece, spec.scale, spec.q_piece.core
+    far = 10.0 ** np.arange(1, 12)
+    x = np.concatenate([
+        np.linspace(-3.0, 3.0, 200_001), core.U, np.nextafter(core.U, -INF), np.nextafter(core.U, INF),
+        0.5 * (core.U[1:] + core.U[:-1]),
+        q.value(np.array(_bench_fat_cantor_starts())), far, -far, [1e-300, -1e-300],
+    ])
+    u = s.value(x)
+    assert not np.isnan(u).any()
+    k = np.clip(np.searchsorted(core.t, u, "right") - 1, 0, core.t.size - 2)
+    assert np.all(np.abs(q.value(u) - x) <= 16 * np.spacing(np.maximum(np.abs(x), np.abs(q.value(core.t[k])))))
+    assert np.all(np.diff(u[np.argsort(x, kind="stable")]) >= 0)
+    for side in (1, -1):
+        _, d, d2 = q.jet(u, side, 2)
+        got = s.jet(x, side, 2)
+        assert np.array_equal(got[0], u) and np.array_equal(got[1], 1.0 / d) and np.array_equal(got[2], -d2 / d**3)
+    assert np.array_equal(s.value(np.array([INF, -INF, np.nan])), [INF, -INF, np.nan], equal_nan=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffarb import arb_classifier, diffusion_model
+from diffarb import arb_classifier, diffusion_model, measure_kit
 from diffarb.arb_classifier import (
     FAILS,
     HOLDS,
@@ -613,9 +613,8 @@ def test_inverting_a_stacked_array_equals_inverting_each_point(case):
     far = np.concatenate([-_FAR, _FAR])
     sets = [(spec.scale, np.concatenate([far, us, window_nodes(us[0], us[-1])]))]
     if case == "fat_cantor":
-        # its scale is the inverse of q_piece, whose flats send points down
-        # the bisection path: each value of the scale is an inversion itself,
-        # so the window is read on q_piece, in state space
+        # the window is read on q_piece, in state space, whose flats send
+        # points down the bisection path
         xs = np.asarray(spec.q_piece.value(us))
         sets = [(spec.scale, np.concatenate([far, us])),
                 (spec.q_piece, np.concatenate([far, xs, window_nodes(xs[0], xs[-1])]))]
@@ -686,6 +685,26 @@ def test_classify_inverts_no_array_for_an_expression_scale(monkeypatch):
         counts.append(0)
         classify(load_model_spec(_golden_doc(name)))
     assert all(0 < n <= 100 for n in counts), dict(zip(_UNANNOTATED, counts))
+
+
+def test_a_catalog_classify_inverts_no_point(monkeypatch):
+    # every catalog model declares q, as an expression or as fat_cantor's
+    # flat-spot piece with its closed-form inverse: at the defaults and at
+    # the benchmark's golden table, no point goes through the numeric inverse
+    calls = []
+    for module in (measure_kit, diffusion_model):
+
+        def counted(f, ys, invert=module.invert_monotone_vec):
+            calls.append(np.size(ys))
+            return invert(f, ys)
+
+        monkeypatch.setattr(module, "invert_monotone_vec", counted)
+    cases = [(name, {}) for name in sorted(CATALOG)]
+    cases += [(name, workloads.parse_params(params)) for name, params in workloads.GOLDEN]
+    assert len(cases) == len(CATALOG) + 15
+    for name, params in cases:
+        classify(build_model(name, params))
+    assert calls == []
 
 
 def _bits(a) -> np.ndarray:
