@@ -283,16 +283,17 @@ def _phi_l2_interior(view: NaturalScaleView, spec: DiffusionSpec) -> ConditionRe
     exponent rule) plus a fixed panel of generic windows over a compact
     probe region around the start image, decided in order up to the first
     divergent one. Windows are placed in u, and one ``view.chart`` call maps
-    their edges and the behaviour points to t. The generic windows are
-    screened a block of 4 at a time: ``view.phi_dt`` is evaluated once on
-    the block's stacked ``window_nodes`` (about 4,100 points) and
-    ``_detect_suspicious`` reads all 4 rows in one call. Only a window with
-    a detected point or an annotated behaviour goes on to
-    ``decide_L2_local``; every other one is finite, as that decider finds
-    it. Blocks of 4 keep the rows in cache: on the 7 catalog defaults, 8
-    blocks took 0.46-2.84 ms, one evaluation of all 32 windows 0.82-4.01 ms
-    and 32 evaluations 1.05-4.28 ms. When a block's evaluation raises, each
-    of its windows evaluates phi_dt itself.
+    their edges and the behaviour points to t. The generic windows that
+    ``view.bounded`` certifies take no sample; the others are screened 4 at
+    a time: ``view.phi_dt`` is evaluated once on their stacked
+    ``window_nodes`` (about 4,100 points) and ``_detect_suspicious`` reads
+    the 4 rows in one call. Only a window with a detected point or an
+    annotated behaviour goes on to ``decide_L2_local``; every other one is
+    finite, as that decider finds it. Blocks of 4 keep the rows in cache:
+    with all 32 windows screened on the 7 catalog defaults, 8 blocks took
+    0.46-2.84 ms, one evaluation 0.82-4.01 ms and 32 evaluations 1.05-4.28
+    ms. When a block's evaluation raises, each of its windows evaluates
+    phi_dt itself.
     """
     lo_u, hi_u = view.sJ
     # an annotation at a boundary image belongs to that boundary's collar
@@ -324,23 +325,26 @@ def _phi_l2_interior(view: NaturalScaleView, spec: DiffusionSpec) -> ConditionRe
 
     if "divergent" not in statuses:
         windows = list(zip(t_edges[:-1], t_edges[1:]))
-        nodes = window_nodes(np.array(t_edges[:-1]), np.array(t_edges[1:]))
+        local = [[bb for bb in moved if lo <= bb.point <= hi] for lo, hi in windows]
+        found = [[] for _ in windows]  # a certified window has no suspicious point
+        pending = np.flatnonzero(~view.bounded(t_edges[:-1], t_edges[1:])).tolist()
         for k, (a, b) in enumerate(windows):
-            j = k % _WINDOW_BLOCK
-            if j == 0:
-                block = windows[k : k + _WINDOW_BLOCK]
-                local = [[bb for bb in moved if lo <= bb.point <= hi] for lo, hi in block]
+            if pending and k == pending[0]:  # screen the next block of uncertified windows
+                idx, pending = pending[:_WINDOW_BLOCK], pending[_WINDOW_BLOCK:]
+                block = [windows[i] for i in idx]
                 try:
-                    rows = np.asarray(view.phi_dt(nodes[k : k + _WINDOW_BLOCK].ravel()), float).reshape(len(block), -1)
+                    rows = np.asarray(view.phi_dt(window_nodes(*np.array(block).T).ravel()), float).reshape(len(idx), -1)
                 except MeasureKitError:  # each window evaluates phi_dt, so one past a divergent window never raises
-                    found = [None] * len(block)
+                    screened = [None] * len(idx)
                 else:
-                    found = _detect_suspicious(rows * rows, block, [[bb.point for bb in loc] for loc in local])
-            if found[j] is None:
-                status = decide_L2_local(view.phi_dt, (a, b), behaviors=local[j]).status
-            elif local[j] or found[j]:
+                    screened = _detect_suspicious(rows * rows, block, [[bb.point for bb in local[i]] for i in idx])
+                for i, pts in zip(idx, screened):
+                    found[i] = pts
+            if found[k] is None:
+                status = decide_L2_local(view.phi_dt, (a, b), behaviors=local[k]).status
+            elif local[k] or found[k]:
                 status = decide_L2_local(
-                    view.phi_dt, (a, b), behaviors=local[j], suspicious=found[j], auto_detect=False
+                    view.phi_dt, (a, b), behaviors=local[k], suspicious=found[k], auto_detect=False
                 ).status
             else:
                 status = "finite"
@@ -367,15 +371,17 @@ def _phi_collars(view: NaturalScaleView, spec: DiffusionSpec, kind: str) -> list
         if beh.kind != kind:
             continue
         window, b_t, bb = view.chart_collar(side, spec.phi_behaviors)
-        if kind == "reflecting":
-            v, cid, what = decide_L2_local(view.phi_dt, window, behaviors=bb, suspicious=[b_t]), "NSA.iv.refl", ""
+        cid, what = ("NSA.iv.refl", "") if kind == "reflecting" else ("NUPBR.v", "distance-weighted ")
+        if not bb and view.bounded(*window):  # phi bounded up to the boundary: finite
+            status = "finite"
+        elif kind == "reflecting":
+            status = decide_L2_local(view.phi_dt, window, behaviors=bb, suspicious=[b_t]).status
         else:
-            v = decide_weighted_L2_boundary(
+            status = decide_weighted_L2_boundary(
                 view.phi_dt, b_t, window, behaviors=bb, distance=lambda t: np.abs(view.point(t)[0] - beh.image)
-            )
-            cid, what = "NUPBR.v", "distance-weighted "
-        note = f"{what}collar integral of phi**2 at the {side} {kind} boundary: {v.status}"
-        reports.append(ConditionReport(cid, _CONDITION[v.status], note=note))
+            ).status
+        note = f"{what}collar integral of phi**2 at the {side} {kind} boundary: {status}"
+        reports.append(ConditionReport(cid, _CONDITION[status], note=note))
     return reports
 
 

@@ -182,13 +182,16 @@ class NaturalScaleView:
     m_ac: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def chart(self, u) -> np.ndarray:
-        """Chart points of natural-scale points u, by one inversion in the
-        state chart; a boundary image goes to its endpoint exactly."""
+        """Chart points of natural-scale points u, by one inversion of those
+        inside s(J) in the state chart; a boundary image goes to its endpoint."""
         u = np.asarray(u, float)
         if self.scale is None:
             return u
         (_, lo), (_, hi) = self.boundaries
-        return np.where(u == lo.image, lo.value, np.where(u == hi.image, hi.value, invert_monotone_vec(self.scale, u)))
+        inner = (u != lo.image) & (u != hi.image)
+        t = np.where(inner, u, np.where(u == lo.image, lo.value, hi.value))
+        t[inner] = invert_monotone_vec(self.scale, u[inner])
+        return t
 
     def point(self, t) -> tuple:
         """(u, q, q', q'', du/dt) at chart points t, from one jet read."""
@@ -227,10 +230,30 @@ class NaturalScaleView:
         return self.drift_over_slope(self.chart(u), 2)
 
     def boundary_slope(self, side: str) -> float:
-        """One-sided q' at a boundary image, taken from the interior side."""
+        """One-sided q' at a boundary image, taken from the interior side: in
+        the state chart 1/s' at the endpoint, with no inversion."""
+        if self.scale is not None:
+            k = int(side == "right")
+            return float(_inverse_jet(self.scale, np.asarray(self.boundaries[k][1].value), 1 - 2 * k, 1)[2])
         if side == "left":
             return float(self.q.d_plus(np.asarray(self.sJ[0])))
         return float(self.q.d_minus(np.asarray(self.sJ[1])))
+
+    def bounded(self, lo, hi, drift: bool = True) -> np.ndarray:
+        """Closed chart windows [lo, hi] (arrays alike) where phi sqrt(du/dt),
+        |q''| du/dt and q' are bounded by ``Expr.bounds``: s' in [d, M], d > 0,
+        and s'' bounded; in the u chart q' so (or just bounded, no ``drift``)
+        and q''; with ``drift`` and r != 0 also q and the density phi reads,
+        an ``Expr``. Never with a ``q_piece`` or ``qpp_sc``."""
+        lo, hi = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
+        f = (self.q if self.scale is None else self.scale).expr
+        dens = self.mU.ac_density if self.scale is None else self.m_ac
+        need = drift and self.r != 0.0 and self.mU.ac_density is not None  # phi reads q and the density
+        if f is None or self.qpp.sc is not None or (need and not isinstance(dens, Expr)):
+            return np.zeros(lo.shape, bool)
+        (v_lo, v_hi), (d_lo, d_hi), dd = f.bounds(lo, hi)
+        ok = np.isfinite([lo, hi, d_hi, *dd]).all(axis=0) & ((d_lo > 0.0) | (not drift and self.scale is None))
+        return ok & np.isfinite([v_lo, v_hi, *dens.bounds(lo, hi)[0]]).all(axis=0) if need else ok
 
     def collar(self, side: str, fraction: float = 1.0) -> tuple[float, float]:
         """Window of length fraction * min(1, |s(J)|/4) at a boundary image."""
@@ -493,7 +516,8 @@ def check_semimartingale_assumption(view: NaturalScaleView, spec: DiffusionSpec)
     functions); (b) near an absorbing boundary image the |q''| measure must
     integrate the distance weight; (c) near a reflecting boundary image
     |q''| must be finite up to the boundary. Failure is a value -- it blocks
-    classification but raises nothing here.
+    classification but raises nothing here. A window that ``view.bounded``
+    certifies (``drift=False``) and no annotation marks passes unsampled.
     """
     checks: list[AssumptionCheck] = []
 
@@ -520,8 +544,10 @@ def check_semimartingale_assumption(view: NaturalScaleView, spec: DiffusionSpec)
             lo = max(lo, s_lo + margin)
         if math.isfinite(s_hi):
             hi = min(hi, s_hi - margin)
-        if lo < hi:  # sampled over the chart: a monotone change of variable keeps the variation
-            tvs, stable = sampled_total_variation(lambda t: view.point(t)[2], view.chart(np.array([lo, hi])))
+        if lo < hi:  # over the chart: a monotone change of variable keeps the variation
+            t = view.chart(np.array([lo, hi]))
+            bv = view.bounded(*t, drift=False)  # q', q'' bounded: finite variation
+            tvs, stable = ([], True) if bv else sampled_total_variation(lambda t: view.point(t)[2], t)
             checks.append(
                 AssumptionCheck(
                     "q-prime-bv",
@@ -538,7 +564,7 @@ def check_semimartingale_assumption(view: NaturalScaleView, spec: DiffusionSpec)
             continue
         window, b_t, bb = view.chart_collar(side, spec.qpp_behaviors)
         weighted = beh.kind == "absorbing"
-        status = decide_abs_integral(
+        status = "finite" if not bb and view.bounded(*window, drift=False) else decide_abs_integral(
             lambda t: np.multiply(*view.point(t)[3:]), window, point_exponents=[(b.point, b.exponent) for b in bb],
             weight_point=b_t if weighted else None, distance=lambda t: np.abs(view.point(t)[0] - beh.image),
         ).status

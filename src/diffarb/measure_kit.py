@@ -216,10 +216,20 @@ class Expr:
     value never depends on it. ``value``, ``deriv`` and ``deriv2`` read the
     jet, so each formula has one home and a caller that needs several
     outputs walks the tree once.
+
+    ``bounds(a, b)`` returns sound enclosures ``((lo, hi), (lo', hi'),
+    (lo'', hi''))`` of f, f' and f'' (both sides) over each closed window
+    [a, b], arrays of windows alike, by interval arithmetic on the tree with
+    every rounding outward. A node without a rule inherits the unbounded
+    default, so nothing built on it is ever found bounded.
     """
 
     def jet(self, x: np.ndarray, side: int = 1, order: int = 1) -> tuple:
         raise NotImplementedError
+
+    def bounds(self, a, b) -> tuple:
+        shape = np.broadcast(a, b).shape
+        return ((np.full(shape, -np.inf), np.full(shape, np.inf)),) * 3
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return self.jet(x, 1, 0)[0]
@@ -256,6 +266,32 @@ def _union(point_sets) -> tuple[float, ...]:
     return tuple(sorted(set().union(*point_sets)))
 
 
+def _outward(lo, hi, ulps: int = 1) -> tuple:
+    """lo moved down and hi up by ``ulps`` floats, NaN to the infinite bound.
+    A zero stays: the sums and products here make one only exactly."""
+    for _ in range(ulps):
+        lo, hi = np.where(lo == 0.0, lo, np.nextafter(lo, -np.inf)), np.where(hi == 0.0, hi, np.nextafter(hi, np.inf))
+    return np.where(np.isnan(lo), -np.inf, lo), np.where(np.isnan(hi), np.inf, hi)
+
+
+def _flat(shape, c: float = 0.0) -> tuple:
+    """The exact enclosure (c, c) on windows of ``shape``."""
+    v = np.full(shape, c)
+    return v, v
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    return _outward(x[0] + y[0], x[1] + y[1])
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Interval product; an exact zero times an infinite bound counts as 0."""
+    with np.errstate(invalid="ignore"):
+        c = np.array([x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1]])
+    c = np.where(np.isnan(c), 0.0, c)
+    return _outward(c.min(axis=0), c.max(axis=0))
+
+
 @dataclass(frozen=True)
 class Const(Expr):
     c: float
@@ -263,6 +299,10 @@ class Const(Expr):
     def jet(self, x, side=1, order=1):
         x = _arr(x)
         return (np.full_like(x, self.c), *(np.zeros_like(x) for _ in range(order)))
+
+    def bounds(self, a, b):
+        shape = np.broadcast(a, b).shape
+        return _flat(shape, self.c), _flat(shape), _flat(shape)
 
 
 @dataclass(frozen=True)
@@ -276,6 +316,11 @@ class Affine(Expr):
         x = _arr(x)
         out = (self.a * x + self.b, np.full_like(x, self.a) if order else None, np.zeros_like(x) if order > 1 else None)
         return out[: order + 1]
+
+    def bounds(self, a, b):
+        va, vb = self.a * _arr(a) + self.b, self.a * _arr(b) + self.b
+        shape = np.broadcast(va, vb).shape
+        return _outward(np.minimum(va, vb), np.maximum(va, vb)), _flat(shape, self.a), _flat(shape)
 
 
 @dataclass(frozen=True)
@@ -308,6 +353,22 @@ class PowerSigned(Expr):
                 d2 = self.p * (self.p - 1.0) * sign * au ** (self.p - 2.0)
             out.append(np.where(au == 0.0, 0.0, d2))
         return tuple(out)
+
+    def bounds(self, a, b):
+        # u as the jet rounds it; f is monotone in u, f' in |u| and f'' on
+        # each side, with limits at u -> 0-+; np.power may be an ulp off
+        ua, ub = np.broadcast_arrays(_arr(a) - self.center, _arr(b) - self.center)
+        p, k = self.p, self.p * (self.p - 1.0)
+        if p == 1.0:
+            return _outward(ua, ub), _flat(ua.shape, 1.0), _flat(ua.shape)
+        with np.errstate(all="ignore"):
+            value = [np.sign(u) * np.abs(u) ** p for u in (ua, ub)]
+            near = np.where((ua <= 0.0) & (ub >= 0.0), 0.0, np.minimum(np.abs(ua), np.abs(ub)))
+            d = [p * v ** (p - 1.0) for v in (near, np.maximum(np.abs(ua), np.abs(ub)))]
+            dd = [np.where(u == 0.0, 0.0, k * np.sign(u) * np.abs(u) ** (p - 2.0)) for u in (ua, ub)]
+            lim = k * np.power(0.0, p - 2.0)  # f'' at 0+, and -lim at 0-
+        dd += [np.where((ua <= 0.0) & (ub > 0.0), lim, dd[0]), np.where((ua < 0.0) & (ub >= 0.0), -lim, dd[0])]
+        return tuple(_outward(np.min(v, axis=0), np.max(v, axis=0), 4) for v in (value, d, dd))
 
     def breakpoints(self):
         return () if self.p == 1.0 else (self.center,)
@@ -385,6 +446,12 @@ class Sum(Expr):
             out = [o + v for o, v in zip(out, t.jet(x, side, order))]
         return tuple(out)
 
+    def bounds(self, a, b):
+        out = [_flat(np.broadcast(a, b).shape)] * 3
+        for t in self.terms:
+            out = [_add(o, v) for o, v in zip(out, t.bounds(a, b))]
+        return tuple(out)
+
     def children(self):
         return self.terms
 
@@ -426,6 +493,24 @@ class Product(Expr):
                         d2 = d2 + times_others(jets[i][1] * jets[j][1], i, j)
             out.append(d2)
         return tuple(out)
+
+    def bounds(self, a, b):
+        # the jet's product rule, one interval operation at a time
+        bs, shape = [t.bounds(a, b) for t in self.factors], np.broadcast(a, b).shape
+
+        def times_others(part, *skip):
+            for k, bk in enumerate(bs):
+                part = part if k in skip else _mul(part, bk[0])
+            return part
+
+        d = d2 = _flat(shape)
+        for i, bi in enumerate(bs):
+            d = _add(d, times_others(bi[1], i))
+            d2 = _add(d2, times_others(bi[2], i))
+            for j, bj in enumerate(bs):
+                if i != j:
+                    d2 = _add(d2, times_others(_mul(bi[1], bj[1]), i, j))
+        return times_others(_flat(shape, 1.0)), d, d2
 
     def children(self):
         return self.factors
@@ -531,6 +616,18 @@ class Piecewise(Expr):
                         outs[k][mask] = got[k]
         return tuple(o.reshape(np.shape(x)) if np.shape(x) else o[0] for o in outs)
 
+    def bounds(self, a, b):
+        # the jet reads a piece only on its closed sub-interval: the union
+        # over the pieces whose one meets the window, on the part it meets
+        a, b = np.broadcast_arrays(_arr(a), _arr(b))
+        out = [(np.full(a.shape, np.inf), np.full(a.shape, -np.inf)) for _ in range(3)]
+        ends = (-np.inf, *self.points, np.inf)
+        for piece, lo, hi in zip(self.pieces, ends, ends[1:]):
+            meets = (a <= hi) & (b >= lo)
+            for (olo, ohi), (glo, ghi) in zip(out, piece.bounds(np.maximum(a[meets], lo), np.minimum(b[meets], hi))):
+                olo[meets], ohi[meets] = np.minimum(olo[meets], glo), np.maximum(ohi[meets], ghi)
+        return tuple(out)
+
     def breakpoints(self):
         return _union((self.points, super().breakpoints()))
 
@@ -569,6 +666,22 @@ class Tabulated(Expr):
         d = s[np.clip(idx, 0, len(s) - 1)]
         d = d.reshape(np.shape(x)) if np.shape(x) else float(d[0])
         return (out, d, np.zeros_like(x)) if order > 1 else (out, d)
+
+    def bounds(self, a, b):
+        # values: the knots in the window and its ends (np.interp may round
+        # past a knot); slopes: the segments the window meets, on both sides
+        a, b = np.broadcast_arrays(_arr(a), _arr(b))
+        xs, ys = np.asarray(self.xs), np.asarray(self.ys)
+        s = np.diff(ys) / np.diff(xs)
+        va, vb = self.jet(a, 1, 0)[0], self.jet(b, 1, 0)[0]
+        inside = (xs >= a[..., None]) & (xs <= b[..., None])
+        lo = np.minimum(np.minimum(va, vb), np.where(inside, ys, np.inf).min(axis=-1))
+        hi = np.maximum(np.maximum(va, vb), np.where(inside, ys, -np.inf).max(axis=-1))
+        first = np.clip(np.searchsorted(xs, a, "left") - 1, 0, s.size - 1)
+        last = np.clip(np.searchsorted(xs, b, "right") - 1, 0, s.size - 1)
+        seg = (np.arange(s.size) >= first[..., None]) & (np.arange(s.size) <= last[..., None])
+        slope = np.where(seg, s, np.inf).min(axis=-1), np.where(seg, s, -np.inf).max(axis=-1)
+        return _outward(lo, hi, 2), slope, _flat(a.shape)
 
     def breakpoints(self):
         return tuple(self.xs[1:-1])
@@ -903,6 +1016,9 @@ class ScComponent:
 class DecomposedMeasure:
     """Measure = ac_density dx + sum of atoms + optional sc component.
 
+    ``ac_density`` is any vectorized callable; an ``Expr`` (as every
+    document's density is) also gives ``NaturalScaleView.bounded`` bounds.
+
     ``atoms`` are (point, mass) pairs, sorted and pairwise distinct; mass may
     be math.inf only at the endpoints of ``support`` (absorption), and may be
     negative for signed second-derivative measures.
@@ -959,7 +1075,7 @@ def measure_from_json(obj: dict, support: tuple[float, float]) -> DecomposedMeas
     atoms = [json_pair(pair, "atom") for pair in json_list(obj.get("atoms", []), "atoms")]
     return DecomposedMeasure(
         support=support,
-        ac_density=None if ac is None else expr_from_json(ac).value,
+        ac_density=None if ac is None else expr_from_json(ac),
         atoms=tuple(sorted(atoms, key=lambda t: t[0])),
         sc=None if sc is None else sc_from_json(sc, support),
     )

@@ -20,6 +20,7 @@ import numpy as np
 from .diffusion_model import DiffusionSpec, StateInterval
 from .measure_kit import (
     Affine,
+    Const,
     DecomposedMeasure,
     LocalBehavior,
     Piecewise,
@@ -114,7 +115,7 @@ _R_INF = math.inf
 
 
 def _lebesgue(support) -> DecomposedMeasure:
-    return DecomposedMeasure(support=support, ac_density=lambda x: np.ones_like(np.asarray(x, float)))
+    return DecomposedMeasure(support=support, ac_density=Const(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +152,7 @@ def _build_sticky_reflected_bm(r: float, rho: float, x0: float) -> DiffusionSpec
     J = StateInterval(1.0, _R_INF, alpha_closed=True)
     scale = SmoothPiece1D.from_expr(Affine(1.0, 0.0), (J.alpha, J.beta))
     atoms = ((1.0, float(rho)),) if rho > 0 else ()
-    speed = DecomposedMeasure(
-        support=(1.0, _R_INF), ac_density=lambda x: np.ones_like(np.asarray(x, float)), atoms=atoms
-    )
+    speed = DecomposedMeasure(support=(1.0, _R_INF), ac_density=Const(1.0), atoms=atoms)
     return DiffusionSpec(
         J=J,
         scale=scale,

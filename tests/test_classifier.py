@@ -540,10 +540,16 @@ def test_phi_panel_matches_the_window_by_window_oracle(case):
         assert (got.status, got.note) == expected_note[case]
 
 
+def _uncertified_bessel():
+    # a squared Bessel model with r != 0: its speed density is a closure, so
+    # no window is certified bounded and every generic window is screened;
+    # phi is smooth away from the boundary image, annotated at 0
+    return build_model("gen_squared_bessel", {"r": 0.5})
+
+
 def test_generic_windows_evaluate_phi_in_blocks_of_four(monkeypatch):
-    # a sticky reflecting document: phi = -r q mU_ac is smooth, so no
-    # window is split and every value comes from the block evaluations
-    spec = load_model_spec(_FIRST_DOCS["sticky"])
+    # no window is split and every value comes from the block evaluations
+    spec = _uncertified_bessel()
     view = derive_natural_scale(spec)
     sizes = []
     phi_dt = NaturalScaleView.phi_dt
@@ -558,9 +564,9 @@ def test_generic_windows_evaluate_phi_in_blocks_of_four(monkeypatch):
 
 
 def test_generic_windows_without_a_flag_or_an_annotation_skip_the_decider(monkeypatch):
-    # Brownian motion: phi is smooth and nothing is annotated, so each block
-    # of 4 windows runs one detection and no window is decided
-    spec = build_model("brownian_motion")
+    # phi is smooth and nothing is annotated inside, so each block of 4
+    # windows runs one detection and no window is decided
+    spec = _uncertified_bessel()
     view = derive_natural_scale(spec)
     detected, decided = [], []
     detect, decide = arb_classifier._detect_suspicious, arb_classifier.decide_L2_local
@@ -594,6 +600,142 @@ def test_phi_raising_past_the_first_divergent_window_is_never_reached(monkeypatc
     monkeypatch.setattr(NaturalScaleView, "phi_dt", raises_in_window_6)
     got = _phi_l2_interior(view, spec)
     assert (got.status, got.note) == ("fail", "phi**2 divergent on generic window [-5.5, -5]")
+
+
+def _dense_counters(monkeypatch) -> dict:
+    """Count every dense sample a classify can take: phi_dt (the screen and
+    the collar deciders), the suspicious-point detection and the sampled
+    total variation of q'."""
+    counts = {"phi_dt": 0, "detect": 0, "tv": 0}
+
+    def counted(key, f):
+        def g(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+        return g
+
+    monkeypatch.setattr(NaturalScaleView, "phi_dt", counted("phi_dt", NaturalScaleView.phi_dt))
+    for module in (arb_classifier, measure_kit):
+        monkeypatch.setattr(module, "_detect_suspicious", counted("detect", measure_kit._detect_suspicious))
+    monkeypatch.setattr(diffusion_model, "sampled_total_variation", counted("tv", diffusion_model.sampled_total_variation))
+    return counts
+
+
+def test_bench_document_families_take_no_dense_sample(tmp_path, monkeypatch, capsys):
+    # every document of a benchmark pass: affine, piecewise-affine and cubic
+    # scales, constant densities; each window and collar is certified
+    counts = _dense_counters(monkeypatch)
+    docs = workloads.doc_inputs(1)
+    assert {d.family for d in docs} == {"sticky", "skew", "absorbing", "cubic"}
+    for d in docs:
+        path = tmp_path / f"{d.label}.json"
+        path.write_text(json.dumps(d.doc))
+        assert main(["classify", "--model", str(path), "--out", str(tmp_path) + "/"]) == 0
+        got = json.loads((tmp_path / f"classify_{d.label}.json").read_text())
+        assert {got[k] for k in ("nip", "nsa", "nupbr")} == {d.expected}, d.label
+    assert counts == {"phi_dt": 0, "detect": 0, "tv": 0}
+    assert capsys.readouterr().err == ""
+
+
+def test_annotated_windows_are_still_decided_by_the_exponent_rule(monkeypatch):
+    # a generic window holding a (finite) annotation, decided with no
+    # sample, and a collar with a (divergent) one are decided by the
+    # exponent rule, though each is certified bounded
+    decided = []
+    decide = arb_classifier.decide_L2_local
+
+    def recorded(f, window, *args, **kwargs):
+        v = decide(f, window, *args, **kwargs)
+        decided.append((window, v.method, kwargs.get("auto_detect", True)))
+        return v
+
+    monkeypatch.setattr(arb_classifier, "decide_L2_local", recorded)
+    counts = _dense_counters(monkeypatch)
+    spec = _line_bm(measure_kit.Const(1.0), [LocalBehavior(0.25, "both", -0.25, 1.0)])
+    view = derive_natural_scale(spec)
+    assert view.bounded(0.0, 0.5) and _phi_l2_interior(view, spec).status == "pass"
+    assert ((0.0, 0.5), "exponent-rule", False) in decided
+    assert counts == {"phi_dt": 0, "detect": 0, "tv": 0}
+    sticky = build_model("sticky_reflected_bm", {"r": 0.5, "rho": 1.0})
+    for behaviors, expected in (((), "pass"), ((LocalBehavior(1.0, "right", -1.0, 1.0),), "fail")):
+        spec = dataclasses.replace(sticky, phi_behaviors=behaviors)
+        view = derive_natural_scale(spec)
+        (refl,) = arb_classifier._phi_collars(view, spec, "reflecting")
+        assert view.bounded(*view.collar("left")) and refl.status == expected
+    assert decided[-1][1] == "exponent-rule" and len(decided) == 3
+
+
+def _doc(scale, **kw) -> dict:
+    return {"state_interval": {"alpha": "-inf", "beta": "inf"}, "scale": scale,
+            "speed": {"ac": {"node": "const", "c": 1}}, "x0": 1, "r": 0, **kw}
+
+
+def _collar_doc(p: float) -> dict:
+    """The collar document of the ROADMAP: scale x - 0.3 (x-1)^p on [1, 2],
+    both ends sticky reflecting, with atoms that make NIP hold."""
+    scale = {"node": "sum", "terms": [{"node": "affine", "a": 1, "b": 0}, {"node": "product", "factors": [
+        {"node": "const", "c": -0.3}, {"node": "power_signed", "center": 1, "p": p}]}]}
+    return _doc(scale, state_interval={"alpha": 1, "beta": 2, "alpha_closed": True, "beta_closed": True},
+                speed={"ac": {"node": "const", "c": 1}, "atoms": [[1, 0.5], [2, 1 / (4 * (1 - 0.3 * p))]]},
+                x0=1.5, r=1, boundaries={"left": "reflecting", "right": "reflecting"})
+
+
+_PROD_CUBE = _doc({"node": "product", "factors": [{"node": "affine", "a": 1, "b": 0}] * 3})
+_CUBE_ROOT = {"node": "power_signed", "center": 0, "p": 1 / 3}
+
+
+def test_a_cube_written_as_a_product_is_not_certified_where_its_slope_vanishes():
+    # s = x * x * x: s'(0) = 0 at a point that is no breakpoint
+    spec = load_model_spec(_PROD_CUBE)
+    view = derive_natural_scale(spec)
+    assert view.bounded([-1.0, 0.0, 0.5, -2.0], [1.0, 0.5, 2.0, -1.0]).tolist() == [False, False, True, True]
+    v = classify(spec)
+    assert (v.nip, v.nsa, v.nupbr, v.rp) == (HOLDS, FAILS, FAILS, HOLDS)
+
+
+# The rows of the ROADMAP's wrong-verdict table: the windows and collars at
+# their singular points are not certified, so the numeric path decides them
+# as before; three rows keep a wrong answer (ROADMAP item 1) until that
+# path is mended, and a change that mends one updates its row here.
+_WRONG_VERDICT_TABLE = {
+    "cube-root-x0-1": (lambda: load_model_spec(_doc(_CUBE_ROOT)), (HOLDS,) * 4),
+    "cube-root-x0-2": (lambda: load_model_spec(_doc(_CUBE_ROOT, x0=2)), (HOLDS,) * 4),
+    "cubed-bm-bare": (lambda: dataclasses.replace(build_model("cubed_bm"), phi_behaviors=(), qpp_behaviors=()), (HOLDS,) * 4),
+    **{f"collar-{p}": (lambda p=p: load_model_spec(_collar_doc(p)), (HOLDS, FAILS, FAILS, HOLDS)) for p in (1.7, 1.55, 1.3)},
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_VERDICT_TABLE))
+def test_the_wrong_verdict_table_answers_as_before(case):
+    make, expected = _WRONG_VERDICT_TABLE[case]
+    spec = make()
+    view = derive_natural_scale(spec)
+    if case.startswith("collar"):
+        assert not view.bounded(*view.chart_collar("left", ())[0]) and view.bounded(*view.chart_collar("right", ())[0])
+    else:
+        assert not view.bounded(-0.5, 0.5)
+    v = classify(spec)
+    assert (v.nip, v.nsa, v.nupbr, v.rp) == expected
+
+
+def test_a_boundary_image_is_never_inverted(monkeypatch):
+    # the chart maps a boundary image to its endpoint, and the boundary
+    # slope reads 1/s' there: the same bits as inverting s(b)
+    spec = load_model_spec(_FIRST_DOCS["sticky"])
+    view = derive_natural_scale(spec)
+    old = float(view.q.d_plus(np.asarray(view.sJ[0])))
+    targets = []
+    invert = diffusion_model.invert_monotone_vec
+
+    def recorded(f, ys):
+        targets.extend(np.ravel(ys).tolist())
+        return invert(f, ys)
+
+    monkeypatch.setattr(diffusion_model, "invert_monotone_vec", recorded)
+    assert view.boundary_slope("left") == old
+    assert view.chart(np.array([view.sJ[0], view.s_x0])).tolist() == [spec.J.alpha, spec.x0]
+    classify(spec)
+    assert targets and view.sJ[0] not in targets
 
 
 _SCALE_CASES = {

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,71 @@ def test_jet_equals_the_separate_walks_bit_for_bit(case):
                     assert len(got) == order + 1 and all(_same(g, r) for g, r in zip(got, ref)), (x, side, order)
                 readers = (e.value(x), e.deriv(x, side), e.deriv2(x, side))
                 assert all(_same(g, r) for g, r in zip(readers, ref))
+
+
+# x * x * x: its slope 3x^2 vanishes at 0, which is no breakpoint
+_BOUNDS_EXPRS = {**_JET_EXPRS, "prod-cube": lambda: Product([Affine(1.0, 0.0)] * 3)}
+
+
+def _bound_windows(e, rng) -> np.ndarray:
+    """Random windows, windows that touch, hold or sit on each breakpoint,
+    center and infinite-slope point (and 0), from 1e-12 to 1.5 wide, and
+    windows near -+1e6."""
+    out = [(a, a + 10.0 ** rng.uniform(-12, 1)) for a in rng.normal(0.0, 2.0, 24)]
+    for c in (*e.breakpoints(), *e.infinite_slope_points(), 0.0):
+        for w in (1e-12, 1e-6, 0.1, 1.5):
+            out += [(c - w, c + w * rng.uniform(0.1, 2.0)), (c, c + w), (c - w, c), (c, c)]
+    for c in (1e6, -1e6):
+        out += [(c - 3.0, c + 2.0), (c, c + 1e-3)]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", list(_BOUNDS_EXPRS))
+def test_bounds_enclose_every_jet_value(case):
+    # 2,001 points per window plus its ends and the special points inside
+    # with their neighbours, on both sides and at orders 0-2: every finite
+    # value lies in the enclosure, and a window where the jet reaches -+inf
+    # or NaN has an infinite bound
+    e = _BOUNDS_EXPRS[case]()
+    windows = _bound_windows(e, np.random.default_rng(7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = e.bounds(windows[:, 0], windows[:, 1])
+    if isinstance(e, (ExpIntegral, Compose)):
+        assert all(np.all(lo == -np.inf) and np.all(hi == np.inf) for lo, hi in got)
+        return
+    special = np.array([*e.breakpoints(), *e.infinite_slope_points()], float)
+    for i, (a, b) in enumerate(windows):
+        inside = special[(special >= a) & (special <= b)]
+        near = np.concatenate([np.nextafter(inside, -np.inf), np.nextafter(inside, np.inf)])
+        xs = np.concatenate([np.linspace(a, b, 2001), [a, b], inside, near[(near >= a) & (near <= b)]])
+        for side in (1, -1):
+            for order in (0, 1, 2):
+                with np.errstate(all="ignore"):
+                    jet = e.jet(xs, side, order)
+                for k, v in enumerate(jet):
+                    lo, hi = got[k][0][i], got[k][1][i]
+                    v = np.asarray(v, float)
+                    finite = v[np.isfinite(v)]
+                    assert np.all((finite >= lo) & (finite <= hi)), (a, b, side, order, k)
+                    assert hi == np.inf or not np.any(v == np.inf), (a, b, side, order, k)
+                    assert lo == -np.inf or not np.any(v == -np.inf), (a, b, side, order, k)
+                    assert np.isinf(lo) or np.isinf(hi) or not np.any(np.isnan(v)), (a, b, side, order, k)
+
+
+def test_bounds_find_where_a_slope_vanishes_or_a_second_derivative_diverges():
+    # the slope 3x^2 of prod-cube is bounded away from 0 exactly on the
+    # windows that miss 0; PowerSigned's second derivative is unbounded at a
+    # center for p < 2 and within -+2 at p = 2
+    edges = np.array([-1.0, 0.0, 0.5, -2.0]), np.array([1.0, 0.5, 2.0, -1.0])
+    _, (d_lo, d_hi), _ = Product([Affine(1.0, 0.0)] * 3).bounds(*edges)
+    assert np.all(d_lo[:2] <= 0.0) and np.all(d_lo[2:] > 0.0) and np.all(np.isfinite(d_hi))
+    for p, expect in ((1.5, (-np.inf, np.inf)), (2.0, (-2.0, 2.0))):
+        _, _, (lo, hi) = PowerSigned(0.0, p).bounds(-0.5, 0.25)
+        assert float(lo) <= expect[0] and float(hi) >= expect[1] and np.isinf(lo) == np.isinf(expect[0])
+    # an exact zero times an infinite bound counts as 0: 0 * sign(x)|x|^(1/2) has slope 0
+    _, (lo, hi), _ = Product([Const(0.0), PowerSigned(0.0, 0.5)]).bounds(-1.0, 1.0)
+    assert (float(lo), float(hi)) == (0.0, 0.0)
 
 
 def test_adaptive_quad_singular_endpoint():
