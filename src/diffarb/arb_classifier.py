@@ -23,7 +23,6 @@ silently to failure. Equality-type conditions carry their residuals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -33,8 +32,10 @@ from .diffusion_model import (
     DiffusionSpec,
     NaturalScaleView,
     SpecValidationError,
+    WindowTable,
     check_semimartingale_assumption,
     derive_natural_scale,
+    window_table,
 )
 from .measure_kit import (
     DEFAULT_QUAD,
@@ -44,7 +45,6 @@ from .measure_kit import (
     close_rel,
     decide_L2_local,
     decide_weighted_L2_boundary,
-    same_point,
     window_nodes,
 )
 
@@ -64,7 +64,6 @@ FAILS = "fails"
 INCONCLUSIVE = "inconclusive"
 
 _ZERO_SET_SAMPLES = 10_000
-_GENERIC_WINDOWS = 32
 _WINDOW_BLOCK = 4  # generic windows per phi evaluation; see _phi_l2_interior
 
 
@@ -182,8 +181,8 @@ def _check_singular_parts(
 
     if not matched:
         reports.append(ConditionReport("NIP.ii", "pass", residual=0.0, note="no interior atoms"))
-    for p, mm, qm in matched:
-        q_at = float(q_val(np.asarray(p)))
+    q_ats = np.asarray(q_val(np.array([p for p, _, _ in matched])), float).tolist() if matched else []
+    for (p, mm, qm), q_at in zip(matched, q_ats):
         lhs = r * q_at * mm
         rhs = 0.5 * qm
         ok = _within(lhs - rhs, abs(r) * abs(q_at) * abs(mm) + 0.5 * abs(qm), cfg)
@@ -276,47 +275,28 @@ def _check_flat_spots(
 # ---------------------------------------------------------------------------
 
 
-def _phi_l2_interior(view: NaturalScaleView, spec: DiffusionSpec) -> ConditionReport:
+def _phi_l2_interior(view: NaturalScaleView, table: WindowTable) -> ConditionReport:
     """phi in L2_loc of the open image interval.
 
     Windows around every annotated interior singular point (decided by the
     exponent rule) plus a fixed panel of generic windows over a compact
     probe region around the start image, decided in order up to the first
-    divergent one. Windows are placed in u, and one ``view.chart`` call maps
-    their edges and the behaviour points to t. The generic windows that
-    ``view.bounded`` certifies take no sample; the others are screened 4 at
-    a time: ``view.phi_dt`` is evaluated once on their stacked
-    ``window_nodes`` (about 4,100 points) and ``_detect_suspicious`` reads
-    the 4 rows in one call. Only a window with a detected point or an
-    annotated behaviour goes on to ``decide_L2_local``; every other one is
-    finite, as that decider finds it. Blocks of 4 keep the rows in cache:
-    with all 32 windows screened on the 7 catalog defaults, 8 blocks took
-    0.46-2.84 ms, one evaluation 0.82-4.01 ms and 32 evaluations 1.05-4.28
-    ms. When a block's evaluation raises, each of its windows evaluates
-    phi_dt itself.
+    divergent one. The windows are rows of ``table``, in u and in the chart.
+    The generic windows that its ``drift`` mask certifies take no sample;
+    the others are screened 4 at a time, which keeps the rows in cache:
+    ``view.phi_dt`` is evaluated once on their stacked ``window_nodes``
+    (about 4,100 points) and ``_detect_suspicious`` reads the 4 rows in one
+    call. Only a window with a detected point or an annotated behaviour goes
+    on to ``decide_L2_local``; every other one is finite, as that decider
+    finds it. When a block's evaluation raises, each of its windows
+    evaluates phi_dt itself.
     """
-    lo_u, hi_u = view.sJ
-    # an annotation at a boundary image belongs to that boundary's collar
-    behaviors = [
-        b for b in spec.phi_behaviors
-        if lo_u < b.point < hi_u and not (same_point(b.point, lo_u) or same_point(b.point, hi_u))
-    ]
-    # stop half a boundary collar short of each finite boundary image;
-    # reach 0.5 past the start image, but at most halfway to a boundary
-    lo_c = view.collar("left", 0.5)[1] if math.isfinite(lo_u) else view.s_x0 - 8.0
-    hi_c = view.collar("right", 0.5)[0] if math.isfinite(hi_u) else view.s_x0 + 8.0
-    lo_c = min(lo_c, max(view.s_x0 - 0.5, 0.5 * (lo_u + view.s_x0)))
-    hi_c = max(hi_c, min(view.s_x0 + 0.5, 0.5 * (hi_u + view.s_x0)))
-    edges = np.linspace(lo_c, hi_c, _GENERIC_WINDOWS + 1)
-    gaps = [min(1.0, 0.5 * min(b.point - lo_u, hi_u - b.point)) for b in behaviors]
-    ends = [(max(b.point - g, lo_u + 1e-12), b.point, min(b.point + g, hi_u - 1e-12)) for b, g in zip(behaviors, gaps)]
-    ts = view.chart(np.concatenate([edges, np.ravel(ends)]))
-    t_edges, t_beh = ts[: edges.size].tolist(), ts[edges.size :].reshape(-1, 3).tolist()
-    moved = [replace(b, point=p) for b, (_, p, _) in zip(behaviors, t_beh)]
+    edges, t_edges = table.edges, table.t_edges
+    moved = [replace(b, point=p) for b, (_, p, _) in table.behaviors]
     statuses: list[str] = []
     worst_note = ""
 
-    for beh, m, (a, _, b) in zip(behaviors, moved, t_beh):
+    for (beh, (a, _, b)), m in zip(table.behaviors, moved):
         v = decide_L2_local(view.phi_dt, (a, b), behaviors=[m], auto_detect=False)
         statuses.append(v.status)
         if v.status != "finite":
@@ -327,7 +307,7 @@ def _phi_l2_interior(view: NaturalScaleView, spec: DiffusionSpec) -> ConditionRe
         windows = list(zip(t_edges[:-1], t_edges[1:]))
         local = [[bb for bb in moved if lo <= bb.point <= hi] for lo, hi in windows]
         found = [[] for _ in windows]  # a certified window has no suspicious point
-        pending = np.flatnonzero(~view.bounded(t_edges[:-1], t_edges[1:])).tolist()
+        pending = np.flatnonzero(~table.generic).tolist()
         for k, (a, b) in enumerate(windows):
             if pending and k == pending[0]:  # screen the next block of uncertified windows
                 idx, pending = pending[:_WINDOW_BLOCK], pending[_WINDOW_BLOCK:]
@@ -363,16 +343,16 @@ def _phi_l2_interior(view: NaturalScaleView, spec: DiffusionSpec) -> ConditionRe
     return ConditionReport("NSA.iv.loc", status, note=worst_note or "local square integrability of phi")
 
 
-def _phi_collars(view: NaturalScaleView, spec: DiffusionSpec, kind: str) -> list[ConditionReport]:
+def _phi_collars(view: NaturalScaleView, spec: DiffusionSpec, kind: str, table: WindowTable) -> list[ConditionReport]:
     """The collar condition at every ``kind`` boundary over the chart: phi**2
-    du/dt, times |u - s(b)| at an absorbing end."""
+    du/dt, times |u - s(b)| at an absorbing end, on the collars of ``table``."""
     reports = []
     for side, beh in view.boundaries:
         if beh.kind != kind:
             continue
-        window, b_t, bb = view.chart_collar(side, spec.phi_behaviors)
+        window, b_t, bb, certified = table.collar(side, spec.phi_behaviors, drift=True)
         cid, what = ("NSA.iv.refl", "") if kind == "reflecting" else ("NUPBR.v", "distance-weighted ")
-        if not bb and view.bounded(*window):  # phi bounded up to the boundary: finite
+        if not bb and certified:  # phi bounded up to the boundary: finite
             status = "finite"
         elif kind == "reflecting":
             status = decide_L2_local(view.phi_dt, window, behaviors=bb, suspicious=[b_t]).status
@@ -386,20 +366,22 @@ def _phi_collars(view: NaturalScaleView, spec: DiffusionSpec, kind: str) -> list
 
 
 def check_nsa(
-    view: NaturalScaleView, spec: DiffusionSpec, nip_status: str
+    view: NaturalScaleView, spec: DiffusionSpec, nip_status: str, table: Optional[WindowTable] = None
 ) -> tuple[str, list[ConditionReport]]:
-    """NIP (its verdict ``nip_status``) and the square-integrability of phi."""
-    reports = [_phi_l2_interior(view, spec)]
-    reports.extend(_phi_collars(view, spec, "reflecting"))
+    """NIP (its verdict ``nip_status``) and the square-integrability of phi
+    on the windows of ``table`` (``window_table`` by default)."""
+    table = table or window_table(view, spec)
+    reports = [_phi_l2_interior(view, table)]
+    reports.extend(_phi_collars(view, spec, "reflecting", table))
     return _combine([nip_status] + [c.status for c in reports]), reports
 
 
 def check_nupbr(
-    view: NaturalScaleView, spec: DiffusionSpec, nsa_status: str
+    view: NaturalScaleView, spec: DiffusionSpec, nsa_status: str, table: Optional[WindowTable] = None
 ) -> tuple[str, list[ConditionReport]]:
     """NSA (its verdict ``nsa_status``) and the weighted collar condition at
-    every absorbing boundary."""
-    reports = _phi_collars(view, spec, "absorbing")
+    every absorbing boundary of ``table`` (``window_table`` by default)."""
+    reports = _phi_collars(view, spec, "absorbing", table or window_table(view, spec))
     return _combine([nsa_status] + [c.status for c in reports]), reports
 
 
@@ -420,9 +402,11 @@ def check_rp(view: NaturalScaleView, spec: DiffusionSpec) -> tuple[str, Conditio
 
 
 def classify(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) -> Verdict:
-    """Derive, validate, and produce the full tri-state verdict."""
+    """Derive, validate, and produce the full tri-state verdict. Every
+    window and point the checks map is a row of one ``window_table``."""
     view = derive_natural_scale(spec, cfg)
-    assumption = check_semimartingale_assumption(view, spec)
+    table = window_table(view, spec)
+    assumption = check_semimartingale_assumption(view, spec, table)
     if not assumption.passed:
         raise SpecValidationError(
             "the price process fails the semimartingale prerequisites: "
@@ -430,8 +414,8 @@ def classify(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) -> Verdict:
         )
 
     nip, nip_reports = check_nip(view, spec, cfg)
-    nsa, nsa_reports = check_nsa(view, spec, nip)
-    nupbr, nupbr_reports = check_nupbr(view, spec, nsa)
+    nsa, nsa_reports = check_nsa(view, spec, nip, table)
+    nupbr, nupbr_reports = check_nupbr(view, spec, nsa, table)
     rp, rp_report = check_rp(view, spec)
 
     # ordering: holds can only weaken along NUPBR -> NSA -> NIP
@@ -441,10 +425,10 @@ def classify(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) -> Verdict:
             f"internal inconsistency: NUPBR {nupbr}, NSA {nsa}, NIP {nip} break NUPBR => NSA => NIP"
         )
 
-    us = _gamma_probe_points(view)
+    us, ts = table.gamma
     impr = {
         "formula": "gamma(u) = (q''(u)/2 - r q(u) mU_ac(u)) / q'(u)^2 on {q' != 0}, 0 at boundary images",
-        "samples": [[float(u), float(g)] for u, g in zip(us, np.asarray(view.gamma(us)))],
+        "samples": [[float(u), float(g)] for u, g in zip(us, view.drift_over_slope(ts, 2))],
     }
     return Verdict(
         nip=nip,
@@ -454,15 +438,6 @@ def classify(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) -> Verdict:
         reports=tuple(nip_reports + nsa_reports + nupbr_reports + [rp_report]),
         impr=impr,
     )
-
-
-def _gamma_probe_points(view: NaturalScaleView) -> np.ndarray:
-    lo_u, hi_u = view.sJ
-    lo = lo_u + 0.25 if math.isfinite(lo_u) else view.s_x0 - 2.0
-    hi = hi_u - 0.25 if math.isfinite(hi_u) else view.s_x0 + 2.0
-    if not lo < hi:
-        lo, hi = view.s_x0 - 0.5, view.s_x0 + 0.5
-    return np.linspace(lo, hi, 9)
 
 
 def verdict_to_json(spec: DiffusionSpec, v: Verdict) -> dict:

@@ -54,6 +54,8 @@ __all__ = [
     "NaturalScaleView",
     "AssumptionCheck",
     "AssumptionReport",
+    "WindowTable",
+    "window_table",
     "classify_boundary",
     "derive_natural_scale",
     "check_semimartingale_assumption",
@@ -206,10 +208,10 @@ class NaturalScaleView:
         Its numerator is coded here alone."""
         u, qv, d, qpp, dudt = self.point(t)
         out = 0.5 * qpp
-        if self.r != 0.0 and self.mU.ac_density is not None:
-            mU_ac = self.mU.ac_density(u) if self.m_ac is None else np.asarray(self.m_ac(qv), float) * d
-            out = out - self.r * qv * np.asarray(mU_ac, float)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # where q' is infinite, q mU_ac may be 0 * inf
+            if self.r != 0.0 and self.mU.ac_density is not None:
+                mU_ac = self.mU.ac_density(u) if self.m_ac is None else np.asarray(self.m_ac(qv), float) * d
+                out = out - self.r * qv * np.asarray(mU_ac, float)
             if power:
                 out = out / (d if power == 1 else d * d)
             if dt:
@@ -224,11 +226,6 @@ class NaturalScaleView:
         """phi sqrt(du/dt) at chart points t, whose square integrates dt as phi**2 does du."""
         return self.drift_over_slope(t, 1, dt=True)
 
-    def gamma(self, u) -> np.ndarray:
-        """gamma = (q''/2 - r q mU_ac) / q'^2 on {q' != 0}, 0 elsewhere; any
-        value is admissible at boundary images, so none is forced there."""
-        return self.drift_over_slope(self.chart(u), 2)
-
     def boundary_slope(self, side: str) -> float:
         """One-sided q' at a boundary image, taken from the interior side: in
         the state chart 1/s' at the endpoint, with no inversion."""
@@ -239,21 +236,25 @@ class NaturalScaleView:
             return float(self.q.d_plus(np.asarray(self.sJ[0])))
         return float(self.q.d_minus(np.asarray(self.sJ[1])))
 
-    def bounded(self, lo, hi, drift: bool = True) -> np.ndarray:
-        """Closed chart windows [lo, hi] (arrays alike) where phi sqrt(du/dt),
-        |q''| du/dt and q' are bounded by ``Expr.bounds``: s' in [d, M], d > 0,
-        and s'' bounded; in the u chart q' so (or just bounded, no ``drift``)
-        and q''; with ``drift`` and r != 0 also q and the density phi reads,
-        an ``Expr``. Never with a ``q_piece`` or ``qpp_sc``."""
+    def bounded(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Two masks of closed chart windows [lo, hi] (arrays alike), from one
+        ``Expr.bounds`` call on the scale and one on the density. ``drift``:
+        phi sqrt(du/dt), |q''| du/dt and q' are bounded, s' in [d, M], d > 0,
+        and s'' bounded (in the u chart q' and q''), and with r != 0 also q
+        and the density phi reads, an ``Expr``. ``plain``: |q''| du/dt and
+        q' are bounded, the same without the density and, in the u chart,
+        with q' only bounded. Never with a ``q_piece`` or ``qpp_sc``."""
         lo, hi = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
         f = (self.q if self.scale is None else self.scale).expr
-        dens = self.mU.ac_density if self.scale is None else self.m_ac
-        need = drift and self.r != 0.0 and self.mU.ac_density is not None  # phi reads q and the density
-        if f is None or self.qpp.sc is not None or (need and not isinstance(dens, Expr)):
-            return np.zeros(lo.shape, bool)
+        if f is None or self.qpp.sc is not None:
+            return (np.zeros(lo.shape, bool),) * 2
         (v_lo, v_hi), (d_lo, d_hi), dd = f.bounds(lo, hi)
-        ok = np.isfinite([lo, hi, d_hi, *dd]).all(axis=0) & ((d_lo > 0.0) | (not drift and self.scale is None))
-        return ok & np.isfinite([v_lo, v_hi, *dens.bounds(lo, hi)[0]]).all(axis=0) if need else ok
+        ok = np.isfinite([lo, hi, d_hi, *dd]).all(axis=0)
+        drift = ok & (d_lo > 0.0)
+        if self.r != 0.0 and self.mU.ac_density is not None:  # phi reads q and the density
+            dens = self.mU.ac_density if self.scale is None else self.m_ac
+            drift &= isinstance(dens, Expr) and np.isfinite([v_lo, v_hi, *dens.bounds(lo, hi)[0]]).all(axis=0)
+        return drift, ok if self.scale is None else ok & (d_lo > 0.0)
 
     def collar(self, side: str, fraction: float = 1.0) -> tuple[float, float]:
         """Window of length fraction * min(1, |s(J)|/4) at a boundary image."""
@@ -262,12 +263,75 @@ class NaturalScaleView:
         ell = fraction * (min(1.0, span / 4.0) if math.isfinite(span) else 1.0)
         return (lo_u, lo_u + ell) if side == "left" else (hi_u - ell, hi_u)
 
-    def chart_collar(self, side: str, behaviors) -> tuple[tuple[float, float], float, list]:
-        """``collar(side)`` in the chart, its boundary end there, and the
-        ``behaviors`` annotated at the boundary image, moved onto that end."""
-        k, window = int(side == "right"), self.collar(side)
-        t = tuple(self.chart(np.asarray(window)).tolist())
-        return t, t[k], [replace(b, point=t[k]) for b in behaviors if same_point(b.point, window[k])]
+
+_GENERIC_WINDOWS = 32
+
+
+@dataclass(frozen=True)
+class WindowTable:
+    """Every point and window one classify maps, placed in u, mapped by one
+    ``view.chart`` call and certified by one ``view.bounded`` pass: the q'
+    variation window (chart window, ``plain`` mask) or None; each accessible
+    end's ``view.collar`` (u and chart window, ``drift`` and ``plain``); the
+    33 edges of the generic NSA windows in u and in the chart, and their
+    ``drift`` masks; each interior phi annotation with (lo, point, hi) in the
+    chart; the 9 gamma samples in u and in the chart."""
+
+    variation: Optional[tuple]
+    collars: dict
+    edges: np.ndarray
+    t_edges: list
+    generic: np.ndarray
+    behaviors: list
+    gamma: tuple
+
+    def collar(self, side: str, behaviors, drift: bool) -> tuple:
+        """The collar at ``side`` in the chart, its boundary end there, the
+        ``behaviors`` annotated at the boundary image moved onto that end,
+        and its ``drift`` or ``plain`` mask."""
+        k, (u, t, *masks) = int(side == "right"), self.collars[side]
+        moved = [replace(b, point=t[k]) for b in behaviors if same_point(b.point, u[k])]
+        return t, t[k], moved, masks[0 if drift else 1]
+
+
+def window_table(view: NaturalScaleView, spec: DiffusionSpec) -> WindowTable:
+    """The ``WindowTable`` of a classify of ``spec`` on ``view``."""
+    (lo_u, hi_u), x0 = view.sJ, view.s_x0
+    var = []  # a compact interior window over the start image, the kinks and the flat spots
+    if not view.q.infinite_slope:
+        focus = [x0] + [c for c, _ in view.q.kinks] + [a for a, _ in spec.qprime_zero_set]
+        margin = 0.05 * min(1.0, hi_u - lo_u)
+        lo = max(min(focus) - 2.0, lo_u + margin)
+        hi = min(max(focus) + 2.0, hi_u - margin)
+        var = [lo, hi] if lo < hi else []
+    sides = [side for side, beh in view.boundaries if beh.accessible]
+    collars = [view.collar(side) for side in sides]
+    # the generic windows stop half a collar short of each finite boundary image, and
+    # reach 0.5 past the start image, but at most halfway to a boundary
+    lo_c = view.collar("left", 0.5)[1] if math.isfinite(lo_u) else x0 - 8.0
+    hi_c = view.collar("right", 0.5)[0] if math.isfinite(hi_u) else x0 + 8.0
+    lo_c = min(lo_c, max(x0 - 0.5, 0.5 * (lo_u + x0)))
+    hi_c = max(hi_c, min(x0 + 0.5, 0.5 * (hi_u + x0)))
+    edges = np.linspace(lo_c, hi_c, _GENERIC_WINDOWS + 1)
+    # an annotation at a boundary image belongs to that boundary's collar
+    behaviors = [
+        b for b in spec.phi_behaviors
+        if lo_u < b.point < hi_u and not (same_point(b.point, lo_u) or same_point(b.point, hi_u))
+    ]
+    gaps = [min(1.0, 0.5 * min(b.point - lo_u, hi_u - b.point)) for b in behaviors]
+    ends = [(max(b.point - g, lo_u + 1e-12), b.point, min(b.point + g, hi_u - 1e-12)) for b, g in zip(behaviors, gaps)]
+    # the gamma samples: 1/4 inside each finite boundary image, 2 from the start image on an infinite side
+    lo = lo_u + 0.25 if math.isfinite(lo_u) else x0 - 2.0
+    hi = hi_u - 0.25 if math.isfinite(hi_u) else x0 + 2.0
+    gamma = np.linspace(lo, hi, 9) if lo < hi else np.linspace(x0 - 0.5, x0 + 0.5, 9)
+    rows = [var, np.ravel(collars), edges, np.ravel(ends), gamma]
+    tv, tc, te, tb, tg = np.split(view.chart(np.concatenate(rows)), np.cumsum([len(r) for r in rows])[:-1])
+    tc, n = tc.reshape(-1, 2), len(var) // 2
+    drift, plain = view.bounded(np.concatenate([tv[:1], tc[:, 0], te[:-1]]), np.concatenate([tv[1:], tc[:, 1], te[1:]]))
+    rims = {side: (u, tuple(t), drift[n + i], plain[n + i])
+            for i, (side, u, t) in enumerate(zip(sides, collars, tc.tolist()))}
+    return WindowTable((tuple(tv.tolist()), plain[0]) if n else None, rims, edges, te.tolist(), drift[n + len(sides) :],
+                       list(zip(behaviors, tb.reshape(-1, 3).tolist())), (gamma, tg))
 
 
 # ---------------------------------------------------------------------------
@@ -509,16 +573,20 @@ class AssumptionReport:
         return [c.note or c.name for c in self.checks if not c.ok]
 
 
-def check_semimartingale_assumption(view: NaturalScaleView, spec: DiffusionSpec) -> AssumptionReport:
+def check_semimartingale_assumption(
+    view: NaturalScaleView, spec: DiffusionSpec, table: Optional[WindowTable] = None
+) -> AssumptionReport:
     """Is the price process a semimartingale?
 
     (a) q'_+ must have locally finite variation (difference of two convex
     functions); (b) near an absorbing boundary image the |q''| measure must
     integrate the distance weight; (c) near a reflecting boundary image
     |q''| must be finite up to the boundary. Failure is a value -- it blocks
-    classification but raises nothing here. A window that ``view.bounded``
-    certifies (``drift=False``) and no annotation marks passes unsampled.
+    classification but raises nothing here. Of the windows of ``table``
+    (``window_table`` by default), one that its ``plain`` mask certifies and
+    no annotation marks passes unsampled.
     """
+    table = table or window_table(view, spec)
     checks: list[AssumptionCheck] = []
 
     # (a) local finite variation of q'_+
@@ -531,40 +599,26 @@ def check_semimartingale_assumption(view: NaturalScaleView, spec: DiffusionSpec)
                 "the price process is not a semimartingale",
             )
         )
-    else:
-        # probe a compact interior window covering the start image and all
-        # structurally interesting points (kinks, flat spots)
-        s_lo, s_hi = view.sJ
-        focus = [view.s_x0] + [c for c, _ in view.q.kinks] + [a for a, _ in spec.qprime_zero_set]
-        span = s_hi - s_lo
-        margin = 0.05 * min(1.0, span if math.isfinite(span) else 1.0)
-        lo = min(focus) - 2.0
-        hi = max(focus) + 2.0
-        if math.isfinite(s_lo):
-            lo = max(lo, s_lo + margin)
-        if math.isfinite(s_hi):
-            hi = min(hi, s_hi - margin)
-        if lo < hi:  # over the chart: a monotone change of variable keeps the variation
-            t = view.chart(np.array([lo, hi]))
-            bv = view.bounded(*t, drift=False)  # q', q'' bounded: finite variation
-            tvs, stable = ([], True) if bv else sampled_total_variation(lambda t: view.point(t)[2], t)
-            checks.append(
-                AssumptionCheck(
-                    "q-prime-bv",
-                    stable,
-                    "" if stable else f"sampled total variation of q'_+ unstable: {tvs}",
-                )
+    elif table.variation is not None:  # over the chart: a monotone change of variable keeps the variation
+        t, bv = table.variation  # q', q'' bounded: finite variation
+        tvs, stable = ([], True) if bv else sampled_total_variation(lambda t: view.point(t)[2], t)
+        checks.append(
+            AssumptionCheck(
+                "q-prime-bv",
+                stable,
+                "" if stable else f"sampled total variation of q'_+ unstable: {tvs}",
             )
-        else:
-            checks.append(AssumptionCheck("q-prime-bv", True, "window degenerate; skipped"))
+        )
+    else:
+        checks.append(AssumptionCheck("q-prime-bv", True, "window degenerate; skipped"))
 
     # (b), (c) boundary integrability of |q''|, that is of |q''| du/dt over the chart
     for side, beh in view.boundaries:
         if not beh.accessible:
             continue
-        window, b_t, bb = view.chart_collar(side, spec.qpp_behaviors)
+        window, b_t, bb, certified = table.collar(side, spec.qpp_behaviors, drift=False)
         weighted = beh.kind == "absorbing"
-        status = "finite" if not bb and view.bounded(*window, drift=False) else decide_abs_integral(
+        status = "finite" if not bb and certified else decide_abs_integral(
             lambda t: np.multiply(*view.point(t)[3:]), window, point_exponents=[(b.point, b.exponent) for b in bb],
             weight_point=b_t if weighted else None, distance=lambda t: np.abs(view.point(t)[0] - beh.image),
         ).status

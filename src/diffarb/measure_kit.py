@@ -222,6 +222,9 @@ class Expr:
     [a, b], arrays of windows alike, by interval arithmetic on the tree with
     every rounding outward. A node without a rule inherits the unbounded
     default, so nothing built on it is ever found bounded.
+
+    ``inverse(y)`` is a closed-form root of f(x) = y at each target of a 1-D
+    array, or None (the default); ``invert_monotone_vec`` checks it.
     """
 
     def jet(self, x: np.ndarray, side: int = 1, order: int = 1) -> tuple:
@@ -230,6 +233,9 @@ class Expr:
     def bounds(self, a, b) -> tuple:
         shape = np.broadcast(a, b).shape
         return ((np.full(shape, -np.inf), np.full(shape, np.inf)),) * 3
+
+    def inverse(self, y: np.ndarray) -> Optional[np.ndarray]:
+        return None
 
     def value(self, x: np.ndarray) -> np.ndarray:
         return self.jet(x, 1, 0)[0]
@@ -267,11 +273,15 @@ def _union(point_sets) -> tuple[float, ...]:
 
 
 def _outward(lo, hi, ulps: int = 1) -> tuple:
-    """lo moved down and hi up by ``ulps`` floats, NaN to the infinite bound.
-    A zero stays: the sums and products here make one only exactly."""
+    """lo moved down and hi up by ``ulps`` floats, NaN to the infinite bound,
+    both of one shape and rounded as one stacked array. A zero stays: the
+    sums and products here make one only exactly."""
+    v = np.array((lo, hi), float)
+    out = np.array([-np.inf, np.inf]).reshape((2,) + (1,) * (v.ndim - 1))
     for _ in range(ulps):
-        lo, hi = np.where(lo == 0.0, lo, np.nextafter(lo, -np.inf)), np.where(hi == 0.0, hi, np.nextafter(hi, np.inf))
-    return np.where(np.isnan(lo), -np.inf, lo), np.where(np.isnan(hi), np.inf, hi)
+        v = np.where(v == 0.0, v, np.nextafter(v, out))
+    v = np.where(np.isnan(v), out, v)
+    return v[0], v[1]
 
 
 def _flat(shape, c: float = 0.0) -> tuple:
@@ -321,6 +331,9 @@ class Affine(Expr):
         va, vb = self.a * _arr(a) + self.b, self.a * _arr(b) + self.b
         shape = np.broadcast(va, vb).shape
         return _outward(np.minimum(va, vb), np.maximum(va, vb)), _flat(shape, self.a), _flat(shape)
+
+    def inverse(self, y):
+        return (y - self.b) / self.a if self.a > 0 else None
 
 
 @dataclass(frozen=True)
@@ -628,6 +641,25 @@ class Piecewise(Expr):
                 olo[meets], ohi[meets] = np.minimum(olo[meets], glo), np.maximum(ohi[meets], ghi)
         return tuple(out)
 
+    @cached_property
+    def _images(self) -> Optional[np.ndarray]:
+        img = self.value(np.asarray(self.points))
+        return img if np.all(np.diff(img) > 0) else None
+
+    def inverse(self, y):
+        # the piece by the breakpoint images; an image maps to its breakpoint exactly
+        if self._images is None:
+            return None
+        k, out = self._images.searchsorted(y), np.empty_like(y)
+        for i, piece in enumerate(self.pieces):
+            mask = k == i
+            if mask.any():
+                x = piece.inverse(y[mask])
+                if x is None:
+                    return None
+                out[mask] = x
+        return np.where(np.append(self._images, np.nan)[k] == y, np.append(self.points, np.nan)[k], out)
+
     def breakpoints(self):
         return _union((self.points, super().breakpoints()))
 
@@ -902,21 +934,33 @@ def _eight_ulp(x: np.ndarray) -> np.ndarray:
 
 def invert_monotone_vec(f: SmoothPiece1D, ys: np.ndarray) -> np.ndarray:
     """Solve f(x) = y for strictly increasing f, elementwise: the left edge of
-    {f >= y} to float resolution, a node exactly. NaN inverts to NaN.
-
-    Phase 1 guesses x by linear interpolation in ``f.node_table`` and takes
-    at most 8 Newton steps on the whole batch, each reading f and f'_+ from
-    one ``f.jet`` call; a point freezes at its first step of at most
-    w = ``_eight_ulp(x)``. A frozen root stands if f(x - w) < y <= f(x + w).
-    Every other target but NaN (no freeze, a failed check, at or beyond an
-    end of the table) goes to phase 2, ``_invert_safeguarded``, which maps a
-    target beyond the table to its end."""
+    {f >= y} to float resolution. NaN inverts to NaN. A root x stands if
+    f(x - w) < y <= f(x + w), w = ``_eight_ulp(x)``; the closed-form root of
+    ``f.expr.inverse`` is kept where it stands and lies inside the domain.
+    The other targets take the Newton phases, which build ``f.node_table``
+    and give a node exactly. Phase 1 guesses x by linear interpolation in
+    the table and takes at most 8 Newton steps on the whole batch, each
+    reading f and f'_+ from one ``f.jet`` call; a point freezes at its first
+    step of at most w. Every other target (no freeze, a failed check, at or
+    beyond an end of the table) goes to phase 2, ``_invert_safeguarded``,
+    which maps a target beyond the table to its end."""
     y = np.atleast_1d(_arr(ys)).ravel()
-    nx, nu, _ = f.node_table
-    x = np.interp(y, nu, nx)
-    inside = (y > nu[0]) & (y < nu[-1])
-    frozen = ~inside  # NaN and the table's ends take no step
-    with np.errstate(all="ignore"):  # a zero slope or a NaN leaves a point unfrozen or failing the check
+    out, todo = np.full_like(y, np.nan), ~np.isnan(y)
+    with np.errstate(all="ignore"):  # a NaN or overflowing root, or a zero slope, fails the check
+        root = None if f.expr is None else f.expr.inverse(y)
+        if root is not None:
+            w = _eight_ulp(root)
+            fv = _arr(f.value(np.concatenate((root - w, root + w))))
+            good = (root > f.domain[0]) & (root < f.domain[1]) & (fv[: y.size] < y) & (fv[y.size :] >= y)
+            out, todo = np.where(good, root, out), todo & ~good
+        idx = np.flatnonzero(todo)
+        if not idx.size:
+            return out.reshape(np.shape(ys))
+        y = y[idx]
+        nx, nu, _ = f.node_table
+        x = np.interp(y, nu, nx)
+        inside = (y > nu[0]) & (y < nu[-1])
+        frozen = ~inside  # the table's ends take no step
         for _ in range(8):
             fx, d = f.jet(x)
             g = _arr(fx) - y
@@ -928,11 +972,11 @@ def invert_monotone_vec(f: SmoothPiece1D, ys: np.ndarray) -> np.ndarray:
                 break
         w = _eight_ulp(x)
         fv = _arr(f.value(np.concatenate((x - w, x + w))))
-    good = inside & frozen & (fv[: y.size] < y) & (fv[y.size :] >= y)
-    bad = np.flatnonzero(~good & ~np.isnan(y))
+    bad = np.flatnonzero(~(inside & frozen & (fv[: y.size] < y) & (fv[y.size :] >= y)))
     if bad.size:
         x[bad] = _invert_safeguarded(f, y[bad])
-    return x.reshape(np.shape(ys))
+    out[idx] = x
+    return out.reshape(np.shape(ys))
 
 
 def _invert_safeguarded(f: SmoothPiece1D, y: np.ndarray) -> np.ndarray:
@@ -1170,10 +1214,9 @@ def second_derivative_decomposition(
     Local finite variation of q' is tested by the semimartingale check.
     """
     atoms = []
-    for c, jump in sorted(kinks, key=lambda t: t[0]):
-        dp = float(q.d_plus(np.asarray(c)))
-        dm = float(q.d_minus(np.asarray(c)))
-        actual = dp - dm
+    kinks = sorted(kinks, key=lambda t: t[0])
+    cs = np.array([c for c, _ in kinks])  # every kink read by one call per side
+    for (c, jump), actual in zip(kinks, (_arr(q.d_plus(cs)) - _arr(q.d_minus(cs))).tolist() if kinks else ()):
         if not close_rel(actual, jump, 1e-9, floor=1e-12):
             raise KinkMismatchError(
                 f"declared kink jump {jump} at {c} disagrees with derivatives ({actual})"

@@ -6,8 +6,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from diffarb.arb_classifier import _GENERIC_WINDOWS, ConditionReport, _combine, _within
-from diffarb.diffusion_model import SpecValidationError
+from diffarb.arb_classifier import ConditionReport, _combine, _within
+from diffarb.diffusion_model import _GENERIC_WINDOWS, SpecValidationError
 from diffarb.mc_engine import (
     StrategyPlan,
     build_chain,
@@ -25,6 +25,7 @@ from diffarb.measure_kit import (
     Compose,
     Const,
     ExpIntegral,
+    Expr,
     MeasureKitError,
     Piecewise,
     PowerSigned,
@@ -369,6 +370,75 @@ def invert_monotone_vec_one_phase(f, ys) -> np.ndarray:
         step = np.where(ok, (_arr(f.value(x[bis])) - y[bis]) / np.where(ok, d, 1.0), 0.0)
         x[bis] = np.clip(x[bis] - step, a[bis], b[bis])
     return x.reshape(np.shape(ys))
+
+
+@dataclasses.dataclass(frozen=True)
+class NoInverse(Expr):
+    """``e`` with no closed-form inverse: the same jet, breakpoints and
+    infinite-slope points."""
+
+    e: Expr
+
+    def jet(self, x, side=1, order=1):
+        return self.e.jet(x, side, order)
+
+    def children(self):
+        return (self.e,)
+
+
+def newton_path(f: SmoothPiece1D) -> SmoothPiece1D:
+    """``f`` with its expression read through ``NoInverse``: the same jet
+    and node table, so ``invert_monotone_vec`` takes the Newton phases at
+    every target."""
+    return f if f.expr is None else dataclasses.replace(f, expr=NoInverse(f.expr))
+
+
+def closed_form_root(e, y: float):
+    """Reference for ``Expr.inverse``, one target y (not NaN) at a time: the
+    root of e(x) = y, or None where ``e`` has no closed form. A piecewise
+    node finds its piece by comparing y with each breakpoint image in turn."""
+    if isinstance(e, Affine):
+        return (y - e.b) / e.a if e.a > 0 else None
+    if isinstance(e, Piecewise):
+        images = [float(p.value(np.asarray(c))) for p, c in zip(e.pieces[1:], e.points)]
+        if any(b <= a for a, b in zip(images, images[1:])):
+            return None
+        if y in images:
+            return e.points[images.index(y)]
+        return closed_form_root(e.pieces[sum(v < y for v in images)], y)
+    return None
+
+
+def invert_closed_form(f: SmoothPiece1D, ys) -> np.ndarray:
+    """Reference for ``invert_monotone_vec`` on a piece whose expression has
+    a closed-form inverse, one target at a time: NaN for NaN; the
+    ``closed_form_root`` x where it lies inside the domain and
+    f(x - w) < y <= f(x + w), w 8 ulp of max(|x|, 1/2); elsewhere the root
+    the Newton phases give (``newton_path``)."""
+    y = np.asarray(ys, float)
+    out, lo, hi, rest = np.full_like(y, np.nan), *f.domain, []
+    with np.errstate(all="ignore"):
+        for i, v in enumerate(y.tolist()):
+            x = None if math.isnan(v) else closed_form_root(f.expr, v)
+            if x is None:
+                rest += [] if math.isnan(v) else [i]
+                continue
+            w = 8 * np.spacing(max(abs(x), 0.5))
+            if lo < x < hi and float(f.value(np.array([x - w]))[0]) < v <= float(f.value(np.array([x + w]))[0]):
+                out[i] = x
+            else:
+                rest.append(i)
+    if rest:
+        out[rest] = invert_monotone_vec(newton_path(f), y[rest])
+    return out
+
+
+def outward_two_calls(lo, hi, ulps: int = 1) -> tuple:
+    """Reference for ``measure_kit._outward``: lo and hi rounded apart, one
+    ``np.nextafter`` call each per ulp."""
+    for _ in range(ulps):
+        lo, hi = np.where(lo == 0.0, lo, np.nextafter(lo, -np.inf)), np.where(hi == 0.0, hi, np.nextafter(hi, np.inf))
+    return np.where(np.isnan(lo), -np.inf, lo), np.where(np.isnan(hi), np.inf, hi)
 
 
 def detect_suspicious_one_window(g_nodes, a: float, b: float, known) -> list[float]:

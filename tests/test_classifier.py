@@ -14,7 +14,6 @@ from diffarb.arb_classifier import (
     FAILS,
     HOLDS,
     INCONCLUSIVE,
-    _gamma_probe_points,
     _phi_l2_interior,
     check_nip,
     check_nsa,
@@ -30,6 +29,7 @@ from diffarb.diffusion_model import (
     StateInterval,
     derive_natural_scale,
     load_model_spec,
+    window_table,
 )
 from diffarb.measure_kit import (
     Affine,
@@ -221,6 +221,23 @@ def test_classify_rejects_non_semimartingale():
         q_expr=PowerSigned(0.0, 0.5),
     )
     with pytest.raises(SpecValidationError, match="semimartingale"):
+        classify(spec)
+
+
+def test_an_error_mapping_the_window_table_comes_before_a_failed_prerequisite(monkeypatch):
+    # classify maps its one window table before it checks the semimartingale
+    # prerequisites, so a model that fails them and whose points cannot be
+    # mapped (a quadrature error of an exp_integral scale, say) reports the
+    # mapping error
+    spec = load_model_spec(_annotated_at_one_third(0.3333333333333333, "inf", 0, "qpp_behaviors", -2.5))
+    with pytest.raises(SpecValidationError, match="semimartingale prerequisites"):
+        classify(spec)
+
+    def unmappable(self, u):
+        raise QuadratureError("no chart point")
+
+    monkeypatch.setattr(NaturalScaleView, "chart", unmappable)
+    with pytest.raises(QuadratureError, match="no chart point"):
         classify(spec)
 
 
@@ -529,7 +546,7 @@ _PANEL_CASES = {
 def test_phi_panel_matches_the_window_by_window_oracle(case):
     spec = _PANEL_CASES[case]()
     view = derive_natural_scale(spec)
-    got = _phi_l2_interior(view, spec)
+    got = _phi_l2_interior(view, window_table(view, spec))
     assert got == phi_l2_interior_by_window(view, spec)
     expected_note = {
         "divergent-window-5": ("fail", "phi**2 divergent on generic window [-5.5, -5]"),
@@ -559,7 +576,7 @@ def test_generic_windows_evaluate_phi_in_blocks_of_four(monkeypatch):
         return phi_dt(self, t)
 
     monkeypatch.setattr(NaturalScaleView, "phi_dt", counted)
-    assert _phi_l2_interior(view, spec).status == "pass"
+    assert _phi_l2_interior(view, window_table(view, spec)).status == "pass"
     assert sizes == [4 * np.size(window_nodes(0.0, 1.0))] * 8  # 4 x 1,023 points; blocks of 4 stay in cache
 
 
@@ -581,7 +598,7 @@ def test_generic_windows_without_a_flag_or_an_annotation_skip_the_decider(monkey
 
     monkeypatch.setattr(arb_classifier, "_detect_suspicious", counted_detect)
     monkeypatch.setattr(arb_classifier, "decide_L2_local", counted_decide)
-    assert _phi_l2_interior(view, spec).status == "pass"
+    assert _phi_l2_interior(view, window_table(view, spec)).status == "pass"
     assert (detected, decided) == ([4] * 8, [])
 
 
@@ -598,7 +615,7 @@ def test_phi_raising_past_the_first_divergent_window_is_never_reached(monkeypatc
         return phi_dt(self, t)
 
     monkeypatch.setattr(NaturalScaleView, "phi_dt", raises_in_window_6)
-    got = _phi_l2_interior(view, spec)
+    got = _phi_l2_interior(view, window_table(view, spec))
     assert (got.status, got.note) == ("fail", "phi**2 divergent on generic window [-5.5, -5]")
 
 
@@ -653,16 +670,33 @@ def test_annotated_windows_are_still_decided_by_the_exponent_rule(monkeypatch):
     counts = _dense_counters(monkeypatch)
     spec = _line_bm(measure_kit.Const(1.0), [LocalBehavior(0.25, "both", -0.25, 1.0)])
     view = derive_natural_scale(spec)
-    assert view.bounded(0.0, 0.5) and _phi_l2_interior(view, spec).status == "pass"
+    assert view.bounded(0.0, 0.5)[0] and _phi_l2_interior(view, window_table(view, spec)).status == "pass"
     assert ((0.0, 0.5), "exponent-rule", False) in decided
     assert counts == {"phi_dt": 0, "detect": 0, "tv": 0}
     sticky = build_model("sticky_reflected_bm", {"r": 0.5, "rho": 1.0})
     for behaviors, expected in (((), "pass"), ((LocalBehavior(1.0, "right", -1.0, 1.0),), "fail")):
         spec = dataclasses.replace(sticky, phi_behaviors=behaviors)
         view = derive_natural_scale(spec)
-        (refl,) = arb_classifier._phi_collars(view, spec, "reflecting")
-        assert view.bounded(*view.collar("left")) and refl.status == expected
+        (refl,) = arb_classifier._phi_collars(view, spec, "reflecting", window_table(view, spec))
+        assert view.bounded(*view.collar("left"))[0] and refl.status == expected
     assert decided[-1][1] == "exponent-rule" and len(decided) == 3
+
+
+def test_a_density_given_as_a_function_is_certified_for_the_variation_and_the_qpp_collar_alone():
+    # with r != 0 phi reads the speed density, which as a function has no
+    # bounds: the window table's drift masks stay off, its plain ones on
+    half_line = (0.0, INF)
+    spec = DiffusionSpec(
+        StateInterval(*half_line, alpha_closed=True), SmoothPiece1D.from_expr(Affine(1.0, 0.0), half_line),
+        DecomposedMeasure(half_line, lambda x: np.ones_like(np.asarray(x, float)), atoms=((0.0, 1.0),)),
+        x0=1.0, r=0.5,
+    )
+    view = derive_natural_scale(spec)
+    table = window_table(view, spec)
+    assert table.variation[1] and not table.generic.any()
+    assert table.collar("left", (), drift=False)[3] and not table.collar("left", (), drift=True)[3]
+    (drift, plain), t = view.bounded(*table.collars["left"][1]), table.collars["left"][1]
+    assert (drift, plain) == (False, True) and t == (0.0, 1.0)
 
 
 def _doc(scale, **kw) -> dict:
@@ -688,15 +722,16 @@ def test_a_cube_written_as_a_product_is_not_certified_where_its_slope_vanishes()
     # s = x * x * x: s'(0) = 0 at a point that is no breakpoint
     spec = load_model_spec(_PROD_CUBE)
     view = derive_natural_scale(spec)
-    assert view.bounded([-1.0, 0.0, 0.5, -2.0], [1.0, 0.5, 2.0, -1.0]).tolist() == [False, False, True, True]
+    assert view.bounded([-1.0, 0.0, 0.5, -2.0], [1.0, 0.5, 2.0, -1.0])[0].tolist() == [False, False, True, True]
     v = classify(spec)
     assert (v.nip, v.nsa, v.nupbr, v.rp) == (HOLDS, FAILS, FAILS, HOLDS)
 
 
 # The rows of the ROADMAP's wrong-verdict table: the windows and collars at
 # their singular points are not certified, so the numeric path decides them
-# as before; three rows keep a wrong answer (ROADMAP item 1) until that
-# path is mended, and a change that mends one updates its row here.
+# as before; five rows keep a wrong answer, all but collar-1.3 (ROADMAP
+# items 1 and 2), until that path is mended, and a change that mends one
+# updates its row here.
 _WRONG_VERDICT_TABLE = {
     "cube-root-x0-1": (lambda: load_model_spec(_doc(_CUBE_ROOT)), (HOLDS,) * 4),
     "cube-root-x0-2": (lambda: load_model_spec(_doc(_CUBE_ROOT, x0=2)), (HOLDS,) * 4),
@@ -711,9 +746,10 @@ def test_the_wrong_verdict_table_answers_as_before(case):
     spec = make()
     view = derive_natural_scale(spec)
     if case.startswith("collar"):
-        assert not view.bounded(*view.chart_collar("left", ())[0]) and view.bounded(*view.chart_collar("right", ())[0])
+        table = window_table(view, spec)
+        assert not table.collar("left", (), drift=True)[3] and table.collar("right", (), drift=True)[3]
     else:
-        assert not view.bounded(-0.5, 0.5)
+        assert not view.bounded(-0.5, 0.5)[0]
     v = classify(spec)
     assert (v.nip, v.nsa, v.nupbr, v.rp) == expected
 
@@ -751,7 +787,7 @@ def test_inverting_a_stacked_array_equals_inverting_each_point(case):
     # window) keeps the values of one call per point only if the inversion
     # is elementwise, bit for bit
     spec = _SCALE_CASES[case]()
-    us = _gamma_probe_points(derive_natural_scale(spec))
+    us = window_table(derive_natural_scale(spec), spec).gamma[0]
     far = np.concatenate([-_FAR, _FAR])
     sets = [(spec.scale, np.concatenate([far, us, window_nodes(us[0], us[-1])]))]
     if case == "fat_cantor":
@@ -769,16 +805,17 @@ def test_inverting_a_stacked_array_equals_inverting_each_point(case):
 def test_classify_reads_the_gamma_samples_from_one_call(case, monkeypatch):
     spec = _SCALE_CASES[case]()
     view = derive_natural_scale(spec)
-    us = _gamma_probe_points(view)
-    each = [[float(u), float(view.gamma(us[i : i + 1])[0])] for i, u in enumerate(us)]
+    us = window_table(view, spec).gamma[0]
+    each = [[float(u), float(view.drift_over_slope(view.chart(us[i : i + 1]), 2)[0])] for i, u in enumerate(us)]
     sizes = []
-    gamma = NaturalScaleView.gamma
+    drift = NaturalScaleView.drift_over_slope
 
-    def counted(self, u):
-        sizes.append(np.size(u))
-        return gamma(self, u)
+    def counted(self, t, power, dt=False):
+        if power == 2:  # gamma's quotient
+            sizes.append(np.size(t))
+        return drift(self, t, power, dt)
 
-    monkeypatch.setattr(NaturalScaleView, "gamma", counted)
+    monkeypatch.setattr(NaturalScaleView, "drift_over_slope", counted)
     assert classify(spec).impr["samples"] == each
     assert sizes == [us.size]
 
@@ -786,7 +823,9 @@ def test_classify_reads_the_gamma_samples_from_one_call(case, monkeypatch):
 _GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-_UNANNOTATED = ["doc00_sticky", "doc01_skew", "doc02_absorbing", "doc03_cubic", "doc05_sticky_cubic", "kink"]
+_UNANNOTATED = [
+    "doc00_sticky", "doc01_skew", "doc02_absorbing", "doc03_cubic", "doc05_sticky_cubic", "kink", "compose_kink"
+]
 
 
 def _golden_doc(name: str) -> dict:
@@ -798,9 +837,11 @@ def test_document_classifies_to_its_committed_report(name, tmp_path):
     # the first document of each benchmark family, a sticky reflecting end
     # under the cubic scale x + (x - 1)^3 / 2, where s' is not constant on
     # the collar (NIP.i.b: r b rho = 1/2 = q'(s(1))/2), the kink document of
-    # test_kink_inverse_document_matches_sticky_skew, and a declared inverse
-    # scale without a declared speed, whose pushed density reads its jet
-    # (phi = 1/u - 0.3 u^3). The bytes are those of one numpy build: its SIMD
+    # test_kink_inverse_document_matches_sticky_skew, the scale 3 s(x) with s
+    # piecewise affine and kinked at 0, whose kink image 3 * 0.1 must invert
+    # to the kink exactly (0.30000000000000004 / 3 is not 0.1), and a declared
+    # inverse scale without a declared speed, whose pushed density reads its
+    # jet (phi = 1/u - 0.3 u^3). The bytes are those of one numpy build: its SIMD
     # power and exp can differ from libm in the last bit, so on another build
     # a report may need regenerating with
     # diffarb classify --model tests/golden/NAME.json --out tests/golden/
@@ -809,6 +850,22 @@ def test_document_classifies_to_its_committed_report(name, tmp_path):
         assert json.loads(path.read_text()) == _FIRST_DOCS[family]
     assert main(["classify", "--model", str(path), "--out", str(tmp_path)]) == 0
     assert (tmp_path / f"classify_{name}.json").read_bytes() == (_GOLDEN / f"classify_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", _UNANNOTATED + ["doc04_declared_inverse"])
+def test_a_document_classify_charts_and_certifies_once(name, monkeypatch):
+    # every window and point of the deciders and the gamma block is a row of
+    # one window table: one chart call maps them, one bounded pass certifies
+    calls = {"chart": 0, "bounded": 0}
+    for method in calls:
+
+        def counted(self, *args, method=method, call=getattr(NaturalScaleView, method)):
+            calls[method] += 1
+            return call(self, *args)
+
+        monkeypatch.setattr(NaturalScaleView, method, counted)
+    classify(load_model_spec(_golden_doc(name)))
+    assert calls == {"chart": 1, "bounded": 1}
 
 
 def test_classify_inverts_no_array_for_an_expression_scale(monkeypatch):
@@ -872,7 +929,7 @@ def test_state_chart_keeps_the_bits_of_the_root_record_inverse(name):
         [e for e in ends if view.sJ[0] < e < view.sJ[1]],
     ])
     assert np.array_equal(_bits(view.phi(u)), _bits(ref.phi(u)))
-    assert np.array_equal(_bits(view.gamma(u)), _bits(ref.gamma(u)))
+    assert np.array_equal(_bits(view.drift_over_slope(view.chart(u), 2)), _bits(ref.drift_over_slope(u, 2)))
     assert np.array_equal(_bits(view.drift_over_slope(view.chart(u), 0)), _bits(ref.drift_over_slope(u, 0)))
 
 

@@ -608,6 +608,21 @@ def test_overflowing_exp_integral_scale_is_one_error_line(tmp_path, capsys):
     assert rc == 1 and len(err) == 1 and err[0].startswith("error:"), err
 
 
+def test_an_infinite_inverse_slope_under_a_rate_leaves_stderr_empty(tmp_path):
+    # s = x * x * x with r = 1/2: at x = 0, q' = 1/s' is infinite and q = 0,
+    # so r q mU_ac reads 0 times infinity, which the drift zeroes there; the
+    # committed report is the one written before stderr was clean
+    golden = Path(__file__).resolve().parent / "golden"
+    env = dict(os.environ, PYTHONPATH=str(golden.parents[1] / "src"))
+    argv = [sys.executable, "-m", "diffarb.cli_app", "classify", "--model", str(golden / "prod_cube.json"),
+            "--out", str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    report = (tmp_path / "classify_prod_cube.json").read_bytes()
+    assert json.loads(report)["nsa"] == "fails"
+    assert report == (golden / "classify_prod_cube.json").read_bytes()
+
+
 def test_closed_stdout_pipe_is_not_a_traceback(tmp_path):
     # ``diffarb classify ... | head -1``: the reader may close the pipe
     # before the command prints

@@ -156,7 +156,7 @@ def test_bm_fields_vanish():
     view = derive_natural_scale(spec)
     u = np.linspace(-3, 3, 13)
     assert np.allclose(view.phi(u), 0.0)
-    assert np.allclose(view.gamma(u), 0.0)
+    assert np.allclose(view.drift_over_slope(view.chart(u), 2), 0.0)
 
 
 def test_cubed_bm_phi_is_one_over_u():
@@ -172,7 +172,7 @@ def test_squared_bessel_gamma_matches_price_form():
     view = derive_natural_scale(build_model("squared_bessel", {"delta": delta}))
     u = np.array([0.4, 1.0, 1.7])
     y = np.asarray(view.q.value(u), float)
-    assert np.allclose(view.gamma(u), delta / (4 * y), rtol=1e-10)
+    assert np.allclose(view.drift_over_slope(view.chart(u), 2), delta / (4 * y), rtol=1e-10)
 
 
 def test_view_round_trip_q_of_scale():

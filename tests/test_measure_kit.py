@@ -31,6 +31,7 @@ from diffarb.measure_kit import (
     _detect_suspicious,
     _dyadic_probe,
     _eight_ulp,
+    _outward,
     _row_medians,
     adaptive_quad,
     decide_L2_local,
@@ -59,8 +60,11 @@ from oracles import (
     flat_spot_q_deriv2,
     flat_spot_q_value,
     inverse_piece_with_root_record,
+    invert_closed_form,
     invert_monotone_vec_one_phase,
     measure_mass,
+    newton_path,
+    outward_two_calls,
     piece_with_one_call_per_handle,
 )
 
@@ -397,12 +401,14 @@ def _contract_targets(f, rng) -> np.ndarray:
 
 @pytest.mark.parametrize("case", list(_CONTRACT_SCALES))
 def test_two_phase_inverse_keeps_the_one_phase_contract(case):
+    # the Newton phases, at every target: a closed-form root is tested below
     (f, source), strict = _CONTRACT_SCALES[case](), not case.startswith("fuzz-")
+    handles, f = newton_path(piece_with_one_call_per_handle(f, source)), newton_path(f)
     nx, nu, _ = f.node_table
     y = _contract_targets(f, np.random.default_rng(11))
     got, want = invert_monotone_vec(f, y), invert_monotone_vec_one_phase(f, y)
     # one jet call per Newton step gives the roots of separate value and slope walks
-    assert np.array_equal(got, invert_monotone_vec(piece_with_one_call_per_handle(f, source), y), equal_nan=True)
+    assert np.array_equal(got, invert_monotone_vec(handles, y), equal_nan=True)
     # a batch of any size gives each target the bits it gets here
     for n in (1, 63, 64, 40_000):
         assert np.array_equal(invert_monotone_vec(f, np.resize(y, n)), np.resize(got, n), equal_nan=True)
@@ -431,6 +437,60 @@ def test_two_phase_inverse_keeps_the_one_phase_contract(case):
         # both roots pass the check, their brackets overlap
         both = inside & brackets & ref_brackets
         assert np.all(np.abs(got - want)[both] <= (w + w_ref)[both])
+
+
+# a scale of each node type with a closed-form inverse, with its state
+# interval; the nested piecewise scale has breakpoint images that are not
+# exact sums (0.1 + 2 * 1)
+_CLOSED_FORM_SCALES = {
+    "affine": (Affine(1.5, 0.0), (0.75, RT)),
+    "piecewise": FAMILY_SCALES["skew"],
+    "piecewise-nested": (
+        Piecewise([0.0], [Affine(1.0, 0.1), Piecewise([1.0], [Affine(2.0, 0.1), Affine(0.5, 1.6)])]), (-RT, RT)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLOSED_FORM_SCALES))
+def test_closed_form_inverse_keeps_the_contract(case):
+    # the closed-form root stands where it brackets its target; a table node
+    # exactly is a clause of the Newton phases only
+    expr, (lo, hi) = _CLOSED_FORM_SCALES[case]
+    f = piece(expr, (lo, hi))
+    points = np.array(f.special_points)  # the breakpoints
+    points = points[(points > lo) & (points < hi)]
+    ends = f.value(np.array([e for e in (lo, hi) if math.isfinite(e)]))
+    y = np.concatenate([_contract_targets(f, np.random.default_rng(13)), f.value(points), ends - 1.0, ends + 1.0,
+                        np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+    got = invert_monotone_vec(f, y)
+    assert np.array_equal(got, invert_closed_form(f, y), equal_nan=True)
+    for n in (1, 63, 64, 40_000):
+        assert np.array_equal(invert_monotone_vec(f, np.resize(y, n)), np.resize(got, n), equal_nan=True)
+    # the 8-ulp bracket at every finite target in the closed image
+    f_lo, f_hi = (float(f.value(np.asarray(e))) if math.isfinite(e) else e for e in (lo, hi))
+    image = np.isfinite(y) & (y >= f_lo) & (y <= f_hi)
+    with np.errstate(all="ignore"):
+        w = 8 * np.spacing(np.maximum(np.abs(got), 0.5))
+        assert np.all(((f.value(got - w) < y) & (f.value(got + w) >= y))[image])
+    # every breakpoint image to its breakpoint exactly
+    assert np.array_equal(invert_monotone_vec(f, f.value(points)), points)
+    # NaN to NaN; an infinite target, or one beyond the image, as the Newton phases map it
+    nan = np.isnan(y)
+    assert np.all(np.isnan(got[nan]))
+    assert np.array_equal(got[~image & ~nan], invert_monotone_vec(newton_path(f), y[~image & ~nan]))
+
+
+def test_outward_rounding_of_the_stacked_bounds_keeps_the_bits():
+    # lo and hi rounded as one (2, ...) array, against one call each
+    rng = np.random.default_rng(3)
+    x = rng.choice([-1.0, 1.0], (2, 500)) * 10.0 ** rng.uniform(-320, 308, (2, 500))
+    x.flat[rng.choice(x.size, 300, replace=False)] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324], 300)
+    lo, hi = np.minimum(x[0], x[1]), np.maximum(x[0], x[1])
+    for ulps in (1, 4):
+        for a, b in ((lo, hi), (lo[7], hi[7]), (lo.reshape(20, 25), hi.reshape(20, 25))):
+            got, want = _outward(a, b, ulps), outward_two_calls(a, b, ulps)
+            assert all(np.array_equal(np.asarray(g).view(np.uint64), np.asarray(r).view(np.uint64))
+                       for g, r in zip(got, want))
 
 
 _HANDLE_CASES = {
