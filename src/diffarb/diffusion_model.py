@@ -123,10 +123,12 @@ class DiffusionSpec:
     are checked against the model, and the rest are trusted:
 
     * checked: the declared boundary kinds (against the collar integral
-      test; an inconclusive test defers to the declaration), the kink jumps
-      of q (against its one-sided derivatives) and ``speed_natural`` (its
-      atoms, and its ac part pointwise on four probe intervals, against the
-      pushforward of ``speed``);
+      test, certified finite where the scale and an ``Expr`` density have
+      finite bounds on the collar, else probed; an inconclusive probe defers
+      to the declaration), the kink jumps of q (against its one-sided
+      derivatives; a kink image of an inverted scale maps to its kink
+      exactly) and ``speed_natural`` (its atoms, and its ac part pointwise
+      on four probe intervals, against the pushforward of ``speed``);
     * trusted: ``phi_behaviors`` and ``qpp_behaviors`` (the local exponents
       the deciders use), ``qprime_zero_set``, the inverse scale ``q_expr`` /
       ``q_piece`` and ``qpp_sc``. A false one can give a wrong verdict.
@@ -362,7 +364,11 @@ def classify_boundary(spec: DiffusionSpec, side: str) -> BoundaryBehavior:
     """Feller-type accessibility test plus the speed-atom dichotomy.
 
     Accessible iff |s(b)| < infinity and the integral of |s(b) - s(y)| m(dy)
-    over a collar at b converges. Accessible with infinite atom -> absorbing;
+    over a collar at b converges. A certificate comes before the probe: a
+    collar on which ``Expr.bounds`` encloses both the scale and an ``Expr``
+    density finitely bounds the integrand on a compact set, so the integral
+    is finite; any other collar goes to ``decide_abs_integral``, the dyadic
+    probe toward b. Accessible with infinite atom -> absorbing;
     finite atom -> reflecting (stickiness = atom). A declared behaviour is
     validated against the test; a definite conflict is an error, and an
     inconclusive test defers to the declaration. An accessible end, tested
@@ -385,15 +391,16 @@ def classify_boundary(spec: DiffusionSpec, side: str) -> BoundaryBehavior:
     other = spec.J.beta if side == "left" else spec.J.alpha
     reach = min(1.0, 0.25 * abs(other - b)) if math.isfinite(other) else 1.0
     lo, hi = (b, b + reach) if side == "left" else (b - reach, b)
-    status = "finite"
-    if spec.speed.ac_density is not None:
-        sc_fun = spec.scale.value
+    status, dens, f = "finite", spec.speed.ac_density, spec.scale.expr
+    # the certificate: s and the density bounded on the compact collar
+    bounded = isinstance(dens, Expr) and f is not None and bool(
+        np.isfinite([*f.bounds(lo, hi)[0], *dens.bounds(lo, hi)[0]]).all()
+    )
+    if dens is not None and not bounded:
 
         def g(y: np.ndarray) -> np.ndarray:
             y = np.atleast_1d(np.asarray(y, float))
-            return np.abs(np.asarray(sc_fun(y), float) - s_b) * np.abs(
-                np.asarray(spec.speed.ac_density(y), float)
-            )
+            return np.abs(np.asarray(spec.scale.value(y), float) - s_b) * np.abs(np.asarray(dens(y), float))
 
         verdict = decide_abs_integral(g, (lo, hi), suspicious=[b])
         status = verdict.status
@@ -445,9 +452,12 @@ def inverse_piece(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1
     """Inverse q = s^{-1} of the increasing piece s = ``scale`` on its image
     ``sJ``. Its jet holds no state: each call inverts its points once and
     reads ``_inverse_jet`` there. Kinks of s map to kinks of q and flat
-    points of s to infinite-slope points of q. Only a model that declares
-    neither q nor an inverse scale is inverted so; every catalog model
-    declares q, and fat_cantor's scale is q's inverse in closed form."""
+    points of s to infinite-slope points of q. ``invert_monotone_vec`` maps
+    the image of a kink of s to that kink by lookup, so reading q at a kink
+    of q (its one-sided slopes, q at an atom there) takes no root search; a
+    cubic scale's other points take Cardano's root. Only a model that
+    declares neither q nor an inverse scale is inverted so; every catalog
+    model declares q, and fat_cantor's scale is q's inverse in closed form."""
 
     def jet(u, side=1, order=1):
         x = invert_monotone_vec(scale, u)

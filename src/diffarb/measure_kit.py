@@ -302,6 +302,13 @@ def _mul(x: tuple, y: tuple) -> tuple:
     return _outward(c.min(axis=0), c.max(axis=0))
 
 
+def _stacked(enclosures) -> tuple:
+    """Enclosures of one shape as one (lo, hi) pair of stacked arrays, so
+    that each interval operation runs once over all of them; ``zip`` of the
+    pair splits it again."""
+    return np.array([e[0] for e in enclosures]), np.array([e[1] for e in enclosures])
+
+
 @dataclass(frozen=True)
 class Const(Expr):
     c: float
@@ -368,20 +375,22 @@ class PowerSigned(Expr):
         return tuple(out)
 
     def bounds(self, a, b):
-        # u as the jet rounds it; f is monotone in u, f' in |u| and f'' on
-        # each side, with limits at u -> 0-+; np.power may be an ulp off
-        ua, ub = np.broadcast_arrays(_arr(a) - self.center, _arr(b) - self.center)
-        p, k = self.p, self.p * (self.p - 1.0)
+        # u as the jet rounds it, both ends as one stacked array; f is monotone
+        # in u, f' in |u| and f'' on each side, with limits at u -> 0-+;
+        # np.power may be an ulp off
+        u = np.array(np.broadcast_arrays(_arr(a) - self.center, _arr(b) - self.center))
+        (ua, ub), p, k = u, self.p, self.p * (self.p - 1.0)
         if p == 1.0:
             return _outward(ua, ub), _flat(ua.shape, 1.0), _flat(ua.shape)
+        au, sign = np.abs(u), np.sign(u)
         with np.errstate(all="ignore"):
-            value = [np.sign(u) * np.abs(u) ** p for u in (ua, ub)]
-            near = np.where((ua <= 0.0) & (ub >= 0.0), 0.0, np.minimum(np.abs(ua), np.abs(ub)))
-            d = [p * v ** (p - 1.0) for v in (near, np.maximum(np.abs(ua), np.abs(ub)))]
-            dd = [np.where(u == 0.0, 0.0, k * np.sign(u) * np.abs(u) ** (p - 2.0)) for u in (ua, ub)]
+            value = sign * au**p
+            d = p * np.array((np.where((ua <= 0.0) & (ub >= 0.0), 0.0, au.min(axis=0)), au.max(axis=0))) ** (p - 1.0)
+            dd = np.where(u == 0.0, 0.0, k * sign * au ** (p - 2.0))
             lim = k * np.power(0.0, p - 2.0)  # f'' at 0+, and -lim at 0-
-        dd += [np.where((ua <= 0.0) & (ub > 0.0), lim, dd[0]), np.where((ua < 0.0) & (ub >= 0.0), -lim, dd[0])]
-        return tuple(_outward(np.min(v, axis=0), np.max(v, axis=0), 4) for v in (value, d, dd))
+        sides = [np.where((ua <= 0.0) & (ub > 0.0), lim, dd[0]), np.where((ua < 0.0) & (ub >= 0.0), -lim, dd[0])]
+        dd = np.concatenate((dd, sides))
+        return tuple(zip(*_outward(*_stacked([(v.min(axis=0), v.max(axis=0)) for v in (value, d, dd)]), 4)))
 
     def breakpoints(self):
         return () if self.p == 1.0 else (self.center,)
@@ -460,10 +469,49 @@ class Sum(Expr):
         return tuple(out)
 
     def bounds(self, a, b):
-        out = [_flat(np.broadcast(a, b).shape)] * 3
+        # the first term's enclosures, then one stacked interval sum per term
+        if not self.terms:
+            return (_flat(np.broadcast(a, b).shape),) * 3
+        lo, hi = _stacked(self.terms[0].bounds(a, b))
+        for t in self.terms[1:]:
+            t_lo, t_hi = _stacked(t.bounds(a, b))
+            lo, hi = _outward(lo + t_lo, hi + t_hi)
+        return tuple(zip(lo, hi))
+
+    @cached_property
+    def _cubic(self) -> Optional[tuple[float, float, float, float]]:
+        """(a, b, k, c) when the sum is a*x + b + k*sign(x - c)|x - c|^3 with
+        a >= 0 and k > 0, its affine and constant terms folded in order."""
+        a = b = 0.0
+        rest = []
         for t in self.terms:
-            out = [_add(o, v) for o, v in zip(out, t.bounds(a, b))]
-        return tuple(out)
+            if isinstance(t, Affine):
+                a, b = a + t.a, b + t.b
+            elif isinstance(t, Const):
+                b = b + t.c
+            else:
+                rest.append(t)
+        if len(rest) != 1 or not isinstance(rest[0], Product) or len(rest[0].factors) != 2 or not a >= 0:
+            return None
+        k = [f.c for f in rest[0].factors if isinstance(f, Const)]
+        cube = [f.center for f in rest[0].factors if isinstance(f, PowerSigned) and f.p == 3.0]
+        return (a, b, k[0], cube[0]) if k and cube and k[0] > 0 else None
+
+    def inverse(self, y):
+        # t = x - c solves t^3 + P t + Q = 0 with P = a/k >= 0: the real root
+        # in the hyperbolic form of Cardano's formula, then one Newton step
+        if self._cubic is None:
+            return None
+        a, b, k, c = self._cubic
+        q = (a * c + b - y) / k
+        if a > 0:
+            p = a / k
+            r = math.sqrt(p / 3.0)
+            x = c - 2.0 * r * np.sinh(np.arcsinh(1.5 * q / (p * r)) / 3.0)
+        else:
+            x = c - np.cbrt(q)
+        fx, d = self.jet(x)
+        return np.where(d > 0, x - (fx - y) / d, x)
 
     def children(self):
         return self.terms
@@ -508,22 +556,34 @@ class Product(Expr):
         return tuple(out)
 
     def bounds(self, a, b):
-        # the jet's product rule, one interval operation at a time
-        bs, shape = [t.bounds(a, b) for t in self.factors], np.broadcast(a, b).shape
+        # the constant factors fold into one interval k, which scales each
+        # enclosure once; the jet's product rule runs on the other factors,
+        # one interval operation at a time
+        consts = [t.c for t in self.factors if isinstance(t, Const)]
+        bs, shape = [t.bounds(a, b) for t in self.factors if not isinstance(t, Const)], np.broadcast(a, b).shape
+        if len(bs) == 1:
+            out = bs[0]
+        else:
 
-        def times_others(part, *skip):
-            for k, bk in enumerate(bs):
-                part = part if k in skip else _mul(part, bk[0])
-            return part
+            def times_others(part, *skip):
+                for k, bk in enumerate(bs):
+                    part = part if k in skip else _mul(part, bk[0])
+                return part
 
-        d = d2 = _flat(shape)
-        for i, bi in enumerate(bs):
-            d = _add(d, times_others(bi[1], i))
-            d2 = _add(d2, times_others(bi[2], i))
-            for j, bj in enumerate(bs):
-                if i != j:
-                    d2 = _add(d2, times_others(_mul(bi[1], bj[1]), i, j))
-        return times_others(_flat(shape, 1.0)), d, d2
+            d = d2 = _flat(shape)
+            for i, bi in enumerate(bs):
+                d = _add(d, times_others(bi[1], i))
+                d2 = _add(d2, times_others(bi[2], i))
+                for j, bj in enumerate(bs):
+                    if i != j:
+                        d2 = _add(d2, times_others(_mul(bi[1], bj[1]), i, j))
+            out = times_others(_flat(shape, 1.0)), d, d2
+        if not consts:
+            return out
+        lo = hi = math.prod(consts)  # each rounded product moves the bounds one float out
+        for _ in consts[1:]:
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        return tuple(zip(*_mul(_stacked(out), (lo, hi))))
 
     def children(self):
         return self.factors
@@ -623,7 +683,7 @@ class Piecewise(Expr):
         for i, piece in enumerate(self.pieces):
             for idx, first, last in parts:
                 mask = idx == i
-                if np.any(mask):
+                if mask.any():
                     got = piece.jet(flat[mask], side, last)
                     for k in range(first, last + 1):
                         outs[k][mask] = got[k]
@@ -895,6 +955,22 @@ class SmoothPiece1D:
         return tuple(sorted(c for c in pts if lo < c < hi))
 
     @cached_property
+    def kink_images(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kinks c at which the root check of ``invert_monotone_vec``
+        holds for their own image, f(c - w) < f(c) <= f(c + w) with w =
+        ``_eight_ulp(c)``, and those images f(c): a target equal to one maps
+        to its kink before any root search, so that the one-sided slopes of
+        an inverse differ there."""
+        c = np.array([c for c, _ in self.kinks], float)
+        if not c.size:
+            return c, c
+        w = _eight_ulp(c)
+        with np.errstate(all="ignore"):
+            lo, v, hi = np.split(_arr(self.value(np.concatenate((c - w, c, c + w)))), 3)
+        keep = (lo < v) & (v <= hi)
+        return c[keep], v[keep]
+
+    @cached_property
     def node_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes x, images f(x) and inverse slopes 1/f'(x) for inversion: 1,025
         on a core (the domain, cut to 8 wide on an infinite side), the special
@@ -934,26 +1010,31 @@ def _eight_ulp(x: np.ndarray) -> np.ndarray:
 
 def invert_monotone_vec(f: SmoothPiece1D, ys: np.ndarray) -> np.ndarray:
     """Solve f(x) = y for strictly increasing f, elementwise: the left edge of
-    {f >= y} to float resolution. NaN inverts to NaN. A root x stands if
-    f(x - w) < y <= f(x + w), w = ``_eight_ulp(x)``; the closed-form root of
-    ``f.expr.inverse`` is kept where it stands and lies inside the domain.
-    The other targets take the Newton phases, which build ``f.node_table``
-    and give a node exactly. Phase 1 guesses x by linear interpolation in
-    the table and takes at most 8 Newton steps on the whole batch, each
-    reading f and f'_+ from one ``f.jet`` call; a point freezes at its first
-    step of at most w. Every other target (no freeze, a failed check, at or
-    beyond an end of the table) goes to phase 2, ``_invert_safeguarded``,
-    which maps a target beyond the table to its end."""
+    {f >= y} to float resolution. NaN inverts to NaN. A target equal to one
+    of ``f.kink_images`` maps to its kink, with no root search.
+    A root x stands if f(x - w) < y <= f(x + w), w = ``_eight_ulp(x)``; the
+    closed-form root of ``f.expr.inverse`` is kept where it stands and lies
+    inside the domain. The other targets take the Newton phases, which build
+    ``f.node_table`` and give a node exactly. Phase 1 guesses x by linear
+    interpolation in the table and takes at most 8 Newton steps on the whole
+    batch, each reading f and f'_+ from one ``f.jet`` call; a point freezes
+    at its first step of at most w. Every other target (no freeze, a failed
+    check, at or beyond an end of the table) goes to phase 2,
+    ``_invert_safeguarded``, which maps a target beyond the table to its end."""
     y = np.atleast_1d(_arr(ys)).ravel()
-    out, todo = np.full_like(y, np.nan), ~np.isnan(y)
+    out, idx = np.full_like(y, np.nan), np.flatnonzero(~np.isnan(y))
+    pc, pv = f.kink_images
+    if pv.size and idx.size:
+        k = np.minimum(pv.searchsorted(y[idx]), pv.size - 1)
+        hit = pv[k] == y[idx]
+        out[idx[hit]], idx = pc[k[hit]], idx[~hit]
     with np.errstate(all="ignore"):  # a NaN or overflowing root, or a zero slope, fails the check
-        root = None if f.expr is None else f.expr.inverse(y)
+        root = None if f.expr is None or not idx.size else f.expr.inverse(y[idx])
         if root is not None:
             w = _eight_ulp(root)
             fv = _arr(f.value(np.concatenate((root - w, root + w))))
-            good = (root > f.domain[0]) & (root < f.domain[1]) & (fv[: y.size] < y) & (fv[y.size :] >= y)
-            out, todo = np.where(good, root, out), todo & ~good
-        idx = np.flatnonzero(todo)
+            good = (root > f.domain[0]) & (root < f.domain[1]) & (fv[: idx.size] < y[idx]) & (fv[idx.size :] >= y[idx])
+            out[idx[good]], idx = root[good], idx[~good]
         if not idx.size:
             return out.reshape(np.shape(ys))
         y = y[idx]

@@ -393,12 +393,48 @@ def newton_path(f: SmoothPiece1D) -> SmoothPiece1D:
     return f if f.expr is None else dataclasses.replace(f, expr=NoInverse(f.expr))
 
 
+def _cubic_root(e: Sum, y: float):
+    """``closed_form_root`` of a sum a*x + b + k*sign(x - c)|x - c|^3 (a >= 0,
+    k > 0, its affine and constant terms folded in order): Cardano's root of
+    t^3 + (a/k) t + (a c + b - y)/k = 0 in hyperbolic form, or the cube root
+    when a = 0, then one Newton step on the sum's jet. The transcendental
+    functions read numpy on one-element arrays; the rest is Python floats."""
+    a = b = 0.0
+    rest = []
+    for t in e.terms:
+        if isinstance(t, Affine):
+            a, b = a + t.a, b + t.b
+        elif isinstance(t, Const):
+            b = b + t.c
+        else:
+            rest.append(t)
+    if len(rest) != 1 or not isinstance(rest[0], Product) or len(rest[0].factors) != 2 or not a >= 0:
+        return None
+    k = [f.c for f in rest[0].factors if isinstance(f, Const)]
+    c = [f.center for f in rest[0].factors if isinstance(f, PowerSigned) and f.p == 3.0]
+    if not (k and c and k[0] > 0):
+        return None
+    k, c = k[0], c[0]
+    q = (a * c + b - y) / k
+    one = lambda fn, v: float(fn(np.array([v]))[0])  # noqa: E731
+    if a > 0:
+        p = a / k
+        r = math.sqrt(p / 3.0)
+        x = c - 2.0 * r * one(np.sinh, one(np.arcsinh, 1.5 * q / (p * r)) / 3.0)
+    else:
+        x = c - one(np.cbrt, q)
+    fx, d = (float(v[0]) for v in e.jet(np.array([x])))
+    return x - (fx - y) / d if d > 0 else x
+
+
 def closed_form_root(e, y: float):
     """Reference for ``Expr.inverse``, one target y (not NaN) at a time: the
     root of e(x) = y, or None where ``e`` has no closed form. A piecewise
     node finds its piece by comparing y with each breakpoint image in turn."""
     if isinstance(e, Affine):
         return (y - e.b) / e.a if e.a > 0 else None
+    if isinstance(e, Sum):
+        return _cubic_root(e, y)
     if isinstance(e, Piecewise):
         images = [float(p.value(np.asarray(c))) for p, c in zip(e.pieces[1:], e.points)]
         if any(b <= a for a, b in zip(images, images[1:])):
@@ -411,14 +447,21 @@ def closed_form_root(e, y: float):
 
 def invert_closed_form(f: SmoothPiece1D, ys) -> np.ndarray:
     """Reference for ``invert_monotone_vec`` on a piece whose expression has
-    a closed-form inverse, one target at a time: NaN for NaN; the
-    ``closed_form_root`` x where it lies inside the domain and
-    f(x - w) < y <= f(x + w), w 8 ulp of max(|x|, 1/2); elsewhere the root
-    the Newton phases give (``newton_path``)."""
+    a closed-form inverse, one target at a time: NaN for NaN; for a target
+    f(c), c a kink, the kink c where f(c - w) < f(c) <= f(c + w);
+    the ``closed_form_root`` x where it lies inside the domain and
+    f(x - w) < y <= f(x + w); elsewhere the root the Newton phases give
+    (``newton_path``); w is 8 ulp of max(|x|, 1/2)."""
     y = np.asarray(ys, float)
     out, lo, hi, rest = np.full_like(y, np.nan), *f.domain, []
+    at = lambda c: float(f.value(np.array([c]))[0])  # noqa: E731
+    ulp8 = lambda x: 8 * np.spacing(max(abs(x), 0.5))  # noqa: E731
+    edges = {at(c): c for c, _ in f.kinks if at(c - ulp8(c)) < at(c) <= at(c + ulp8(c))}
     with np.errstate(all="ignore"):
         for i, v in enumerate(y.tolist()):
+            if v in edges:
+                out[i] = edges[v]
+                continue
             x = None if math.isnan(v) else closed_form_root(f.expr, v)
             if x is None:
                 rest += [] if math.isnan(v) else [i]

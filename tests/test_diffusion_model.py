@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from diffarb import diffusion_model
 from diffarb.arb_classifier import check_nip
 from diffarb.diffusion_model import (
     DiffusionSpec,
@@ -19,7 +20,15 @@ from diffarb.diffusion_model import (
     derive_natural_scale,
     load_model_spec,
 )
-from diffarb.measure_kit import Affine, DecomposedMeasure, PowerSigned, SmoothPiece1D
+from diffarb.measure_kit import (
+    Affine,
+    Compose,
+    Const,
+    DecomposedMeasure,
+    PowerSigned,
+    SmoothPiece1D,
+    decide_abs_integral,
+)
 from diffarb.model_catalog import CATALOG, build_model
 
 INF = math.inf
@@ -91,6 +100,75 @@ _INCONCLUSIVE = "accessibility test inconclusive"
 def test_classify_boundary_exits(make, side, kind, stick, note, value, image):
     beh = classify_boundary(make(), side)
     assert (beh.kind, beh.stickiness, beh.note, beh.value, beh.image) == (kind, stick, note, value, image)
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _collar_document(alpha, a, dens, atom, kind):
+    """A sticky (finite ``atom``) or absorbing (``"inf"``) Bachelier
+    document: J = [alpha, inf), scale a x, constant speed density."""
+    return load_model_spec({
+        "state_interval": {"alpha": alpha, "beta": "inf", "alpha_closed": True},
+        "scale": {"node": "affine", "a": a, "b": 0.0},
+        "speed": {"ac": {"node": "const", "c": dens}, "atoms": [[alpha, atom]]},
+        "x0": alpha + 0.5, "r": 0.5, "boundaries": {"left": kind},
+    })
+
+
+# left ends whose collar integrand |s(b) - s(y)| m_ac(y) is bounded: the
+# sticky and absorbing families, a sticky end under a cubic scale and the
+# catalog's sticky reflected Brownian motion
+_BOUNDED_COLLARS = {
+    **{name: (lambda name=name: load_model_spec(json.loads((_GOLDEN / f"{name}.json").read_text())))
+       for name in ("doc00_sticky", "doc02_absorbing", "doc05_sticky_cubic")},
+    "sticky": lambda: _collar_document(0.75, 1.5, 2.0, 0.25, "reflecting"),
+    "sticky-at-one": lambda: _collar_document(1.0, 0.25, 0.375, 3.0, "reflecting"),
+    "absorbing-at-zero": lambda: _collar_document(0.0, 2.5, 1.25, "inf", "absorbing"),
+    "absorbing-at-one": lambda: _collar_document(1.0, 0.5, 2.75, "inf", "absorbing"),
+    "sticky_reflected_bm": lambda: build_model("sticky_reflected_bm"),
+    "sticky_reflected_bm-rho": lambda: build_model("sticky_reflected_bm", {"rho": 0.7, "r": 2.0}),
+}
+
+
+def _count_probes(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return decide_abs_integral(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion_model, "decide_abs_integral", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", list(_BOUNDED_COLLARS))
+def test_a_bounded_collar_is_certified_as_the_probe_decides_it(case, monkeypatch):
+    # the same density read as a function is never certified: the probe's answer
+    spec = _BOUNDED_COLLARS[case]()
+    dens = spec.speed.ac_density
+    probed = dataclasses.replace(spec, speed=dataclasses.replace(spec.speed, ac_density=lambda x: dens(x)))
+    calls = _count_probes(monkeypatch)
+    want = classify_boundary(probed, "left")
+    assert len(calls) == 1
+    got = classify_boundary(spec, "left")
+    assert len(calls) == 1 and got == want and got.accessible
+
+
+@pytest.mark.parametrize("p", [-2.5, -1.84, -0.5, "no-bounds"])
+def test_a_collar_without_a_certificate_takes_the_probe(p, monkeypatch):
+    # the density |y - 1|^p, unbounded at the end for p < 0, and a constant
+    # density written as an expression node with no bounds rule
+    if p == "no-bounds":
+        spec = _power_speed_spec(0.0, ((1.0, 0.5),))
+        spec = dataclasses.replace(
+            spec, speed=dataclasses.replace(spec.speed, ac_density=Compose(Const(1.0), Affine(1.0, 0.0)))
+        )
+    else:
+        spec = _power_speed_spec(p, ((1.0, 0.5),))
+    calls = _count_probes(monkeypatch)
+    classify_boundary(spec, "left")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

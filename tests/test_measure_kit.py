@@ -1,5 +1,6 @@
 """Unit and property tests for the expression grammar and measure calculus."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffarb.arb_classifier import classify
-from diffarb.diffusion_model import inverse_piece, load_model_spec
+from diffarb import measure_kit
+from diffarb.arb_classifier import _check_singular_parts, classify
+from diffarb.diffusion_model import derive_natural_scale, inverse_piece, load_model_spec
 from diffarb.measure_kit import (
+    DEFAULT_QUAD,
     Affine,
     Compose,
     Const,
@@ -49,6 +52,7 @@ from diffarb.model_catalog import build_model, catalog_names
 from fuzz_models import random_model, random_spec
 from oracles import (
     adaptive_quad_two_calls,
+    closed_form_root,
     detect_suspicious_every_median,
     detect_suspicious_one_window,
     dyadic_probe_level_by_level,
@@ -165,7 +169,13 @@ def test_jet_equals_the_separate_walks_bit_for_bit(case):
 
 
 # x * x * x: its slope 3x^2 vanishes at 0, which is no breakpoint
-_BOUNDS_EXPRS = {**_JET_EXPRS, "prod-cube": lambda: Product([Affine(1.0, 0.0)] * 3)}
+_BOUNDS_EXPRS = {
+    **_JET_EXPRS,
+    "prod-cube": lambda: Product([Affine(1.0, 0.0)] * 3),
+    # three constant factors fold into one interval, rounded outward; a
+    # constant term in a sum
+    "prod-of-consts": lambda: Sum([Const(0.3), Product([Const(0.1), PowerSigned(0.3, 3.0), Const(3.0), Const(-0.7)])]),
+}
 
 
 def _bound_windows(e, rng) -> np.ndarray:
@@ -441,12 +451,18 @@ def test_two_phase_inverse_keeps_the_one_phase_contract(case):
 
 # a scale of each node type with a closed-form inverse, with its state
 # interval; the nested piecewise scale has breakpoint images that are not
-# exact sums (0.1 + 2 * 1)
+# exact sums (0.1 + 2 * 1). The shifted cubic folds a constant and an affine
+# term to b = -0.25, with its cube centred at c = -1.25 and its factors in
+# the other order
 _CLOSED_FORM_SCALES = {
     "affine": (Affine(1.5, 0.0), (0.75, RT)),
     "piecewise": FAMILY_SCALES["skew"],
     "piecewise-nested": (
         Piecewise([0.0], [Affine(1.0, 0.1), Piecewise([1.0], [Affine(2.0, 0.1), Affine(0.5, 1.6)])]), (-RT, RT)
+    ),
+    "cubic": FAMILY_SCALES["cubic"],
+    "cubic-shifted": (
+        Sum([Const(-0.625), Product([PowerSigned(-1.25, 3.0), Const(0.75)]), Affine(2.5, 0.375)]), (-2.0, RT)
     ),
 }
 
@@ -460,7 +476,9 @@ def test_closed_form_inverse_keeps_the_contract(case):
     points = np.array(f.special_points)  # the breakpoints
     points = points[(points > lo) & (points < hi)]
     ends = f.value(np.array([e for e in (lo, hi) if math.isfinite(e)]))
-    y = np.concatenate([_contract_targets(f, np.random.default_rng(13)), f.value(points), ends - 1.0, ends + 1.0,
+    rng = np.random.default_rng(13)
+    far = rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(8, 18, 500)  # out to -+1e18
+    y = np.concatenate([_contract_targets(f, rng), far, f.value(points), ends - 1.0, ends + 1.0,
                         np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
     got = invert_monotone_vec(f, y)
     assert np.array_equal(got, invert_closed_form(f, y), equal_nan=True)
@@ -478,6 +496,24 @@ def test_closed_form_inverse_keeps_the_contract(case):
     nan = np.isnan(y)
     assert np.all(np.isnan(got[nan]))
     assert np.array_equal(got[~image & ~nan], invert_monotone_vec(newton_path(f), y[~image & ~nan]))
+
+
+def test_cubic_without_an_affine_term_inverts_by_a_cube_root():
+    # 2 sign(x - 1)|x - 1|^3 + 0.5: a = 0, so the root is 1 - cbrt((0.5 - y)/2)
+    # with one Newton step, bit for bit the reference's; f is float-flat
+    # around its center 1, where the left edge of {f >= y} lies off the root
+    e = Sum([Product([Const(2.0), PowerSigned(1.0, 3.0)]), Const(0.5)])
+    rng = np.random.default_rng(17)
+    y = 0.5 + rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-3, 18, 2000)
+    with np.errstate(all="ignore"):
+        assert np.array_equal(e.inverse(y), [closed_form_root(e, v) for v in y.tolist()])
+    x = 1.0 + np.cbrt((y - 0.5) / 2.0)
+    got = invert_monotone_vec(piece(e), y)
+    assert np.all(np.abs(got - x) <= 4 * np.spacing(np.maximum(np.abs(x), 1.0)))
+    # no affine term with a negative slope, no second cube, no other power: no closed form
+    for bad in (Sum([Affine(-1.0, 0.0), e.terms[0]]), Sum([e.terms[0], e.terms[0]]),
+                Sum([Affine(1.0, 0.0), Product([Const(2.0), PowerSigned(1.0, 2.0)])])):
+        assert bad.inverse(y) is None
 
 
 def test_outward_rounding_of_the_stacked_bounds_keeps_the_bits():
@@ -596,6 +632,67 @@ def test_kink_inverse_document_matches_sticky_skew():
     got = classify(load_model_spec(doc))
     want = classify(build_model("sticky_skew", {"kappa": 0.75, "c": 1.0, "xi": 4 / 3, "r": 1.0}))
     assert (*got.triple(), got.rp) == (*want.triple(), want.rp) == ("holds",) * 4
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# un-annotated skew documents: the kink document, the skew family's first
+# document and the family's two-kink scale with an atom at each kink
+_SKEW_DOCUMENTS = {
+    **{name: (lambda name=name: json.loads((_GOLDEN / f"{name}.json").read_text())) for name in ("kink", "doc01_skew")},
+    "two-kinks": lambda: {
+        "state_interval": {"alpha": "-inf", "beta": "inf"}, "scale": expr_to_json(FAMILY_SCALES["skew"][0]),
+        "speed": {"ac": {"node": "const", "c": 1.0}, "atoms": [[4 / 3, 1.0], [2.5, 0.5]]}, "x0": 0.5, "r": -1.0,
+    },
+}
+
+
+def _refuse_root_search(monkeypatch):
+    """Make every closed-form root and every Newton phase raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("root search")
+
+    for cls in (Affine, Piecewise, Sum):
+        monkeypatch.setattr(cls, "inverse", refuse)
+    monkeypatch.setattr(SmoothPiece1D, "node_table", property(refuse))
+    monkeypatch.setattr(measure_kit, "_invert_safeguarded", refuse)
+
+
+@pytest.mark.parametrize("name", list(_SKEW_DOCUMENTS))
+def test_kink_reads_take_no_root_search(name, monkeypatch):
+    # q' on both sides of each kink image (second_derivative_decomposition,
+    # inside derive_natural_scale) and q at each atom (_check_singular_parts)
+    # read the images of the scale's kinks, which the inverse maps to the
+    # kinks themselves
+    spec = load_model_spec(_SKEW_DOCUMENTS[name]())
+    kinks = [c for c, _ in spec.scale.kinks]
+    _refuse_root_search(monkeypatch)
+    view = derive_natural_scale(spec)
+    assert [u for u, _ in view.qpp.atoms] == [u for u, _ in view.q.kinks] == list(spec.scale.value(np.array(kinks)))
+    assert list(view.q.value(np.array([u for u, _ in view.q.kinks]))) == kinks
+    assert len(_check_singular_parts(view, spec, DEFAULT_QUAD)) == len(kinks)
+
+
+def test_a_declared_inverse_with_a_wrong_kink_jump_still_raises():
+    # the kink document's inverse declared as q_piece, its kink jump doubled:
+    # the jump is read at the kink image and checked against the slopes there
+    spec = load_model_spec(_SKEW_DOCUMENTS["kink"]())
+    q = inverse_piece(spec.scale, (-RT, RT))
+    [(u, jump)] = q.kinks
+    with pytest.raises(KinkMismatchError):
+        derive_natural_scale(dataclasses.replace(spec, q_piece=dataclasses.replace(q, kinks=((u, 2 * jump),))))
+
+
+def test_compose_kink_image_inverts_to_its_kink(monkeypatch):
+    # 3 * (0 + 0.1) is 0.30000000000000004, and 0.30000000000000004 / 3 is not
+    # 0.1: an outer-then-inner root misses the kink 0, but the kink's image
+    # maps to it with no root search
+    spec = load_model_spec(json.loads((_GOLDEN / "compose_kink.json").read_text()))
+    [(c, _)] = spec.scale.kinks
+    u = spec.scale.value(np.array([c]))
+    _refuse_root_search(monkeypatch)
+    assert c == 0.0 and invert_monotone_vec(spec.scale, u).tolist() == [c]
+    assert derive_natural_scale(spec).q.value(u).tolist() == [c]
 
 
 # ---------------------------------------------------------------------------
