@@ -151,18 +151,22 @@ def _label(args, spec: DiffusionSpec) -> str:
     return label
 
 
-def _write_json(path: Path, obj: dict) -> None:
+def _write_text(path: Path, text: str) -> None:
+    """Overwrite ``path`` in place and cut it at the end of ``text``; ``"w"``
+    would truncate an old report to zero first, at several times the cost."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2) + "\n")  # one write: json.dump streams hundreds of small ones
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.truncate()
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    _write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    lines = [header, *([repr(v) if isinstance(v, float) else str(v) for v in row] for row in rows)]
+    _write_text(path, "".join(",".join(line) + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +299,7 @@ def cmd_simulate(args) -> int:
             ]
             for i in range(batch.n_paths)
         ]
-        _write_csv(
-            out_dir / f"paths_{label}.csv",
-            ["path", "terminal_u", "terminal_value", "discarded"],
-            rows,
-        )
+        _write_csv(out_dir / f"paths_{label}.csv", ["path", "terminal_u", "terminal_value", "discarded"], rows)
 
     print(
         f"{label}: K ladder {['%.4g' % k for k in tr.estimates]} "

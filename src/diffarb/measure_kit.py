@@ -666,27 +666,34 @@ class Piecewise(Expr):
                 return False
         return super().is_continuous()
 
-    def _index(self, x: np.ndarray, side: int) -> np.ndarray:
-        pts = np.asarray(self.points)
-        return np.searchsorted(pts, x, side="right" if side > 0 else "left")
+    @cached_property
+    def _points(self) -> np.ndarray:
+        return np.asarray(self.points)
 
     def jet(self, x, side=1, order=1):
         x = _arr(x)
-        flat = np.atleast_1d(x)
-        at = self._index(flat, 1)
-        dat = self._index(flat, side) if order and side < 0 else at
+        flat = np.atleast_1d(x).ravel()
+        at = self._points.searchsorted(flat, "right")
+        dat = self._points.searchsorted(flat, "left") if order and side < 0 else at
         # (piece index, first and last output read from it): a point on a
         # breakpoint, read from the left, takes its value and its slopes
         # from two pieces
         parts = [(at, 0, order)] if dat is at or np.array_equal(at, dat) else [(at, 0, 0), (dat, 1, order)]
-        outs = [np.empty_like(flat) for _ in range(order + 1)]
-        for i, piece in enumerate(self.pieces):
-            for idx, first, last in parts:
-                mask = idx == i
-                if mask.any():
-                    got = piece.jet(flat[mask], side, last)
+        outs = [None] * (order + 1)
+        for idx, first, last in parts:
+            if flat.size == 1 or (flat.size and idx.min() == idx.max()):  # one piece holds every point
+                outs[first : last + 1] = self.pieces[idx[0]].jet(flat, side, last)[first:]
+                continue
+            # each piece reads exactly its own points, in input order, grouped by one stable sort
+            outs[first : last + 1] = (np.empty_like(flat) for _ in range(first, last + 1))
+            perm = np.argsort(idx, kind="stable")
+            cuts = np.searchsorted(idx[perm], np.arange(len(self.pieces) + 1)).tolist()
+            for piece, a, b in zip(self.pieces, cuts, cuts[1:]):
+                if a < b:
+                    sel = perm[a:b]
+                    got = piece.jet(flat[sel], side, last)
                     for k in range(first, last + 1):
-                        outs[k][mask] = got[k]
+                        outs[k][sel] = got[k]
         return tuple(o.reshape(np.shape(x)) if np.shape(x) else o[0] for o in outs)
 
     def bounds(self, a, b):
@@ -915,12 +922,10 @@ class SmoothPiece1D:
         lo, hi = domain
         if not e.is_continuous():
             raise MeasureKitError("expression has a jump at a breakpoint; not usable as a function piece")
+        cs = [c for c in e.breakpoints() if lo < c < hi]
+        slopes = [e.jet(np.array(cs), side, 1)[1].tolist() for side in (-1, 1)] if cs else ((), ())
         kinks, flat = [], []
-        for c in e.breakpoints():
-            if not (lo < c < hi):
-                continue
-            dm = float(e.deriv(np.asarray(c), -1))
-            dp = float(e.deriv(np.asarray(c), 1))
+        for c, dm, dp in zip(cs, *slopes):
             if math.isfinite(dm) and math.isfinite(dp) and not close_rel(dm, dp, 1e-12):
                 kinks.append((c, dp - dm))
             if dm == 0.0 or dp == 0.0:

@@ -229,6 +229,41 @@ def test_report_empty_dir_exit_1(tmp_path, capsys):
     assert run(["report", "--out", str(tmp_path)]) == 1
 
 
+def test_a_shorter_report_is_rewritten_in_place_over_a_longer_one(tmp_path, capsys):
+    # fat_cantor's report is the longest committed one; doc00_sticky's,
+    # under the same --id, must leave exactly its own bytes in the same file
+    doc = str(Path(__file__).resolve().parent / "golden" / "doc00_sticky.json")
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert run(["classify", "--catalog", "fat_cantor", "--id", "same", "--out", str(reused)]) == 0
+    path = reused / "classify_same.json"
+    first = path.stat()
+    for out in (reused, fresh):
+        assert run(["classify", "--model", doc, "--id", "same", "--out", str(out)]) == 0
+    assert path.stat().st_ino == first.st_ino and path.stat().st_size < first.st_size
+    assert path.read_bytes() == (fresh / "classify_same.json").read_bytes()
+
+
+def test_a_shorter_csv_is_rewritten_in_place_over_a_longer_one(tmp_path, monkeypatch):
+    header, rows = ["n", "x"], [[1, 0.1], [2, ""]]
+    path, fresh = tmp_path / "table.csv", tmp_path / "fresh" / "table.csv"
+    cli_app._write_csv(path, header, [[n, n / 7] for n in range(100)])
+    ino, flags, os_open = path.stat().st_ino, [], os.open
+    monkeypatch.setattr(os, "open", lambda p, f, *a: flags.append(f) or os_open(p, f, *a))
+    cli_app._write_csv(path, header, rows)
+    cli_app._write_csv(fresh, header, rows)
+    # opened for writing without O_TRUNC: the old bytes are overwritten, never cut to zero first
+    assert flags == [os.O_WRONLY | os.O_CREAT] * 2
+    assert path.stat().st_ino == ino
+    assert path.read_bytes() == fresh.read_bytes() == b"n,x\n1,0.1\n2,\n"
+
+
+def test_a_missing_out_directory_is_created(tmp_path, capsys):
+    out = tmp_path / "not" / "yet"
+    assert run(["classify", "--catalog", "brownian_motion", "--out", str(out)]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "classify_brownian_motion.json"
+    assert (out / "classify_brownian_motion.json").read_bytes() == golden.read_bytes()
+
+
 def test_simulate_dump_paths_flag(tmp_path):
     code = run(
         [

@@ -168,6 +168,32 @@ def test_jet_equals_the_separate_walks_bit_for_bit(case):
                 assert all(_same(g, r) for g, r in zip(readers, ref))
 
 
+@pytest.mark.parametrize("case", ["piecewise", "nested", "family-skew", "exp-integral-piece"])
+def test_piecewise_jet_reads_one_piece_whole_or_the_pieces_grouped(case):
+    # every point in one piece (that piece reads the whole array), points
+    # spread over the pieces in shuffled order, breakpoints read from either
+    # side, a strided view, a 2-D array and an empty one; an exp_integral
+    # piece accumulates its values over the points it reads together, so it
+    # must read exactly the points a mask would give it
+    if case == "exp-integral-piece":
+        e, n = Piecewise([0.5], [Affine(1.0, 0.0), ExpIntegral(Affine(-0.5, 0.2), anchor=0.5)]), 4
+    else:
+        e, n = _JET_EXPRS[case](), 16
+    rng = np.random.default_rng(5)
+    edges = np.array([-4.0, *e.breakpoints(), 6.0])
+    pieces = [rng.uniform(a, b, n) for a, b in zip(edges, edges[1:])]
+    spread = rng.permutation(np.concatenate([*pieces, edges[1:-1]]))
+    square = spread[: 2 * (spread.size // 2)].reshape(2, -1)
+    inputs = [*pieces, np.append(pieces[-1], edges[-2]), spread, spread[::2], square]
+    with np.errstate(all="ignore"):
+        for x in (*inputs, np.empty(0)):
+            for side in (1, -1):
+                ref = (expr_value(e, x), expr_deriv(e, x, side), expr_deriv2(e, x, side))
+                for order in (0, 1, 2):
+                    got = e.jet(x, side, order)
+                    assert len(got) == order + 1 and all(_same(g, r) for g, r in zip(got, ref)), (x, side, order)
+
+
 # x * x * x: its slope 3x^2 vanishes at 0, which is no breakpoint
 _BOUNDS_EXPRS = {
     **_JET_EXPRS,
