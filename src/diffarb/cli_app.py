@@ -385,7 +385,7 @@ def cmd_report(args) -> int:
 
     header = ["model_id", "r", "nip", "nsa", "nupbr", "rp", "k_divergence", "arbitrage_detected", "diagnostics_ok"]
     _write_csv(out_dir / "report_table.csv", header, [[row[h] for h in header] for row in rows])
-    widths = {h: max(len(h), *(len(str(row[h])) for row in rows)) for h in header}
+    widths = {h: max([len(h)] + [len(str(row[h])) for row in rows]) for h in header}
     print("  ".join(h.ljust(widths[h]) for h in header))
     for row in rows:
         print("  ".join(str(row[h]).ljust(widths[h]) for h in header))

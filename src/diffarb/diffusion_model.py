@@ -128,7 +128,8 @@ class DiffusionSpec:
       to the declaration), the kink jumps of q (against its one-sided
       derivatives; a kink image of an inverted scale maps to its kink
       exactly) and ``speed_natural`` (its atoms, and its ac part pointwise
-      on four probe intervals, against the pushforward of ``speed``);
+      on four probe intervals, against the pushforward of ``speed``, which
+      is mU where no ``speed_natural`` is declared);
     * trusted: ``phi_behaviors`` and ``qpp_behaviors`` (the local exponents
       the deciders use), ``qprime_zero_set``, the inverse scale ``q_expr`` /
       ``q_piece`` and ``qpp_sc``. A false one can give a wrong verdict.
@@ -171,8 +172,9 @@ class DiffusionSpec:
 @dataclass(frozen=True)
 class NaturalScaleView:
     """Everything the classifier needs, read in one chart t of s(J): u for
-    a declared q, else the state x (``scale`` is s, ``m_ac`` the state-space
-    speed density when mU is its pushforward). Integrals over u are taken
+    a declared q, else the state x (``scale`` is s). ``m_ac`` is the
+    state-space speed density whenever mU is its pushforward, in either
+    chart, and phi reads mU_ac as m_ac(q) q'. Integrals over u are taken
     over t, du = du/dt dt, so only points given in u are ever inverted."""
 
     sJ: tuple[float, float]
@@ -243,9 +245,11 @@ class NaturalScaleView:
         ``Expr.bounds`` call on the scale and one on the density. ``drift``:
         phi sqrt(du/dt), |q''| du/dt and q' are bounded, s' in [d, M], d > 0,
         and s'' bounded (in the u chart q' and q''), and with r != 0 also q
-        and the density phi reads, an ``Expr``. ``plain``: |q''| du/dt and
-        q' are bounded, the same without the density and, in the u chart,
-        with q' only bounded. Never with a ``q_piece`` or ``qpp_sc``."""
+        and the density phi reads, an ``Expr``: ``m_ac`` over the window's
+        x-range (q's enclosure in the u chart), else a declared mU in u.
+        ``plain``: |q''| du/dt and q' are bounded, the same without the
+        density and, in the u chart, with q' only bounded. Never with a
+        ``q_piece`` or ``qpp_sc``."""
         lo, hi = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
         f = (self.q if self.scale is None else self.scale).expr
         if f is None or self.qpp.sc is not None:
@@ -254,8 +258,9 @@ class NaturalScaleView:
         ok = np.isfinite([lo, hi, d_hi, *dd]).all(axis=0)
         drift = ok & (d_lo > 0.0)
         if self.r != 0.0 and self.mU.ac_density is not None:  # phi reads q and the density
-            dens = self.mU.ac_density if self.scale is None else self.m_ac
-            drift &= isinstance(dens, Expr) and np.isfinite([v_lo, v_hi, *dens.bounds(lo, hi)[0]]).all(axis=0)
+            dens = self.m_ac if self.m_ac is not None else self.mU.ac_density if self.scale is None else None
+            xs = (v_lo, v_hi) if self.scale is None and self.m_ac is not None else (lo, hi)
+            drift &= isinstance(dens, Expr) and np.isfinite([v_lo, v_hi, *dens.bounds(*xs)[0]]).all(axis=0)
         return drift, ok if self.scale is None else ok & (d_lo > 0.0)
 
     def collar(self, side: str, fraction: float = 1.0) -> tuple[float, float]:
@@ -485,14 +490,14 @@ def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) ->
                 else "x0 must lie in the interior or at a reflecting boundary"
             )
 
-    chart = {}  # u for a declared q, x otherwise
+    chart = {}  # the scale in the state chart (u for a declared q), m_ac for a pushed mU
     if spec.q_piece is not None:
         q = spec.q_piece
     elif spec.q_expr is not None:
         q = SmoothPiece1D.from_expr(spec.q_expr, sJ)
     else:
         q = inverse_piece(spec.scale, sJ)
-        chart = {"scale": spec.scale, "m_ac": None if spec.speed_natural is not None else spec.speed.ac_density}
+        chart["scale"] = spec.scale
 
     qpp = second_derivative_decomposition(q, q.kinks, sc=spec.qpp_sc)
 
@@ -502,6 +507,7 @@ def derive_natural_scale(spec: DiffusionSpec, cfg: QuadConfig = DEFAULT_QUAD) ->
     else:
         zero_ivals = tuple((a, b) for a, b in spec.qprime_zero_set if b > a)
         mU = pushforward(spec.speed, spec.scale, q, qprime_zero_intervals=zero_ivals)
+        chart["m_ac"] = spec.speed.ac_density
 
     return NaturalScaleView(
         sJ=sJ,

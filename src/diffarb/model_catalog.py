@@ -5,6 +5,10 @@ zero set of the inverse-scale derivative, local behaviours of phi near its
 singular points) and fixes the expected NIP/NSA/NUPBR/RP verdicts as a
 function of the parameters, with the equality predicates evaluated in exact
 rational arithmetic. The catalog doubles as the golden test set.
+
+An entry declares the inverse scale q but not the natural-scale speed
+mU = m o s^-1, which ``derive_natural_scale`` pushes forward through q;
+only fat_cantor, whose q' vanishes on a set of positive measure, declares mU.
 """
 
 from __future__ import annotations
@@ -125,17 +129,14 @@ def _lebesgue(support) -> DecomposedMeasure:
 
 def _build_brownian_motion(r: float, x0: float) -> DiffusionSpec:
     J = StateInterval(-_R_INF, _R_INF)
-    scale = SmoothPiece1D.from_expr(Affine(1.0, 0.0), (J.alpha, J.beta))
-    speed = _lebesgue((J.alpha, J.beta))
     return DiffusionSpec(
         J=J,
-        scale=scale,
-        speed=speed,
+        scale=SmoothPiece1D.from_expr(Affine(1.0, 0.0), (J.alpha, J.beta)),
+        speed=_lebesgue((J.alpha, J.beta)),
         x0=float(x0),
         r=float(r),
         model_id="brownian_motion",
         q_expr=Affine(1.0, 0.0),
-        speed_natural=speed,
     )
 
 
@@ -150,18 +151,16 @@ def _expected_brownian_motion(r, x0) -> ExpectedVerdict:
 
 def _build_sticky_reflected_bm(r: float, rho: float, x0: float) -> DiffusionSpec:
     J = StateInterval(1.0, _R_INF, alpha_closed=True)
-    scale = SmoothPiece1D.from_expr(Affine(1.0, 0.0), (J.alpha, J.beta))
     atoms = ((1.0, float(rho)),) if rho > 0 else ()
     speed = DecomposedMeasure(support=(1.0, _R_INF), ac_density=Const(1.0), atoms=atoms)
     return DiffusionSpec(
         J=J,
-        scale=scale,
+        scale=SmoothPiece1D.from_expr(Affine(1.0, 0.0), (J.alpha, J.beta)),
         speed=speed,
         x0=float(x0),
         r=float(r),
         model_id="sticky_reflected_bm",
         q_expr=Affine(1.0, 0.0),
-        speed_natural=speed,
         declared_boundaries=(("left", "reflecting"),),
     )
 
@@ -188,7 +187,6 @@ def _bessel_family(delta: float, r: float, x0: float, m0: float) -> DiffusionSpe
     nu = delta / 2.0 - 1.0
     p = 1.0 / (1.0 - delta / 2.0)
     J = StateInterval(0.0, _R_INF, alpha_closed=True)
-    scale = SmoothPiece1D.from_expr(PowerSigned(0.0, 1.0 - delta / 2.0), (0.0, _R_INF))
     c_speed = 1.0 / (2.0 * (2.0 - delta))
 
     def m_ac(x):
@@ -198,28 +196,17 @@ def _bessel_family(delta: float, r: float, x0: float, m0: float) -> DiffusionSpe
 
     atoms = ((0.0, float(m0)),) if m0 > 0 else ()
     speed = DecomposedMeasure(support=(0.0, _R_INF), ac_density=m_ac, atoms=atoms)
-
-    c_u = 1.0 / (4.0 * nu * nu)
-
-    def mU_ac(u):
-        u = np.asarray(u, float)
-        with np.errstate(divide="ignore"):
-            return c_u * np.abs(u) ** (p - 2.0)
-
-    speed_nat = DecomposedMeasure(support=(0.0, _R_INF), ac_density=mU_ac, atoms=atoms)
-
     kind = "absorbing" if math.isinf(m0) else "reflecting"
     # phi(u) = (p-1)/(2u) - (r / (4 |nu|)) u^(p-1): a simple pole at the
     # boundary image regardless of r
     return DiffusionSpec(
         J=J,
-        scale=scale,
+        scale=SmoothPiece1D.from_expr(PowerSigned(0.0, 1.0 - delta / 2.0), (0.0, _R_INF)),
         speed=speed,
         x0=float(x0),
         r=float(r),
         model_id="squared_bessel",
         q_expr=PowerSigned(0.0, p),
-        speed_natural=speed_nat,
         declared_boundaries=(("left", kind),),
         phi_behaviors=(LocalBehavior(0.0, "right", -1.0, (p - 1.0) / 2.0),),
         qpp_behaviors=(LocalBehavior(0.0, "right", p - 2.0, p * (p - 1.0)),),
@@ -257,7 +244,6 @@ def _expected_gen_squared_bessel(nu, r, m0, x0) -> ExpectedVerdict:
 
 def _build_cubed_bm(r: float, x0: float) -> DiffusionSpec:
     J = StateInterval(-_R_INF, _R_INF)
-    scale = SmoothPiece1D.from_expr(PowerSigned(0.0, 1.0 / 3.0), (J.alpha, J.beta))
 
     def m_ac(x):
         x = np.asarray(x, float)
@@ -266,13 +252,12 @@ def _build_cubed_bm(r: float, x0: float) -> DiffusionSpec:
 
     return DiffusionSpec(
         J=J,
-        scale=scale,
+        scale=SmoothPiece1D.from_expr(PowerSigned(0.0, 1.0 / 3.0), (J.alpha, J.beta)),
         speed=DecomposedMeasure(support=(J.alpha, J.beta), ac_density=m_ac),
         x0=float(x0),
         r=float(r),
         model_id="cubed_bm",
         q_expr=PowerSigned(0.0, 3.0),
-        speed_natural=_lebesgue((-_R_INF, _R_INF)),
         qprime_zero_set=((0.0, 0.0),),
         phi_behaviors=(LocalBehavior(0.0, "both", -1.0, 1.0),),
     )
@@ -299,33 +284,19 @@ def _build_sticky_skew(kappa: float, c: float, xi: float, r: float, x0: Optional
         [xi],
         [Affine(kappa, -kappa * xi), Affine(1.0 - kappa, -(1.0 - kappa) * xi)],
     )
-    scale = SmoothPiece1D.from_expr(scale_expr, (J.alpha, J.beta))
-
-    def m_ac(x):
-        x = np.asarray(x, float)
-        return np.where(x > xi, 1.0 / (1.0 - kappa), 1.0 / kappa)
-
     speed = DecomposedMeasure(
-        support=(J.alpha, J.beta), ac_density=m_ac, atoms=((xi, float(c)),), ac_breakpoints=(xi,)
-    )
-    q_expr = Piecewise([0.0], [Affine(1.0 / kappa, xi), Affine(1.0 / (1.0 - kappa), xi)])
-
-    def mU_ac(u):
-        u = np.asarray(u, float)
-        return np.where(u > 0, (1.0 - kappa) ** -2.0, kappa**-2.0)
-
-    speed_nat = DecomposedMeasure(
-        support=(-_R_INF, _R_INF), ac_density=mU_ac, atoms=((0.0, float(c)),), ac_breakpoints=(0.0,)
+        support=(J.alpha, J.beta),
+        ac_density=Piecewise([xi], [Const(1.0 / kappa), Const(1.0 / (1.0 - kappa))]),
+        atoms=((xi, float(c)),),
     )
     return DiffusionSpec(
         J=J,
-        scale=scale,
+        scale=SmoothPiece1D.from_expr(scale_expr, (J.alpha, J.beta)),
         speed=speed,
         x0=x0,
         r=float(r),
         model_id="sticky_skew",
-        q_expr=q_expr,
-        speed_natural=speed_nat,
+        q_expr=Piecewise([0.0], [Affine(1.0 / kappa, xi), Affine(1.0 / (1.0 - kappa), xi)]),
     )
 
 

@@ -24,6 +24,7 @@ from diffarb.measure_kit import (
     Affine,
     Compose,
     Const,
+    DecomposedMeasure,
     ExpIntegral,
     Expr,
     MeasureKitError,
@@ -47,6 +48,7 @@ from diffarb.measure_kit import (
     same_point,
     window_nodes,
 )
+from diffarb.model_catalog import CATALOG, build_model
 
 
 def normal_cdf(x) -> np.ndarray:
@@ -245,6 +247,43 @@ def measure_mass(m, a: float, b: float) -> float:
             total += mass
     total += sc_mass(m, a, b)
     return total
+
+
+def catalog_speed_natural(name: str, params=None) -> DecomposedMeasure:
+    """The natural-scale speed mU = m o s^-1 of the catalog entry ``name``
+    in closed form, as its builder once declared it: Lebesgue for the affine
+    and cubed entries, with sticky_reflected_bm's atom rho at 1; for the
+    squared Bessel entries c_u |u|^(p-2), c_u = 1/(4 nu^2), p = 2/(2 - delta),
+    nu = delta/2 - 1, with the origin's atom m0; for sticky_skew kappa**-2
+    below the kink image 0 and (1 - kappa)**-2 from it on, with the atom c
+    at 0. fat_cantor has none: its q' vanishes on a set of positive measure."""
+    p = CATALOG[name].check_params(params)
+    if name in ("squared_bessel", "gen_squared_bessel"):
+        delta = p["delta"] if name == "squared_bessel" else 2.0 * (1.0 + p["nu"])
+        m0 = p.get("m0", 0.0)
+        nu, power = delta / 2.0 - 1.0, 1.0 / (1.0 - delta / 2.0)
+        c_u = 1.0 / (4.0 * nu * nu)
+
+        def bessel(u):
+            with np.errstate(divide="ignore"):
+                return c_u * np.abs(np.asarray(u, float)) ** (power - 2.0)
+
+        return DecomposedMeasure((0.0, math.inf), bessel, ((0.0, float(m0)),) if m0 > 0 else ())
+    if name == "sticky_skew":
+        k = p["kappa"]
+        skew = Piecewise([0.0], [Const(k**-2.0), Const((1.0 - k) ** -2.0)])
+        return DecomposedMeasure((-math.inf, math.inf), skew, ((0.0, float(p["c"])),), ac_breakpoints=(0.0,))
+    if name == "sticky_reflected_bm":
+        return DecomposedMeasure((1.0, math.inf), Const(1.0), ((1.0, float(p["rho"])),) if p["rho"] > 0 else ())
+    if name in ("brownian_motion", "cubed_bm"):
+        return DecomposedMeasure((-math.inf, math.inf), Const(1.0))
+    raise KeyError(f"no closed-form natural-scale speed for {name!r}")
+
+
+def build_with_speed_natural(name: str, params=None):
+    """``build_model(name, params)`` with ``catalog_speed_natural`` declared."""
+    spec = build_model(name, params)
+    return dataclasses.replace(spec, speed_natural=catalog_speed_natural(name, params))
 
 
 def inverse_piece_with_root_record(scale: SmoothPiece1D, sJ: tuple[float, float]) -> SmoothPiece1D:

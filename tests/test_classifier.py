@@ -47,7 +47,12 @@ from diffarb.model_catalog import CATALOG, build_model, expected_verdict
 
 from cantor_staircase import cantor_cdf
 from fuzz_models import random_spec
-from oracles import check_nip_zero_rate, inverse_piece_with_root_record, phi_l2_interior_by_window
+from oracles import (
+    build_with_speed_natural,
+    check_nip_zero_rate,
+    inverse_piece_with_root_record,
+    phi_l2_interior_by_window,
+)
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402  the benchmark's golden table and document families
@@ -262,7 +267,7 @@ def _sc_spec(base_id_m: str, base_id_q: str, r: float = 1.0):
     r q(u) mult_m(u) = mult_q(u)/2 is declared with matching bases, the
     singular-part condition holds exactly.
     """
-    spec = build_model("brownian_motion", {"r": r, "x0": 0.5})
+    spec = build_with_speed_natural("brownian_motion", {"r": r, "x0": 0.5})
     mult_m = lambda u: 1.0 + np.asarray(u, float) ** 2
     # choose the q'' multiplier to satisfy the identity with q(u) = u
     mult_q = lambda u: 2.0 * r * np.asarray(u, float) * (1.0 + np.asarray(u, float) ** 2)
@@ -904,6 +909,32 @@ def test_a_catalog_classify_inverts_no_point(monkeypatch):
     for name, params in cases:
         classify(build_model(name, params))
     assert calls == []
+
+
+_PUSHED_SPEEDS = [(name, {}) for name in sorted(CATALOG) if name != "fat_cantor"] + [
+    (name, workloads.parse_params(params)) for name, params in workloads.GOLDEN if name != "fat_cantor"
+]
+
+
+@pytest.mark.parametrize("name, params", _PUSHED_SPEEDS)
+def test_a_declared_natural_speed_changes_no_verdict(name, params):
+    # the closed-form natural-scale speed declared, against the pushforward
+    # of the state speed that the builder leaves to derive_natural_scale:
+    # the same four verdicts and condition reports, the gamma block aside
+    pushed, declared = classify(build_model(name, params)), classify(build_with_speed_natural(name, params))
+    assert dataclasses.replace(pushed, impr=None) == dataclasses.replace(declared, impr=None)
+
+
+@pytest.mark.parametrize("kappa, xi, r", [(0.75, 4 / 3, 1.0), (0.75, 4 / 3, 0.9), (0.3, -2.5, 0.4), (0.5, 1.0, -2.0)])
+def test_sticky_skew_gamma_at_its_kink_is_minus_r_xi(kappa, xi, r):
+    # started at the kink, whose image u = 0 is the middle gamma sample:
+    # q'' = 0 there, and the density and q' both take their right-hand
+    # values, so gamma = -r q mU_ac / q'**2 = -r xi
+    samples = classify(build_model("sticky_skew", {"kappa": kappa, "xi": xi, "r": r})).impr["samples"]
+    (g,) = [g for u, g in samples if u == 0.0]
+    assert g == pytest.approx(-r * xi, rel=1e-15)
+    if (kappa, xi, r) == (0.75, 4 / 3, 1.0):
+        assert g == -1.3333333333333333
 
 
 def _bits(a) -> np.ndarray:

@@ -229,6 +229,19 @@ def test_report_empty_dir_exit_1(tmp_path, capsys):
     assert run(["report", "--out", str(tmp_path)]) == 1
 
 
+def test_report_of_a_simulate_alone_prints_the_header(tmp_path):
+    # a simulate report and no classify report: no row, a header-only table
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    cli = [sys.executable, "-m", "diffarb.cli_app"]
+    sim = ["simulate", "--catalog", "brownian_motion", "--paths", "200", "--grid", "64", "--out", str(tmp_path)]
+    assert subprocess.run(cli + sim, capture_output=True, env=env, timeout=120).returncode == 0
+    proc = subprocess.run(cli + ["report", "--out", str(tmp_path)], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+    header = "model_id  r  nip  nsa  nupbr  rp  k_divergence  arbitrage_detected  diagnostics_ok"
+    assert proc.stdout.decode().splitlines()[0] == header
+    assert (tmp_path / "report_table.csv").read_text().splitlines() == [header.replace("  ", ",")]
+
+
 def test_a_shorter_report_is_rewritten_in_place_over_a_longer_one(tmp_path, capsys):
     # fat_cantor's report is the longest committed one; doc00_sticky's,
     # under the same --id, must leave exactly its own bytes in the same file

@@ -31,6 +31,8 @@ from diffarb.measure_kit import (
 )
 from diffarb.model_catalog import CATALOG, build_model
 
+from oracles import build_with_speed_natural, catalog_speed_natural
+
 INF = math.inf
 
 
@@ -358,9 +360,10 @@ def _speed_natural_scaled(spec, factor):
     return dataclasses.replace(spec, speed_natural=off)
 
 
-# every entry at its defaults, and fat_cantor over generations and starts: it
-# declares a q' = 0 set, so its pushforward is undefined, and the pointwise
-# check needs none
+# every entry at its defaults with its closed-form natural-scale speed
+# declared, and fat_cantor, which declares its own, over generations and
+# starts: it declares a q' = 0 set, so its pushforward is undefined, and the
+# pointwise check needs none
 _DECLARED_SPEEDS = [(name, {}) for name in sorted(CATALOG) if name != "fat_cantor"] + [
     ("fat_cantor", {"generations": g, "u0": u0}) for g in (1, 3, 6, 7, 8) for u0 in (0.1, 0.5, 0.9)
 ]
@@ -369,12 +372,40 @@ _DECLARED_SPEEDS = [(name, {}) for name in sorted(CATALOG) if name != "fat_canto
 @pytest.mark.parametrize("name, params", _DECLARED_SPEEDS)
 def test_declared_speed_density_is_checked_pointwise(name, params):
     # 1e-4 relative at each node: 1 % and 0.02 % off are refused, 0.005 % passes
-    spec = build_model(name, params)
+    spec = build_model(name, params) if name == "fat_cantor" else build_with_speed_natural(name, params)
     derive_natural_scale(spec)
     derive_natural_scale(_speed_natural_scaled(spec, 1 + 5e-5))
     for eps in (1e-2, 2e-4):
         with pytest.raises(SpecValidationError, match=_SPEED_MISMATCH):
             derive_natural_scale(_speed_natural_scaled(spec, 1 + eps))
+
+
+_SPEED_FAMILIES = [
+    *(("brownian_motion", {"r": r, "x0": x0}) for r in (0.0, 0.3, -1.0) for x0 in (0.0, 2.5)),
+    *(("sticky_reflected_bm", {"r": r, "rho": rho}) for r in (0.0, 0.5) for rho in (0.0, 0.9, 1.0, 3.0)),
+    *(("squared_bessel", {"delta": d}) for d in (0.1, 0.5, 1.0, 4 / 3, 1.5, 1.9)),
+    *(("gen_squared_bessel", {"nu": nu, "r": r, "m0": m0})
+      for nu in (-0.9, -0.5, -0.1) for r in (0.0, 0.1) for m0 in (0.0, 1.0, INF)),
+    *(("cubed_bm", {"x0": x0}) for x0 in (1.0, -2.0)),
+    *(("sticky_skew", {"kappa": k, "xi": xi, "c": c, "r": 1.0})
+      for k in (0.1, 0.5, 0.75, 0.9) for xi in (-2.0, 0.0, 4 / 3) for c in (0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("name, params", _SPEED_FAMILIES)
+def test_pushed_speed_equals_the_closed_form_natural_speed(name, params):
+    # the pushforward of the state speed through the declared q against the
+    # natural-scale speed each family once declared: the same atoms, and the
+    # same density to 1e-14 relative away from u = 0
+    spec = build_model(name, params)
+    got, want = derive_natural_scale(spec).mU, catalog_speed_natural(name, params)
+    assert got.atoms == want.atoms and got.support == want.support
+    u = np.concatenate([np.logspace(-6, 3, 400), -np.logspace(-6, 3, 400), np.linspace(-7.0, 7.0, 301)])
+    u = u[(u > want.support[0]) & (u < want.support[1]) & (u != 0.0)]
+    g, w = np.asarray(got.ac_density(u), float), np.asarray(want.ac_density(u), float)
+    assert np.all(np.abs(g - w) <= 1e-14 * np.abs(w)), np.max(np.abs(g - w) / np.abs(w))
+    if name == "sticky_skew":  # at the kink image, the right-hand value, as a Piecewise reads it
+        assert float(got.ac_density(np.array([0.0]))[0]) == pytest.approx((1.0 - params["kappa"]) ** -2.0, rel=1e-14)
 
 
 def test_flat_spot_consistency_guard():

@@ -34,6 +34,7 @@ from diffarb.model_catalog import build_model
 
 from cantor_staircase import cantor_cdf
 from oracles import (
+    build_with_speed_natural,
     cell_exit_statistics,
     dense_occupation,
     estimate_local_time_field,
@@ -199,7 +200,7 @@ def test_right_reflecting_chain_mirrors_left():
 
 
 def test_sc_speed_part_enters_masses_and_holds():
-    spec = build_model("brownian_motion", {"r": 0.4, "x0": 0.5})
+    spec = build_with_speed_natural("brownian_motion", {"r": 0.4, "x0": 0.5})
     sc = ScComponent("cantor", cantor_cdf, lambda u: 1.0 + np.asarray(u, float) ** 2, (0.0, 1.0))
     sc_spec = dataclasses.replace(spec, speed_natural=dataclasses.replace(spec.speed_natural, sc=sc))
     sc_view = derive_natural_scale(sc_spec)
@@ -219,7 +220,7 @@ def test_sc_speed_part_enters_masses_and_holds():
     assert np.array_equal(chain.mean_hold[1:-1][~gains], plain.mean_hold[1:-1][~gains])
     # at a reflecting boundary the one-sided Green weight takes the Cantor
     # mass of the boundary cell too (the set starts at the boundary, u = 1)
-    refl = build_model("sticky_reflected_bm", {"r": 0.4, "rho": 0.0})
+    refl = build_with_speed_natural("sticky_reflected_bm", {"r": 0.4, "rho": 0.0})
     shifted = ScComponent("cantor", lambda u: cantor_cdf(np.asarray(u, float) - 1.0), np.ones_like, (1.0, 2.0))
     refl_sc = dataclasses.replace(refl, speed_natural=dataclasses.replace(refl.speed_natural, sc=shifted))
     plain = build_chain(derive_natural_scale(refl), refl, N=128, horizon=1.0)
