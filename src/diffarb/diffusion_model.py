@@ -38,6 +38,7 @@ from .measure_kit import (
     json_number,
     json_object,
     json_pair,
+    leading_increment,
     measure_from_json,
     pushforward,
     same_point,
@@ -365,14 +366,21 @@ def _scale_limit(scale: SmoothPiece1D, b: float, side: str) -> float:
     return sign * math.inf
 
 
+_RULE_MARGIN = 1e-9  # how far e_s + e_m must clear -1 for the power rule to decide
+
+
 def classify_boundary(spec: DiffusionSpec, side: str) -> BoundaryBehavior:
     """Feller-type accessibility test plus the speed-atom dichotomy.
 
     Accessible iff |s(b)| < infinity and the integral of |s(b) - s(y)| m(dy)
-    over a collar at b converges. A certificate comes before the probe: a
-    collar on which ``Expr.bounds`` encloses both the scale and an ``Expr``
-    density finitely bounds the integrand on a compact set, so the integral
-    is finite; any other collar goes to ``decide_abs_integral``, the dyadic
+    over a collar at b converges. Two exact readings come before the probe.
+    First the power rule (Feller 1952): where the leading powers of s(y) -
+    s(b) (``leading_increment``) and of an ``Expr`` density at b
+    (``Expr.local``) sum to e_s + e_m beyond -1 -+ ``_RULE_MARGIN``, the
+    integral is finite iff e_s + e_m > -1. Then the certificate: a collar on
+    which ``Expr.bounds`` encloses both the scale and an ``Expr`` density
+    finitely bounds the integrand on a compact set, so the integral is
+    finite. Any other collar goes to ``decide_abs_integral``, the dyadic
     probe toward b. Accessible with infinite atom -> absorbing;
     finite atom -> reflecting (stickiness = atom). A declared behaviour is
     validated against the test; a definite conflict is an error, and an
@@ -397,11 +405,18 @@ def classify_boundary(spec: DiffusionSpec, side: str) -> BoundaryBehavior:
     reach = min(1.0, 0.25 * abs(other - b)) if math.isfinite(other) else 1.0
     lo, hi = (b, b + reach) if side == "left" else (b - reach, b)
     status, dens, f = "finite", spec.speed.ac_density, spec.scale.expr
-    # the certificate: s and the density bounded on the compact collar
-    bounded = isinstance(dens, Expr) and f is not None and bool(
-        np.isfinite([*f.bounds(lo, hi)[0], *dens.bounds(lo, hi)[0]]).all()
-    )
-    if dens is not None and not bounded:
+    exact = isinstance(dens, Expr) and f is not None
+    # the power rule: |s(y) - s(b)| m(y) ~ C |y - b|^e with e = e_s + e_m
+    inward = 1 if side == "left" else -1
+    lead_s = leading_increment(f, b, inward) if exact else None
+    lead_m = dens.local(b, inward) if lead_s else None
+    e = lead_s[0] + lead_m[0] if lead_m else None
+    if e is not None and abs(e + 1.0) > _RULE_MARGIN:
+        status = "finite" if e > -1.0 else "divergent"
+    # else the certificate, s and the density bounded on the compact collar, else the probe
+    elif dens is not None and not (
+        exact and bool(np.isfinite([*f.bounds(lo, hi)[0], *dens.bounds(lo, hi)[0]]).all())
+    ):
 
         def g(y: np.ndarray) -> np.ndarray:
             y = np.atleast_1d(np.asarray(y, float))

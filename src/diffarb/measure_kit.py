@@ -22,6 +22,7 @@ accept and return numpy arrays.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -39,6 +40,7 @@ __all__ = [
     "Const",
     "Affine",
     "PowerSigned",
+    "PowerAbs",
     "ExpIntegral",
     "Sum",
     "Product",
@@ -59,6 +61,7 @@ __all__ = [
     "gl_fixed",
     "invert_monotone_vec",
     "pushforward",
+    "leading_increment",
     "second_derivative_decomposition",
     "LocalBehavior",
     "same_point",
@@ -225,6 +228,10 @@ class Expr:
 
     ``inverse(y)`` is a closed-form root of f(x) = y at each target of a 1-D
     array, or None (the default); ``invert_monotone_vec`` checks it.
+
+    ``local(c, side)`` is the leading power (e, k), k != 0 finite, with
+    f(x) = k |x - c|^e (1 + o(1)) as x -> c from ``side``, or None (the
+    default) where no rule reads it.
     """
 
     def jet(self, x: np.ndarray, side: int = 1, order: int = 1) -> tuple:
@@ -235,6 +242,9 @@ class Expr:
         return ((np.full(shape, -np.inf), np.full(shape, np.inf)),) * 3
 
     def inverse(self, y: np.ndarray) -> Optional[np.ndarray]:
+        return None
+
+    def local(self, c: float, side: int) -> Optional[tuple[float, float]]:
         return None
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -309,6 +319,17 @@ def _stacked(enclosures) -> tuple:
     return np.array([e[0] for e in enclosures]), np.array([e[1] for e in enclosures])
 
 
+def _lead(e: float, k: float) -> Optional[tuple[float, float]]:
+    """The leading power (e, k), or None unless k is finite and nonzero."""
+    return (e, k) if k != 0.0 and math.isfinite(k) else None
+
+
+def _pow(u: float, p: float) -> float:
+    """u ** p for u > 0 as numpy rounds it: +inf or 0 past the float range."""
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.power(u, p))
+
+
 @dataclass(frozen=True)
 class Const(Expr):
     c: float
@@ -320,6 +341,9 @@ class Const(Expr):
     def bounds(self, a, b):
         shape = np.broadcast(a, b).shape
         return _flat(shape, self.c), _flat(shape), _flat(shape)
+
+    def local(self, c, side):
+        return _lead(0.0, self.c)
 
 
 @dataclass(frozen=True)
@@ -341,6 +365,10 @@ class Affine(Expr):
 
     def inverse(self, y):
         return (y - self.b) / self.a if self.a > 0 else None
+
+    def local(self, c, side):
+        v = self.a * c + self.b
+        return _lead(0.0, v) if v != 0.0 else _lead(1.0, self.a * side)
 
 
 @dataclass(frozen=True)
@@ -397,6 +425,70 @@ class PowerSigned(Expr):
 
     def infinite_slope_points(self):
         return (self.center,) if self.p < 1.0 else ()
+
+    def local(self, c, side):
+        u = c - self.center
+        return (self.p, float(side)) if u == 0.0 else _lead(0.0, math.copysign(_pow(abs(u), self.p), u))
+
+
+@dataclass(frozen=True)
+class PowerAbs(Expr):
+    """|x - center| ** p for any real p: a speed density with a power zero
+    or pole at ``center``, or a scale on one side of it.
+
+    At the center the value is 0**p (1 at p = 0, +inf for p < 0), the
+    one-sided slope the limit from ``side`` (an odd function's: the two
+    signs differ), and the a.e. second derivative 0, as ``PowerSigned``
+    reads it.
+    """
+
+    center: float
+    p: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.center) and math.isfinite(self.p)):
+            raise MeasureKitError("PowerAbs requires a finite center and p")
+
+    def jet(self, x, side=1, order=1):
+        u = _arr(x) - self.center
+        au, p = np.abs(u), self.p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = [au**p]
+            if order:
+                at_center = 0.0 if p > 1.0 or p == 0.0 else side * (1.0 if p == 1.0 else math.copysign(np.inf, p))
+                out.append(np.where(au == 0.0, at_center, p * np.sign(u) * au ** (p - 1.0)))
+            if order > 1:
+                out.append(np.where(au == 0.0, 0.0, p * (p - 1.0) * au ** (p - 2.0)))
+        return tuple(out)
+
+    def bounds(self, a, b):
+        # f, |f'| and f'' are monotone in |u| on each side; |u| spans [m, M],
+        # m = 0 on a window that holds or touches the center, where f' takes
+        # both signs and the jet's f'' = 0; np.power may be an ulp off
+        u = np.array(np.broadcast_arrays(_arr(a) - self.center, _arr(b) - self.center))
+        (ua, ub), p, k = u, self.p, self.p * (self.p - 1.0)
+        if p == 0.0:
+            return _flat(ua.shape, 1.0), _flat(ua.shape), _flat(ua.shape)
+        holds = (ua <= 0.0) & (ub >= 0.0)
+        au = np.abs(u)
+        w = np.array((np.where(holds, 0.0, au.min(axis=0)), au.max(axis=0)))
+        with np.errstate(all="ignore"):
+            value, g = w**p, p * w ** (p - 1.0)
+            dd = k * w ** (p - 2.0) if k else np.zeros_like(w)
+        top = np.abs(g).max(axis=0)
+        d = np.where(holds, np.array((-top, top)), np.where(ub < 0.0, -g, g))
+        dd = np.concatenate((dd, np.where(holds, 0.0, dd[:1])))
+        return tuple(zip(*_outward(*_stacked([(v.min(axis=0), v.max(axis=0)) for v in (value, d, dd)]), 4)))
+
+    def breakpoints(self):
+        return () if self.p == 0.0 else (self.center,)
+
+    def infinite_slope_points(self):
+        return (self.center,) if 0.0 < self.p < 1.0 else ()
+
+    def local(self, c, side):
+        u = abs(c - self.center)
+        return (self.p, 1.0) if u == 0.0 else _lead(0.0, _pow(u, self.p))
 
 
 @dataclass(frozen=True)
@@ -585,6 +677,12 @@ class Product(Expr):
             lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
         return tuple(zip(*_mul(_stacked(out), (lo, hi))))
 
+    def local(self, c, side):
+        leads = [t.local(c, side) for t in self.factors]
+        if None in leads:
+            return None
+        return _lead(sum(e for e, _ in leads), math.prod(k for _, k in leads))
+
     def children(self):
         return self.factors
 
@@ -727,6 +825,11 @@ class Piecewise(Expr):
                 out[mask] = x
         return np.where(np.append(self._images, np.nan)[k] == y, np.append(self.points, np.nan)[k], out)
 
+    def local(self, c, side):
+        # the piece that x lies in as x -> c from ``side``
+        k = bisect.bisect_right(self.points, c) if side > 0 else bisect.bisect_left(self.points, c)
+        return self.pieces[k].local(c, side)
+
     def breakpoints(self):
         return _union((self.points, super().breakpoints()))
 
@@ -850,6 +953,8 @@ def expr_from_json(obj: dict) -> Expr:
         return Affine(*nums("a", "b"))
     if tag == "power_signed":
         return PowerSigned(*nums("center", "p"))
+    if tag == "power_abs":
+        return PowerAbs(*nums("center", "p"))
     if tag == "exp_integral":
         (mu,) = get("mu", optional=("anchor", "inner_anchor"))
         anchor, inner = obj.get("anchor", 0.0), obj.get("inner_anchor")
@@ -941,10 +1046,14 @@ class SmoothPiece1D:
         )
 
     def check_increasing(self) -> None:
+        """Strictly increasing on 512 even points of the domain (cut to
+        -+1e6) and its special points, where a power may turn."""
         lo, hi = self.domain
         a = lo if math.isfinite(lo) else -1e6
         b = hi if math.isfinite(hi) else 1e6
-        xs = np.linspace(a, b, 512)
+        xs, inner = np.linspace(a, b, 512), [c for c in self.special_points if a < c < b]
+        if inner:
+            xs = np.unique(np.concatenate((xs, inner)))
         vals = _arr(self.value(xs))
         if np.any(np.diff(vals) <= 0):
             bad = int(np.argmax(np.diff(vals) <= 0))
@@ -1254,8 +1363,13 @@ def pushforward(
         src = m.ac_density
 
         def pushed(u: np.ndarray) -> np.ndarray:
-            x, qp = (_arr(v) for v in q.jet(np.atleast_1d(_arr(u))))
-            return _arr(src(x)) * qp
+            u = np.atleast_1d(_arr(u))
+            x, qp = (_arr(v) for v in q.jet(u))
+            with np.errstate(invalid="ignore"):
+                out = _arr(src(x)) * qp
+            for i in np.flatnonzero(np.isnan(out) & ~np.isnan(u)):  # 0 * inf: the limit from inside
+                out[i] = _pushed_limit(src, q, float(u[i]), -1 if u[i] == u_hi else 1)
+            return out
 
         density = pushed
 
@@ -1285,6 +1399,33 @@ def pushforward(
         sc=sc,
         ac_breakpoints=tuple(sorted(b for b in breaks if u_lo < b < u_hi)),
     )
+
+
+def leading_increment(f: Expr, c: float, side: int) -> Optional[tuple[float, float]]:
+    """The leading power (e, k), e > 0, of f(x) - f(c) as x -> c from
+    ``side``: f's own where its leading exponent is positive (then f(c) =
+    0), else (1, f'(c) side) where the one-sided slope is finite and
+    nonzero; None otherwise."""
+    lead = f.local(c, side)
+    if lead is not None and lead[0] > 0.0:
+        return lead
+    with np.errstate(all="ignore"):
+        return _lead(1.0, float(f.jet(np.asarray(float(c)), side, 1)[1]) * side)
+
+
+def _pushed_limit(m, q: SmoothPiece1D, u: float, side: int) -> float:
+    """The limit of m(q(v)) q'(v) as v -> u from ``side`` where the product
+    reads 0 * inf, from the leading powers of q(v) - q(u) and of m at q(u);
+    NaN where no rule reads them. With q(v) - x ~ k_q |v - u|^e_q and
+    m(y) ~ k_m |y - x|^e_m, the product is k_m |k_q|^e_m k_q e_q side
+    |v - u|^(e_q e_m + e_q - 1)."""
+    lq = None if q.expr is None else leading_increment(q.expr, u, side)
+    lm = m.local(float(q.value(np.asarray(u))), side) if isinstance(m, Expr) and lq else None
+    if lm is None:
+        return math.nan
+    (eq, kq), (em, km) = lq, lm
+    e, k = eq * em + eq - 1.0, km * _pow(abs(kq), em) * kq * eq * side
+    return 0.0 if e > 0.0 else (k if e == 0.0 else math.copysign(math.inf, k))
 
 
 def second_derivative_decomposition(
@@ -1575,7 +1716,8 @@ def decide_L2_local(
     'inconclusive' -- a value, not an error.
 
     With ``auto_detect``, f is read at ``window_nodes(*window)`` and
-    ``_detect_suspicious`` adds the points it flags there. A caller that
+    ``_detect_suspicious`` adds the points it flags there, unless an
+    annotated exponent already makes the integral diverge. A caller that
     has detected already, for many windows at once, passes its points as
     ``suspicious`` with ``auto_detect=False``.
     """
@@ -1594,7 +1736,7 @@ def decide_L2_local(
         if a <= p <= b and all(abs(p - q_) > 1e-12 for q_ in known):
             specials.append((float(p), None))
             known.append(float(p))
-    if auto_detect:
+    if auto_detect and not any(e is not None and e <= -1.0 for _, e in specials):  # no annotated pole decides alone
         v = _arr(f(window_nodes(a, b)))
         for p in _detect_suspicious((v * v)[None], [window], [known])[0]:
             specials.append((p, None))

@@ -17,6 +17,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +29,9 @@ from .measure_kit import (
     DecomposedMeasure,
     LocalBehavior,
     Piecewise,
+    PowerAbs,
     PowerSigned,
+    Product,
     SmoothPiece1D,
     json_number,
     json_object,
@@ -118,10 +121,6 @@ def _frac(x) -> Fraction:
 _R_INF = math.inf
 
 
-def _lebesgue(support) -> DecomposedMeasure:
-    return DecomposedMeasure(support=support, ac_density=Const(1.0))
-
-
 # ---------------------------------------------------------------------------
 # Brownian motion
 # ---------------------------------------------------------------------------
@@ -132,7 +131,7 @@ def _build_brownian_motion(r: float, x0: float) -> DiffusionSpec:
     return DiffusionSpec(
         J=J,
         scale=SmoothPiece1D.from_expr(Affine(1.0, 0.0), (J.alpha, J.beta)),
-        speed=_lebesgue((J.alpha, J.beta)),
+        speed=DecomposedMeasure((J.alpha, J.beta), Const(1.0)),
         x0=float(x0),
         r=float(r),
         model_id="brownian_motion",
@@ -187,15 +186,8 @@ def _bessel_family(delta: float, r: float, x0: float, m0: float) -> DiffusionSpe
     nu = delta / 2.0 - 1.0
     p = 1.0 / (1.0 - delta / 2.0)
     J = StateInterval(0.0, _R_INF, alpha_closed=True)
-    c_speed = 1.0 / (2.0 * (2.0 - delta))
-
-    def m_ac(x):
-        x = np.asarray(x, float)
-        with np.errstate(divide="ignore"):
-            return c_speed * np.abs(x) ** nu
-
     atoms = ((0.0, float(m0)),) if m0 > 0 else ()
-    speed = DecomposedMeasure(support=(0.0, _R_INF), ac_density=m_ac, atoms=atoms)
+    speed = DecomposedMeasure((0.0, _R_INF), Product([Const(1.0 / (2.0 * (2.0 - delta))), PowerAbs(0.0, nu)]), atoms)
     kind = "absorbing" if math.isinf(m0) else "reflecting"
     # phi(u) = (p-1)/(2u) - (r / (4 |nu|)) u^(p-1): a simple pole at the
     # boundary image regardless of r
@@ -244,16 +236,10 @@ def _expected_gen_squared_bessel(nu, r, m0, x0) -> ExpectedVerdict:
 
 def _build_cubed_bm(r: float, x0: float) -> DiffusionSpec:
     J = StateInterval(-_R_INF, _R_INF)
-
-    def m_ac(x):
-        x = np.asarray(x, float)
-        with np.errstate(divide="ignore"):
-            return (1.0 / 3.0) * np.abs(x) ** (-2.0 / 3.0)
-
     return DiffusionSpec(
         J=J,
         scale=SmoothPiece1D.from_expr(PowerSigned(0.0, 1.0 / 3.0), (J.alpha, J.beta)),
-        speed=DecomposedMeasure(support=(J.alpha, J.beta), ac_density=m_ac),
+        speed=DecomposedMeasure((J.alpha, J.beta), Product([Const(1.0 / 3.0), PowerAbs(0.0, -2.0 / 3.0)])),
         x0=float(x0),
         r=float(r),
         model_id="cubed_bm",
@@ -392,6 +378,9 @@ class _FlatSpotInverseScale:
         # knots; the outer two segments extrapolate
         self.u_lo = np.concatenate(([-np.inf], self.t[1:-1]))
         self.u_hi = np.concatenate((self.t[1:-1], [np.inf]))
+        for v in vars(self).values():  # shared by every build of one generation count
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
 
     def _dist(self, z: np.ndarray, k: Optional[np.ndarray] = None) -> np.ndarray:
         # the nearest end of F is one of the two ends around z's knot segment
@@ -403,6 +392,10 @@ class _FlatSpotInverseScale:
             return np.where(self.inside[k], 0.0, np.fmin(z - self.lo_end[k], self.hi_end[k] - z))
 
     def _segment(self, x: np.ndarray, side: int = 1) -> np.ndarray:
+        if x.ndim == 1 and x.size > 256 and np.all(x[1:] >= x[:-1]):  # sorted, as NIP.iii reads a flat
+            # each inner knot starts the run of x in the next segment: no search per point
+            starts = np.searchsorted(x, self.t[1:-1], "left" if side > 0 else "right")
+            return np.repeat(np.arange(len(self.t) - 1), np.diff(starts, prepend=0, append=x.size))
         k = np.searchsorted(self.t, x, side="right" if side > 0 else "left") - 1
         return np.minimum(np.maximum(k, 0), len(self.t) - 2)  # np.clip's wrapper costs more on a few points
 
@@ -453,17 +446,19 @@ class _FlatSpotPiece(SmoothPiece1D):
         return self.core.slope[self.core._segment(np.asarray(x, float))]
 
 
+@lru_cache(maxsize=None)
+def _fat_cantor_core(generations: int) -> tuple[tuple, _FlatSpotInverseScale]:
+    """F's components and q's read-only closed form, shared by every build."""
+    comps = tuple(fat_complement_components(generations))
+    return comps, _FlatSpotInverseScale(comps)
+
+
 def _build_fat_cantor(r: float, generations: float, u0: float) -> DiffusionSpec:
-    comps = fat_complement_components(int(generations))
-    core = _FlatSpotInverseScale(comps)
+    comps, core = _fat_cantor_core(int(generations))
     q = _FlatSpotPiece(domain=(-_R_INF, _R_INF), jet=core.jet, core=core)
     J = StateInterval(-_R_INF, _R_INF)
     scale = SmoothPiece1D(domain=(J.alpha, J.beta), jet=core.inverse_jet)
     speed = DecomposedMeasure(support=(J.alpha, J.beta), ac_density=scale.d_plus)
-    behaviors = []
-    for a, b in comps:
-        behaviors.append(LocalBehavior(a, "left", -1.0, -0.5))
-        behaviors.append(LocalBehavior(b, "right", -1.0, 0.5))
     x0 = float(q.value(np.asarray(u0)))
     return DiffusionSpec(
         J=J,
@@ -473,9 +468,11 @@ def _build_fat_cantor(r: float, generations: float, u0: float) -> DiffusionSpec:
         r=float(r),
         model_id="fat_cantor",
         q_piece=q,
-        speed_natural=_lebesgue((-_R_INF, _R_INF)),
-        qprime_zero_set=tuple(comps),
-        phi_behaviors=tuple(behaviors),
+        speed_natural=DecomposedMeasure((-_R_INF, _R_INF), Const(1.0)),
+        qprime_zero_set=comps,
+        phi_behaviors=tuple(
+            b for lo, hi in comps for b in (LocalBehavior(lo, "left", -1.0, -0.5), LocalBehavior(hi, "right", -1.0, 0.5))
+        ),
     )
 
 

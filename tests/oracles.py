@@ -29,6 +29,7 @@ from diffarb.measure_kit import (
     Expr,
     MeasureKitError,
     Piecewise,
+    PowerAbs,
     PowerSigned,
     Product,
     QuadratureError,
@@ -615,6 +616,8 @@ def expr_to_json(e) -> dict:
         return {"node": "affine", "a": e.a, "b": e.b}
     if isinstance(e, PowerSigned):
         return {"node": "power_signed", "center": e.center, "p": e.p}
+    if isinstance(e, PowerAbs):
+        return {"node": "power_abs", "center": e.center, "p": e.p}
     if isinstance(e, ExpIntegral):
         return {"node": "exp_integral", "mu": expr_to_json(e.mu), "anchor": e.anchor, "inner_anchor": e.inner_anchor}
     if isinstance(e, Sum):
@@ -647,6 +650,9 @@ def expr_value(e, x):
     if isinstance(e, PowerSigned):
         u = _arr(x) - e.center
         return np.sign(u) * np.abs(u) ** e.p
+    if isinstance(e, PowerAbs):
+        with np.errstate(divide="ignore"):
+            return np.abs(_arr(x) - e.center) ** e.p
     if isinstance(e, ExpIntegral):
         xs = _arr(x)
         flat = np.atleast_1d(xs).ravel()
@@ -707,6 +713,18 @@ def expr_deriv(e, x, side=1):
         else:
             out = np.where(u == 0.0, np.inf, out)
         return out
+    if isinstance(e, PowerAbs):
+        # the slope of |u|^p, one-sided at u = 0: side * lim p |u|^(p-1)
+        u = _arr(x) - e.center
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = e.p * np.sign(u) * np.abs(u) ** (e.p - 1.0)
+        if e.p == 0.0 or e.p > 1.0:
+            at_zero = 0.0
+        elif e.p == 1.0:
+            at_zero = float(side)
+        else:
+            at_zero = side * (np.inf if e.p > 0.0 else -np.inf)
+        return np.where(u == 0.0, at_zero, out)
     if isinstance(e, ExpIntegral):
         xs = _arr(x)
         flat = np.atleast_1d(xs).ravel()
@@ -760,6 +778,11 @@ def expr_deriv2(e, x, side=1):
         au = np.abs(u)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = e.p * (e.p - 1.0) * np.sign(u) * au ** (e.p - 2.0)
+        return np.where(au == 0.0, 0.0, out)
+    if isinstance(e, PowerAbs):
+        au = np.abs(_arr(x) - e.center)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = e.p * (e.p - 1.0) * au ** (e.p - 2.0)
         return np.where(au == 0.0, 0.0, out)
     if isinstance(e, ExpIntegral):
         return expr_value(e.mu, _arr(x)) * expr_deriv(e, x, side)

@@ -1,5 +1,6 @@
 """Golden agreement: the classifier must reproduce every expected verdict."""
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffarb.arb_classifier import classify
+from diffarb.arb_classifier import classify, verdict_to_json
+from diffarb.diffusion_model import load_model_spec
 from diffarb.model_catalog import (
     _FlatSpotInverseScale,
     _RANGE_RULES,
@@ -18,7 +20,7 @@ from diffarb.model_catalog import (
     fat_complement_components,
 )
 
-from oracles import fat_cantor_dist_by_component
+from oracles import expr_to_json, fat_cantor_dist_by_component, flat_spot_segment
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402  the benchmark's catalog inputs
@@ -121,6 +123,70 @@ def test_skew_without_stickiness_needs_balanced_kink():
     assert v.nip == "fails" or v.nip == "holds"  # decided by the atom identity
     want = expected_verdict("sticky_skew", {"kappa": 0.5, "c": 1.0, "xi": 1.0, "r": 0.0})
     assert v.nip == want.nip
+
+
+def _document(spec) -> dict:
+    """A catalog model as the JSON document ``load_model_spec`` reads."""
+    num = lambda v: str(v) if math.isinf(v) else v  # noqa: E731
+    beh = lambda b: {"point": b.point, "side": b.side, "exponent": b.exponent, "coeff": b.coeff}  # noqa: E731
+    return {
+        "model_id": spec.model_id,
+        "state_interval": {"alpha": num(spec.J.alpha), "beta": num(spec.J.beta),
+                           "alpha_closed": spec.J.alpha_closed, "beta_closed": spec.J.beta_closed},
+        "scale": expr_to_json(spec.scale.expr),
+        "speed": {"ac": expr_to_json(spec.speed.ac_density), "atoms": [[p, num(m)] for p, m in spec.speed.atoms]},
+        "inverse_scale": expr_to_json(spec.q_expr),
+        "x0": spec.x0,
+        "r": spec.r,
+        "boundaries": dict(spec.declared_boundaries),
+        "qprime_zero_set": [list(z) for z in spec.qprime_zero_set],
+        "phi_behaviors": [beh(b) for b in spec.phi_behaviors],
+        "qpp_behaviors": [beh(b) for b in spec.qpp_behaviors],
+    }
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("squared_bessel", {}),
+        ("squared_bessel", {"delta": 0.5}),
+        ("squared_bessel", {"delta": 1.5, "x0": 0.25}),
+        ("gen_squared_bessel", {}),
+        ("gen_squared_bessel", {"nu": -0.5, "m0": "inf", "r": "1/10"}),
+        ("gen_squared_bessel", {"nu": -0.25, "m0": 0.0, "r": -0.5}),
+        ("gen_squared_bessel", {"nu": -0.75, "m0": 2.0, "r": 1.0, "x0": 0.5}),
+        ("cubed_bm", {"x0": -2.0}),
+    ],
+)
+def test_a_power_law_entry_written_as_a_document_classifies_as_the_entry(name, params):
+    # the densities are expressions: the document, read back from JSON,
+    # gives the entry's verdicts, condition reports and gamma samples
+    spec = build_model(name, params)
+    doc = load_model_spec(json.loads(json.dumps(_document(spec))))
+    assert verdict_to_json(doc, classify(doc)) == verdict_to_json(spec, classify(spec))
+
+
+def test_fat_cantor_builds_share_one_read_only_core():
+    # the components and q's closed form depend on the generation count alone
+    a, b = build_model("fat_cantor", {"u0": 0.3}), build_model("fat_cantor")
+    assert a.q_piece.core is b.q_piece.core and a.qprime_zero_set is b.qprime_zero_set
+    assert a.q_piece.core is not build_model("fat_cantor", {"generations": 7}).q_piece.core
+    assert not any(v.flags.writeable for v in vars(a.q_piece.core).values() if isinstance(v, np.ndarray))
+
+
+@pytest.mark.parametrize("generations", [1, 7, 8])
+def test_fat_cantor_segments_of_a_sorted_batch_equal_the_search(generations):
+    # a sorted batch reads its segments from the knots' positions in it: the
+    # same indices as one search per point, on either side, with points on
+    # and next to every knot, repeats and far ends; an unsorted batch searches
+    core = build_model("fat_cantor", {"generations": generations}).q_piece.core
+    t = core.t
+    near = np.concatenate([t, np.nextafter(t, -INF), np.nextafter(t, INF)])
+    x = np.sort(np.concatenate([np.linspace(-3.0, 3.0, 2_001), near, near[:50], [-INF, INF, -1e300, 1e300, -0.0]]))
+    batches = [x, *(np.linspace(a, b, 10_002)[1:-1] for a, b in fat_complement_components(generations)), x[::-1]]
+    for batch in batches:
+        for side in (1, -1):
+            assert np.array_equal(core._segment(batch, side), flat_spot_segment(core, batch, side))
 
 
 def test_fat_complement_has_positive_measure():

@@ -563,10 +563,13 @@ def test_phi_panel_matches_the_window_by_window_oracle(case):
 
 
 def _uncertified_bessel():
-    # a squared Bessel model with r != 0: its speed density is a closure, so
-    # no window is certified bounded and every generic window is screened;
-    # phi is smooth away from the boundary image, annotated at 0
-    return build_model("gen_squared_bessel", {"r": 0.5})
+    # a squared Bessel model with r != 0 and its speed density written as a
+    # Python function, so no window is certified bounded and every generic
+    # window is screened; phi is smooth away from the boundary image,
+    # annotated at 0
+    spec = build_model("gen_squared_bessel", {"r": 0.5})
+    dens = spec.speed.ac_density
+    return dataclasses.replace(spec, speed=dataclasses.replace(spec.speed, ac_density=lambda x: dens(x)))
 
 
 def test_generic_windows_evaluate_phi_in_blocks_of_four(monkeypatch):
@@ -605,6 +608,37 @@ def test_generic_windows_without_a_flag_or_an_annotation_skip_the_decider(monkey
     monkeypatch.setattr(arb_classifier, "decide_L2_local", counted_decide)
     assert _phi_l2_interior(view, window_table(view, spec)).status == "pass"
     assert (detected, decided) == ([4] * 8, [])
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("squared_bessel", {}),
+        ("squared_bessel", {"delta": 0.5, "x0": 0.25}),
+        ("gen_squared_bessel", {}),
+        ("gen_squared_bessel", {"nu": -0.5, "m0": "inf", "r": "1/10"}),
+        ("gen_squared_bessel", {"nu": -0.25, "m0": 0.0, "r": -0.5}),
+        ("gen_squared_bessel", {"nu": -0.75, "m0": 2.0, "r": 1.0, "x0": 0.5}),
+    ],
+)
+def test_a_squared_bessel_classify_takes_no_dense_sample_and_no_accessibility_probe(name, params, monkeypatch):
+    # the generic windows are certified at any r, an annotated pole decides
+    # a reflecting collar alone, and the origin's leading powers decide its
+    # accessibility
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense sample taken")
+
+    decide = diffusion_model.decide_abs_integral
+
+    def no_probe(*args, **kwargs):
+        assert sys._getframe(1).f_code.co_name != "classify_boundary", "accessibility probe taken"
+        return decide(*args, **kwargs)
+
+    monkeypatch.setattr(arb_classifier, "_detect_suspicious", refuse)
+    monkeypatch.setattr(measure_kit, "_detect_suspicious", refuse)
+    monkeypatch.setattr(diffusion_model, "decide_abs_integral", no_probe)
+    v = classify(build_model(name, params))
+    assert (v.nip, v.nsa, v.nupbr, v.rp) == dataclasses.astuple(expected_verdict(name, params))
 
 
 def test_phi_raising_past_the_first_divergent_window_is_never_reached(monkeypatch):

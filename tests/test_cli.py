@@ -81,6 +81,24 @@ def test_classify_declared_speed_one_percent_off_exit_1(tmp_path, capsys):
     assert run(["classify", "--model", str(path), "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("alpha, center, p", [(0.0, 0.5, 0.5), ("-inf", 0.0, -1.0), ("-inf", 0.0, 2.0), (0.0, 0.5, 0.0)])
+def test_a_power_abs_scale_centered_inside_j_exits_1_with_one_line(tmp_path, capsys, alpha, center, p):
+    # |x - c|^p falls on one side of its center (or is flat): not a scale
+    doc = {
+        "state_interval": {"alpha": alpha, "beta": "inf"},
+        "scale": {"node": "power_abs", "center": center, "p": p},
+        "speed": {"ac": {"node": "const", "c": 1.0}},
+        "x0": 1.0,
+        "r": 0.0,
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["classify", "--model", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not strictly increasing" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_classify_incomparable_sc_exit_2(tmp_path, capsys):
     staircase = {
         "node": "tabulated",

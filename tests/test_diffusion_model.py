@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +28,10 @@ from diffarb.measure_kit import (
     Compose,
     Const,
     DecomposedMeasure,
+    PowerAbs,
     PowerSigned,
     SmoothPiece1D,
+    Sum,
     decide_abs_integral,
 )
 from diffarb.model_catalog import CATALOG, build_model
@@ -61,12 +66,12 @@ def _log_scale_spec(declared=()):
     return DiffusionSpec(StateInterval(0.0, INF), scale, speed, x0=1.0, r=0.0, declared_boundaries=declared)
 
 
-def _power_speed_spec(p, atoms=(), closed=True, declared=()):
-    """J = [1, inf) with scale 2x + 1 and speed density |x - 1|^p: the
-    collar integral at 1 behaves like that of |y - 1|^(p + 1)."""
-    speed = DecomposedMeasure(
-        support=(1.0, INF), ac_density=lambda x: np.abs(np.asarray(x, float) - 1.0) ** p, atoms=atoms
-    )
+def _power_speed_spec(p, atoms=(), closed=True, declared=(), exact=False):
+    """J = [1, inf) with scale 2x + 1 and speed density |x - 1|^p, a Python
+    function or, with ``exact``, a ``power_abs`` node: the collar integral
+    at 1 behaves like that of |y - 1|^(p + 1)."""
+    dens = PowerAbs(1.0, p) if exact else lambda x: np.abs(np.asarray(x, float) - 1.0) ** p
+    speed = DecomposedMeasure(support=(1.0, INF), ac_density=dens, atoms=atoms)
     return DiffusionSpec(
         StateInterval(1.0, INF, alpha_closed=closed),
         SmoothPiece1D.from_expr(Affine(2.0, 1.0), (1.0, INF)),
@@ -130,7 +135,13 @@ _BOUNDED_COLLARS = {
     "absorbing-at-one": lambda: _collar_document(1.0, 0.5, 2.75, "inf", "absorbing"),
     "sticky_reflected_bm": lambda: build_model("sticky_reflected_bm"),
     "sticky_reflected_bm-rho": lambda: build_model("sticky_reflected_bm", {"rho": 0.7, "r": 2.0}),
+    # a density with no leading-power rule: the certificate alone decides
+    "sum-density": lambda: _with_density(build_model("sticky_reflected_bm"), Sum([Const(0.5), Affine(0.25, 0.0)])),
 }
+
+
+def _with_density(spec, dens):
+    return dataclasses.replace(spec, speed=dataclasses.replace(spec.speed, ac_density=dens))
 
 
 def _count_probes(monkeypatch) -> list:
@@ -155,6 +166,31 @@ def test_a_bounded_collar_is_certified_as_the_probe_decides_it(case, monkeypatch
     assert len(calls) == 1
     got = classify_boundary(spec, "left")
     assert len(calls) == 1 and got == want and got.accessible
+
+
+@pytest.mark.parametrize("p", [-1.95, -1.84, -1.5, -1.2, -1.0, -0.5, 0.0, 1.5])
+def test_a_power_abs_density_is_an_exit_end_by_the_power_rule(p, monkeypatch):
+    # e_s + e_m = 1 + p > -1: accessible, with no probe and no bounds; the
+    # same density as a function reads wrong from the probe at p <= -1.5
+    calls = _count_probes(monkeypatch)
+    monkeypatch.setattr(PowerAbs, "bounds", None)
+    beh = classify_boundary(_power_speed_spec(p, ((1.0, 0.5),), exact=True), "left")
+    assert (beh.kind, beh.stickiness, beh.note, calls) == ("reflecting", 0.5, "", [])
+
+
+def test_a_power_abs_pole_past_the_rule_is_inaccessible_without_a_probe(monkeypatch):
+    calls = _count_probes(monkeypatch)
+    beh = classify_boundary(_power_speed_spec(-2.5, closed=False, exact=True), "left")
+    assert (beh.kind, beh.note, calls) == ("inaccessible", "speed-weighted scale integral diverges", [])
+
+
+@pytest.mark.parametrize("p", [-2.0, -2.0 + 1e-12])
+def test_a_power_sum_within_the_margin_of_minus_one_takes_the_probe(p, monkeypatch):
+    # |y - 1|^(p + 1) at the border of integrability: neither the rule nor
+    # the certificate (the density is unbounded) decides
+    calls = _count_probes(monkeypatch)
+    classify_boundary(_power_speed_spec(p, ((1.0, 0.5),), exact=True), "left")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p", [-2.5, -1.84, -0.5, "no-bounds"])
@@ -467,3 +503,30 @@ def test_load_model_spec_sticky_boundary():
     }
     spec = load_model_spec(doc)
     assert classify_boundary(spec, "left").stickiness == 1.0
+
+
+_PUSHED_AT_ZERO = """
+import numpy as np
+from diffarb.diffusion_model import derive_natural_scale
+from diffarb.model_catalog import build_model
+from oracles import catalog_speed_natural
+u = np.array([0.0, 0.25, 1.5])
+for name, params in [("squared_bessel", {"delta": d}) for d in (0.5, 1.0, 1.5)] + [("cubed_bm", {})]:
+    got = derive_natural_scale(build_model(name, params)).mU.ac_density(u)
+    want = np.asarray(catalog_speed_natural(name, params).ac_density(u), float) * np.ones_like(u)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0) and got[0] == want[0], (name, params, got, want)
+    print(got[0])
+"""
+
+
+def test_a_pushed_density_reads_its_one_sided_limit_where_q_prime_vanishes():
+    # at u = 0 the state density is infinite and q' = 0: the pushed density
+    # is the limit from inside, c_u |u|^(p - 2) at 0 for the squared Bessel
+    # entries (+inf, 1 and 0 for delta = 0.5, 1, 1.5) and 1 for cubed_bm,
+    # with no numpy warning under python -W error
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    argv = [sys.executable, "-W", "error", "-c", _PUSHED_AT_ZERO]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode()
+    assert proc.stdout.decode().split() == ["inf", "1.0", "0.0", "1.0"]

@@ -25,6 +25,7 @@ from diffarb.measure_kit import (
     LocalBehavior,
     MeasureKitError,
     Piecewise,
+    PowerAbs,
     PowerSigned,
     Product,
     QuadratureError,
@@ -41,6 +42,7 @@ from diffarb.measure_kit import (
     decide_weighted_L2_boundary,
     expr_from_json,
     invert_monotone_vec,
+    leading_increment,
     measure_from_json,
     pushforward,
     sampled_total_variation,
@@ -122,6 +124,14 @@ _JET_EXPRS = {
     "power-cubic": lambda: PowerSigned(0.3, 3.0),
     "power-root": lambda: PowerSigned(0.0, 0.5),
     "power-linear": lambda: PowerSigned(1.0, 1.0),
+    # |x - c|^p: a pole, a smooth even power, a kink, a root, a flat 1 and a pole of the slope
+    "power-abs-pole": lambda: PowerAbs(0.5, -2.5),
+    "power-abs-cubic": lambda: PowerAbs(-0.3, 3.0),
+    "power-abs-square": lambda: PowerAbs(0.0, 2.0),
+    "power-abs-linear": lambda: PowerAbs(1.0, 1.0),
+    "power-abs-root": lambda: PowerAbs(0.0, 0.5),
+    "power-abs-one": lambda: PowerAbs(0.0, 0.0),
+    "power-abs-weak-pole": lambda: PowerAbs(0.0, -0.5),
     "exp-integral": lambda: ExpIntegral(Affine(-0.5, 0.2), anchor=0.25, inner_anchor=-0.5),
     "tabulated": lambda: Tabulated([-1.0, 0.0, 1.0, 2.5], [-3.0, 0.0, 1.0, 4.0]),
     "piecewise": lambda: _PW,
@@ -136,6 +146,7 @@ _JET_EXPRS = {
     **{f"family-{k}": (lambda k=k: FAMILY_SCALES[k][0]) for k in ("sticky", "absorbing", "skew", "cubic")},
     **{f"catalog-{n}-q": (lambda n=n: build_model(n).q_expr) for n in catalog_names() if n != "fat_cantor"},
     **{f"catalog-{n}-scale": (lambda n=n: build_model(n).scale.expr) for n in catalog_names() if n != "fat_cantor"},
+    **{f"catalog-{n}-density": (lambda n=n: build_model(n).speed.ac_density) for n in catalog_names() if n != "fat_cantor"},
 }
 
 
@@ -263,6 +274,60 @@ def test_bounds_find_where_a_slope_vanishes_or_a_second_derivative_diverges():
     # an exact zero times an infinite bound counts as 0: 0 * sign(x)|x|^(1/2) has slope 0
     _, (lo, hi), _ = Product([Const(0.0), PowerSigned(0.0, 0.5)]).bounds(-1.0, 1.0)
     assert (float(lo), float(hi)) == (0.0, 0.0)
+
+
+def test_power_abs_bounds_are_finite_off_a_pole_and_infinite_on_it():
+    # |x - 1/2|^-2.5 on windows that miss, touch and hold its center, and
+    # |x|^3, whose slope takes both signs on a window that holds 0
+    (v_lo, v_hi), _, _ = PowerAbs(0.5, -2.5).bounds(np.array([0.75, 0.5, 0.0]), np.array([1.5, 1.0, 1.0]))
+    assert v_lo[0] <= 1.0 and 32.0 <= v_hi[0] < 32.0 * (1 + 1e-14) and np.all(v_hi[1:] == np.inf)
+    _, (d_lo, d_hi), (dd_lo, dd_hi) = PowerAbs(0.0, 3.0).bounds(-1.0, 2.0)
+    assert d_lo <= -3.0 and 12.0 <= d_hi < 12.0 * (1 + 1e-14) and dd_lo <= 0.0 and 12.0 <= dd_hi < np.inf
+
+
+_LOCAL_CASES = {
+    "const": (Const(2.5), 1.0, 1, (0.0, 2.5)),
+    "const-zero": (Const(0.0), 1.0, 1, None),
+    "affine": (Affine(2.0, 1.0), 1.0, -1, (0.0, 3.0)),
+    "affine-root-left": (Affine(2.0, -2.0), 1.0, -1, (1.0, -2.0)),
+    "power-signed-center-left": (PowerSigned(0.0, 0.5), 0.0, -1, (0.5, -1.0)),
+    "power-signed-off-center": (PowerSigned(0.0, 3.0), -2.0, 1, (0.0, -8.0)),
+    "power-abs-pole": (PowerAbs(1.0, -2.5), 1.0, 1, (-2.5, 1.0)),
+    "power-abs-off-center": (PowerAbs(1.0, -2.0), 3.0, -1, (0.0, 0.25)),
+    "power-abs-one": (PowerAbs(1.0, 0.0), 1.0, 1, (0.0, 1.0)),
+    "product": (Product([Const(0.5), PowerAbs(0.0, -0.5), Affine(1.0, 0.0)]), 0.0, -1, (0.5, -0.5)),
+    "product-with-a-zero": (Product([Const(0.0), PowerAbs(0.0, -0.5)]), 0.0, 1, None),
+    "piecewise-left": (Piecewise([0.0], [Const(2.0), PowerAbs(0.0, 1.5)]), 0.0, -1, (0.0, 2.0)),
+    "piecewise-right": (Piecewise([0.0], [Const(2.0), PowerAbs(0.0, 1.5)]), 0.0, 1, (1.5, 1.0)),
+    "catalog-bessel-density": (build_model("squared_bessel", {"delta": 0.5}).speed.ac_density, 0.0, 1, (-0.75, 1 / 3)),
+    "no-rule": (Sum([Const(1.0), PowerAbs(0.0, 2.0)]), 0.0, 1, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_LOCAL_CASES))
+def test_local_reads_the_leading_power_from_either_side(case):
+    # f(c + side h) / (k h^e) tends to 1 as h -> 0+
+    e, c, side, want = _LOCAL_CASES[case]
+    got = e.local(c, side)
+    assert got == pytest.approx(want) if want else got is None
+    if want:
+        h = np.array([1e-4, 1e-6, 1e-8])
+        ratio = e.value(c + side * h) / (want[1] * h ** want[0])
+        assert np.all(np.abs(ratio - 1.0) <= 2 * h**0.5)
+
+
+@pytest.mark.parametrize(
+    "e, c, side, want",
+    [
+        (Affine(2.0, 1.0), 1.0, -1, (1.0, -2.0)),  # f(c) != 0: the slope
+        (PowerSigned(0.0, 0.5), 0.0, 1, (0.5, 1.0)),  # f(c) = 0: f's own leading power
+        (Sum([Affine(1.0, 0.0), PowerSigned(0.0, 3.0)]), 0.0, -1, (1.0, -1.0)),  # no rule, a finite slope
+        (Sum([Const(1.0), PowerSigned(0.0, 3.0)]), 0.0, 1, None),  # no rule, slope 0
+        (PowerAbs(0.0, -1.0), 0.0, 1, None),  # f(c) infinite
+    ],
+)
+def test_leading_increment_reads_f_minus_its_value(e, c, side, want):
+    assert leading_increment(e, c, side) == want
 
 
 def test_adaptive_quad_singular_endpoint():
