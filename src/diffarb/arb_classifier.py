@@ -236,37 +236,44 @@ def _check_flat_spots(
 ) -> list[ConditionReport]:
     """Condition (iii): r q mU_ac = q''/2 a.e. where q' vanishes.
 
-    Isolated points are Lebesgue-null and impose nothing; each declared
-    interval is sampled densely and a single violation fails the condition.
+    Isolated points are Lebesgue-null and impose nothing. Where q keeps a
+    q'' table (``SmoothPiece1D.d2_segments``), each declared interval is
+    read once per knot segment: q'' is the segment's exact constant, and
+    r q mU_ac is read at the segment's midpoint. With r = 0 or no mU_ac that
+    decides the condition; otherwise a mismatch fails it and a match leaves
+    it inconclusive, since one point cannot show a varying product equal to
+    a constant. A q without a table is sampled at 10,000 points of each
+    interval, and a single violation fails the condition. Every interval's
+    points are read in one call.
     """
-    reports: list[ConditionReport] = []
     r = spec.r
     intervals = [(a, b) for a, b in spec.qprime_zero_set if b > a]
     if not intervals:
-        reports.append(
-            ConditionReport("NIP.iii", "pass", residual=0.0, note="zero set of q' is Lebesgue-null")
-        )
-        return reports
-    mU_ac = view.mU.ac_density
-    for a, b in intervals:
-        xs = np.linspace(a, b, _ZERO_SET_SAMPLES + 2)[1:-1]
+        return [ConditionReport("NIP.iii", "pass", residual=0.0, note="zero set of q' is Lebesgue-null")]
+    mU_ac = None if r == 0.0 else view.mU.ac_density
+    tables = view.q.d2_segments(*np.array(intervals).T)
+    if tables is not None:
+        pieces = [0.5 * (edges[:-1] + edges[1:]) for edges, _ in tables]
+        xs, rhs = np.concatenate(pieces), 0.5 * np.concatenate([d2 for _, d2 in tables])
+    else:
+        pieces = [np.linspace(a, b, _ZERO_SET_SAMPLES + 2)[1:-1] for a, b in intervals]
+        xs = np.concatenate(pieces)
         rhs = 0.5 * np.asarray(view.q.d2_ac(xs), float)
-        if r == 0.0 or mU_ac is None:
-            lhs = np.zeros_like(xs)
+    lhs = np.zeros_like(xs) if mU_ac is None else r * np.asarray(view.q.value(xs), float) * np.asarray(mU_ac(xs), float)
+    diff = np.abs(lhs - rhs)
+    bad = diff > cfg.eq_rel * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-15)
+    counts = [len(p) for p in pieces]
+    starts = np.cumsum([0, *counts[:-1]])
+    worst, failed = np.maximum.reduceat(diff, starts).tolist(), np.logical_or.reduceat(bad, starts).tolist()
+    reports = []
+    for (a, b), n, d, flagged in zip(intervals, counts, worst, failed):
+        if tables is None:
+            note = f"sampled {n} points of the flat interval [{a}, {b}]"
         else:
-            lhs = r * np.asarray(view.q.value(xs), float) * np.asarray(mU_ac(xs), float)
-        diff = np.abs(lhs - rhs)
-        scale = np.maximum(np.abs(lhs), np.abs(rhs))
-        bad = diff > cfg.eq_rel * np.maximum(scale, 1e-15)
-        worst = float(np.max(diff))
-        reports.append(
-            ConditionReport(
-                "NIP.iii",
-                "fail" if bool(np.any(bad)) else "pass",
-                residual=worst,
-                note=f"sampled {len(xs)} points of the flat interval [{a}, {b}]",
-            )
-        )
+            note = f"q'' exact on {n} knot segment{'s' * (n > 1)} of the flat interval [{a}, {b}]"
+            note += "" if mU_ac is None else ", r q mU_ac read at each midpoint"
+        status = "fail" if flagged else "inconclusive" if tables is not None and mU_ac is not None else "pass"
+        reports.append(ConditionReport("NIP.iii", status, residual=d, note=note))
     return reports
 
 

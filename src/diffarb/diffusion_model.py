@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .measure_kit import (
+    Const,
     DecomposedMeasure,
     Expr,
     LocalBehavior,
@@ -168,6 +169,12 @@ class DiffusionSpec:
         for a, b in self.qprime_zero_set:
             if a > b:
                 raise SpecValidationError("zero-set intervals must have a <= b")
+        for m in (self.speed, self.speed_natural):  # a speed measure is nonnegative; inf absorbs
+            for p, mass in () if m is None else m.atoms:
+                if not mass >= 0.0:
+                    raise SpecValidationError(f"speed atom at {p} has mass {mass}; a mass must be >= 0")
+            if m is not None and isinstance(m.ac_density, Const) and not m.ac_density.c >= 0.0:
+                raise SpecValidationError(f"speed density is the constant {m.ac_density.c}; it must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -564,7 +571,7 @@ def _validate_speed_hint(spec: DiffusionSpec, mU: DecomposedMeasure, cfg: QuadCo
     b = hi if math.isfinite(hi) else spec.x0 + 2.0
     probes = np.linspace(a, b, 5)
     xs = (probes[:-1, None] + 0.5 * np.diff(probes)[:, None] * (1.0 + _leggauss(8)[0])).ravel()
-    us = np.asarray(spec.scale.value(xs), float)
+    us, ds = (np.asarray(v, float) for v in spec.scale.jet(xs))
 
     def away(v, cuts):  # no finite cut stands for v, read as ``same_point`` reads it
         c = np.array([p for p in cuts if math.isfinite(p)])
@@ -572,15 +579,18 @@ def _validate_speed_hint(spec: DiffusionSpec, mU: DecomposedMeasure, cfg: QuadCo
 
     x_cuts = [c for c, _ in spec.scale.kinks] + [*spec.speed.ac_breakpoints] + [p for p, _ in spec.speed.atoms]
     keep = away(xs, x_cuts) & away(us, mU.ac_breakpoints)
-    xs, us = xs[keep], us[keep]
+    xs, us, ds = xs[keep], us[keep], ds[keep]
     with np.errstate(all="ignore"):
         lhs = np.asarray(spec.speed.ac_density(xs), float)
-        rhs = np.asarray(mU.ac_density(us), float) * np.asarray(spec.scale.d_plus(xs), float)
-    for x, l, r in zip(xs, lhs, rhs):
-        if math.isfinite(l) != math.isfinite(r) or (math.isfinite(l) and not close_rel(l, r, 1e-4)):
-            raise SpecValidationError(
-                f"declared natural-scale speed disagrees with pushforward at x = {x}: {l} vs {r}"
-            )
+        rhs = np.asarray(mU.ac_density(us), float) * ds
+        size = np.maximum(np.abs(lhs), np.abs(rhs))
+        finite = np.isfinite(lhs)  # close_rel's test, node by node
+        bad = (finite != np.isfinite(rhs)) | (finite & (size > 1e-15) & ~(np.abs(lhs - rhs) <= 1e-4 * size))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise SpecValidationError(
+            f"declared natural-scale speed disagrees with pushforward at x = {xs[i]}: {lhs[i]} vs {rhs[i]}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +642,9 @@ def check_semimartingale_assumption(
         )
     elif table.variation is not None:  # over the chart: a monotone change of variable keeps the variation
         t, bv = table.variation  # q', q'' bounded: finite variation
+        if not bv:  # or q'' a table of finite constants on the window: q' Lipschitz there
+            segments = view.q.d2_segments(*np.array(t)[:, None])
+            bv = segments is not None and bool(np.isfinite(segments[0][1]).all())
         tvs, stable = ([], True) if bv else sampled_total_variation(lambda t: view.point(t)[2], t)
         checks.append(
             AssumptionCheck(

@@ -1015,6 +1015,13 @@ class SmoothPiece1D:
     def d2_ac(self, x: np.ndarray) -> np.ndarray:
         return self.jet(x, 1, 2)[2]
 
+    def d2_segments(self, lo: np.ndarray, hi: np.ndarray) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
+        """For each window [lo, hi], lo < hi (arrays alike), the segments on
+        each of which ``d2_ac`` is an exact constant: their n + 1 edges (lo,
+        the knots between, hi) and their n values; None for a piece that
+        keeps no such table."""
+        return None
+
     @classmethod
     def from_expr(cls, e: Expr, domain: tuple[float, float]) -> "SmoothPiece1D":
         """Build from an expression; the function must be continuous.
@@ -1367,8 +1374,15 @@ def pushforward(
             x, qp = (_arr(v) for v in q.jet(u))
             with np.errstate(invalid="ignore"):
                 out = _arr(src(x)) * qp
-            for i in np.flatnonzero(np.isnan(out) & ~np.isnan(u)):  # 0 * inf: the limit from inside
-                out[i] = _pushed_limit(src, q, float(u[i]), -1 if u[i] == u_hi else 1)
+            # 0 * inf, or inf: the limit from inside at u, or, where q(u) rounds
+            # onto q(c) at a point c = s(q(u)) next to u, that limit's leading term at u
+            for i in np.flatnonzero(~np.isfinite(out) & np.isfinite(u)):
+                ui, c = float(u[i]), float(s.value(x[i : i + 1])[0])
+                if c == ui:
+                    v = _pushed_limit(src, q, ui, -1 if ui == u_hi else 1)
+                else:
+                    v = _pushed_limit(src, q, c, 1 if ui > c else -1, ui)
+                out[i] = out[i] if math.isnan(v) else v
             return out
 
         density = pushed
@@ -1413,18 +1427,21 @@ def leading_increment(f: Expr, c: float, side: int) -> Optional[tuple[float, flo
         return _lead(1.0, float(f.jet(np.asarray(float(c)), side, 1)[1]) * side)
 
 
-def _pushed_limit(m, q: SmoothPiece1D, u: float, side: int) -> float:
+def _pushed_limit(m, q: SmoothPiece1D, u: float, side: int, at: Optional[float] = None) -> float:
     """The limit of m(q(v)) q'(v) as v -> u from ``side`` where the product
     reads 0 * inf, from the leading powers of q(v) - q(u) and of m at q(u);
     NaN where no rule reads them. With q(v) - x ~ k_q |v - u|^e_q and
     m(y) ~ k_m |y - x|^e_m, the product is k_m |k_q|^e_m k_q e_q side
-    |v - u|^(e_q e_m + e_q - 1)."""
+    |v - u|^(e_q e_m + e_q - 1). With ``at``, that leading term at v = ``at``,
+    for a point next to u whose q(v) rounds onto q(u)."""
     lq = None if q.expr is None else leading_increment(q.expr, u, side)
     lm = m.local(float(q.value(np.asarray(u))), side) if isinstance(m, Expr) and lq else None
     if lm is None:
         return math.nan
     (eq, kq), (em, km) = lq, lm
     e, k = eq * em + eq - 1.0, km * _pow(abs(kq), em) * kq * eq * side
+    if at is not None:
+        return k * _pow(abs(at - u), e)
     return 0.0 if e > 0.0 else (k if e == 0.0 else math.copysign(math.inf, k))
 
 

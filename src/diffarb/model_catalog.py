@@ -392,7 +392,7 @@ class _FlatSpotInverseScale:
             return np.where(self.inside[k], 0.0, np.fmin(z - self.lo_end[k], self.hi_end[k] - z))
 
     def _segment(self, x: np.ndarray, side: int = 1) -> np.ndarray:
-        if x.ndim == 1 and x.size > 256 and np.all(x[1:] >= x[:-1]):  # sorted, as NIP.iii reads a flat
+        if x.ndim == 1 and x.size > 256 and np.all(x[1:] >= x[:-1]):  # sorted, as a grid or a sampled flat
             # each inner knot starts the run of x in the next segment: no search per point
             starts = np.searchsorted(x, self.t[1:-1], "left" if side > 0 else "right")
             return np.repeat(np.arange(len(self.t) - 1), np.diff(starts, prepend=0, append=x.size))
@@ -436,14 +436,19 @@ class _FlatSpotInverseScale:
 
 @dataclass(frozen=True)
 class _FlatSpotPiece(SmoothPiece1D):
-    """fat_cantor's q, read through ``core.jet``. Its q'' reader looks up
-    the knot segment alone, without q and q': NIP.iii reads q'' at 10,000
-    points of every flat."""
+    """fat_cantor's q, read through ``core.jet``, with its q'' knot table:
+    q'' is the slope of dist(., F), exactly -1, 0 or +1 on each knot
+    segment. NIP.iii and the q' variation check read the table, not
+    samples."""
 
     core: Optional[_FlatSpotInverseScale] = None
 
-    def d2_ac(self, x):
-        return self.core.slope[self.core._segment(np.asarray(x, float))]
+    def d2_segments(self, lo, hi):
+        # each hi is read from its left: a knot at hi ends the last segment,
+        # and the segment it starts lies outside [lo, hi]
+        c = self.core
+        k0, k1 = c._segment(np.asarray(lo, float)).tolist(), c._segment(np.asarray(hi, float), -1).tolist()
+        return [(np.array([a, *c.t[i + 1 : j + 1], b]), c.slope[i : j + 1]) for a, b, i, j in zip(lo, hi, k0, k1)]
 
 
 @lru_cache(maxsize=None)

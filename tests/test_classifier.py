@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffarb import arb_classifier, diffusion_model, measure_kit
+from diffarb import arb_classifier, diffusion_model, measure_kit, model_catalog
 from diffarb.arb_classifier import (
     FAILS,
     HOLDS,
@@ -419,6 +419,107 @@ def test_scale_shift_invariance(name, params, ab):
         moved.nupbr,
         moved.rp,
     )
+
+
+# ---------------------------------------------------------------------------
+# NIP.iii and the q' variation from fat_cantor's knot-segment table
+# ---------------------------------------------------------------------------
+
+
+def _flat_spot_spec(components, zero_set):
+    """fat_cantor's construction on ``components``, with ``zero_set``
+    declared as the zero set of q' (true or not)."""
+    core = model_catalog._FlatSpotInverseScale(components)
+    base = build_model("fat_cantor")
+    q = model_catalog._FlatSpotPiece(domain=(-INF, INF), jet=core.jet, core=core)
+    scale = SmoothPiece1D(domain=(-INF, INF), jet=core.inverse_jet)
+    speed = DecomposedMeasure(support=(-INF, INF), ac_density=scale.d_plus)
+    return dataclasses.replace(base, scale=scale, speed=speed, q_piece=q, qprime_zero_set=tuple(zero_set),
+                               x0=float(q.value(np.asarray(0.5))), phi_behaviors=())
+
+
+def test_a_narrow_sloped_segment_in_a_flat_fails_nip_iii():
+    # the declared flat [0.1, 0.9] holds the gap (0.5, 0.5 + w) between two
+    # components, where q'' is +1 then -1, and w = (b - a) / 10**5 is a tenth
+    # of the 10,000-point sampling step: the table reads its two segments
+    w = 0.8e-5
+    spec = _flat_spot_spec([(0.1, 0.5), (0.5 + w, 0.9)], [(0.1, 0.9)])
+    view = derive_natural_scale(spec)
+    (flat,) = [c for c in check_nip(view, spec)[1] if c.id == "NIP.iii"]
+    assert flat.status == "fail" and flat.residual == 0.5, flat
+    assert flat.note == "q'' exact on 4 knot segments of the flat interval [0.1, 0.9]"
+    # the same q read through a closure keeps no table and is sampled: its
+    # samples step over the gap
+    plain = dataclasses.replace(spec, q_piece=SmoothPiece1D(domain=spec.q_piece.domain, jet=spec.q_piece.jet))
+    (sampled,) = [c for c in check_nip(derive_natural_scale(plain), plain)[1] if c.id == "NIP.iii"]
+    assert sampled.status == "pass" and sampled.note.startswith("sampled 10000 points")
+
+
+@pytest.mark.parametrize("generations", [1, 7, 8, 50])
+def test_a_flat_ends_on_its_own_knot_segment(generations):
+    # each flat is one knot segment of slope 0: its right end b is looked up
+    # from its left, since from its right b starts the next segment, whose
+    # slope is -1 or +1 (+1 for the last flat, whose right side extrapolates)
+    spec = build_model("fat_cantor", {"generations": generations})
+    q, (lo, hi) = spec.q_piece, np.array(spec.qprime_zero_set).T
+    for (edges, d2), a, b in zip(q.d2_segments(lo, hi), lo, hi):
+        assert edges.tolist() == [a, b] and d2.tolist() == [0.0]
+    assert np.all(np.abs(q.core.slope[q.core._segment(hi)]) == 1.0)
+    _, reports = check_nip(derive_natural_scale(spec), spec)
+    flats = [c for c in reports if c.id == "NIP.iii"]
+    assert len(flats) == len(lo) and all(c.status == "pass" and c.residual == 0.0 for c in flats)
+
+
+def test_nip_iii_reads_one_point_per_knot_segment_with_a_nonzero_rate():
+    # with r != 0, r q mU_ac is read at one point of each of the 7 flats, and
+    # q > 0 there, so each flat fails
+    spec = build_model("fat_cantor")
+    reads = []
+
+    def density(u):
+        reads.append(np.size(u))
+        return np.ones_like(np.asarray(u, float))
+
+    spec = dataclasses.replace(spec, r=0.5, speed_natural=dataclasses.replace(spec.speed_natural, ac_density=density))
+    view = derive_natural_scale(spec)
+    reads.clear()
+    _, reports = check_nip(view, spec)
+    assert reads == [7]
+    flats = [c for c in reports if c.id == "NIP.iii"]
+    assert [c.status for c in flats] == ["fail"] * 7
+    assert all(c.note.endswith("r q mU_ac read at each midpoint") for c in flats)
+
+
+def test_a_fat_cantor_classify_takes_no_sampled_variation(monkeypatch):
+    # q' is certified BV from the table's bounded |q''|
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled total variation taken")
+
+    monkeypatch.setattr(diffusion_model, "sampled_total_variation", refuse)
+    for generations in (1, 6, 7, 8):
+        spec = build_model("fat_cantor", {"generations": generations})
+        view = derive_natural_scale(spec)
+        check = diffusion_model.check_semimartingale_assumption(view, spec)
+        assert check.passed and check.checks[0].name == "q-prime-bv"
+        assert classify(spec).nip == HOLDS
+
+
+@pytest.mark.parametrize("ab", [(2.0, 0.0), (0.5, -1.0)])
+def test_the_affine_rescaled_fat_cantor_keeps_no_table_and_its_verdicts(ab):
+    # its q is a closure over fat_cantor's: it is sampled as before, with the
+    # same statuses and residuals on every flat
+    spec = build_model("fat_cantor")
+    moved = _affine_rescaled(spec, *ab)
+    lo, hi = np.array(moved.qprime_zero_set).T
+    assert moved.q_piece.d2_segments(lo, hi) is None
+    base_reports = check_nip(derive_natural_scale(spec), spec)[1]
+    moved_reports = check_nip(derive_natural_scale(moved), moved)[1]
+    flats = [(c, m) for c, m in zip(base_reports, moved_reports) if c.id == "NIP.iii"]
+    assert len(flats) == 7
+    for c, m in flats:
+        assert (m.status, m.residual) == (c.status, c.residual) == ("pass", 0.0)
+        assert c.note.startswith("q'' exact on 1 knot segment") and m.note.startswith("sampled 10000 points")
+    assert classify(moved).triple() == classify(spec).triple()
 
 
 def _two_sided_spec(r=0.5, rho1=None, rho2=None):

@@ -610,6 +610,43 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, recwarn, argv, doc)
     assert not out.exists()
 
 
+# speeds that are not nonnegative measures: DiffusionSpec refuses them, for
+# classify and simulate alike
+_STICKY_DOC = {**_CLOSED_AS_STRING, "state_interval": {"alpha": 1.0, "beta": "inf", "alpha_closed": True}}
+NEGATIVE_SPEEDS = {
+    "negative_atom": (
+        {**_STICKY_DOC, "speed": {"ac": _ONE, "atoms": [[1.0, -1.0]], "sc": None}},
+        "error: speed atom at 1.0 has mass -1.0; a mass must be >= 0",
+    ),
+    "negative_density": (
+        {**_BM_DOC, "r": 0.5, "speed": {"ac": {"node": "const", "c": -1.0}, "atoms": [], "sc": None}},
+        "error: speed density is the constant -1.0; it must be >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate"])
+@pytest.mark.parametrize("name", list(NEGATIVE_SPEEDS))
+def test_a_negative_speed_is_one_error_line(tmp_path, capsys, recwarn, command, name):
+    doc, want = NEGATIVE_SPEEDS[name]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    extra = ["--paths", "200", "--grid", "64"] if command == "simulate" else []
+    assert run([command, "--model", str(path), "--out", str(out), *extra]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [want]
+    assert not recwarn.list and not out.exists()
+
+
+@pytest.mark.parametrize("mass", [0.0, "inf"])
+def test_a_zero_or_infinite_speed_atom_still_classifies(tmp_path, mass):
+    doc = {**_STICKY_DOC, "speed": {"ac": _ONE, "atoms": [[1.0, mass]], "sc": None},
+           "boundaries": {"left": "absorbing" if mass == "inf" else "reflecting"}}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["classify", "--model", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 # zero-rate documents on which the reference path must test each zero as the
 # general path does: a reflecting boundary with a tiny slope q' = 1e-12, and
 # a singular-continuous part of q'' with a zero multiplier

@@ -38,6 +38,9 @@ from diffarb.model_catalog import CATALOG, build_model
 
 from oracles import build_with_speed_natural, catalog_speed_natural
 
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402  the benchmark's inputs
+
 INF = math.inf
 
 
@@ -444,6 +447,46 @@ def test_pushed_speed_equals_the_closed_form_natural_speed(name, params):
         assert float(got.ac_density(np.array([0.0]))[0]) == pytest.approx((1.0 - params["kappa"]) ** -2.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("field", ["speed", "speed_natural"])
+@pytest.mark.parametrize("mass, ok", [(-1.0, False), (math.nan, False), (-0.0, True), (0.0, True), (math.inf, True)])
+def test_a_speed_atom_mass_must_be_nonnegative(field, mass, ok):
+    base = build_model("sticky_reflected_bm", {"r": 0.5, "rho": 1.0})
+    measure = getattr(base, field) or DecomposedMeasure((1.0, math.inf), Const(1.0))
+    make = lambda: dataclasses.replace(base, **{field: dataclasses.replace(measure, atoms=((1.0, mass),))})
+    if ok:
+        make()
+    else:
+        with pytest.raises(SpecValidationError, match=r"speed atom at 1\.0 has mass"):
+            make()
+
+
+@pytest.mark.parametrize("c, ok", [(-1.0, False), (math.nan, False), (-1e-300, False), (0.0, True), (2.0, True)])
+def test_a_constant_speed_density_must_be_nonnegative(c, ok):
+    base = build_model("brownian_motion")
+    make = lambda: dataclasses.replace(base, speed=dataclasses.replace(base.speed, ac_density=Const(c)))
+    if ok:
+        make()
+    else:
+        with pytest.raises(SpecValidationError, match="speed density is the constant"):
+            make()
+
+
+def test_every_committed_document_and_bench_input_still_loads():
+    # the speed sign check refuses none of them
+    golden = Path(__file__).resolve().parent / "golden"
+    for path in golden.glob("*.json"):
+        if not path.name.startswith("classify_"):
+            load_model_spec(json.loads(path.read_text()))
+    for name in CATALOG:
+        build_model(name)
+    for seed in (1, 2, 3):
+        for pass_no in (0, 1):
+            for item in workloads.catalog_inputs(seed, pass_no):
+                build_model(item.name, workloads.parse_params(item.params))
+            for item in workloads.doc_inputs(seed, pass_no):
+                load_model_spec(item.doc)
+
+
 def test_flat_spot_consistency_guard():
     # on each flat interval of fat_cantor q'' vanishes and r = 0, so NIP.iii
     # holds exactly
@@ -510,7 +553,7 @@ import numpy as np
 from diffarb.diffusion_model import derive_natural_scale
 from diffarb.model_catalog import build_model
 from oracles import catalog_speed_natural
-u = np.array([0.0, 0.25, 1.5])
+u = np.array([0.0, 1e-300, 0.25, 1.5])
 for name, params in [("squared_bessel", {"delta": d}) for d in (0.5, 1.0, 1.5)] + [("cubed_bm", {})]:
     got = derive_natural_scale(build_model(name, params)).mU.ac_density(u)
     want = np.asarray(catalog_speed_natural(name, params).ac_density(u), float) * np.ones_like(u)
@@ -523,7 +566,10 @@ def test_a_pushed_density_reads_its_one_sided_limit_where_q_prime_vanishes():
     # at u = 0 the state density is infinite and q' = 0: the pushed density
     # is the limit from inside, c_u |u|^(p - 2) at 0 for the squared Bessel
     # entries (+inf, 1 and 0 for delta = 0.5, 1, 1.5) and 1 for cubed_bm,
-    # with no numpy warning under python -W error
+    # with no numpy warning under python -W error. At u = 1e-300, q(u) = u^p
+    # underflows to the origin, and the density is the leading term of that
+    # limit there, to 1e-12 relative: c_u 1e-300^(p - 2) is 4/9 1e200, 1 and
+    # 0, and cubed_bm's is 1
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
     argv = [sys.executable, "-W", "error", "-c", _PUSHED_AT_ZERO]
