@@ -239,42 +239,56 @@ def _check_flat_spots(
     Isolated points are Lebesgue-null and impose nothing. Where q keeps a
     q'' table (``SmoothPiece1D.d2_segments``), each declared interval is
     read once per knot segment: q'' is the segment's exact constant, and
-    r q mU_ac is read at the segment's midpoint. With r = 0 or no mU_ac that
-    decides the condition; otherwise a mismatch fails it and a match leaves
-    it inconclusive, since one point cannot show a varying product equal to
-    a constant. A q without a table is sampled at 10,000 points of each
-    interval, and a single violation fails the condition. Every interval's
-    points are read in one call.
+    with r != 0 r q mU_ac is read at the segment's midpoint. With r = 0 or
+    no mU_ac that decides the condition; otherwise a mismatch fails it, and
+    an interval that matches at every midpoint is also sampled at 10,000
+    points against the table, since one point cannot show a varying product
+    equal to a constant. A q without a table is sampled at those points,
+    and a single violation fails the condition. Each pass reads every
+    interval's points in one call.
     """
     r = spec.r
     intervals = [(a, b) for a, b in spec.qprime_zero_set if b > a]
     if not intervals:
         return [ConditionReport("NIP.iii", "pass", residual=0.0, note="zero set of q' is Lebesgue-null")]
     mU_ac = None if r == 0.0 else view.mU.ac_density
-    tables = view.q.d2_segments(*np.array(intervals).T)
-    if tables is not None:
-        pieces = [0.5 * (edges[:-1] + edges[1:]) for edges, _ in tables]
-        xs, rhs = np.concatenate(pieces), 0.5 * np.concatenate([d2 for _, d2 in tables])
-    else:
-        pieces = [np.linspace(a, b, _ZERO_SET_SAMPLES + 2)[1:-1] for a, b in intervals]
+
+    def residuals(pieces, rhs):  # the worst |lhs - rhs| and a violation flag of each piece
         xs = np.concatenate(pieces)
-        rhs = 0.5 * np.asarray(view.q.d2_ac(xs), float)
-    lhs = np.zeros_like(xs) if mU_ac is None else r * np.asarray(view.q.value(xs), float) * np.asarray(mU_ac(xs), float)
-    diff = np.abs(lhs - rhs)
-    bad = diff > cfg.eq_rel * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-15)
-    counts = [len(p) for p in pieces]
-    starts = np.cumsum([0, *counts[:-1]])
-    worst, failed = np.maximum.reduceat(diff, starts).tolist(), np.logical_or.reduceat(bad, starts).tolist()
-    reports = []
-    for (a, b), n, d, flagged in zip(intervals, counts, worst, failed):
-        if tables is None:
-            note = f"sampled {n} points of the flat interval [{a}, {b}]"
-        else:
-            note = f"q'' exact on {n} knot segment{'s' * (n > 1)} of the flat interval [{a}, {b}]"
-            note += "" if mU_ac is None else ", r q mU_ac read at each midpoint"
-        status = "fail" if flagged else "inconclusive" if tables is not None and mU_ac is not None else "pass"
-        reports.append(ConditionReport("NIP.iii", status, residual=d, note=note))
-    return reports
+        lhs = np.zeros_like(xs) if mU_ac is None else r * np.asarray(view.q.value(xs), float) * np.asarray(mU_ac(xs), float)
+        diff = np.abs(lhs - rhs)
+        bad = diff > cfg.eq_rel * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-15)
+        starts = np.cumsum([0, *map(len, pieces)][:-1])
+        return np.maximum.reduceat(diff, starts).tolist(), np.logical_or.reduceat(bad, starts).tolist()
+
+    def samples(a, b):
+        return np.linspace(a, b, _ZERO_SET_SAMPLES + 2)[1:-1]
+
+    tables = view.q.d2_segments(*np.array(intervals).T)
+    if tables is None:
+        pieces = [samples(a, b) for a, b in intervals]
+        worst, failed = residuals(pieces, 0.5 * np.asarray(view.q.d2_ac(np.concatenate(pieces)), float))
+        notes = [f"sampled {_ZERO_SET_SAMPLES} points of the flat interval [{a}, {b}]" for a, b in intervals]
+    else:
+        pieces = [0.5 * (edges[:-1] + edges[1:]) for edges, _ in tables]
+        worst, failed = residuals(pieces, 0.5 * np.concatenate([d2 for _, d2 in tables]))
+        notes = [
+            f"q'' exact on {len(d2)} knot segment{'s' * (len(d2) > 1)} of the flat interval [{a}, {b}]"
+            + ("" if mU_ac is None else ", r q mU_ac read at each midpoint")
+            for (a, b), (_, d2) in zip(intervals, tables)
+        ]
+        matched = [] if mU_ac is None else [i for i, f in enumerate(failed) if not f]
+        if matched:  # q'' at each sample is its segment's constant, the right one at a knot
+            pieces = [samples(*intervals[i]) for i in matched]
+            d2s = [tables[i] for i in matched]
+            rhs = [0.5 * d2[np.clip(np.searchsorted(e, x, "right") - 1, 0, len(d2) - 1)] for x, (e, d2) in zip(pieces, d2s)]
+            for i, w, f in zip(matched, *residuals(pieces, np.concatenate(rhs))):
+                worst[i], failed[i] = max(worst[i], w), f
+                notes[i] += f" and at {_ZERO_SET_SAMPLES} sampled points"
+    return [
+        ConditionReport("NIP.iii", "fail" if f else "pass", residual=w, note=note)
+        for w, f, note in zip(worst, failed, notes)
+    ]
 
 
 # ---------------------------------------------------------------------------

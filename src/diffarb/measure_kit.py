@@ -1017,9 +1017,9 @@ class SmoothPiece1D:
 
     def d2_segments(self, lo: np.ndarray, hi: np.ndarray) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
         """For each window [lo, hi], lo < hi (arrays alike), the segments on
-        each of which ``d2_ac`` is an exact constant: their n + 1 edges (lo,
-        the knots between, hi) and their n values; None for a piece that
-        keeps no such table."""
+        each of which ``d2_ac`` is an exact finite constant: their n + 1
+        edges (lo, the knots between, hi) and their n values; None for a
+        piece that keeps no such table. A table certifies q' Lipschitz."""
         return None
 
     @classmethod

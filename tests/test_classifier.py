@@ -490,6 +490,31 @@ def test_nip_iii_reads_one_point_per_knot_segment_with_a_nonzero_rate():
     assert all(c.note.endswith("r q mU_ac read at each midpoint") for c in flats)
 
 
+@pytest.mark.parametrize("on_flats, status", [("zero", "pass"), ("zero-at-midpoints", "fail")])
+def test_a_flat_that_matches_at_its_midpoints_is_sampled(on_flats, status):
+    # with r != 0 and mU_ac = 0 on the flats, the pushforward m(q) q' there,
+    # r q mU_ac = q''/2 = 0 holds at each midpoint and at the 10,000 samples:
+    # NIP.iii passes, as the sampled path reads it; a density that vanishes
+    # only at the midpoints passes them and fails on the samples
+    spec = build_model("fat_cantor")
+    lo, hi = np.array(spec.qprime_zero_set).T
+
+    def density(u):
+        u = np.asarray(u, float)
+        k = np.clip(np.searchsorted(lo, u, "right") - 1, 0, len(lo) - 1)
+        flat = (lo[k] <= u) & (u <= hi[k])
+        return np.where(flat, 0.0 if on_flats == "zero" else (u - 0.5 * (lo[k] + hi[k])) ** 2, 1.0)
+
+    spec = dataclasses.replace(spec, r=0.5, speed_natural=dataclasses.replace(spec.speed_natural, ac_density=density))
+    _, reports = check_nip(derive_natural_scale(spec), spec)
+    flats = [c for c in reports if c.id == "NIP.iii"]
+    assert [c.status for c in flats] == [status] * 7
+    assert all(c.note.endswith("read at each midpoint and at 10000 sampled points") for c in flats)
+    # the sampled path of a piece without a table reads the same statuses
+    plain = dataclasses.replace(spec, q_piece=SmoothPiece1D(domain=spec.q_piece.domain, jet=spec.q_piece.jet))
+    assert [c.status for c in check_nip(derive_natural_scale(plain), plain)[1] if c.id == "NIP.iii"] == [status] * 7
+
+
 def test_a_fat_cantor_classify_takes_no_sampled_variation(monkeypatch):
     # q' is certified BV from the table's bounded |q''|
     def refuse(*args, **kwargs):
