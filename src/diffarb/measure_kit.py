@@ -554,10 +554,15 @@ class Sum(Expr):
         object.__setattr__(self, "terms", tuple(terms))
 
     def jet(self, x, side=1, order=1):
+        # from the first term's jet, adding it to 0.0 turning its -0 into +0
+        # as a sum from zero does; the other terms added into that fresh array
         x = _arr(x)
-        out = [np.zeros_like(x) for _ in range(order + 1)]
-        for t in self.terms:
-            out = [o + v for o, v in zip(out, t.jet(x, side, order))]
+        if not self.terms:
+            return tuple(np.zeros_like(x) for _ in range(order + 1))
+        out = [np.add(0.0, v) for v in self.terms[0].jet(x, side, order)]
+        for t in self.terms[1:]:
+            for k, v in enumerate(t.jet(x, side, order)):
+                out[k] += v
         return tuple(out)
 
     def bounds(self, a, b):
@@ -616,8 +621,35 @@ class Product(Expr):
     def __init__(self, factors: Sequence[Expr]):
         object.__setattr__(self, "factors", tuple(factors))
 
+    @cached_property
+    def _scaled(self) -> Optional[tuple[int, list[float]]]:
+        """(i, cs) when every factor but the i-th is a finite ``Const``, cs
+        their values in order; None otherwise."""
+        rest = [i for i, t in enumerate(self.factors) if not isinstance(t, Const)]
+        cs = [t.c for t in self.factors if isinstance(t, Const)]
+        return (rest[0], cs) if len(rest) == 1 and cs and all(map(math.isfinite, cs)) else None
+
     def jet(self, x, side=1, order=1):
         x = _arr(x)
+        if self._scaled is not None:
+            # each constant enters as a scalar, in the generic walk's order. Its
+            # own product-rule terms are 0 times the other factors: +0, or NaN
+            # where v (in the pairs of f'', v') is not finite, as v - v
+            # (v' - v') reads, and adding +0 turns a -0 into +0 as before
+            i, cs = self._scaled
+            got = self.factors[i].jet(x, side, order)
+            v = math.prod(cs[:i]) * got[0]
+            for c in cs[i:]:
+                v = v * c
+            out, z = [v], got[0] - got[0]
+            for k in range(1, order + 1):
+                t = got[k]
+                for c in cs:
+                    t = t * c
+                out.append(z + t if i else t + z)
+            if order > 1:
+                out[2] += got[1] - got[1]
+            return tuple(out)
         jets = [t.jet(x, side, order) for t in self.factors]
         vals = [j[0] for j in jets]
         n = len(jets)
@@ -768,16 +800,27 @@ class Piecewise(Expr):
     def _points(self) -> np.ndarray:
         return np.asarray(self.points)
 
+    @cached_property
+    def _affine(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """The pieces' slopes and intercepts when every piece is affine."""
+        if all(isinstance(p, Affine) for p in self.pieces):
+            return np.array([p.a for p in self.pieces]), np.array([p.b for p in self.pieces])
+        return None
+
     def jet(self, x, side=1, order=1):
         x = _arr(x)
         flat = np.atleast_1d(x).ravel()
         at = self._points.searchsorted(flat, "right")
         dat = self._points.searchsorted(flat, "left") if order and side < 0 else at
-        # (piece index, first and last output read from it): a point on a
-        # breakpoint, read from the left, takes its value and its slopes
-        # from two pieces
-        parts = [(at, 0, order)] if dat is at or np.array_equal(at, dat) else [(at, 0, 0), (dat, 1, order)]
-        outs = [None] * (order + 1)
+        if self._affine is not None:  # each piece's a and b by its index
+            slope, icept = self._affine
+            outs, parts = [slope[at] * flat + icept[at], slope[dat], np.zeros_like(flat)][: order + 1], ()
+        else:
+            # (piece index, first and last output read from it): a point on a
+            # breakpoint, read from the left, takes its value and its slopes
+            # from two pieces
+            outs = [None] * (order + 1)
+            parts = [(at, 0, order)] if dat is at or np.array_equal(at, dat) else [(at, 0, 0), (dat, 1, order)]
         for idx, first, last in parts:
             if flat.size == 1 or (flat.size and idx.min() == idx.max()):  # one piece holds every point
                 outs[first : last + 1] = self.pieces[idx[0]].jet(flat, side, last)[first:]
@@ -984,6 +1027,37 @@ def expr_from_json(obj: dict) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+def increasing_by_form(e: Optional[Expr], a: float, b: float) -> bool:
+    """Whether ``e`` is strictly increasing on [a, b] by its form: an affine
+    map, the cubic sum of ``Sum._cubic`` (slope s >= 0, k > 0), or a
+    piecewise of such pieces whose value never falls at a breakpoint. Any
+    other form is unproven (False).
+
+    The floats must also rise across each of the 511 even cells of [a, b],
+    of width h. A piece rises there by at least h s + k h^3/16, plus
+    k t^2 h/4 at distance t from its center c. Its jet's n terms round by
+    at most C = 8 (n + 2) eps of their size (|a_i| x + |b_i| at x the
+    largest |a|, |b|, and k |t|^3), and by 2^-1022 where the floats are
+    subnormal. So the proof asks h s + k h^3/16 > C size + 2^-1022, and
+    h >= 4 C T for T the largest |t| on [a, b]."""
+    if isinstance(e, Piecewise):
+        return all(increasing_by_form(p, a, b) for p in e.pieces) and all(
+            left(p) <= right(p) for p, left, right in zip(e.points, e.pieces, e.pieces[1:])
+        )
+    if isinstance(e, Affine):
+        (s, _, k, c), terms = (e.a, e.b, 0.0, 0.0), (e,)
+    elif isinstance(e, Sum) and e._cubic is not None:
+        (s, _, k, c), terms = e._cubic, e.terms
+    else:
+        return False
+    h, x, big_t = (b - a) / 511.0, max(abs(a), abs(b)), max(abs(a - c), abs(b - c))
+    linear = [u for u in terms if not isinstance(u, Product)]  # the affine and constant terms
+    size = sum(abs(u.a) * x + abs(u.b) if isinstance(u, Affine) else abs(u.c) for u in linear)
+    C = 8.0 * (len(terms) + 2) * 2.0**-52
+    rises = h * s + k * h**3 / 16.0 > C * size + 2.0**-1022 and h >= 4.0 * C * big_t
+    return all(map(math.isfinite, (s, k, big_t, size))) and rises
+
+
 @dataclass(frozen=True)
 class SmoothPiece1D:
     """Piecewise-smooth function read through one handle.
@@ -1053,11 +1127,17 @@ class SmoothPiece1D:
         )
 
     def check_increasing(self) -> None:
-        """Strictly increasing on 512 even points of the domain (cut to
-        -+1e6) and its special points, where a power may turn."""
+        """Strictly increasing on the domain cut to -+1e6, [a, b]: by its
+        form where ``increasing_by_form`` proves it there, else on the grid
+        of ``_check_grid``."""
         lo, hi = self.domain
-        a = lo if math.isfinite(lo) else -1e6
-        b = hi if math.isfinite(hi) else 1e6
+        a, b = lo if math.isfinite(lo) else -1e6, hi if math.isfinite(hi) else 1e6
+        if not increasing_by_form(self.expr, a, b):
+            self._check_grid(a, b)
+
+    def _check_grid(self, a: float, b: float) -> None:
+        """Strictly increasing on 512 even points of [a, b] and the special
+        points inside, where a power may turn."""
         xs, inner = np.linspace(a, b, 512), [c for c in self.special_points if a < c < b]
         if inner:
             xs = np.unique(np.concatenate((xs, inner)))
@@ -1375,9 +1455,11 @@ def pushforward(
             with np.errstate(invalid="ignore"):
                 out = _arr(src(x)) * qp
             # 0 * inf, or inf: the limit from inside at u, or, where q(u) rounds
-            # onto q(c) at a point c = s(q(u)) next to u, that limit's leading term at u
-            for i in np.flatnonzero(~np.isfinite(out) & np.isfinite(u)):
-                ui, c = float(u[i]), float(s.value(x[i : i + 1])[0])
+            # onto q(c) at a point c = s(q(u)) next to u, that limit's leading term
+            # at u; a subnormal q(u) has lost its digits and is read as 0
+            sub = (x != 0.0) & (np.abs(x) < np.finfo(float).tiny)
+            for i in np.flatnonzero((sub | ~np.isfinite(out)) & np.isfinite(u)):
+                ui, c = float(u[i]), float(s.value(np.where(sub[i], 0.0, x[i : i + 1]))[0])
                 if c == ui:
                     v = _pushed_limit(src, q, ui, -1 if ui == u_hi else 1)
                 else:

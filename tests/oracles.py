@@ -824,6 +824,69 @@ def expr_deriv2(e, x, side=1):
     raise TypeError(type(e).__name__)
 
 
+def generic_jet(e, x, side=1, order=1):
+    """Reference for ``Expr.jet``: ``sum``, ``product`` and ``piecewise``
+    nodes by their generic walks as they stood before the folded constants,
+    the accumulation from the first term and the affine gather, each child
+    read through this function; every other node by its own jet."""
+    if isinstance(e, Sum):
+        x = _arr(x)
+        out = [np.zeros_like(x) for _ in range(order + 1)]
+        for t in e.terms:
+            out = [o + v for o, v in zip(out, generic_jet(t, x, side, order))]
+        return tuple(out)
+    if isinstance(e, Product):
+        x = _arr(x)
+        jets = [generic_jet(t, x, side, order) for t in e.factors]
+        vals, n = [j[0] for j in jets], len(jets)
+
+        def times_others(part, *skip):
+            for k, v in enumerate(vals):
+                if k not in skip:
+                    part = part * v
+            return part
+
+        out = [times_others(np.ones_like(x))]
+        if order:
+            d = np.zeros_like(x)
+            for i in range(n):
+                d = d + times_others(jets[i][1], i)
+            out.append(d)
+        if order > 1:
+            d2 = np.zeros_like(x)
+            for i in range(n):
+                d2 = d2 + times_others(jets[i][2], i)
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        d2 = d2 + times_others(jets[i][1] * jets[j][1], i, j)
+            out.append(d2)
+        return tuple(out)
+    if isinstance(e, Piecewise):
+        x = _arr(x)
+        flat = np.atleast_1d(x).ravel()
+        pts = np.asarray(e.points)
+        at = pts.searchsorted(flat, "right")
+        dat = pts.searchsorted(flat, "left") if order and side < 0 else at
+        parts = [(at, 0, order)] if dat is at or np.array_equal(at, dat) else [(at, 0, 0), (dat, 1, order)]
+        outs = [None] * (order + 1)
+        for idx, first, last in parts:
+            if flat.size == 1 or (flat.size and idx.min() == idx.max()):
+                outs[first : last + 1] = generic_jet(e.pieces[idx[0]], flat, side, last)[first:]
+                continue
+            outs[first : last + 1] = (np.empty_like(flat) for _ in range(first, last + 1))
+            perm = np.argsort(idx, kind="stable")
+            cuts = np.searchsorted(idx[perm], np.arange(len(e.pieces) + 1)).tolist()
+            for piece, a, b in zip(e.pieces, cuts, cuts[1:]):
+                if a < b:
+                    sel = perm[a:b]
+                    got = generic_jet(piece, flat[sel], side, last)
+                    for k in range(first, last + 1):
+                        outs[k][sel] = got[k]
+        return tuple(o.reshape(np.shape(x)) if np.shape(x) else o[0] for o in outs)
+    return e.jet(x, side, order)
+
+
 def flat_spot_segment(core, x, side=1):
     """``model_catalog._FlatSpotInverseScale._segment`` before the one jet."""
     k = np.searchsorted(core.t, x, side="right" if side > 0 else "left") - 1

@@ -738,3 +738,40 @@ def test_closed_stdout_pipe_is_not_a_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+_FALLING_PIECEWISE = {"node": "piecewise", "breakpoints": [0.5],
+                      "pieces": [{"node": "affine", "a": 1.0, "b": 0.0}, {"node": "affine", "a": -1.0, "b": 1.0}]}
+
+
+@pytest.mark.parametrize("scale, where", [
+    ({"node": "affine", "a": -1.0, "b": 0.0}, -1e6),
+    ({"node": "affine", "a": 0.0, "b": 1.0}, -1e6),
+    (_FALLING_PIECEWISE, 0.5),
+])
+def test_a_scale_that_is_not_increasing_exits_1_with_the_grid_line(tmp_path, capsys, scale, where):
+    # not increasing by its form, so the grid decides, with its one line
+    doc = {"state_interval": {"alpha": "-inf", "beta": "inf"}, "scale": scale,
+           "speed": {"ac": {"node": "const", "c": 1.0}}, "x0": 0.0, "r": 0.5}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["classify", "--model", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: function is not strictly increasing near x = {where}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("a, b, alpha, where", [(1e-20, 1.0, "-inf", -1e6), (1e20, 1e300, 1.0, 1.0)])
+def test_an_affine_scale_below_float_resolution_exits_1_with_the_grid_line(tmp_path, capsys, a, b, alpha, where):
+    # s(x) = a x + b is increasing on the reals, but its float values stall
+    # across the grid's cells, and the derived numerics with them: classified
+    # without the grid, the second read all four notions as holding, where
+    # s(x) = x on [1, inf) with this speed fails three. The form does not
+    # prove it, and the grid refuses it with one line, as it always did
+    doc = {"state_interval": {"alpha": alpha, "beta": "inf", "alpha_closed": alpha != "-inf"},
+           "scale": {"node": "affine", "a": a, "b": b}, "speed": {"ac": {"node": "const", "c": 1.0}},
+           "x0": 1.5, "r": 0.5}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert run(["classify", "--model", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: function is not strictly increasing near x = {where}"]

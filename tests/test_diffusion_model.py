@@ -576,3 +576,30 @@ def test_a_pushed_density_reads_its_one_sided_limit_where_q_prime_vanishes():
     proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode()
     assert proc.stdout.decode().split() == ["inf", "1.0", "0.0", "1.0"]
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.5])
+def test_a_pushed_density_reads_the_leading_term_where_q_is_subnormal(delta):
+    # at delta = 0.1, q(u) = u^(1/0.95) is a subnormal float at u = 1e-300
+    # (about 1e-316): its lost digits once put the density 2.5e-9 off
+    # c_u |u|^(p - 2); at delta = 0.5 it underflows to 0 there
+    u = np.array([1e-300, 1e-250, 1e-200])
+    got = derive_natural_scale(build_model("squared_bessel", {"delta": delta})).mU.ac_density(u)
+    want = catalog_speed_natural("squared_bessel", {"delta": delta}).ac_density(u)
+    assert np.all(np.abs(got / want - 1.0) <= 1e-13), (got, want)
+
+
+@pytest.mark.parametrize(
+    "name, by_form",
+    [("doc00_sticky", True), ("doc01_skew", True), ("doc02_absorbing", True), ("doc03_cubic", True),
+     ("doc05_sticky_cubic", True), ("kink", True), ("doc04_declared_inverse", False), ("compose_kink", False),
+     ("prod_cube", False)],
+)
+def test_a_committed_document_loads_on_the_grid_only_where_its_scale_is_unproven(monkeypatch, name, by_form):
+    # affine, piecewise-affine and cubic scales are increasing by their form;
+    # a power_signed, a compose and a product of affines take the grid
+    calls = []
+    grid = SmoothPiece1D._check_grid
+    monkeypatch.setattr(SmoothPiece1D, "_check_grid", lambda self, a, b: calls.append(self) or grid(self, a, b))
+    load_model_spec(json.loads((_GOLDEN / f"{name}.json").read_text()))
+    assert len(calls) == (0 if by_form else 1)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -65,6 +66,7 @@ from oracles import (
     flat_spot_q_deriv,
     flat_spot_q_deriv2,
     flat_spot_q_value,
+    generic_jet,
     inverse_piece_with_root_record,
     invert_closed_form,
     invert_monotone_vec_one_phase,
@@ -202,6 +204,48 @@ def test_piecewise_jet_reads_one_piece_whole_or_the_pieces_grouped(case):
                 ref = (expr_value(e, x), expr_deriv(e, x, side), expr_deriv2(e, x, side))
                 for order in (0, 1, 2):
                     got = e.jet(x, side, order)
+                    assert len(got) == order + 1 and all(_same(g, r) for g, r in zip(got, ref)), (x, side, order)
+
+
+# constant factors before, between and after the others, two of them, an
+# infinite one and a product of constants alone; sums of -0 terms and of
+# tables, whose slope at one point is a Python float; affine pieces with a
+# negative, a zero and a -0 slope, and a -0 intercept
+_FOLD_EXPRS = {
+    "const-after": lambda: Product([PowerSigned(0.5, 3.0), Const(-1.5)]),
+    "consts-around": lambda: Product([Const(0.1), PowerAbs(0.0, -0.5), Const(3.0), Const(-0.7)]),
+    "consts-between": lambda: Product([Affine(1.0, 1.0), Const(0.3), PowerSigned(0.0, 0.5), Const(-0.0)]),
+    "const-inf": lambda: Product([Const(np.inf), Affine(2.0, -1.0)]),
+    "consts-only": lambda: Product([Const(2.0), Const(-0.5)]),
+    "const-times-a-table": lambda: Product([Tabulated([-1.0, 0.0, 1.0], [-3.0, 0.0, 1.0]), Const(0.5)]),
+    "sum-of-negative-zeros": lambda: Sum([Affine(-0.0, -0.0), Const(-0.0)]),
+    "sum-from-a-table": lambda: Sum([Tabulated([-1.0, 0.0, 1.0], [-3.0, 0.0, 1.0]), Tabulated([0.0, 2.0], [1.0, 2.0])]),
+    "piecewise-affine": lambda: Piecewise(
+        [-1.0, 0.0, 2.0], [Affine(-1.0, -0.0), Affine(0.0, 1.0), Affine(-0.0, 1.0), Affine(3.0, -5.0)]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", [*_JET_EXPRS, *_FOLD_EXPRS])
+def test_jet_equals_the_generic_walks_bit_for_bit(case):
+    # sum, product and piecewise against their generic walks: random points,
+    # breakpoints and centers with their neighbours, -+0, -+inf and NaN,
+    # as one array, one by one and as a 2-D array, on both sides and at orders 0-2
+    e = {**_JET_EXPRS, **_FOLD_EXPRS}[case]()
+    special = np.array([*e.breakpoints(), *e.infinite_slope_points(), 0.5, -0.3, 1.875], float)
+    near = np.concatenate([special, np.nextafter(special, -np.inf), np.nextafter(special, np.inf)])
+    rng = np.random.default_rng(11)
+    if isinstance(e, ExpIntegral):
+        xs = np.concatenate([rng.normal(0.0, 1.0, 4), near[:6], [0.0, -0.0]])
+    else:
+        xs = np.concatenate([rng.normal(0.0, 2.0, 64), rng.normal(0.0, 1e6, 8), near, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    singles = (np.asarray(v) for v in xs[-(near.size + 5):])
+    square = xs[: 2 * (xs.size // 2)].reshape(2, -1)
+    with np.errstate(all="ignore"):
+        for x in (xs, square, *singles):
+            for side in (1, -1):
+                for order in (0, 1, 2):
+                    got, ref = e.jet(x, side, order), generic_jet(e, x, side, order)
                     assert len(got) == order + 1 and all(_same(g, r) for g, r in zip(got, ref)), (x, side, order)
 
 
@@ -784,6 +828,103 @@ def test_compose_kink_image_inverts_to_its_kink(monkeypatch):
     _refuse_root_search(monkeypatch)
     assert c == 0.0 and invert_monotone_vec(spec.scale, u).tolist() == [c]
     assert derive_natural_scale(spec).q.value(u).tolist() == [c]
+
+
+# ---------------------------------------------------------------------------
+# check_increasing
+# ---------------------------------------------------------------------------
+
+
+def _grid_reads(e, domain=(-RT, RT)) -> int:
+    """How many times ``check_increasing`` reads the scale's own jet."""
+    f, calls = piece(e, domain), []
+
+    def counted(x, side=1, order=1):
+        calls.append(np.size(x))
+        return f.jet(x, side, order)
+
+    with np.errstate(invalid="ignore"):
+        dataclasses.replace(f, jet=counted).check_increasing()
+    return len(calls)
+
+
+_CUBE = Product([Const(0.5), PowerSigned(1.0, 3.0)])
+_BY_FORM = {
+    "affine": Affine(2.0, 1.0),
+    "affine-on-a-half-line": Affine(0.5, -3.0),
+    "skew": FAMILY_SCALES["skew"][0],
+    "cubic": FAMILY_SCALES["cubic"][0],
+    "pure-cubic": Sum([_CUBE]),
+    "cubic-with-consts": Sum([Const(2.0), Affine(0.25, 1.0), _CUBE]),
+    "piecewise-of-a-cubic": Piecewise([1.0], [Affine(1.0, 0.0), Sum([Affine(1.0, 0.0), _CUBE])]),
+}
+_ON_THE_GRID = {
+    "power-signed": PowerSigned(0.0, 3.0),
+    "tabulated": Tabulated([0.0, 1.0, 2.0], [0.0, 2.0, 3.0]),
+    "compose": Compose(Affine(2.0, 0.0), Affine(1.0, 1.0)),
+    "affine-plus-power": Sum([Affine(1.0, 0.0), PowerSigned(0.0, 3.0)]),
+    "two-affines": Sum([Affine(1.0, 0.0), Affine(1.0, 0.0)]),
+    "piecewise-with-a-power": Piecewise([0.0], [Affine(1.0, 0.0), PowerSigned(0.0, 3.0)]),
+    # continuous to 1e-9 relative, but its value falls by 1e-12 at 1
+    "piecewise-falling-at-its-breakpoint": Piecewise([1.0], [Affine(1.0, 0.0), Affine(1.0, -1e-12)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_BY_FORM))
+def test_a_scale_increasing_by_its_form_takes_no_grid(case):
+    half = case == "affine-on-a-half-line"
+    assert measure_kit.increasing_by_form(_BY_FORM[case], 0.0 if half else -1e6, 1e6)
+    assert _grid_reads(_BY_FORM[case], (0.0, RT) if half else (-RT, RT)) == 0
+
+
+@pytest.mark.parametrize("case", list(_ON_THE_GRID))
+def test_any_other_scale_is_checked_on_the_grid(case):
+    assert not measure_kit.increasing_by_form(_ON_THE_GRID[case], -1e6, 1e6)
+    assert _grid_reads(_ON_THE_GRID[case]) == 1
+
+
+# increasing on the reals, but their float values stall across cells of
+# the grid: a slope far below the size of the values, on the whole line or
+# on one piece, and a cubic whose slope and k are both that small
+_BELOW_RESOLUTION = {
+    "tiny-slope": (Affine(1e-20, 1.0), (-RT, RT), -1e6),
+    "large-intercept": (Affine(0.5, 1e20), (-RT, RT), -996086.1056751468),
+    "huge-both": (Affine(1e20, 1e300), (1.0, RT), 1.0),
+    "stalling-piece": (Piecewise([2.0], [Affine(1.0, 0.0), Affine(1e-20, 2.0)]), (-RT, RT), 2.0),
+    "tiny-cubic": (Sum([Affine(1e-20, 0.25), Product([Const(1e-30), PowerSigned(0.5, 3.0)])]), (-RT, RT), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(_BELOW_RESOLUTION))
+def test_a_scale_below_float_resolution_is_left_to_the_grid(case):
+    # the form alone would prove them increasing: the grid refuses them as before
+    e, (lo, hi), where = _BELOW_RESOLUTION[case]
+    assert not measure_kit.increasing_by_form(e, lo if lo > -RT else -1e6, 1e6)
+    with pytest.raises(MeasureKitError, match=re.escape(f"function is not strictly increasing near x = {where}")):
+        piece(e, (lo, hi)).check_increasing()
+
+
+@pytest.mark.parametrize(
+    "e, where",
+    [
+        (Affine(-1.0, 0.0), -1e6),
+        (Affine(0.0, 1.0), -1e6),
+        (Affine(np.inf, 0.0), None),
+        (Piecewise([0.5], [Affine(1.0, 0.0), Affine(-1.0, 1.0)]), 0.5),
+        (Sum([Affine(1.0, 0.0), Product([Const(-0.5), PowerSigned(1.0, 3.0)])]), -1e6),
+        (Sum([Affine(-1.0, 0.0), _CUBE]), None),
+    ],
+)
+def test_a_scale_not_increasing_by_its_form_keeps_the_grid_verdict(e, where):
+    # an affine map with a <= 0 (or an infinite slope), a piecewise with a
+    # falling piece and cubic sums with k < 0 or a < 0 are not certified:
+    # the grid refuses them with its message, or passes them as before
+    assert not measure_kit.increasing_by_form(e, -1e6, 1e6)
+    if where is None:
+        assert _grid_reads(e) == 1
+        return
+    with pytest.raises(MeasureKitError, match=re.escape(f"function is not strictly increasing near x = {where}")):
+        piece(e).check_increasing()
 
 
 # ---------------------------------------------------------------------------
